@@ -76,7 +76,6 @@ class AxiomConfig:
     trials: int = 500
     max_size: int = 5
     seed: int = 0
-    check_l0: bool = True
 
 
 @dataclass(frozen=True)
@@ -426,7 +425,6 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
         _run_check("L4", True, cfg, l4),
         _run_check("naturality", True, cfg, naturality),
         _run_check("hemimetric", True, cfg, hemimetric),
+        _run_check("L0", converse_claimed, cfg, l0),
     ]
-    if cfg.check_l0:
-        checks.append(_run_check("L0", converse_claimed, cfg, l0))
     return AxiomReport(tuple(checks))

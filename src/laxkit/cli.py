@@ -5,8 +5,8 @@ catalog.  Reports come as JSON (default) or an aligned text table, both
 carrying the tool version, the effective seed, and sha256 digests of all
 input files; identical inputs and seed produce byte-identical output.
 Exit codes: 0 on success or a holding verdict, 1 when a verdict fails
-(certificate violation, law counterexample), 2 on usage or file-format
-errors.
+(certificate violation, law counterexample), 2 on usage, file-format or
+file-access errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .axioms import AxiomConfig, check_axioms
-from .core import LaxkitError, ZERO, format_unit, parse_unit
+from .core import LaxkitError, StructureError, ZERO, format_unit, parse_unit
 from .distance import behavioural_distance, check_certificate
 from .formparse import parse_formula
 from .jsonio import (
@@ -34,12 +34,13 @@ from .jsonio import (
     encode_rel,
     file_digest,
     load_json,
+    write_text,
 )
-from .liftings import match_lifting
+from .liftings import LIFTING_KINDS, match_lifting
 from .logic import evaluate, rank
 from .modalities import standard_modalities
 from .moss import logical_distance, synthesize
-from .systems import validate
+from .systems import disjoint_union, validate
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -54,7 +55,6 @@ class RunConfig:
     trials: int = 500
     output: str | None = None
     fmt: str = "json"
-    jobs: int = 1
 
 
 class _Inputs:
@@ -84,16 +84,10 @@ def _envelope(cfg: RunConfig, inputs: _Inputs, body: dict) -> dict:
 
 
 def _emit(cfg: RunConfig, report: dict) -> None:
-    if cfg.fmt == "table":
-        text = _render_table(report)
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    text = dump_json(report, cfg.output)
-    if not cfg.output:
+    text = _render_table(report) if cfg.fmt == "table" else dump_json(report)
+    if cfg.output:
+        write_text(text, cfg.output)
+    else:
         sys.stdout.write(text)
 
 
@@ -162,29 +156,34 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load_system(inputs: _Inputs, path: str):
+    system, notes = decode_system(inputs.load(path), path)
+    report = validate(system, notes)
+    if not report.ok:
+        lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
+        raise JsonFormatError(f"system does not validate: {lines}", path)
+    return system
+
+
 def _load_two_systems(inputs: _Inputs, paths) -> tuple:
     if len(paths) == 1:
         paths = paths * 2
     if len(paths) != 2:
         raise JsonFormatError("give one or two --system files", "--system")
-    out = []
-    for path in paths:
-        system, notes = decode_system(inputs.load(path), path)
-        report = validate(system, notes)
-        if not report.ok:
-            lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
-            raise JsonFormatError(f"system does not validate: {lines}", path)
-        out.append(system)
-    return out[0], out[1]
+    return _load_system(inputs, paths[0]), _load_system(inputs, paths[1])
 
 
 def _load_lifting(inputs: _Inputs, path: str, functor):
     lifting = decode_lifting(inputs.load(path), path)
+    _check_fit(lifting, functor, path)
+    return lifting
+
+
+def _check_fit(lifting, functor, path: str) -> None:
     problems = match_lifting(lifting, functor)
     if problems:
         lines = "; ".join(f"{p}: {m}" for p, m in problems)
         raise JsonFormatError(f"lifting does not fit the system functor: {lines}", path)
-    return lifting
 
 
 def cmd_dist(cfg: RunConfig, args) -> int:
@@ -238,50 +237,17 @@ def cmd_check_cert(cfg: RunConfig, args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
 
-def _functor_for_axioms(inputs: _Inputs, args):
-    from .functors import DFin, Id, Maybe, Pair, PFin
-    from .liftings import (
-        ConstLift, Discount, Hausdorff, IdLift, KantorovichD, KantorovichGrid,
-        MaybeLift, PairMax, PairSum, WassersteinD,
-    )
-
-    if args.functor:
-        return decode_functor(inputs.load(args.functor), args.functor)
-
-    def derive(lifting, path="lifting"):
-        if isinstance(lifting, IdLift):
-            return Id()
-        if isinstance(lifting, ConstLift):
-            raise JsonFormatError(
-                "a label component has no default label metric; pass --functor",
-                path,
-            )
-        if isinstance(lifting, Hausdorff):
-            return PFin(derive(lifting.sub, f"{path}.sub"))
-        if isinstance(lifting, (KantorovichD, WassersteinD)):
-            return DFin(derive(lifting.sub, f"{path}.sub"))
-        if isinstance(lifting, PairSum):
-            return Pair(derive(lifting.left, f"{path}.left"),
-                        derive(lifting.right, f"{path}.right"))
-        if isinstance(lifting, PairMax):
-            return Pair(derive(lifting.left, f"{path}.left"),
-                        derive(lifting.right, f"{path}.right"))
-        if isinstance(lifting, Discount):
-            return derive(lifting.sub, f"{path}.sub")
-        if isinstance(lifting, MaybeLift):
-            return Maybe(derive(lifting.sub, f"{path}.sub"))
-        if isinstance(lifting, KantorovichGrid):
-            raise JsonFormatError(
-                "cannot derive the functor under a grid node; pass --functor", path)
-        raise JsonFormatError(f"cannot derive a functor for {lifting!r}", path)
-
-    return derive(decode_lifting(load_json(args.lifting), args.lifting))
-
-
 def cmd_axioms(cfg: RunConfig, args) -> int:
     inputs = _Inputs()
-    functor = _functor_for_axioms(inputs, args)
-    lifting = _load_lifting(inputs, args.lifting, functor)
+    if args.functor:
+        functor = decode_functor(inputs.load(args.functor), args.functor)
+    lifting = decode_lifting(inputs.load(args.lifting), args.lifting)
+    if not args.functor:
+        try:
+            functor = lifting.default_functor()
+        except StructureError as exc:
+            raise StructureError(f"{exc}; pass --functor") from None
+    _check_fit(lifting, functor, args.lifting)
     report = check_axioms(
         lifting, functor,
         AxiomConfig(trials=cfg.trials, max_size=args.max_size, seed=cfg.seed),
@@ -323,11 +289,7 @@ def _load_formula(inputs: _Inputs, path: str, functor):
 
 def cmd_logic_eval(cfg: RunConfig, args) -> int:
     inputs = _Inputs()
-    system, notes = decode_system(inputs.load(args.system), args.system)
-    report = validate(system, notes)
-    if not report.ok:
-        lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
-        raise JsonFormatError(f"system does not validate: {lines}", args.system)
+    system = _load_system(inputs, args.system)
     lifting = None
     if args.lifting:
         lifting = _load_lifting(inputs, args.lifting, system.functor)
@@ -354,14 +316,8 @@ def cmd_logic_distance(cfg: RunConfig, args) -> int:
 def cmd_synth(cfg: RunConfig, args) -> int:
     inputs = _Inputs()
     if len(args.system) == 1:
-        system, notes = decode_system(inputs.load(args.system[0]), args.system[0])
-        report = validate(system, notes)
-        if not report.ok:
-            lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
-            raise JsonFormatError(f"system does not validate: {lines}", args.system[0])
+        system = _load_system(inputs, args.system[0])
     else:
-        from .systems import disjoint_union
-
         sys_a, sys_b = _load_two_systems(inputs, args.system)
         system, _, inj2 = disjoint_union(sys_a, sys_b)
         if args.target in inj2 and inj2[args.target] != args.target:
@@ -389,10 +345,7 @@ def cmd_catalog(cfg: RunConfig, args) -> int:
     inputs = _Inputs()
     body = {
         "functor-kinds": ["id", "const", "pfin", "dfin", "pair", "maybe"],
-        "lifting-kinds": [
-            "id", "const", "hausdorff", "kantorovich", "wasserstein",
-            "pair-sum", "pair-max", "discount", "maybe", "kantorovich-grid",
-        ],
+        "lifting-kinds": list(LIFTING_KINDS),
     }
     functor = None
     if args.functor:
@@ -428,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", help="write the report here instead of stdout")
         sub.add_argument("--format", choices=("json", "table"), default="json",
                          help="report format (default json)")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="upper bound on worker parallelism (current executor is sequential)")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -514,10 +465,6 @@ def _config_from(args) -> RunConfig:
     cfg.output = getattr(args, "output", None)
     if getattr(args, "format", None):
         cfg.fmt = args.format
-    if getattr(args, "jobs", None):
-        if args.jobs < 1:
-            raise LaxkitError("--jobs must be at least 1")
-        cfg.jobs = args.jobs
     return cfg
 
 
@@ -527,9 +474,6 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         return args.run(cfg, args)
-    except JsonFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except LaxkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

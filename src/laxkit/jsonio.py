@@ -35,19 +35,7 @@ from .functors import (
     PairEl,
     SetEl,
 )
-from .liftings import (
-    ConstLift,
-    Discount,
-    Hausdorff,
-    IdLift,
-    KantorovichD,
-    KantorovichGrid,
-    LiftingSpec,
-    MaybeLift,
-    PairMax,
-    PairSum,
-    WassersteinD,
-)
+from .liftings import LIFTING_KINDS, LiftingSpec
 from .logic import (
     And,
     Const as FmConst,
@@ -98,8 +86,9 @@ def decode_rel(raw, path="rel") -> FuzzyRel:
     _expect(isinstance(raw, dict), "expected an object", path)
     for key in ("source", "target", "values"):
         _expect(key in raw, f"missing key {key!r}", path)
-    _expect(isinstance(raw["source"], list), "source must be a list", f"{path}.source")
-    _expect(isinstance(raw["target"], list), "target must be a list", f"{path}.target")
+    for key in ("source", "target"):
+        _expect(isinstance(raw[key], list) and all(isinstance(x, str) for x in raw[key]),
+                f"{key} must be a list of ids", f"{path}.{key}")
     try:
         source = Carrier(tuple(raw["source"]))
         target = Carrier(tuple(raw["target"]))
@@ -303,82 +292,37 @@ def decode_system(raw, path="system"):
 
 
 def encode_lifting(spec: LiftingSpec) -> dict:
-    if isinstance(spec, IdLift):
-        return {"kind": "id"}
-    if isinstance(spec, ConstLift):
-        return {"kind": "const"}
-    if isinstance(spec, Hausdorff):
-        return {"kind": "hausdorff", "variant": spec.variant,
-                "sub": encode_lifting(spec.sub)}
-    if isinstance(spec, KantorovichD):
-        return {"kind": "kantorovich", "sub": encode_lifting(spec.sub)}
-    if isinstance(spec, WassersteinD):
-        return {"kind": "wasserstein", "sub": encode_lifting(spec.sub)}
-    if isinstance(spec, PairSum):
-        return {"kind": "pair-sum",
-                "weights": [format_unit(spec.w_left), format_unit(spec.w_right)],
-                "left": encode_lifting(spec.left), "right": encode_lifting(spec.right)}
-    if isinstance(spec, PairMax):
-        return {"kind": "pair-max", "left": encode_lifting(spec.left),
-                "right": encode_lifting(spec.right)}
-    if isinstance(spec, Discount):
-        return {"kind": "discount", "factor": format_unit(spec.factor),
-                "sub": encode_lifting(spec.sub)}
-    if isinstance(spec, MaybeLift):
-        return {"kind": "maybe", "sub": encode_lifting(spec.sub)}
-    if isinstance(spec, KantorovichGrid):
-        return {"kind": "kantorovich-grid", "modalities": list(spec.modality_names),
-                "step": format_unit(spec.step)}
-    raise LaxkitError(f"not a lifting spec: {spec!r}")
+    return spec.to_json()
+
+
+class _LiftingNode:
+    """A JSON lifting node for `from_json`; errors are located at the key."""
+
+    def __init__(self, raw: dict, path: str):
+        self.raw = raw
+        self.path = path
+
+    def expect(self, condition, message, key=None):
+        _expect(condition, message, f"{self.path}.{key}" if key else self.path)
+
+    def unit(self, raw, key) -> Fraction:
+        return _unit(raw, f"{self.path}.{key}")
+
+    def child(self, key) -> LiftingSpec:
+        return decode_lifting(self.raw.get(key), f"{self.path}.{key}")
 
 
 def decode_lifting(raw, path="lifting") -> LiftingSpec:
     _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
     kind = raw["kind"]
+    cls = LIFTING_KINDS.get(kind) if isinstance(kind, str) else None
+    _expect(cls is not None, f"unknown lifting kind {kind!r}", path)
     try:
-        if kind == "id":
-            return IdLift()
-        if kind == "const":
-            return ConstLift()
-        if kind == "hausdorff":
-            _expect("variant" in raw, "hausdorff needs a 'variant'", path)
-            return Hausdorff(raw["variant"], decode_lifting(raw.get("sub"), f"{path}.sub"))
-        if kind == "kantorovich":
-            return KantorovichD(decode_lifting(raw.get("sub"), f"{path}.sub"))
-        if kind == "wasserstein":
-            return WassersteinD(decode_lifting(raw.get("sub"), f"{path}.sub"))
-        if kind == "pair-sum":
-            weights = raw.get("weights")
-            _expect(isinstance(weights, list) and len(weights) == 2,
-                    "pair-sum needs two weights", f"{path}.weights")
-            return PairSum(
-                Fraction(_unit(weights[0], f"{path}.weights[0]")),
-                Fraction(_unit(weights[1], f"{path}.weights[1]")),
-                decode_lifting(raw.get("left"), f"{path}.left"),
-                decode_lifting(raw.get("right"), f"{path}.right"),
-            )
-        if kind == "pair-max":
-            return PairMax(
-                decode_lifting(raw.get("left"), f"{path}.left"),
-                decode_lifting(raw.get("right"), f"{path}.right"),
-            )
-        if kind == "discount":
-            _expect("factor" in raw, "discount needs a 'factor'", path)
-            return Discount(_unit(raw["factor"], f"{path}.factor"),
-                            decode_lifting(raw.get("sub"), f"{path}.sub"))
-        if kind == "maybe":
-            return MaybeLift(decode_lifting(raw.get("sub"), f"{path}.sub"))
-        if kind == "kantorovich-grid":
-            names = raw.get("modalities")
-            _expect(isinstance(names, list) and names,
-                    "kantorovich-grid needs a list of modality names", path)
-            _expect("step" in raw, "kantorovich-grid needs a 'step'", path)
-            return KantorovichGrid(tuple(names), _unit(raw["step"], f"{path}.step"))
+        return cls.from_json(_LiftingNode(raw, path))
+    except JsonFormatError:
+        raise
     except LaxkitError as exc:
-        if isinstance(exc, JsonFormatError):
-            raise
         raise JsonFormatError(str(exc), path) from None
-    raise JsonFormatError(f"unknown lifting kind {kind!r}", path)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +418,36 @@ def decode_formula(raw, path="formula", functor: FunctorSpec | None = None) -> F
 # Files
 
 
+# Deepest JSON nesting load_json accepts; it keeps the recursive decoders and
+# evaluators well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
+def _nesting(value) -> int:
+    depth, level = 0, [value]
+    while level:
+        depth += 1
+        level = [child for node in level if isinstance(node, (list, dict))
+                 for child in (node.values() if isinstance(node, dict) else node)]
+    return depth
+
+
 def load_json(path: str):
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise JsonFormatError(str(exc), path) from None
+    too_deep = f"JSON nested deeper than {MAX_NESTING} levels"
     try:
-        return json.loads(blob.decode("utf-8"))
+        data = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise JsonFormatError(f"invalid JSON: {exc}", path) from None
+    except RecursionError:
+        raise JsonFormatError(too_deep, path) from None
+    if _nesting(data) > MAX_NESTING:
+        raise JsonFormatError(too_deep, path)
+    return data
 
 
 def file_digest(path: str) -> str:
@@ -491,9 +455,16 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def dump_json(data, path: str | None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path:
+def write_text(text: str, path: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise LaxkitError(f"{path}: {exc}") from None
+
+
+def dump_json(data, path: str | None = None) -> str:
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path:
+        write_text(text, path)
     return text

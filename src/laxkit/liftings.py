@@ -1,16 +1,19 @@
 """Fuzzy relation liftings along the functor grammar.
 
 A lifting node mirrors a functor node and says how a relation between two
-carriers is extended to a distance between functor elements:
+carriers is extended to a distance between functor elements.  Each lifting
+kind is one class (see LiftingSpec), so adding a kind means adding one
+class here and exporting it.
 
   * IdLift reads the relation itself,
   * ConstLift reads the label hemimetric,
   * Hausdorff (symmetric or one-sided) handles finite sets,
-  * KantorovichD / WassersteinD handle finite distributions; both are
-    computed through the same exact transportation program, which is
-    sound because the sup-over-nonexpansive-pairs and inf-over-couplings
-    formulations coincide on finite distributions, and the shared solver
-    is cross-checked elsewhere against brute-force coupling enumeration,
+  * KantorovichD handles finite distributions through the exact
+    transportation program; WassersteinD is the same class under its own
+    JSON kind, which is sound because the sup-over-nonexpansive-pairs and
+    inf-over-couplings formulations coincide on finite distributions, and
+    the solver is cross-checked in the tests against brute-force coupling
+    enumeration,
   * PairSum / PairMax / Discount / MaybeLift combine and rescale; no
     general law status is claimed for weighted or discounted
     composites, each instance is certified empirically by the law
@@ -57,18 +60,100 @@ from .modalities import is_dual_closed, resolve_modality, standard_modalities
 from .transport import min_cost_transport
 
 
+LIFTING_KINDS: dict = {}  # JSON kind -> lifting class, in definition order
+
+
 class LiftingSpec:
-    """Base class of lifting grammar nodes."""
+    """Base class of lifting grammar nodes; each subclass is one lifting kind.
+
+    Its methods are all the toolkit knows about the kind; each subclass
+    defines `lift`, the evaluation.  A subclass also sets `kind`, the JSON
+    tag it registers under in LIFTING_KINDS; `child_fields`,
+    the attributes holding its child liftings, each named like the functor
+    attribute it lifts along; and, unless it overrides `match` and
+    `default_functor`, the `functor_type` it lifts along and the `mismatch`
+    reported for any other functor.  Children are reached by direct method
+    calls, so evaluation costs one method call per node and no dispatch.
+    """
+
+    child_fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            LIFTING_KINDS[cls.kind] = cls
+
+    def range_bound(self, functor: FunctorSpec) -> Fraction:
+        return ONE  # every lifted value is a distance in [0, 1]
+
+    def contraction_factor(self) -> Fraction:
+        # as Lipschitz as its worst child; a leaf promises nonexpansiveness only
+        return max((getattr(self, name).contraction_factor() for name in self.child_fields),
+                   default=ONE)
+
+    def match(self, functor: FunctorSpec, path: str = "") -> list:
+        if not isinstance(functor, self.functor_type):
+            return [(path or "<root>", self.mismatch)]
+        out = []
+        for name in self.child_fields:
+            out += getattr(self, name).match(getattr(functor, name), f"{path}.{name}")
+        return out
+
+    def claims_converse(self, functor: FunctorSpec) -> bool:
+        return all(getattr(self, name).claims_converse(getattr(functor, name))
+                   for name in self.child_fields)
+
+    def approximation_slack(self) -> Fraction:
+        return max((getattr(self, name).approximation_slack() for name in self.child_fields),
+                   default=ZERO)
+
+    def default_functor(self, path: str = "lifting") -> FunctorSpec:
+        """The functor this lifting's shape implies; StructureError if none."""
+        return self.functor_type(*(getattr(self, name).default_functor(f"{path}.{name}")
+                                   for name in self.child_fields))
+
+    def to_json(self) -> dict:
+        out = {"kind": self.kind}
+        for name in self.child_fields:
+            out[name] = getattr(self, name).to_json()
+        return out
+
+    @classmethod
+    def from_json(cls, node) -> LiftingSpec:
+        """Build from a JSON node reader (see laxkit.jsonio.decode_lifting)."""
+        return cls(*[node.child(name) for name in cls.child_fields])
 
 
 @dataclass(frozen=True)
 class IdLift(LiftingSpec):
-    pass
+    kind = "id"
+    functor_type = Id
+    mismatch = "IdLift needs the identity functor"
+
+    def lift(self, functor, rel, t1, t2):
+        return rel.at(t1.value, t2.value)
 
 
 @dataclass(frozen=True)
 class ConstLift(LiftingSpec):
-    pass
+    kind = "const"
+    functor_type = Const
+    mismatch = "ConstLift needs a label component"
+
+    def range_bound(self, functor):
+        return sup(v for row in functor.metric.values for v in row)
+
+    def claims_converse(self, functor):
+        return is_pseudometric(functor.metric)
+
+    def contraction_factor(self):
+        return ZERO  # ignores the relation entirely
+
+    def default_functor(self, path="lifting"):
+        raise StructureError(f"{path}: a label component has no default label metric")
+
+    def lift(self, functor, rel, t1, t2):
+        return functor.metric.at(t1.label, t2.label)
 
 
 @dataclass(frozen=True)
@@ -76,19 +161,66 @@ class Hausdorff(LiftingSpec):
     variant: str  # 'sym' | 'left' | 'right'
     sub: LiftingSpec
 
+    kind = "hausdorff"
+    child_fields = ("sub",)
+    functor_type = PFin
+    mismatch = "Hausdorff needs a finite-set component"
+
     def __post_init__(self):
         if self.variant not in ("sym", "left", "right"):
             raise StructureError(f"unknown Hausdorff variant {self.variant!r}")
+
+    def claims_converse(self, functor):
+        return self.variant == "sym" and self.sub.claims_converse(functor.sub)
+
+    def lift(self, functor, rel, t1, t2):
+        if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
+            raise StructureError("Hausdorff lifting expects set elements")
+        sub, sub_functor = self.sub, functor.sub
+        d = lambda a, b: sub.lift(sub_functor, rel, a, b)
+        left = lambda: sup(inf(d(a, b) for b in t2.members) for a in t1.members)
+        right = lambda: sup(inf(d(a, b) for a in t1.members) for b in t2.members)
+        if self.variant == "left":
+            return left()
+        if self.variant == "right":
+            return right()
+        return max(left(), right())
+
+    def to_json(self):
+        return {**super().to_json(), "variant": self.variant}
+
+    @classmethod
+    def from_json(cls, node):
+        node.expect("variant" in node.raw, "hausdorff needs a 'variant'")
+        return cls(node.raw["variant"], node.child("sub"))
 
 
 @dataclass(frozen=True)
 class KantorovichD(LiftingSpec):
     sub: LiftingSpec
 
+    kind = "kantorovich"
+    child_fields = ("sub",)
+    functor_type = DFin
+    mismatch = "transport liftings need a distribution component"
 
-@dataclass(frozen=True)
-class WassersteinD(LiftingSpec):
-    sub: LiftingSpec
+    def range_bound(self, functor):
+        return self.sub.range_bound(functor.sub)
+
+    def lift(self, functor, rel, t1, t2):
+        if not isinstance(t1, DistEl) or not isinstance(t2, DistEl):
+            raise StructureError("transport liftings expect distribution elements")
+        sub, sub_functor = self.sub, functor.sub
+        mu = [p for _, p in t1.pairs]
+        nu = [p for _, p in t2.pairs]
+        cost = [[sub.lift(sub_functor, rel, a, b) for b, _ in t2.pairs] for a, _ in t1.pairs]
+        return min_cost_transport(mu, nu, cost).value
+
+
+class WassersteinD(KantorovichD):
+    """KantorovichD under its own JSON kind (see the module docstring)."""
+
+    kind = "wasserstein"
 
 
 @dataclass(frozen=True)
@@ -98,10 +230,53 @@ class PairSum(LiftingSpec):
     left: LiftingSpec
     right: LiftingSpec
 
+    kind = "pair-sum"
+    child_fields = ("left", "right")
+    functor_type = Pair
+    mismatch = "pair-sum needs a pair component"
+
     def __post_init__(self):
         for w in (self.w_left, self.w_right):
             if not isinstance(w, Fraction) or w < 0:
                 raise StructureError("pair-sum weights must be nonnegative rationals")
+
+    def range_bound(self, functor):
+        return (self.w_left * self.left.range_bound(functor.left)
+                + self.w_right * self.right.range_bound(functor.right))
+
+    def match(self, functor, path=""):
+        out = super().match(functor, path)
+        if not out:
+            bound = self.range_bound(functor)
+            if bound > 1:
+                out.append(
+                    (path or "<root>",
+                     f"weighted sum can reach {format_unit(bound)} > 1; "
+                     "lower the weights or the label metric's range")
+                )
+        return out
+
+    def contraction_factor(self):
+        return (self.w_left * self.left.contraction_factor()
+                + self.w_right * self.right.contraction_factor())
+
+    def lift(self, functor, rel, t1, t2):
+        return as_unit(
+            self.w_left * self.left.lift(functor.left, rel, t1.left, t2.left)
+            + self.w_right * self.right.lift(functor.right, rel, t1.right, t2.right)
+        )
+
+    def to_json(self):
+        return {**super().to_json(),
+                "weights": [format_unit(self.w_left), format_unit(self.w_right)]}
+
+    @classmethod
+    def from_json(cls, node):
+        weights = node.raw.get("weights")
+        node.expect(isinstance(weights, list) and len(weights) == 2,
+                    "pair-sum needs two weights", "weights")
+        return cls(node.unit(weights[0], "weights[0]"), node.unit(weights[1], "weights[1]"),
+                   node.child("left"), node.child("right"))
 
 
 @dataclass(frozen=True)
@@ -109,20 +284,73 @@ class PairMax(LiftingSpec):
     left: LiftingSpec
     right: LiftingSpec
 
+    kind = "pair-max"
+    child_fields = ("left", "right")
+    functor_type = Pair
+    mismatch = "pair-max needs a pair component"
+
+    def range_bound(self, functor):
+        return max(self.left.range_bound(functor.left), self.right.range_bound(functor.right))
+
+    def lift(self, functor, rel, t1, t2):
+        return max(self.left.lift(functor.left, rel, t1.left, t2.left),
+                   self.right.lift(functor.right, rel, t1.right, t2.right))
+
 
 @dataclass(frozen=True)
 class Discount(LiftingSpec):
     factor: Fraction
     sub: LiftingSpec
 
+    kind = "discount"
+    child_fields = ("sub",)
+
     def __post_init__(self):
         if not isinstance(self.factor, Fraction) or not ZERO <= self.factor < ONE:
             raise StructureError("discount factor must be a rational in [0, 1)")
+
+    def range_bound(self, functor):
+        return self.factor * self.sub.range_bound(functor)
+
+    def match(self, functor, path=""):
+        return self.sub.match(functor, f"{path}.sub")
+
+    def claims_converse(self, functor):
+        return self.sub.claims_converse(functor)
+
+    def contraction_factor(self):
+        return self.factor * self.sub.contraction_factor()
+
+    def default_functor(self, path="lifting"):
+        return self.sub.default_functor(f"{path}.sub")
+
+    def lift(self, functor, rel, t1, t2):
+        return self.factor * self.sub.lift(functor, rel, t1, t2)
+
+    def to_json(self):
+        return {**super().to_json(), "factor": format_unit(self.factor)}
+
+    @classmethod
+    def from_json(cls, node):
+        node.expect("factor" in node.raw, "discount needs a 'factor'")
+        return cls(node.unit(node.raw["factor"], "factor"), node.child("sub"))
 
 
 @dataclass(frozen=True)
 class MaybeLift(LiftingSpec):
     sub: LiftingSpec
+
+    kind = "maybe"
+    child_fields = ("sub",)
+    functor_type = Maybe
+    mismatch = "MaybeLift needs an optional component"
+
+    def lift(self, functor, rel, t1, t2):
+        if t1.value is None and t2.value is None:
+            return ZERO
+        if t1.value is None or t2.value is None:
+            return ONE
+        return self.sub.lift(functor.sub, rel, t1.value, t2.value)
 
 
 @dataclass(frozen=True)
@@ -130,42 +358,66 @@ class KantorovichGrid(LiftingSpec):
     modality_names: tuple
     step: Fraction
 
+    kind = "kantorovich-grid"
+
     def __post_init__(self):
         if self.step <= 0 or (1 / self.step).denominator != 1:
             raise StructureError("grid step must be 1/k for a positive integer k")
 
+    def _modalities(self, functor):
+        available = standard_modalities(functor)
+        return [resolve_modality(available, name) for name in self.modality_names]
+
+    def match(self, functor, path=""):
+        available = standard_modalities(functor)
+        out = []
+        for name in self.modality_names:
+            try:
+                lam = resolve_modality(available, name)
+            except StructureError as exc:
+                out.append((path or "<root>", str(exc)))
+                continue
+            if not lam.monotone:
+                out.append(
+                    (path or "<root>",
+                     f"modality {lam.name} is not monotone; the grid search "
+                     "restricts right-hand tables to companions, which is "
+                     "only sound for monotone modalities")
+                )
+        return out
+
+    def claims_converse(self, functor):
+        return is_dual_closed(dict(zip(self.modality_names, self._modalities(functor))))
+
+    def approximation_slack(self):
+        return self.step
+
+    def default_functor(self, path="lifting"):
+        raise StructureError(f"{path}: cannot derive the functor under a grid node")
+
+    def lift(self, functor, rel, t1, t2):
+        return grid_kantorovich_value(self._modalities(functor), self.step, rel, t1, t2)
+
+    def to_json(self):
+        return {**super().to_json(), "modalities": list(self.modality_names),
+                "step": format_unit(self.step)}
+
+    @classmethod
+    def from_json(cls, node):
+        names = node.raw.get("modalities")
+        node.expect(isinstance(names, list) and names and all(isinstance(n, str) for n in names),
+                    "kantorovich-grid needs a list of modality names")
+        node.expect("step" in node.raw, "kantorovich-grid needs a 'step'")
+        return cls(tuple(names), node.unit(node.raw["step"], "step"))
+
 
 # ---------------------------------------------------------------------------
-# Shape matching and static bounds
+# The public operations, one per node method
 
 
 def range_bound(lifting: LiftingSpec, functor: FunctorSpec) -> Fraction:
     """An upper bound for the values this lifting can produce."""
-    if isinstance(lifting, IdLift):
-        return ONE
-    if isinstance(lifting, ConstLift):
-        return sup(v for row in functor.metric.values for v in row)
-    if isinstance(lifting, Hausdorff):
-        return ONE  # a nonempty set against an empty one is at distance 1
-    if isinstance(lifting, (KantorovichD, WassersteinD)):
-        return range_bound(lifting.sub, functor.sub)
-    if isinstance(lifting, PairSum):
-        return (
-            lifting.w_left * range_bound(lifting.left, functor.left)
-            + lifting.w_right * range_bound(lifting.right, functor.right)
-        )
-    if isinstance(lifting, PairMax):
-        return max(
-            range_bound(lifting.left, functor.left),
-            range_bound(lifting.right, functor.right),
-        )
-    if isinstance(lifting, Discount):
-        return lifting.factor * range_bound(lifting.sub, functor)
-    if isinstance(lifting, MaybeLift):
-        return ONE  # mixed step/deadlock pairs are at distance 1
-    if isinstance(lifting, KantorovichGrid):
-        return ONE
-    raise StructureError(f"not a lifting spec: {lifting!r}")
+    return lifting.range_bound(functor)
 
 
 def match_lifting(lifting: LiftingSpec, functor: FunctorSpec, path: str = "") -> list:
@@ -176,64 +428,7 @@ def match_lifting(lifting: LiftingSpec, functor: FunctorSpec, path: str = "") ->
     (so a label metric bounded by 1 - lambda admits weight 1 next to a
     lambda-discounted component).
     """
-    where = path or "<root>"
-    if isinstance(lifting, IdLift):
-        return [] if isinstance(functor, Id) else [(where, "IdLift needs the identity functor")]
-    if isinstance(lifting, ConstLift):
-        return [] if isinstance(functor, Const) else [(where, "ConstLift needs a label component")]
-    if isinstance(lifting, Hausdorff):
-        if not isinstance(functor, PFin):
-            return [(where, "Hausdorff needs a finite-set component")]
-        return match_lifting(lifting.sub, functor.sub, f"{path}.sub")
-    if isinstance(lifting, (KantorovichD, WassersteinD)):
-        if not isinstance(functor, DFin):
-            return [(where, "transport liftings need a distribution component")]
-        return match_lifting(lifting.sub, functor.sub, f"{path}.sub")
-    if isinstance(lifting, PairSum):
-        if not isinstance(functor, Pair):
-            return [(where, "pair-sum needs a pair component")]
-        out = match_lifting(lifting.left, functor.left, f"{path}.left")
-        out += match_lifting(lifting.right, functor.right, f"{path}.right")
-        if not out:
-            bound = range_bound(lifting, functor)
-            if bound > 1:
-                out.append(
-                    (where,
-                     f"weighted sum can reach {format_unit(bound)} > 1; "
-                     "lower the weights or the label metric's range")
-                )
-        return out
-    if isinstance(lifting, PairMax):
-        if not isinstance(functor, Pair):
-            return [(where, "pair-max needs a pair component")]
-        return (
-            match_lifting(lifting.left, functor.left, f"{path}.left")
-            + match_lifting(lifting.right, functor.right, f"{path}.right")
-        )
-    if isinstance(lifting, Discount):
-        return match_lifting(lifting.sub, functor, f"{path}.sub")
-    if isinstance(lifting, MaybeLift):
-        if not isinstance(functor, Maybe):
-            return [(where, "MaybeLift needs an optional component")]
-        return match_lifting(lifting.sub, functor.sub, f"{path}.sub")
-    if isinstance(lifting, KantorovichGrid):
-        available = standard_modalities(functor)
-        out = []
-        for name in lifting.modality_names:
-            try:
-                lam = resolve_modality(available, name)
-            except StructureError as exc:
-                out.append((where, str(exc)))
-                continue
-            if not lam.monotone:
-                out.append(
-                    (where,
-                     f"modality {lam.name} is not monotone; the grid search "
-                     "restricts right-hand tables to companions, which is "
-                     "only sound for monotone modalities")
-                )
-        return out
-    return [(where, f"not a lifting spec: {lifting!r}")]
+    return lifting.match(functor, path)
 
 
 def require_match(lifting: LiftingSpec, functor: FunctorSpec) -> None:
@@ -245,42 +440,12 @@ def require_match(lifting: LiftingSpec, functor: FunctorSpec) -> None:
 
 def claims_converse(lifting: LiftingSpec, functor: FunctorSpec) -> bool:
     """Whether the lifting is expected to preserve relational converse."""
-    if isinstance(lifting, IdLift):
-        return True
-    if isinstance(lifting, ConstLift):
-        return is_pseudometric(functor.metric)
-    if isinstance(lifting, Hausdorff):
-        return lifting.variant == "sym" and claims_converse(lifting.sub, functor.sub)
-    if isinstance(lifting, (KantorovichD, WassersteinD)):
-        return claims_converse(lifting.sub, functor.sub)
-    if isinstance(lifting, (PairSum, PairMax)):
-        return claims_converse(lifting.left, functor.left) and claims_converse(
-            lifting.right, functor.right
-        )
-    if isinstance(lifting, Discount):
-        return claims_converse(lifting.sub, functor)
-    if isinstance(lifting, MaybeLift):
-        return claims_converse(lifting.sub, functor.sub)
-    if isinstance(lifting, KantorovichGrid):
-        return is_dual_closed(
-            {
-                name: resolve_modality(standard_modalities(functor), name)
-                for name in lifting.modality_names
-            }
-        )
-    raise StructureError(f"not a lifting spec: {lifting!r}")
+    return lifting.claims_converse(functor)
 
 
 def approximation_slack(lifting: LiftingSpec) -> Fraction:
     """Zero for exact liftings; the grid step wherever a grid oracle occurs."""
-    if isinstance(lifting, KantorovichGrid):
-        return lifting.step
-    slack = ZERO
-    for attr in ("sub", "left", "right"):
-        child = getattr(lifting, attr, None)
-        if isinstance(child, LiftingSpec):
-            slack = max(slack, approximation_slack(child))
-    return slack
+    return lifting.approximation_slack()
 
 
 def contraction_factor(lifting: LiftingSpec) -> Fraction:
@@ -292,26 +457,7 @@ def contraction_factor(lifting: LiftingSpec) -> Fraction:
     remaining gap to the limit; a factor of 1 promises nothing beyond
     nonexpansiveness.
     """
-    if isinstance(lifting, IdLift):
-        return ONE
-    if isinstance(lifting, ConstLift):
-        return ZERO  # ignores the relation entirely
-    if isinstance(lifting, (Hausdorff, KantorovichD, WassersteinD, MaybeLift)):
-        return contraction_factor(lifting.sub)
-    if isinstance(lifting, PairSum):
-        return (lifting.w_left * contraction_factor(lifting.left)
-                + lifting.w_right * contraction_factor(lifting.right))
-    if isinstance(lifting, PairMax):
-        return max(contraction_factor(lifting.left), contraction_factor(lifting.right))
-    if isinstance(lifting, Discount):
-        return lifting.factor * contraction_factor(lifting.sub)
-    if isinstance(lifting, KantorovichGrid):
-        return ONE
-    raise StructureError(f"not a lifting spec: {lifting!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
+    return lifting.contraction_factor()
 
 
 def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
@@ -321,67 +467,7 @@ def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
     t1 lives over rel.source, t2 over rel.target; the lifting must fit the
     functor shape (see require_match).
     """
-    if isinstance(lifting, IdLift):
-        return rel.at(t1.value, t2.value)
-    if isinstance(lifting, ConstLift):
-        return functor.metric.at(t1.label, t2.label)
-    if isinstance(lifting, Hausdorff):
-        return _hausdorff(lifting, functor, rel, t1, t2)
-    if isinstance(lifting, (KantorovichD, WassersteinD)):
-        return _transport(lifting, functor, rel, t1, t2)
-    if isinstance(lifting, PairSum):
-        value = (
-            lifting.w_left * lift_value(lifting.left, functor.left, rel, t1.left, t2.left)
-            + lifting.w_right
-            * lift_value(lifting.right, functor.right, rel, t1.right, t2.right)
-        )
-        return as_unit(value)
-    if isinstance(lifting, PairMax):
-        return max(
-            lift_value(lifting.left, functor.left, rel, t1.left, t2.left),
-            lift_value(lifting.right, functor.right, rel, t1.right, t2.right),
-        )
-    if isinstance(lifting, Discount):
-        return lifting.factor * lift_value(lifting.sub, functor, rel, t1, t2)
-    if isinstance(lifting, MaybeLift):
-        if t1.value is None and t2.value is None:
-            return ZERO
-        if t1.value is None or t2.value is None:
-            return ONE
-        return lift_value(lifting.sub, functor.sub, rel, t1.value, t2.value)
-    if isinstance(lifting, KantorovichGrid):
-        modalities = standard_modalities(functor)
-        chosen = [resolve_modality(modalities, n) for n in lifting.modality_names]
-        return grid_kantorovich_value(chosen, lifting.step, rel, t1, t2)
-    raise StructureError(f"not a lifting spec: {lifting!r}")
-
-
-def _hausdorff(lifting, functor, rel, t1, t2):
-    if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
-        raise StructureError("Hausdorff lifting expects set elements")
-
-    def d(a, b):
-        return lift_value(lifting.sub, functor.sub, rel, a, b)
-
-    left = lambda: sup(inf(d(a, b) for b in t2.members) for a in t1.members)
-    right = lambda: sup(inf(d(a, b) for a in t1.members) for b in t2.members)
-    if lifting.variant == "left":
-        return left()
-    if lifting.variant == "right":
-        return right()
-    return max(left(), right())
-
-
-def _transport(lifting, functor, rel, t1, t2):
-    if not isinstance(t1, DistEl) or not isinstance(t2, DistEl):
-        raise StructureError("transport liftings expect distribution elements")
-    mu = [p for _, p in t1.pairs]
-    nu = [p for _, p in t2.pairs]
-    cost = [
-        [lift_value(lifting.sub, functor.sub, rel, a, b) for b, _ in t2.pairs]
-        for a, _ in t1.pairs
-    ]
-    return min_cost_transport(mu, nu, cost).value
+    return lifting.lift(functor, rel, t1, t2)
 
 
 _GRID_CAP = 2_000_000

@@ -34,7 +34,7 @@ from laxkit.axioms import rand_carrier, rand_element, rand_rel, rand_unit
 from laxkit.cli import main
 from laxkit.logic import Neg, semantics
 from laxkit.systems import disjoint_union
-from laxkit.transport import (
+from tests.oracles import (
     min_sup_over_set_couplings,
     transport_value_by_vertex_enumeration,
 )

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from laxkit.cli import main
 from tests.conftest import fixture_path
 
@@ -127,6 +129,48 @@ def test_semantic_errors_are_usage_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "mass" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--functor", "DEEP", "--lifting", fixture_path("hausdorff_sym.json")],
+     "[" * 1500 + "]" * 1500),  # too deep for the JSON parser
+    (["--lifting", "DEEP"],
+     '{"kind": "discount", "factor": "1/2", "sub": ' * 300 + '{"kind": "id"}' + "}" * 300),
+])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, argv, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    argv = [str(deep) if arg == "DEEP" else arg for arg in argv]
+    code, _, err = run_cli(capsys, "axioms", "--trials", "1", *argv)
+    assert code == 2
+    assert err == f"error: {deep}: JSON nested deeper than 100 levels\n"
+
+
+def test_non_string_ids_are_usage_errors(tmp_path, capsys):
+    with open(fixture_path("labelled_kripke_cert.json")) as handle:
+        cert = json.load(handle)
+    cert["relation"]["source"][0] = ["a1"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, _, err = run_cli(capsys, "check-cert", "--cert", str(path), *frames_args())
+    assert code == 2
+    assert "relation.source: source must be a list of ids" in err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "kantorovich-grid", "modalities": [["dia"]],
+                                "step": "1/2"}))
+    code, _, err = run_cli(capsys, "axioms", "--lifting", str(grid),
+                           "--functor", fixture_path("weighted_loop_functor.json"))
+    assert code == 2
+    assert "needs a list of modality names" in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--out"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
+    target = str(tmp_path / "missing" / "out.json")
+    code, _, err = run_cli(capsys, "synth", *frames_args(), "--target", "b1",
+                           "--rank", "1", flag, target)
+    assert code == 2
+    assert err.startswith(f"error: {target}: ")
 
 
 def test_logic_eval_text_formula(capsys):

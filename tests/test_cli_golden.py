@@ -1,0 +1,89 @@
+"""Golden CLI reports on the bundled fixtures.
+
+Each case runs `laxkit` in-process from the repository root, with relative
+`fixtures/...` paths so the report's `inputs` keys are stable, and pins
+the exit code, the sha256 of stdout and the exact stderr text.  A change
+that alters one report byte, exit code or error message fails here.
+After an intended change to a report, print the new values with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from laxkit.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+KRIPKE = ["--system", "fixtures/labelled_kripke_a.json",
+          "--system", "fixtures/labelled_kripke_b.json",
+          "--lifting", "fixtures/half_label_hausdorff.json"]
+LOOPS = ["--system", "fixtures/weighted_loop_a.json",
+         "--system", "fixtures/weighted_loop_b.json"]
+
+CASES = {
+    "dist-kripke-json": ["dist", *KRIPKE],
+    "dist-kripke-table": ["dist", *KRIPKE, "--format", "table"],
+    "dist-loops-trace": ["dist", *LOOPS, "--lifting", "fixtures/weighted_step_lifting.json",
+                         "--tol", "1/64", "--trace"],
+    "dist-deadlock": ["dist", "--system", "fixtures/prob_deadlock.json",
+                      "--lifting", "fixtures/prob_lifting.json"],
+    "check-cert": ["check-cert", "--cert", "fixtures/labelled_kripke_cert.json", *KRIPKE],
+    "axioms-left": ["axioms", "--trials", "40", "--lifting", "fixtures/hausdorff_left.json"],
+    "axioms-kantorovich": ["axioms", "--trials", "40",
+                           "--lifting", "fixtures/kantorovich_discrete.json"],
+    "axioms-labels-functor": ["axioms", "--trials", "40",
+                              "--lifting", "fixtures/half_label_hausdorff.json",
+                              "--functor", "fixtures/labelled_kripke_functor.json"],
+    "axioms-labels-derived": ["axioms", "--trials", "40",
+                              "--lifting", "fixtures/half_label_hausdorff.json"],
+    "logic-eval": ["logic", "eval", "--formula", "fixtures/dia_shift.txt",
+                   "--system", "fixtures/prob_deadlock.json", "--state", "u0"],
+    "logic-distance": ["logic", "distance", "--rank", "2", *KRIPKE],
+    "synth-table": ["synth", *KRIPKE, "--target", "b1", "--rank", "2", "--format", "table"],
+    "catalog-functor": ["catalog", "--functor", "fixtures/labelled_kripke_functor.json"],
+    "dist-mismatch": ["dist", *LOOPS, "--lifting", "fixtures/hausdorff_sym.json"],
+}
+
+# name -> (exit code, sha256 of stdout, stderr)
+GOLDEN = {
+    'axioms-kantorovich': (0, '74323ccdba9309475ea48ffd5681f020fd7756208ac00ab2d6f783147a97ef84', ''),
+    'axioms-labels-derived': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: lifting.left: a label component has no default label metric; pass --functor\n'),
+    'axioms-labels-functor': (0, '9f05cc8260a4497c11d4cc99f4a179364399321cb0ded51a166f769b57a11cc5', ''),
+    'axioms-left': (1, '5338be1b74fece398e94913a27cd47ca5c898f5e3662c1b4a4fe29b294d7123d', ''),
+    'catalog-functor': (0, '419a5829648b7a0c08aace2a72aea08d4acfbccff78c0cd515e2ffc6ab1e05e8', ''),
+    'check-cert': (0, '113faddefc3237d3e72116a2cbcb17f418d5cfda31ece6ba143bc8b643ac6c60', ''),
+    'dist-deadlock': (0, '0dc4adb665238c4b5c33257a04736165b07c744732e99235cb406c91ce292199', ''),
+    'dist-kripke-json': (0, '0a6c22347cba689a28ef64b73ac01a438a28f7ad27238e57c5172399139420cb', ''),
+    'dist-kripke-table': (0, 'ecf54da3f15593a1936b0445e3597a494de7dcef99f66917f50ac8ecfe869b0d', ''),
+    'dist-loops-trace': (0, '8953b76da78e1d8bc4bbfdd5a7a204a010bc6addbeaa7a4dbd68cd10be5d4f42', ''),
+    'dist-mismatch': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: fixtures/hausdorff_sym.json: lifting does not fit the system functor: .sub: IdLift needs the identity functor\n'),
+    'logic-distance': (0, '1248e053877cf99c2bd1c58f39fb79f2481fa85ff4aa18346ad13f13431f34aa', ''),
+    'logic-eval': (0, '4cf469ba62727847296cd769ce2180cf845b9d9b7b22ab28dbdf193162673859', ''),
+    'synth-table': (0, 'f99feeb56a14a6728c5bfe79c4715780b2e336ec495a646dec12157ec4f98898', ''),
+}
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("LAXKIT_SEED", raising=False)
+    assert run_case(CASES[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    for name in sorted(CASES):
+        print(f"    {name!r}: {run_case(CASES[name])!r},")

@@ -34,7 +34,7 @@ from laxkit import (
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
-from laxkit.transport import min_sup_over_set_couplings
+from tests.oracles import min_sup_over_set_couplings
 from tests.conftest import number_const, rel_from
 
 SET_FUNCTOR = PFin(Id())
