@@ -41,25 +41,7 @@ from .core import (
     sat_add,
     sat_sub,
 )
-from .functors import (
-    Const,
-    ConstEl,
-    DFin,
-    FunctorSpec,
-    Id,
-    IdEl,
-    Maybe,
-    NOTHING,
-    PFin,
-    Pair,
-    PairEl,
-    SetEl,
-    apply_map,
-    fdist,
-    fset,
-    just,
-    render_element,
-)
+from .functors import FunctorSpec, SetEl, apply_map, fset, render_element
 from .liftings import (
     LiftingSpec,
     approximation_slack,
@@ -76,6 +58,12 @@ class AxiomConfig:
     trials: int = 500
     max_size: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise StructureError(f"trials must be at least 1, got {self.trials}")
+        if self.max_size < 1:
+            raise StructureError(f"max_size must be at least 1, got {self.max_size}")
 
 
 @dataclass(frozen=True)
@@ -157,29 +145,7 @@ def rand_function(rng: random.Random, source: Carrier, target: Carrier) -> dict:
 
 
 def rand_element(rng: random.Random, functor: FunctorSpec, carrier: Carrier):
-    if isinstance(functor, Id):
-        return IdEl(rng.choice(carrier.elements))
-    if isinstance(functor, Const):
-        return ConstEl(rng.choice(functor.labels.elements))
-    if isinstance(functor, PFin):
-        size = rng.randint(0, min(3, len(carrier)))
-        return fset(rand_element(rng, functor.sub, carrier) for _ in range(size))
-    if isinstance(functor, DFin):
-        size = rng.randint(1, min(3, len(carrier)))
-        members = [rand_element(rng, functor.sub, carrier) for _ in range(size)]
-        weights = [rng.randint(1, 6) for _ in members]
-        total = sum(weights)
-        return fdist((m, Fraction(w, total)) for m, w in zip(members, weights))
-    if isinstance(functor, Pair):
-        return PairEl(
-            rand_element(rng, functor.left, carrier),
-            rand_element(rng, functor.right, carrier),
-        )
-    if isinstance(functor, Maybe):
-        if rng.random() < 0.25:
-            return NOTHING
-        return just(rand_element(rng, functor.sub, carrier))
-    raise StructureError(f"not a functor spec: {functor!r}")
+    return functor.random_element(rng, carrier)
 
 
 def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> FuzzyRel:

@@ -22,6 +22,7 @@ from .axioms import AxiomConfig, check_axioms
 from .core import LaxkitError, StructureError, ZERO, format_unit, parse_unit
 from .distance import behavioural_distance, check_certificate
 from .formparse import parse_formula
+from .functors import FUNCTOR_KINDS
 from .jsonio import (
     JsonFormatError,
     decode_certificate,
@@ -238,6 +239,7 @@ def cmd_check_cert(cfg: RunConfig, args) -> int:
 
 
 def cmd_axioms(cfg: RunConfig, args) -> int:
+    axiom_cfg = AxiomConfig(trials=cfg.trials, max_size=args.max_size, seed=cfg.seed)
     inputs = _Inputs()
     if args.functor:
         functor = decode_functor(inputs.load(args.functor), args.functor)
@@ -248,10 +250,7 @@ def cmd_axioms(cfg: RunConfig, args) -> int:
         except StructureError as exc:
             raise StructureError(f"{exc}; pass --functor") from None
     _check_fit(lifting, functor, args.lifting)
-    report = check_axioms(
-        lifting, functor,
-        AxiomConfig(trials=cfg.trials, max_size=args.max_size, seed=cfg.seed),
-    )
+    report = check_axioms(lifting, functor, axiom_cfg)
     body = {
         "trials": cfg.trials,
         "ok": report.ok,
@@ -344,7 +343,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_catalog(cfg: RunConfig, args) -> int:
     inputs = _Inputs()
     body = {
-        "functor-kinds": ["id", "const", "pfin", "dfin", "pair", "maybe"],
+        "functor-kinds": list(FUNCTOR_KINDS),
         "lifting-kinds": list(LIFTING_KINDS),
     }
     functor = None

@@ -4,10 +4,13 @@ The supported transition types are generated by
 
     Id | Const(labels, metric) | PFin(F) | DFin(F) | Pair(F, G) | Maybe(F)
 
-with Id at the leaves.  Elements are tagged trees mirroring the grammar:
-finite sets (set semantics, members deduplicated), finitely supported
-distributions (merged on collision, pushforward semantics), ordered pairs,
-labels, optional values, and carrier elements at Id positions.
+with Id at the leaves.  Each functor kind is one class (see FunctorSpec),
+registered in FUNCTOR_KINDS and paired with one element class, so adding a
+kind means adding one class here and exporting it.  Elements are tagged
+trees mirroring the grammar: finite sets (set semantics, members
+deduplicated), finitely supported distributions (merged on collision,
+pushforward semantics), ordered pairs, labels, optional values, and
+carrier elements at Id positions.
 
 Elements are immutable, hashable and carry a cached canonical sort key, so
 sets and distributions have a reproducible member order that does not
@@ -23,52 +26,7 @@ from typing import Callable, Iterable, Optional
 from .core import Carrier, FuzzyRel, StructureError, ZERO, format_unit, is_hemimetric
 
 
-# ---------------------------------------------------------------------------
-# Functor grammar
-
-
-class FunctorSpec:
-    """Base class of grammar nodes."""
-
-
-@dataclass(frozen=True)
-class Id(FunctorSpec):
-    pass
-
-
-@dataclass(frozen=True)
-class Const(FunctorSpec):
-    """A fixed label set together with a hemimetric on it."""
-
-    labels: Carrier
-    metric: FuzzyRel
-
-    def __post_init__(self):
-        if self.metric.source != self.labels or self.metric.target != self.labels:
-            raise StructureError("label metric must be a square relation on the labels")
-        if not is_hemimetric(self.metric):
-            raise StructureError("label metric is not a hemimetric")
-
-
-@dataclass(frozen=True)
-class PFin(FunctorSpec):
-    sub: FunctorSpec
-
-
-@dataclass(frozen=True)
-class DFin(FunctorSpec):
-    sub: FunctorSpec
-
-
-@dataclass(frozen=True)
-class Pair(FunctorSpec):
-    left: FunctorSpec
-    right: FunctorSpec
-
-
-@dataclass(frozen=True)
-class Maybe(FunctorSpec):
-    sub: FunctorSpec
+FUNCTOR_KINDS: dict = {}  # JSON kind -> functor class, in definition order
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +53,82 @@ def canonical_key(value):
     return ("r", repr(value))
 
 
-def _cached_key(node, build):
-    key = getattr(node, "_ckey", None)
-    if key is None:
-        key = build()
-        object.__setattr__(node, "_ckey", key)
-    return key
+class Canonical:
+    """Base of immutable tree nodes hashed by a canonical sort key.
 
+    A subclass builds its key in `_key`; the key and the hash are computed
+    once per node and cached on it.  Equality stays the dataclass's
+    field-wise one.
+    """
 
-def _cached_hash(node, key_fn):
-    h = getattr(node, "_hashval", None)
-    if h is None:
-        h = hash(key_fn())
-        object.__setattr__(node, "_hashval", h)
-    return h
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a __hash__ in the class's own namespace keeps @dataclass(frozen=True)
+        # from replacing the cached hash with a field-wise one
+        cls.__hash__ = Canonical.__hash__
+
+    def _canonical_key(self):
+        key = getattr(self, "_ckey", None)
+        if key is None:
+            key = self._key()
+            object.__setattr__(self, "_ckey", key)
+        return key
+
+    def __hash__(self):
+        h = getattr(self, "_hashval", None)
+        if h is None:
+            h = hash(self._canonical_key())
+            object.__setattr__(self, "_hashval", h)
+        return h
 
 
 # ---------------------------------------------------------------------------
 # Elements
 
 
-class FunctorElement:
-    """Base class of element nodes."""
+class FunctorElement(Canonical):
+    """Base class of element nodes; each subclass belongs to one functor kind.
 
-    def _canonical_key(self):
-        raise NotImplementedError
+    A subclass defines `map` (the functor action, see apply_map), `leaves`
+    (the values at its Id leaves, in order and with repeats) and `render`.
+    """
+
+    def leaves(self):
+        return ()
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class IdEl(FunctorElement):
     value: object
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("el-id", canonical_key(self.value)))
+    def _key(self):
+        return ("el-id", canonical_key(self.value))
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return IdEl(fn(self.value))
+
+    def leaves(self):
+        yield self.value
+
+    def render(self):
+        return str(self.value)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class ConstEl(FunctorElement):
     label: object
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("el-const", canonical_key(self.label)))
+    def _key(self):
+        return ("el-const", canonical_key(self.label))
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return self
+
+    def render(self):
+        return str(self.label)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class SetEl(FunctorElement):
     """A finite set of sub-elements, stored sorted by canonical key."""
 
@@ -155,16 +139,21 @@ class SetEl(FunctorElement):
         if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
             raise StructureError("set members must be strictly sorted; use fset()")
 
-    def _canonical_key(self):
-        return _cached_key(
-            self, lambda: ("el-set", tuple(m._canonical_key() for m in self.members))
-        )
+    def _key(self):
+        return ("el-set", tuple(m._canonical_key() for m in self.members))
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return fset(m.map(fn) for m in self.members)
+
+    def leaves(self):
+        for m in self.members:
+            yield from m.leaves()
+
+    def render(self):
+        return "{" + ", ".join(m.render() for m in self.members) + "}"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class DistEl(FunctorElement):
     """A finitely supported distribution: ((element, probability), ...).
 
@@ -180,49 +169,57 @@ class DistEl(FunctorElement):
         if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
             raise StructureError("distribution support must be strictly sorted; use fdist()")
 
-    def _canonical_key(self):
-        return _cached_key(
-            self,
-            lambda: (
-                "el-dist",
-                tuple((el._canonical_key(), canonical_key(p)) for el, p in self.pairs),
-            ),
-        )
+    def _key(self):
+        return ("el-dist",
+                tuple((el._canonical_key(), canonical_key(p)) for el, p in self.pairs))
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return fdist((el.map(fn), p) for el, p in self.pairs)
+
+    def leaves(self):
+        for el, _ in self.pairs:
+            yield from el.leaves()
+
+    def render(self):
+        return "{" + ", ".join(f"{el.render()}: {format_unit(p)}" for el, p in self.pairs) + "}"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class PairEl(FunctorElement):
     left: FunctorElement
     right: FunctorElement
 
-    def _canonical_key(self):
-        return _cached_key(
-            self,
-            lambda: ("el-pair", self.left._canonical_key(), self.right._canonical_key()),
-        )
+    def _key(self):
+        return ("el-pair", self.left._canonical_key(), self.right._canonical_key())
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return PairEl(self.left.map(fn), self.right.map(fn))
+
+    def leaves(self):
+        yield from self.left.leaves()
+        yield from self.right.leaves()
+
+    def render(self):
+        return f"({self.left.render()}, {self.right.render()})"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class MaybeEl(FunctorElement):
     value: Optional[FunctorElement]
 
-    def _canonical_key(self):
+    def _key(self):
         # empty and filled values get different key lengths, never a bare
         # None inside the tuple (tuples of mixed None/tuple do not sort)
-        return _cached_key(
-            self,
-            lambda: ("el-maybe",) if self.value is None
-            else ("el-maybe", self.value._canonical_key()),
-        )
+        return ("el-maybe",) if self.value is None else ("el-maybe", self.value._canonical_key())
 
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def map(self, fn):
+        return self if self.value is None else MaybeEl(self.value.map(fn))
+
+    def leaves(self):
+        return () if self.value is None else self.value.leaves()
+
+    def render(self):
+        return "nothing" if self.value is None else f"just {self.value.render()}"
 
 
 def fset(members: Iterable[FunctorElement]) -> SetEl:
@@ -256,6 +253,261 @@ NOTHING = MaybeEl(None)
 
 
 # ---------------------------------------------------------------------------
+# Functor grammar
+
+
+class FunctorSpec:
+    """Base class of functor grammar nodes; each subclass is one functor kind.
+
+    A subclass sets `kind`, the JSON tag it registers under in
+    FUNCTOR_KINDS; `child_fields`, the attributes holding its child
+    functors; `element_type`, the class of its elements; and `noun`, how
+    validation names such an element.  It defines the positional element
+    codec (`encode_element`, `decode_element`), the checks `_errors` on an
+    element already known to be of its element type, and `random_element`.
+    Children are reached by direct method calls.
+    """
+
+    child_fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            FUNCTOR_KINDS[cls.kind] = cls
+
+    def to_json(self) -> dict:
+        out = {"kind": self.kind}
+        for name in self.child_fields:
+            out[name] = getattr(self, name).to_json()
+        return out
+
+    @classmethod
+    def from_json(cls, node) -> FunctorSpec:
+        """Build from a JSON node reader (see laxkit.jsonio.decode_functor)."""
+        return cls(*[node.child(name) for name in cls.child_fields])
+
+    def element_errors(self, element, leaf_ok: Callable, path: str) -> list:
+        if not isinstance(element, self.element_type):
+            return [("error", path or "<root>",
+                     f"expected {self.noun}, got {type(element).__name__}")]
+        return self._errors(element, leaf_ok, path)
+
+
+@dataclass(frozen=True)
+class Id(FunctorSpec):
+    kind = "id"
+    element_type = IdEl
+    noun = "a carrier element"
+
+    def encode_element(self, el, leaf_encoder):
+        return leaf_encoder(el.value) if leaf_encoder else el.value
+
+    def decode_element(self, node):
+        return IdEl(node.leaf())
+
+    def _errors(self, el, leaf_ok, path):
+        if leaf_ok(el.value):
+            return []
+        return [("error", path or "<root>", f"state {el.value!r} is not in the carrier")]
+
+    def random_element(self, rng, carrier):
+        return IdEl(rng.choice(carrier.elements))
+
+
+@dataclass(frozen=True)
+class Const(FunctorSpec):
+    """A fixed label set together with a hemimetric on it."""
+
+    labels: Carrier
+    metric: FuzzyRel
+
+    kind = "const"
+    element_type = ConstEl
+    noun = "a label"
+
+    def __post_init__(self):
+        if self.metric.source != self.labels or self.metric.target != self.labels:
+            raise StructureError("label metric must be a square relation on the labels")
+        if not is_hemimetric(self.metric):
+            raise StructureError("label metric is not a hemimetric")
+
+    def to_json(self):
+        return {"kind": self.kind, "labels": list(self.labels.elements),
+                "metric": [[format_unit(v) for v in row] for row in self.metric.values]}
+
+    @classmethod
+    def from_json(cls, node):
+        node.expect("labels" in node.raw and "metric" in node.raw,
+                    "label component needs 'labels' and 'metric'")
+        labels = node.raw["labels"]
+        node.expect(isinstance(labels, list) and labels, "labels must be a nonempty list",
+                    ".labels")
+        metric = node.rel({"source": labels, "target": labels, "values": node.raw["metric"]},
+                          ".metric")
+        return cls(Carrier(tuple(labels)), metric)
+
+    def encode_element(self, el, leaf_encoder):
+        return el.label
+
+    def decode_element(self, node):
+        node.expect(isinstance(node.raw, str), "expected a label id")
+        return ConstEl(node.raw)
+
+    def _errors(self, el, leaf_ok, path):
+        if el.label in self.labels:
+            return []
+        return [("error", path or "<root>", f"label {el.label!r} is not in the label set")]
+
+    def random_element(self, rng, carrier):
+        return ConstEl(rng.choice(self.labels.elements))
+
+
+@dataclass(frozen=True)
+class PFin(FunctorSpec):
+    sub: FunctorSpec
+
+    kind = "pfin"
+    child_fields = ("sub",)
+    element_type = SetEl
+    noun = "a finite set"
+
+    def encode_element(self, el, leaf_encoder):
+        return [self.sub.encode_element(m, leaf_encoder) for m in el.members]
+
+    def decode_element(self, node):
+        node.expect(isinstance(node.raw, list), "expected a list (finite set)")
+        members = [node.element(self.sub, item, f"[{i}]") for i, item in enumerate(node.raw)]
+        by_key = {}
+        for m in members:
+            key = m._canonical_key()
+            if key in by_key:
+                node.note(f"duplicate set member {node.raw!r} deduplicated")
+            by_key[key] = m
+        return SetEl(tuple(by_key[k] for k in sorted(by_key)))
+
+    def _errors(self, el, leaf_ok, path):
+        out = []
+        for i, m in enumerate(el.members):
+            out += self.sub.element_errors(m, leaf_ok, f"{path}.set[{i}]")
+        return out
+
+    def random_element(self, rng, carrier):
+        size = rng.randint(0, min(3, len(carrier)))
+        return fset(self.sub.random_element(rng, carrier) for _ in range(size))
+
+
+@dataclass(frozen=True)
+class DFin(FunctorSpec):
+    sub: FunctorSpec
+
+    kind = "dfin"
+    child_fields = ("sub",)
+    element_type = DistEl
+    noun = "a distribution"
+
+    def encode_element(self, el, leaf_encoder):
+        return [[self.sub.encode_element(sub, leaf_encoder), format_unit(p)]
+                for sub, p in el.pairs]
+
+    def decode_element(self, node):
+        node.expect(isinstance(node.raw, list), "expected a list of [target, probability]")
+        seen = {}
+        for i, item in enumerate(node.raw):
+            at = f"[{i}]"
+            node.expect(isinstance(item, list) and len(item) == 2,
+                        "expected a [target, probability] pair", at)
+            sub = node.element(self.sub, item[0], at)
+            p = node.unit(item[1], at)
+            key = sub._canonical_key()
+            if key in seen:
+                node.note(f"duplicate support entry at {node.path}{at} merged")
+                seen[key] = (seen[key][0], seen[key][1] + p)
+            else:
+                seen[key] = (sub, p)
+        return DistEl(tuple(seen[k] for k in sorted(seen)))
+
+    def _errors(self, el, leaf_ok, path):
+        out = []
+        mass = ZERO
+        for i, (sub, p) in enumerate(el.pairs):
+            at = f"{path}.dist[{i}]"
+            if p <= 0:
+                out.append(("error", at, f"probability {format_unit(p)} is not positive"))
+            elif p > 1:
+                out.append(("error", at, f"probability {format_unit(p)} exceeds 1"))
+            mass += p
+            out += self.sub.element_errors(sub, leaf_ok, at)
+        if mass != 1:
+            out.append(("error", path or "<root>",
+                        f"distribution mass {format_unit(mass)} is not 1"))
+        return out
+
+    def random_element(self, rng, carrier):
+        size = rng.randint(1, min(3, len(carrier)))
+        members = [self.sub.random_element(rng, carrier) for _ in range(size)]
+        weights = [rng.randint(1, 6) for _ in members]
+        total = sum(weights)
+        return fdist((m, Fraction(w, total)) for m, w in zip(members, weights))
+
+
+@dataclass(frozen=True)
+class Pair(FunctorSpec):
+    left: FunctorSpec
+    right: FunctorSpec
+
+    kind = "pair"
+    child_fields = ("left", "right")
+    element_type = PairEl
+    noun = "a pair"
+
+    def encode_element(self, el, leaf_encoder):
+        return [self.left.encode_element(el.left, leaf_encoder),
+                self.right.encode_element(el.right, leaf_encoder)]
+
+    def decode_element(self, node):
+        raw = node.raw
+        node.expect(isinstance(raw, list) and len(raw) == 2, "expected a two-element list")
+        return PairEl(node.element(self.left, raw[0], "[0]"),
+                      node.element(self.right, raw[1], "[1]"))
+
+    def _errors(self, el, leaf_ok, path):
+        return (self.left.element_errors(el.left, leaf_ok, f"{path}.fst")
+                + self.right.element_errors(el.right, leaf_ok, f"{path}.snd"))
+
+    def random_element(self, rng, carrier):
+        return PairEl(self.left.random_element(rng, carrier),
+                      self.right.random_element(rng, carrier))
+
+
+@dataclass(frozen=True)
+class Maybe(FunctorSpec):
+    sub: FunctorSpec
+
+    kind = "maybe"
+    child_fields = ("sub",)
+    element_type = MaybeEl
+    noun = "an optional value"
+
+    def encode_element(self, el, leaf_encoder):
+        return None if el.value is None else self.sub.encode_element(el.value, leaf_encoder)
+
+    def decode_element(self, node):
+        if node.raw is None:
+            return NOTHING
+        return MaybeEl(node.element(self.sub, node.raw, ".just"))
+
+    def _errors(self, el, leaf_ok, path):
+        if el.value is None:
+            return []
+        return self.sub.element_errors(el.value, leaf_ok, f"{path}.just")
+
+    def random_element(self, rng, carrier):
+        if rng.random() < 0.25:
+            return NOTHING
+        return just(self.sub.random_element(rng, carrier))
+
+
+# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -265,47 +517,12 @@ def apply_map(fn: Callable, element: FunctorElement) -> FunctorElement:
     Sets deduplicate collided members; distributions merge their
     probabilities (image-measure semantics).
     """
-    if isinstance(element, IdEl):
-        return IdEl(fn(element.value))
-    if isinstance(element, ConstEl):
-        return element
-    if isinstance(element, SetEl):
-        return fset(apply_map(fn, m) for m in element.members)
-    if isinstance(element, DistEl):
-        return fdist((apply_map(fn, el), p) for el, p in element.pairs)
-    if isinstance(element, PairEl):
-        return PairEl(apply_map(fn, element.left), apply_map(fn, element.right))
-    if isinstance(element, MaybeEl):
-        return element if element.value is None else MaybeEl(apply_map(fn, element.value))
-    raise StructureError(f"not a functor element: {element!r}")
+    return element.map(fn)
 
 
 def base(element: FunctorElement) -> tuple:
     """The ordered tuple of distinct carrier values occurring in Id leaves."""
-    seen: dict = {}
-
-    def walk(el):
-        if isinstance(el, IdEl):
-            seen.setdefault(el.value, None)
-        elif isinstance(el, ConstEl):
-            pass
-        elif isinstance(el, SetEl):
-            for m in el.members:
-                walk(m)
-        elif isinstance(el, DistEl):
-            for sub, _ in el.pairs:
-                walk(sub)
-        elif isinstance(el, PairEl):
-            walk(el.left)
-            walk(el.right)
-        elif isinstance(el, MaybeEl):
-            if el.value is not None:
-                walk(el.value)
-        else:
-            raise StructureError(f"not a functor element: {el!r}")
-
-    walk(element)
-    return tuple(seen)
+    return tuple(dict.fromkeys(element.leaves()))
 
 
 def element_errors(spec: FunctorSpec, element: FunctorElement, leaf_ok: Callable,
@@ -315,69 +532,9 @@ def element_errors(spec: FunctorSpec, element: FunctorElement, leaf_ok: Callable
     Returns (severity, path, message) triples; severity is 'error' or
     'warning'.  leaf_ok decides whether an Id leaf value is admissible.
     """
-    where = path or "<root>"
-    out = []
-    if isinstance(spec, Id):
-        if not isinstance(element, IdEl):
-            return [("error", where, f"expected a carrier element, got {type(element).__name__}")]
-        if not leaf_ok(element.value):
-            out.append(("error", where, f"state {element.value!r} is not in the carrier"))
-        return out
-    if isinstance(spec, Const):
-        if not isinstance(element, ConstEl):
-            return [("error", where, f"expected a label, got {type(element).__name__}")]
-        if element.label not in spec.labels:
-            out.append(("error", where, f"label {element.label!r} is not in the label set"))
-        return out
-    if isinstance(spec, PFin):
-        if not isinstance(element, SetEl):
-            return [("error", where, f"expected a finite set, got {type(element).__name__}")]
-        for i, m in enumerate(element.members):
-            out.extend(element_errors(spec.sub, m, leaf_ok, f"{path}.set[{i}]"))
-        return out
-    if isinstance(spec, DFin):
-        if not isinstance(element, DistEl):
-            return [("error", where, f"expected a distribution, got {type(element).__name__}")]
-        mass = ZERO
-        for i, (sub, p) in enumerate(element.pairs):
-            if p <= 0:
-                out.append(("error", f"{path}.dist[{i}]", f"probability {format_unit(p)} is not positive"))
-            elif p > 1:
-                out.append(("error", f"{path}.dist[{i}]", f"probability {format_unit(p)} exceeds 1"))
-            mass += p
-            out.extend(element_errors(spec.sub, sub, leaf_ok, f"{path}.dist[{i}]"))
-        if mass != 1:
-            out.append(("error", where, f"distribution mass {format_unit(mass)} is not 1"))
-        return out
-    if isinstance(spec, Pair):
-        if not isinstance(element, PairEl):
-            return [("error", where, f"expected a pair, got {type(element).__name__}")]
-        out.extend(element_errors(spec.left, element.left, leaf_ok, f"{path}.fst"))
-        out.extend(element_errors(spec.right, element.right, leaf_ok, f"{path}.snd"))
-        return out
-    if isinstance(spec, Maybe):
-        if not isinstance(element, MaybeEl):
-            return [("error", where, f"expected an optional value, got {type(element).__name__}")]
-        if element.value is not None:
-            out.extend(element_errors(spec.sub, element.value, leaf_ok, f"{path}.just"))
-        return out
-    raise StructureError(f"not a functor spec: {spec!r}")
+    return spec.element_errors(element, leaf_ok, path)
 
 
 def render_element(element: FunctorElement) -> str:
     """Compact human-readable rendering, used in diagnostics."""
-    if isinstance(element, IdEl):
-        return str(element.value)
-    if isinstance(element, ConstEl):
-        return str(element.label)
-    if isinstance(element, SetEl):
-        return "{" + ", ".join(render_element(m) for m in element.members) + "}"
-    if isinstance(element, DistEl):
-        return "{" + ", ".join(
-            f"{render_element(el)}: {format_unit(p)}" for el, p in element.pairs
-        ) + "}"
-    if isinstance(element, PairEl):
-        return f"({render_element(element.left)}, {render_element(element.right)})"
-    if isinstance(element, MaybeEl):
-        return "nothing" if element.value is None else f"just {render_element(element.value)}"
-    raise StructureError(f"not a functor element: {element!r}")
+    return element.render()

@@ -19,22 +19,7 @@ from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, LaxkitError, format_unit, parse_unit
 from .distance import Certificate
-from .functors import (
-    Const,
-    ConstEl,
-    DFin,
-    DistEl,
-    FunctorElement,
-    FunctorSpec,
-    Id,
-    IdEl,
-    Maybe,
-    MaybeEl,
-    PFin,
-    Pair,
-    PairEl,
-    SetEl,
-)
+from .functors import FUNCTOR_KINDS, FunctorElement, FunctorSpec
 from .liftings import LIFTING_KINDS, LiftingSpec
 from .logic import (
     And,
@@ -106,140 +91,84 @@ def decode_rel(raw, path="rel") -> FuzzyRel:
 
 
 # ---------------------------------------------------------------------------
-# Functor grammar
+# Grammar nodes and positional elements
+
+
+class _Node:
+    """A JSON value at a path, as a grammar class's decoder reads it.
+
+    Functor and lifting nodes are objects whose children decode through
+    `child`; positional elements decode their parts through `element` and
+    read their Id leaves through `leaf`.  Errors are JsonFormatErrors at
+    the node's path, extended by the suffix `at` where one is given.
+    """
+
+    def __init__(self, raw, path: str, decode, notes=None):
+        self.raw = raw
+        self.path = path
+        self._decode = decode  # the grammar's decoder, or an element's leaf decoder
+        self._notes = notes
+
+    def expect(self, condition, message, at=""):
+        _expect(condition, message, self.path + at)
+
+    def unit(self, raw, at) -> Fraction:
+        return _unit(raw, self.path + at)
+
+    def rel(self, raw, at) -> FuzzyRel:
+        return decode_rel(raw, self.path + at)
+
+    def child(self, key):
+        return self._decode(self.raw.get(key), f"{self.path}.{key}")
+
+    def element(self, spec: FunctorSpec, raw, at) -> FunctorElement:
+        return spec.decode_element(_Node(raw, self.path + at, self._decode, self._notes))
+
+    def leaf(self):
+        return self._decode(self.raw, self.path)
+
+    def note(self, message: str) -> None:
+        if self._notes is not None:
+            self._notes.append(message)
+
+
+def _decode_node(kinds: dict, grammar: str, decode, raw, path: str):
+    _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
+    kind = raw["kind"]
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    _expect(cls is not None, f"unknown {grammar} kind {kind!r}", path)
+    try:
+        return cls.from_json(_Node(raw, path, decode))
+    except JsonFormatError:
+        raise
+    except LaxkitError as exc:
+        raise JsonFormatError(str(exc), path) from None
 
 
 def encode_functor(spec: FunctorSpec) -> dict:
-    if isinstance(spec, Id):
-        return {"kind": "id"}
-    if isinstance(spec, Const):
-        return {
-            "kind": "const",
-            "labels": list(spec.labels.elements),
-            "metric": [[format_unit(v) for v in row] for row in spec.metric.values],
-        }
-    if isinstance(spec, PFin):
-        return {"kind": "pfin", "sub": encode_functor(spec.sub)}
-    if isinstance(spec, DFin):
-        return {"kind": "dfin", "sub": encode_functor(spec.sub)}
-    if isinstance(spec, Pair):
-        return {"kind": "pair", "left": encode_functor(spec.left),
-                "right": encode_functor(spec.right)}
-    if isinstance(spec, Maybe):
-        return {"kind": "maybe", "sub": encode_functor(spec.sub)}
-    raise LaxkitError(f"not a functor spec: {spec!r}")
+    return spec.to_json()
 
 
 def decode_functor(raw, path="functor") -> FunctorSpec:
-    _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
-    kind = raw["kind"]
-    if kind == "id":
-        return Id()
-    if kind == "const":
-        _expect("labels" in raw and "metric" in raw,
-                "label component needs 'labels' and 'metric'", path)
-        labels = raw["labels"]
-        _expect(isinstance(labels, list) and labels, "labels must be a nonempty list",
-                f"{path}.labels")
-        rel = decode_rel(
-            {"source": labels, "target": labels, "values": raw["metric"]},
-            f"{path}.metric",
-        )
-        try:
-            return Const(Carrier(tuple(labels)), rel)
-        except LaxkitError as exc:
-            raise JsonFormatError(str(exc), path) from None
-    if kind == "pfin":
-        return PFin(decode_functor(raw.get("sub"), f"{path}.sub"))
-    if kind == "dfin":
-        return DFin(decode_functor(raw.get("sub"), f"{path}.sub"))
-    if kind == "pair":
-        return Pair(
-            decode_functor(raw.get("left"), f"{path}.left"),
-            decode_functor(raw.get("right"), f"{path}.right"),
-        )
-    if kind == "maybe":
-        return Maybe(decode_functor(raw.get("sub"), f"{path}.sub"))
-    raise JsonFormatError(f"unknown functor kind {kind!r}", path)
-
-
-# ---------------------------------------------------------------------------
-# Elements (positional against the functor)
+    return _decode_node(FUNCTOR_KINDS, "functor", decode_functor, raw, path)
 
 
 def encode_element(spec: FunctorSpec, el: FunctorElement, leaf_encoder=None):
-    if isinstance(spec, Id):
-        return leaf_encoder(el.value) if leaf_encoder else el.value
-    if isinstance(spec, Const):
-        return el.label
-    if isinstance(spec, PFin):
-        return [encode_element(spec.sub, m, leaf_encoder) for m in el.members]
-    if isinstance(spec, DFin):
-        return [
-            [encode_element(spec.sub, sub, leaf_encoder), format_unit(p)]
-            for sub, p in el.pairs
-        ]
-    if isinstance(spec, Pair):
-        return [encode_element(spec.left, el.left, leaf_encoder),
-                encode_element(spec.right, el.right, leaf_encoder)]
-    if isinstance(spec, Maybe):
-        if el.value is None:
-            return None
-        return encode_element(spec.sub, el.value, leaf_encoder)
-    raise LaxkitError(f"not a functor spec: {spec!r}")
+    """Encode positionally; leaf_encoder maps the value at each Id leaf."""
+    return spec.encode_element(el, leaf_encoder)
+
+
+def _state_id(raw, path):
+    _expect(isinstance(raw, str), "expected a state id", path)
+    return raw
 
 
 def decode_element(spec: FunctorSpec, raw, path, leaf_decoder=None, notes=None):
     """Decode positionally; structural problems raise, semantic ones are
     collected into notes (duplicate set members, for instance) so system
-    validation can surface them as warnings."""
-    if isinstance(spec, Id):
-        if leaf_decoder:
-            return leaf_decoder(raw, path)
-        _expect(isinstance(raw, str), "expected a state id", path)
-        return IdEl(raw)
-    if isinstance(spec, Const):
-        _expect(isinstance(raw, str), "expected a label id", path)
-        return ConstEl(raw)
-    if isinstance(spec, PFin):
-        _expect(isinstance(raw, list), "expected a list (finite set)", path)
-        members = [
-            decode_element(spec.sub, item, f"{path}[{i}]", leaf_decoder, notes)
-            for i, item in enumerate(raw)
-        ]
-        by_key = {}
-        for m in members:
-            if m._canonical_key() in by_key and notes is not None:
-                notes.append(f"duplicate set member {raw!r} deduplicated")
-            by_key[m._canonical_key()] = m
-        return SetEl(tuple(by_key[k] for k in sorted(by_key)))
-    if isinstance(spec, DFin):
-        _expect(isinstance(raw, list), "expected a list of [target, probability]", path)
-        seen = {}
-        for i, item in enumerate(raw):
-            _expect(isinstance(item, list) and len(item) == 2,
-                    "expected a [target, probability] pair", f"{path}[{i}]")
-            sub = decode_element(spec.sub, item[0], f"{path}[{i}]", leaf_decoder, notes)
-            p = _unit(item[1], f"{path}[{i}]")
-            key = sub._canonical_key()
-            if key in seen:
-                if notes is not None:
-                    notes.append(f"duplicate support entry at {path}[{i}] merged")
-                seen[key] = (seen[key][0], seen[key][1] + p)
-            else:
-                seen[key] = (sub, p)
-        return DistEl(tuple(seen[k] for k in sorted(seen)))
-    if isinstance(spec, Pair):
-        _expect(isinstance(raw, list) and len(raw) == 2, "expected a two-element list", path)
-        return PairEl(
-            decode_element(spec.left, raw[0], f"{path}[0]", leaf_decoder, notes),
-            decode_element(spec.right, raw[1], f"{path}[1]", leaf_decoder, notes),
-        )
-    if isinstance(spec, Maybe):
-        if raw is None:
-            return MaybeEl(None)
-        return MaybeEl(decode_element(spec.sub, raw, f"{path}.just", leaf_decoder, notes))
-    raise LaxkitError(f"not a functor spec: {spec!r}")
+    validation can surface them as warnings.  leaf_decoder(raw, path)
+    gives the value at each Id leaf, a state id by default."""
+    return spec.decode_element(_Node(raw, path, leaf_decoder or _state_id, notes))
 
 
 # ---------------------------------------------------------------------------
@@ -295,34 +224,8 @@ def encode_lifting(spec: LiftingSpec) -> dict:
     return spec.to_json()
 
 
-class _LiftingNode:
-    """A JSON lifting node for `from_json`; errors are located at the key."""
-
-    def __init__(self, raw: dict, path: str):
-        self.raw = raw
-        self.path = path
-
-    def expect(self, condition, message, key=None):
-        _expect(condition, message, f"{self.path}.{key}" if key else self.path)
-
-    def unit(self, raw, key) -> Fraction:
-        return _unit(raw, f"{self.path}.{key}")
-
-    def child(self, key) -> LiftingSpec:
-        return decode_lifting(self.raw.get(key), f"{self.path}.{key}")
-
-
 def decode_lifting(raw, path="lifting") -> LiftingSpec:
-    _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
-    kind = raw["kind"]
-    cls = LIFTING_KINDS.get(kind) if isinstance(kind, str) else None
-    _expect(cls is not None, f"unknown lifting kind {kind!r}", path)
-    try:
-        return cls.from_json(_LiftingNode(raw, path))
-    except JsonFormatError:
-        raise
-    except LaxkitError as exc:
-        raise JsonFormatError(str(exc), path) from None
+    return _decode_node(LIFTING_KINDS, "lifting", decode_lifting, raw, path)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +311,7 @@ def decode_formula(raw, path="formula", functor: FunctorSpec | None = None) -> F
                 "decoding a structural modality needs the system functor", path)
         element = decode_element(
             functor, raw.get("element"), f"{path}.element",
-            leaf_decoder=lambda item, p: IdEl(decode_formula(item, p, functor)),
+            leaf_decoder=lambda item, p: decode_formula(item, p, functor),
         )
         return MossDelta(element) if kind == "moss-delta" else MossNabla(element)
     raise JsonFormatError(f"unknown formula kind {kind!r}", path)

@@ -274,8 +274,8 @@ class PairSum(LiftingSpec):
     def from_json(cls, node):
         weights = node.raw.get("weights")
         node.expect(isinstance(weights, list) and len(weights) == 2,
-                    "pair-sum needs two weights", "weights")
-        return cls(node.unit(weights[0], "weights[0]"), node.unit(weights[1], "weights[1]"),
+                    "pair-sum needs two weights", ".weights")
+        return cls(node.unit(weights[0], ".weights[0]"), node.unit(weights[1], ".weights[1]"),
                    node.child("left"), node.child("right"))
 
 
@@ -333,7 +333,7 @@ class Discount(LiftingSpec):
     @classmethod
     def from_json(cls, node):
         node.expect("factor" in node.raw, "discount needs a 'factor'")
-        return cls(node.unit(node.raw["factor"], "factor"), node.child("sub"))
+        return cls(node.unit(node.raw["factor"], ".factor"), node.child("sub"))
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ class KantorovichGrid(LiftingSpec):
         return out
 
     def claims_converse(self, functor):
-        return is_dual_closed(dict(zip(self.modality_names, self._modalities(functor))))
+        return is_dual_closed({lam.name: lam for lam in self._modalities(functor)})
 
     def approximation_slack(self):
         return self.step
@@ -408,7 +408,7 @@ class KantorovichGrid(LiftingSpec):
         node.expect(isinstance(names, list) and names and all(isinstance(n, str) for n in names),
                     "kantorovich-grid needs a list of modality names")
         node.expect("step" in node.raw, "kantorovich-grid needs a 'step'")
-        return cls(tuple(names), node.unit(node.raw["step"], "step"))
+        return cls(tuple(names), node.unit(node.raw["step"], ".step"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,26 +19,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, ONE, StructureError, as_unit, sat_add, sat_sub
-from .functors import (
-    FunctorElement,
-    apply_map,
-    base,
-    canonical_key,
-    _cached_hash,
-    _cached_key,
-)
+from .functors import Canonical, FunctorElement, apply_map, base, canonical_key
 from .liftings import LiftingSpec, lift_value
 from .modalities import dual_of, resolve_modality, standard_modalities
 
 
-class Formula:
+class Formula(Canonical):
     """Base class of formula nodes."""
 
-    def _canonical_key(self):
-        raise NotImplementedError
 
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Const(Formula):
     value: Fraction
     lexeme: str | None = field(default=None, compare=False)
@@ -46,14 +36,11 @@ class Const(Formula):
     def __post_init__(self):
         as_unit(self.value)
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("fm-const", canonical_key(self.value)))
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-const", canonical_key(self.value))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class MinusC(Formula):
     sub: Formula
     value: Fraction
@@ -62,16 +49,11 @@ class MinusC(Formula):
     def __post_init__(self):
         as_unit(self.value)
 
-    def _canonical_key(self):
-        return _cached_key(
-            self, lambda: ("fm-minus", self.sub._canonical_key(), canonical_key(self.value))
-        )
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-minus", self.sub._canonical_key(), canonical_key(self.value))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class PlusC(Formula):
     sub: Formula
     value: Fraction
@@ -80,93 +62,63 @@ class PlusC(Formula):
     def __post_init__(self):
         as_unit(self.value)
 
-    def _canonical_key(self):
-        return _cached_key(
-            self, lambda: ("fm-plus", self.sub._canonical_key(), canonical_key(self.value))
-        )
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-plus", self.sub._canonical_key(), canonical_key(self.value))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
-    def _canonical_key(self):
-        return _cached_key(
-            self, lambda: ("fm-and", self.left._canonical_key(), self.right._canonical_key())
-        )
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-and", self.left._canonical_key(), self.right._canonical_key())
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
-    def _canonical_key(self):
-        return _cached_key(
-            self, lambda: ("fm-or", self.left._canonical_key(), self.right._canonical_key())
-        )
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-or", self.left._canonical_key(), self.right._canonical_key())
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Modal(Formula):
     name: str
     args: tuple
 
-    def _canonical_key(self):
-        return _cached_key(
-            self,
-            lambda: ("fm-modal", self.name, tuple(a._canonical_key() for a in self.args)),
-        )
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-modal", self.name, tuple(a._canonical_key() for a in self.args))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class MossDelta(Formula):
     """Structural modality: a functor element with formulas at Id leaves."""
 
     element: FunctorElement
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("fm-delta", self.element._canonical_key()))
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-delta", self.element._canonical_key())
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class MossNabla(Formula):
     """De Morgan dual of the structural modality."""
 
     element: FunctorElement
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("fm-nabla", self.element._canonical_key()))
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-nabla", self.element._canonical_key())
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Neg(Formula):
     sub: Formula
 
-    def _canonical_key(self):
-        return _cached_key(self, lambda: ("fm-neg", self.sub._canonical_key()))
-
-    def __hash__(self):
-        return _cached_hash(self, self._canonical_key)
+    def _key(self):
+        return ("fm-neg", self.sub._canonical_key())
 
 
 def rank(formula: Formula) -> int:

@@ -79,9 +79,11 @@ def validate(system: Coalgebra, raw_alpha: dict | None = None) -> ValidationRepo
     return ValidationReport(tuple(issues))
 
 
-def _freshen(name: str, taken: set) -> str:
+def _freshen(name, taken: set):
+    """Prime a taken id until it is free: a string id gains a trailing
+    prime, any other id is paired with one."""
     while name in taken:
-        name = name + "'"
+        name = name + "'" if isinstance(name, str) else (name, "'")
     return name
 
 

@@ -164,6 +164,16 @@ def test_non_string_ids_are_usage_errors(tmp_path, capsys):
     assert "needs a list of modality names" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-size", "0", "max_size must be at least 1, got 0"),
+    ("--trials", "-3", "trials must be at least 1, got -3"),
+])
+def test_axioms_bounds_are_usage_errors(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "axioms", "--lifting", fixture_path("hausdorff_sym.json"),
+                             flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--output", "--out"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
     target = str(tmp_path / "missing" / "out.json")

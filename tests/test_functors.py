@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -24,7 +25,9 @@ from laxkit import (
     just,
 )
 from laxkit.axioms import rand_element
-from laxkit.functors import canonical_key, element_errors, render_element
+from laxkit.functors import FUNCTOR_KINDS, canonical_key, element_errors, render_element
+from laxkit.jsonio import decode_element, decode_functor, encode_element, encode_functor
+from tests.conftest import number_const
 
 FUNCTOR_ZOO = [
     PFin(Id()),
@@ -137,3 +140,35 @@ def test_canonical_key_is_total_and_stable():
     keys = [canonical_key(v) for v in values]
     assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable
     assert len(set(keys)) == len(keys)
+
+
+LABELS = number_const(("0", "1/2", "1"))
+# one functor per registered kind, plus one built from every kind at once
+KIND_EXAMPLES = {
+    "id": Id(),
+    "const": LABELS,
+    "pfin": PFin(Pair(Id(), LABELS)),
+    "dfin": DFin(Maybe(Id())),
+    "pair": Pair(LABELS, DFin(Id())),
+    "maybe": Maybe(PFin(Id())),
+    "every-kind": Pair(Maybe(DFin(PFin(Id()))), LABELS),
+}
+
+
+def test_kind_examples_cover_the_registry():
+    assert [type(KIND_EXAMPLES[kind]) for kind in FUNCTOR_KINDS] == list(FUNCTOR_KINDS.values())
+
+
+@pytest.mark.parametrize("name", list(KIND_EXAMPLES))
+def test_every_functor_kind_samples_validates_and_round_trips(name):
+    functor = KIND_EXAMPLES[name]
+    assert decode_functor(json.loads(json.dumps(encode_functor(functor)))) == functor
+    x, _ = carriers()
+    rng = random.Random(f"kinds:{name}")
+    for _ in range(40):
+        el = rand_element(rng, functor, x)
+        assert isinstance(el, functor.element_type)
+        assert element_errors(functor, el, lambda v: v in x) == []
+        raw = json.loads(json.dumps(encode_element(functor, el)))
+        assert decode_element(functor, raw, "el") == el
+        assert apply_map(lambda v: v, el) == el

@@ -7,6 +7,7 @@ import laxkit as lk
 from laxkit.jsonio import (
     JsonFormatError,
     decode_certificate,
+    decode_element,
     decode_formula,
     decode_functor,
     decode_lifting,
@@ -20,7 +21,7 @@ from laxkit.jsonio import (
     encode_rel,
     encode_system,
 )
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, number_const
 
 
 def test_rel_round_trip():
@@ -197,3 +198,79 @@ def test_dump_json_is_deterministic(tmp_path):
     first = dump_json(data, str(tmp_path / "x.json"))
     second = dump_json(data, str(tmp_path / "y.json"))
     assert first == second == '{\n  "a": [\n    1,\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+SET = lk.PFin(lk.Id())
+DIST = lk.DFin(lk.Id())
+
+
+def _element(spec):
+    return lambda raw: decode_element(spec, raw, "el")
+
+
+def _moss_formula(raw):
+    return decode_formula({"kind": "moss-delta", "element": raw}, functor=SET)
+
+
+@pytest.mark.parametrize("decode, raw, message", [
+    # functor nodes
+    (decode_functor, 3, "functor: expected a node with 'kind'"),
+    (decode_functor, {"sub": {"kind": "id"}}, "functor: expected a node with 'kind'"),
+    (decode_functor, {"kind": "warp"}, "functor: unknown functor kind 'warp'"),
+    (decode_functor, {"kind": ["id"]}, "functor: unknown functor kind ['id']"),
+    (decode_functor, {"kind": "pfin"}, "functor.sub: expected a node with 'kind'"),
+    (decode_functor, {"kind": "dfin", "sub": "id"}, "functor.sub: expected a node with 'kind'"),
+    (decode_functor, {"kind": "maybe"}, "functor.sub: expected a node with 'kind'"),
+    (decode_functor, {"kind": "pair", "right": {"kind": "id"}},
+     "functor.left: expected a node with 'kind'"),
+    (decode_functor, {"kind": "pair", "left": {"kind": "id"}},
+     "functor.right: expected a node with 'kind'"),
+    (decode_functor, {"kind": "pfin", "sub": {"kind": "pair", "left": {"kind": "id"},
+                                              "right": {"kind": "box"}}},
+     "functor.sub.right: unknown functor kind 'box'"),
+    (decode_functor, {"kind": "const", "labels": ["x"]},
+     "functor: label component needs 'labels' and 'metric'"),
+    (decode_functor, {"kind": "const", "labels": [], "metric": []},
+     "functor.labels: labels must be a nonempty list"),
+    (decode_functor, {"kind": "const", "labels": [1], "metric": [["0"]]},
+     "functor.metric.source: source must be a list of ids"),
+    (decode_functor, {"kind": "const", "labels": ["x", "y"], "metric": [["0", "1"]]},
+     "functor.metric.values: need 2 rows"),
+    (decode_functor, {"kind": "const", "labels": ["x"], "metric": [["2"]]},
+     "functor.metric.values[0][0]: value 2 outside the unit interval"),
+    (decode_functor, {"kind": "const", "labels": ["x"], "metric": [["1/2"]]},
+     "functor: label metric is not a hemimetric"),
+    # positional elements
+    (_element(lk.Id()), 3, "el: expected a state id"),
+    (_element(number_const(("0", "1"))), 0, "el: expected a label id"),
+    (_element(SET), "s", "el: expected a list (finite set)"),
+    (_element(SET), ["s", 3], "el[1]: expected a state id"),
+    (_element(DIST), {"s": "1"}, "el: expected a list of [target, probability]"),
+    (_element(DIST), ["s"], "el[0]: expected a [target, probability] pair"),
+    (_element(DIST), [["s", "1/2"], ["t"]], "el[1]: expected a [target, probability] pair"),
+    (_element(DIST), [["s", "1/2", "1/2"]], "el[0]: expected a [target, probability] pair"),
+    (_element(DIST), [["s", 0.5]], "el[0]: expected a rational string"),
+    (_element(DIST), [[3, "1"]], "el[0]: expected a state id"),
+    (_element(lk.Pair(lk.Id(), lk.Id())), ["s"], "el: expected a two-element list"),
+    (_element(lk.Pair(lk.Id(), lk.Id())), "st", "el: expected a two-element list"),
+    (_element(lk.Pair(lk.Id(), SET)), ["s", [None]], "el[1][0]: expected a state id"),
+    (_element(lk.Maybe(DIST)), [["s", "1"], 3], "el.just[1]: expected a [target, probability] pair"),
+    (_element(lk.Maybe(lk.Id())), 3, "el.just: expected a state id"),
+    # formula leaves decoded inside a structural modality
+    (_moss_formula, 3, "formula.element: expected a list (finite set)"),
+    (_moss_formula, [3], "formula.element[0]: expected a node with 'kind'"),
+])
+def test_malformed_functor_and_element_json(decode, raw, message):
+    with pytest.raises(JsonFormatError) as err:
+        decode(raw)
+    assert str(err.value) == message
+    assert err.value.path == message.split(": ", 1)[0]
+
+
+def test_element_ingestion_notes():
+    notes = []
+    el = decode_element(lk.Pair(SET, DIST), [["s", "s"], [["s", "1/2"], ["s", "1/2"]]],
+                        "alpha[s]", notes=notes)
+    assert el == lk.PairEl(lk.fset([lk.IdEl("s")]), lk.fdist([(lk.IdEl("s"), 1)]))
+    assert notes == ["duplicate set member ['s', 's'] deduplicated",
+                     "duplicate support entry at alpha[s][1][1] merged"]

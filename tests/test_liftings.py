@@ -183,6 +183,12 @@ def test_claims_converse():
     assert not claims_converse(KantorovichGrid(("dia",), F(1, 4)), SET_FUNCTOR)
 
 
+def test_grid_converse_reads_modality_aliases():
+    for names in (("<>", "box"), ("dia", "[]"), ("<>", "[]")):
+        assert claims_converse(KantorovichGrid(names, F(1, 4)), SET_FUNCTOR)
+    assert not claims_converse(KantorovichGrid(("<>",), F(1, 4)), SET_FUNCTOR)
+
+
 def test_grid_matches_one_sided_hausdorff_within_step():
     rng = random.Random("grid")
     step = F(1, 8)

@@ -322,3 +322,24 @@ def test_structural_formulas_respect_rank_distances():
                 for b in sys_b.carrier.elements:
                     gap = lk.sat_sub(table[inj1[a]], table[inj2[b]])
                     assert gap <= chain[k].at(a, b)
+
+
+def test_logical_distance_on_integer_ids():
+    # both systems use the ids 0..2, so the union must freshen non-string ids
+    functor = lk.Pair(number_const(("0", "1/2", "1")), SET_FUNCTOR)
+    lifting = lk.PairSum(F(1, 2), F(1, 2), lk.ConstLift(), H_SYM)
+    edges_a = {0: ("0", [1, 2]), 1: ("1/2", []), 2: ("1", [2])}
+    edges_b = {0: ("1/2", [1]), 1: ("0", [0, 2]), 2: ("1", [])}
+
+    def system(edges, name):
+        return lk.Coalgebra.of(functor, Carrier(tuple(name(s) for s in edges)), {
+            name(s): lk.PairEl(lk.ConstEl(label), fset(IdEl(name(t)) for t in succs))
+            for s, (label, succs) in edges.items()
+        })
+
+    union, _, inj2 = disjoint_union(system(edges_a, int), system(edges_b, int))
+    assert len(union.carrier) == 6 and set(inj2.values()).isdisjoint(range(3))
+    for rank_n in (1, 3):
+        by_int = logical_distance(system(edges_a, int), system(edges_b, int), lifting, rank_n)
+        by_str = logical_distance(system(edges_a, str), system(edges_b, str), lifting, rank_n)
+        assert by_int.values == by_str.values
