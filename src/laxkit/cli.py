@@ -6,7 +6,8 @@ carrying the tool version, the effective seed, and sha256 digests of all
 input files; identical inputs and seed produce byte-identical output.
 Exit codes: 0 on success or a holding verdict, 1 when a verdict fails
 (certificate violation, law counterexample), 2 on usage, file-format or
-file-access errors.
+file-access errors, 3 on an internal error (a bug; the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +48,7 @@ from .systems import disjoint_union, validate
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -350,8 +353,7 @@ def cmd_catalog(cfg: RunConfig, args) -> int:
     if args.functor:
         functor = decode_functor(inputs.load(args.functor), args.functor)
     elif args.system:
-        system, _ = decode_system(inputs.load(args.system), args.system)
-        functor = system.functor
+        functor = _load_system(inputs, args.system).functor
     if functor is not None:
         body["modalities"] = [
             {
@@ -476,6 +478,11 @@ def main(argv=None) -> int:
     except LaxkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A bug, not a verdict: exit 1 would read as "violation".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,17 +1,22 @@
 """Exact optimal transport between finite discrete distributions.
 
-A primal transportation simplex over rationals with Bland's anti-cycling
-rule on both the entering and the leaving cell, so runs are deterministic
-and terminate.  The brute-force oracles it is cross-checked against on
-small instances live with the tests (tests/oracles.py).
+A primal transportation simplex with Bland's anti-cycling rule on both the
+entering and the leaving cell, so runs are deterministic and terminate.
+It pivots on integers: masses are scaled by the least common multiple of
+their denominators and costs by that of theirs.  Scaling by positive
+constants keeps every sign and every tie, so the pivots, the plan and the
+value are those of the same simplex run on the Fractions themselves.  The
+rational simplex and the brute-force oracles it is cross-checked against
+live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import StructureError, ZERO
+from .core import StructureError
 
 
 @dataclass(frozen=True)
@@ -20,125 +25,128 @@ class TransportResult:
     plan: tuple  # ((i, j, mass), ...), positive cells in lexicographic order
 
 
-def _northwest_corner(mu, nu):
-    """Initial basic feasible solution; exactly m+n-1 basis cells."""
-    m, n = len(mu), len(nu)
-    supply = list(mu)
-    demand = list(nu)
-    alloc = {}
-    basis = []
+def _scaled(values):
+    """(den, ints): den is the lcm of the denominators, ints[k] = values[k] * den."""
+    den = lcm(*[q.denominator for q in values])
+    return den, [q.numerator * (den // q.denominator) for q in values]
+
+
+def _northwest_corner(m, n, supply, demand):
+    """Initial basic feasible solution: exactly m+n-1 basis cells."""
+    supply = list(supply)
+    demand = list(demand)
+    flow = {}
     i = j = 0
     while True:
         q = min(supply[i], demand[j])
-        alloc[(i, j)] = q
-        basis.append((i, j))
+        flow[i, j] = q
         supply[i] -= q
         demand[j] -= q
         if i == m - 1 and j == n - 1:
-            break
+            return flow
         if supply[i] == 0 and i < m - 1:
             i += 1
         else:
             j += 1
-    return alloc, basis
 
 
-def _duals(m, n, basis, cost):
-    """Solve u_i + v_j = c_ij over the basis tree, anchored at u_0 = 0."""
-    adj = {("r", i): [] for i in range(m)}
-    adj.update({("c", j): [] for j in range(n)})
-    for (i, j) in basis:
-        adj[("r", i)].append(("c", j))
-        adj[("c", j)].append(("r", i))
-    u = [None] * m
-    v = [None] * n
-    u[0] = ZERO
-    stack = [("r", 0)]
-    seen = {("r", 0)}
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if node[0] == "r":
-                v[nxt[1]] = cost[node[1]][nxt[1]] - u[node[1]]
-            else:
-                u[nxt[1]] = cost[nxt[1]][node[1]] - v[node[1]]
-            stack.append(nxt)
-    return u, v
+def _simplex(m, n, supply, demand, cost):
+    """Optimal basis {(i, j): mass} of the integer transportation problem.
 
-
-def _tree_path(basis, start, goal):
-    """Unique path between two nodes of the basis tree, as a list of cells."""
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    parent = {start: (None, None)}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
+    The basis is a spanning tree over the nodes 0..m-1 (rows) and
+    m..m+n-1 (columns).  Each pivot hangs the tree from row 0 to get the
+    potentials (u_i + v_j = c_ij on basis cells) and the parent links,
+    enters the first cell in row-major order whose reduced cost is
+    negative, and leaves the least cell, in lexicographic order, among
+    those of the cycle's minus cells that reach the step size first.
+    """
+    flow = _northwest_corner(m, n, supply, demand)
+    adj = [[] for _ in range(m + n)]
+    for (i, j) in flow:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    while True:
+        pot = [0] * (m + n)
+        parent = [-1] * (m + n)
+        depth = [0] * (m + n)
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if nxt == parent[node]:
+                    continue
+                parent[nxt] = node
+                depth[nxt] = depth[node] + 1
+                if node < m:
+                    pot[nxt] = cost[node][nxt - m] - pot[node]
+                else:
+                    pot[nxt] = cost[nxt][node - m] - pot[node]
                 stack.append(nxt)
-    path = []
-    node = goal
-    while parent[node][0] is not None:
-        node, cell = parent[node]
-        path.append(cell)
-    path.reverse()
-    return path
+        # Basis cells have reduced cost exactly 0, so they never enter.
+        entering = next(
+            ((i, j) for i in range(m) for j in range(n)
+             if cost[i][j] - pot[i] - pot[m + j] < 0),
+            None,
+        )
+        if entering is None:
+            return flow
+        ei, ej = entering
+        # Tree path from column ej to row ei; its cells alternate -, +, ...
+        up, down = [], []
+        a, b = m + ej, ei
+        while depth[a] > depth[b]:
+            up.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            down.append(b)
+            b = parent[b]
+        while a != b:
+            up.append(a)
+            down.append(b)
+            a, b = parent[a], parent[b]
+        path = [
+            (node, parent[node] - m) if node < m else (parent[node], node - m)
+            for node in up + down[::-1]
+        ]
+        minus = path[0::2]
+        theta = min(flow[c] for c in minus)
+        leaving = min(c for c in minus if flow[c] == theta)
+        flow[entering] = theta
+        for c in minus:
+            flow[c] -= theta
+        for c in path[1::2]:
+            flow[c] += theta
+        del flow[leaving]
+        li, lj = leaving
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
 
 
 def min_cost_transport(mu, nu, cost) -> TransportResult:
     """Minimize sum x_ij c_ij subject to row sums mu and column sums nu.
 
-    mu and nu are sequences of positive Fractions with equal totals; cost is
-    an m-by-n matrix of Fractions.  Infeasibility cannot occur for valid
-    distributions, so any internal inconsistency raises.
+    mu and nu are sequences of positive rationals (Fractions or ints) with
+    equal totals; cost is an m-by-n matrix of rationals.  Infeasibility
+    cannot occur for valid distributions, so any internal inconsistency
+    raises.
     """
     m, n = len(mu), len(nu)
     if m == 0 or n == 0:
         raise StructureError("transport requires nonempty supports")
-    if sum(mu) != sum(nu):
+    if len(cost) != m or any(len(row) != n for row in cost):
+        raise StructureError(f"transport requires a {m}x{n} cost matrix")
+    dm, supply_demand = _scaled([*mu, *nu])
+    supply, demand = supply_demand[:m], supply_demand[m:]
+    if sum(supply) != sum(demand):
         raise StructureError("transport requires equal total mass")
-    if any(q <= 0 for q in mu) or any(q <= 0 for q in nu):
+    if min(supply_demand) <= 0:
         raise StructureError("transport requires positive masses")
+    dc, flat = _scaled([c for row in cost for c in row])
+    scaled_cost = [flat[i * n:(i + 1) * n] for i in range(m)]
 
-    alloc, basis = _northwest_corner(mu, nu)
-    basis_set = set(basis)
-    while True:
-        u, v = _duals(m, n, basis, cost)
-        entering = None
-        for i in range(m):
-            for j in range(n):
-                if (i, j) not in basis_set and cost[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
-        if entering is None:
-            break
-        path = _tree_path(basis, ("c", entering[1]), ("r", entering[0]))
-        # Cycle: entering gets +theta; cells along the path alternate -, +, ...
-        minus = path[0::2]
-        plus = path[1::2]
-        theta = min(alloc[c] for c in minus)
-        leaving = min(c for c in minus if alloc[c] == theta)
-        alloc[entering] = theta
-        for c in minus:
-            alloc[c] -= theta
-        for c in plus:
-            alloc[c] += theta
-        del alloc[leaving]
-        basis_set.discard(leaving)
-        basis_set.add(entering)
-        basis = sorted(basis_set)
-
-    value = sum((alloc[c] * cost[c[0]][c[1]] for c in alloc), ZERO)
-    plan = tuple((i, j, q) for (i, j), q in sorted(alloc.items()) if q > 0)
-    return TransportResult(value, plan)
+    flow = _simplex(m, n, supply, demand, scaled_cost)
+    total = sum(q * scaled_cost[i][j] for (i, j), q in flow.items())
+    plan = tuple((i, j, Fraction(q, dm)) for (i, j), q in sorted(flow.items()) if q > 0)
+    return TransportResult(Fraction(total, dm * dc), plan)

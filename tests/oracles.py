@@ -3,13 +3,16 @@
 Enumeration of all basic solutions of a transportation problem (spanning
 trees of the bipartite supply/demand graph), and enumeration of all set
 couplings for the finite-powerset case.  Both are exponential and meant
-for supports of at most four points.
+for supports of at most four points.  Also the transportation simplex on
+Fractions (Bland's rule on both cells), which the integer kernel of
+laxkit.transport must match pivot for pivot.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from laxkit.core import ONE, StructureError, ZERO
+from laxkit.transport import TransportResult
 
 
 def transport_value_by_vertex_enumeration(mu, nu, cost) -> Fraction:
@@ -102,3 +105,131 @@ def min_sup_over_set_couplings(nu: int, nv: int, weight) -> Fraction:
             if best == 0:
                 break
     return best
+
+
+def _northwest_corner(mu, nu):
+    """Initial basic feasible solution; exactly m+n-1 basis cells."""
+    m, n = len(mu), len(nu)
+    supply = list(mu)
+    demand = list(nu)
+    alloc = {}
+    basis = []
+    i = j = 0
+    while True:
+        q = min(supply[i], demand[j])
+        alloc[(i, j)] = q
+        basis.append((i, j))
+        supply[i] -= q
+        demand[j] -= q
+        if i == m - 1 and j == n - 1:
+            break
+        if supply[i] == 0 and i < m - 1:
+            i += 1
+        else:
+            j += 1
+    return alloc, basis
+
+
+def _duals(m, n, basis, cost):
+    """Solve u_i + v_j = c_ij over the basis tree, anchored at u_0 = 0."""
+    adj = {("r", i): [] for i in range(m)}
+    adj.update({("c", j): [] for j in range(n)})
+    for (i, j) in basis:
+        adj[("r", i)].append(("c", j))
+        adj[("c", j)].append(("r", i))
+    u = [None] * m
+    v = [None] * n
+    u[0] = ZERO
+    stack = [("r", 0)]
+    seen = {("r", 0)}
+    while stack:
+        node = stack.pop()
+        for nxt in adj[node]:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if node[0] == "r":
+                v[nxt[1]] = cost[node[1]][nxt[1]] - u[node[1]]
+            else:
+                u[nxt[1]] = cost[nxt[1]][node[1]] - v[node[1]]
+            stack.append(nxt)
+    return u, v
+
+
+def _tree_path(basis, start, goal):
+    """Unique path between two nodes of the basis tree, as a list of cells."""
+    adj = {}
+    for (i, j) in basis:
+        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
+        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
+    parent = {start: (None, None)}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for nxt, cell in adj.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = (node, cell)
+                stack.append(nxt)
+    path = []
+    node = goal
+    while parent[node][0] is not None:
+        node, cell = parent[node]
+        path.append(cell)
+    path.reverse()
+    return path
+
+
+def rational_transport_simplex(mu, nu, cost) -> TransportResult:
+    """Minimize sum x_ij c_ij subject to row sums mu and column sums nu.
+
+    The transportation simplex on Fractions that laxkit.transport ran
+    before it pivoted on integers, kept as the oracle the integer kernel
+    is diffed against: both must make the same pivots.
+
+    mu and nu are sequences of positive Fractions with equal totals; cost is
+    an m-by-n matrix of Fractions.  Infeasibility cannot occur for valid
+    distributions, so any internal inconsistency raises.
+    """
+    m, n = len(mu), len(nu)
+    if m == 0 or n == 0:
+        raise StructureError("transport requires nonempty supports")
+    if sum(mu) != sum(nu):
+        raise StructureError("transport requires equal total mass")
+    if any(q <= 0 for q in mu) or any(q <= 0 for q in nu):
+        raise StructureError("transport requires positive masses")
+
+    alloc, basis = _northwest_corner(mu, nu)
+    basis_set = set(basis)
+    while True:
+        u, v = _duals(m, n, basis, cost)
+        entering = None
+        for i in range(m):
+            for j in range(n):
+                if (i, j) not in basis_set and cost[i][j] - u[i] - v[j] < 0:
+                    entering = (i, j)
+                    break
+            if entering:
+                break
+        if entering is None:
+            break
+        path = _tree_path(basis, ("c", entering[1]), ("r", entering[0]))
+        # Cycle: entering gets +theta; cells along the path alternate -, +, ...
+        minus = path[0::2]
+        plus = path[1::2]
+        theta = min(alloc[c] for c in minus)
+        leaving = min(c for c in minus if alloc[c] == theta)
+        alloc[entering] = theta
+        for c in minus:
+            alloc[c] -= theta
+        for c in plus:
+            alloc[c] += theta
+        del alloc[leaving]
+        basis_set.discard(leaving)
+        basis_set.add(entering)
+        basis = sorted(basis_set)
+
+    value = sum((alloc[c] * cost[c[0]][c[1]] for c in alloc), ZERO)
+    plan = tuple((i, j, q) for (i, j), q in sorted(alloc.items()) if q > 0)
+    return TransportResult(value, plan)

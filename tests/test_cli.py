@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from laxkit import cli
 from laxkit.cli import main
 from tests.conftest import fixture_path
 
@@ -252,6 +253,29 @@ def test_catalog_lists_modalities(capsys):
     names = {m["name"] for m in report["modalities"]}
     assert names == {"dia", "box"}
     assert "hausdorff" in report["lifting-kinds"]
+
+
+def test_catalog_refuses_an_invalid_system(tmp_path, capsys):
+    bad = tmp_path / "unknown_state.json"
+    bad.write_text(json.dumps({
+        "functor": {"kind": "pfin", "sub": {"kind": "id"}},
+        "states": ["s"],
+        "alpha": {"s": ["t"]},
+    }))
+    code, out, err = run_cli(capsys, "catalog", "--system", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: system does not validate: ")
+
+
+def test_internal_errors_exit_3_with_a_traceback(capsys, monkeypatch):
+    def broken(cfg, args):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    code, out, err = run_cli(capsys, "catalog")
+    assert (code, out) == (cli.EXIT_INTERNAL, "") and cli.EXIT_INTERNAL == 3
+    assert err.startswith("internal error: RuntimeError: kaput\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: kaput")
 
 
 def test_table_format(capsys):

@@ -5,6 +5,10 @@ element kinds and lifting kinds through the registries and the base
 classes, so adding a kind touches one class.  This test reads the source
 of those modules and fails if one imports a concrete class from the
 package, or reaches one as an attribute of the functors or liftings module.
+
+It also keeps the transport kernel exact: transport.py may use no true
+division, no float and no math function other than lcm and gcd, so an
+integer kernel cannot slip into floating point unnoticed.
 """
 
 import ast
@@ -87,4 +91,46 @@ def test_guard_sees_each_way_of_naming_a_class(tmp_path):
     assert concrete_names(str(probe)) == [
         "line 1: imports PFin", "line 2: imports *",
         "line 6: uses f.SetEl", "line 6: uses L.Hausdorff", "line 6: uses functors.DistEl",
+    ]
+
+
+def float_uses(path: str) -> list:
+    """True division, the name float, and math functions other than lcm/gcd."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    found, math_aliases = [], {"math"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names
+                      if a.name not in {"lcm", "gcd"}]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_aliases and node.attr not in {"lcm", "gcd"}):
+            found.append((node.lineno, f"math.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_transport_kernel_stays_in_exact_arithmetic():
+    assert float_uses(os.path.join(SRC, "transport.py")) == []
+
+
+def test_exactness_guard_sees_each_float_path(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "import math as m\n"
+        "from math import lcm, sqrt\n"
+        "a = 1 / 2\n"
+        "a /= 3\n"
+        "b = float(a) + math.gcd(4, 6) + m.floor(a) + lcm(2, 3) // 1\n"
+    )
+    assert float_uses(str(probe)) == [
+        "line 3: math.sqrt", "line 4: true division", "line 5: true division",
+        "line 6: float", "line 6: math.floor",
     ]

@@ -5,7 +5,11 @@ import pytest
 
 from laxkit import StructureError
 from laxkit.transport import min_cost_transport
-from tests.oracles import min_sup_over_set_couplings, transport_value_by_vertex_enumeration
+from tests.oracles import (
+    min_sup_over_set_couplings,
+    rational_transport_simplex,
+    transport_value_by_vertex_enumeration,
+)
 
 
 def rand_dist(rng, size):
@@ -118,6 +122,76 @@ def test_rejects_unbalanced_and_empty():
         min_cost_transport([F(1)], [F(1, 2)], [[F(0)]])
     with pytest.raises(StructureError):
         min_cost_transport([], [F(1)], [])
+
+
+@pytest.mark.parametrize("mu, nu, cost", [
+    ([F(1)], [F(1)], [[]]),                          # row shorter than nu
+    ([F(1, 2), F(1, 2)], [F(1)], [[F(0)]]),          # fewer rows than mu
+    ([F(1)], [F(1)], [[F(0), F(1)]]),                # row longer than nu
+])
+def test_rejects_cost_matrix_of_the_wrong_shape(mu, nu, cost):
+    with pytest.raises(StructureError, match="cost matrix"):
+        min_cost_transport(mu, nu, cost)
+
+
+def diff_instances():
+    """Seeded instances, sizes fixed up front: m, n in 1..6, mass
+    denominators 2..12, cost denominators 7, 2^k and others, some zero cost
+    rows, and equal splits that force degenerate pivots.  Every other
+    instance draws its costs from four values only, so optimal plans tie
+    and the plan returned depends on every pivot the simplex made."""
+    rng = random.Random("integer-kernel")
+    cost_dens = [1, 2, 3, 7, 8, 49, 64, 1024, 6, 35]
+    for k in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if k % 5 == 0:
+            mu, nu = [F(1, m)] * m, [F(1, n)] * n
+        else:
+            mu, nu = (
+                rand_masses(rng, size, rng.randint(2, 12)) for size in (m, n)
+            )
+        if k % 2:
+            den = rng.choice(cost_dens)
+            cost = [[F(rng.randint(0, 3), den) for _ in range(n)] for _ in range(m)]
+        else:
+            cost = [[F(rng.randint(0, 2 * den), den) for den in rng.choices(cost_dens, k=n)]
+                    for _ in range(m)]
+        if k % 7 == 0:
+            cost[rng.randrange(m)] = [F(0)] * n
+        yield mu, nu, cost
+
+
+def rand_parts(rng, size, total):
+    """size positive ints summing to total (at least size)."""
+    cuts = sorted(rng.sample(range(1, total), size - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def rand_masses(rng, size, den):
+    """size positive masses summing to 1, each a multiple of 1/den (or finer)."""
+    if size > den:
+        den *= size
+    return [F(q, den) for q in rand_parts(rng, size, den)]
+
+
+def test_integer_kernel_matches_rational_simplex():
+    for mu, nu, cost in diff_instances():
+        assert min_cost_transport(mu, nu, cost) == rational_transport_simplex(mu, nu, cost)
+
+
+def test_int_inputs_match_equal_fractions():
+    rng = random.Random("int-inputs")
+    for _ in range(100):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mu = [n * rng.randint(1, 6) for _ in range(m)]
+        nu = rand_parts(rng, n, sum(mu))
+        cost = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
+        as_fractions = (
+            [F(q) for q in mu], [F(q) for q in nu], [[F(c) for c in row] for row in cost]
+        )
+        got = min_cost_transport(mu, nu, cost)
+        assert got == min_cost_transport(*as_fractions)
+        assert got == rational_transport_simplex(*as_fractions)
 
 
 def test_set_couplings_empty_conventions():
