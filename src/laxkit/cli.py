@@ -40,7 +40,7 @@ from .jsonio import (
     write_text,
 )
 from .liftings import LIFTING_KINDS, match_lifting
-from .logic import evaluate, rank
+from .logic import evaluate, rank, semantics
 from .modalities import standard_modalities
 from .moss import logical_distance, synthesize
 from .systems import disjoint_union, validate
@@ -326,10 +326,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
             args.target = inj2[args.target]
     lifting = _load_lifting(inputs, args.lifting, system.functor)
     formula = synthesize(system, args.target, args.rank)
-    table = {
-        s: format_unit(evaluate(formula, system, s, lifting))
-        for s in system.carrier.elements
-    }
+    values = semantics(formula, system, lifting)
+    table = {s: format_unit(values[s]) for s in system.carrier.elements}
     body = {
         "target": args.target,
         "rank": args.rank,

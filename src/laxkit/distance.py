@@ -9,6 +9,22 @@ bounds the remaining gap only in the presence of a contraction factor, so
 non-convergence within max_iter is reported honestly rather than rounded
 away.
 
+Both behavioural_distance and distance_chain take their iterates from one
+routine, _chain.  It renames every successor element to state indices
+once (apply_map with the carrier index), keeps the iterate as lists of
+rows, and lets the lifting read it through an index-addressed view whose
+at(i, j) is rows[i][j].  It re-lifts only what moved, by a dependency
+rule: pair (i, j) reads the iterate only at base(alpha(i)) x base(beta(j)),
+the states its two successor elements mention, so if none of those
+entries changed in the last step, its next value equals its current one
+and is copied forward.  The first step lifts every pair; reverse lists
+(which rows read state k of the left system, which columns read state l
+of the right one) turn each step's changed entries into the next step's
+pairs to re-lift.  The iterates are exactly those of a full recompute.
+Every re-lifted value passes as_unit and the monotonicity check, and the
+final matrix and every traced iterate are validated FuzzyRels over the
+systems' carriers.
+
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to
 the transition structure never exceeds it.  Pairs sitting at 1 are
@@ -19,8 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .core import FuzzyRel, ONE, StructureError, ZERO, converse, sup_distance
+from .core import Carrier, FuzzyRel, ONE, StructureError, ZERO, as_unit, converse, sup_distance
+from .functors import apply_map, base
 from .liftings import LiftingSpec, contraction_factor, lift_value, require_match
 from .systems import Coalgebra
 
@@ -79,15 +97,95 @@ def _zero(sys_a: Coalgebra, sys_b: Coalgebra) -> FuzzyRel:
     return FuzzyRel.constant(sys_a.carrier, sys_b.carrier, ZERO)
 
 
-def _step(lifting, functor, sys_a, sys_b, current: FuzzyRel) -> FuzzyRel:
-    rows = tuple(
-        tuple(
-            lift_value(lifting, functor, current, sys_a.step(a), sys_b.step(b))
-            for b in sys_b.carrier.elements
-        )
-        for a in sys_a.carrier.elements
-    )
-    return FuzzyRel(sys_a.carrier, sys_b.carrier, rows)
+def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: list) -> FuzzyRel:
+    return FuzzyRel(sys_a.carrier, sys_b.carrier, tuple(map(tuple, rows)))
+
+
+class _IndexRel:
+    """The iterate as lifts read it: states are their carrier indices."""
+
+    __slots__ = ("source", "target", "values")
+
+    def __init__(self, source: Carrier, target: Carrier, values: list):
+        self.source, self.target, self.values = source, target, values
+
+    def at(self, i: int, j: int) -> Fraction:
+        return self.values[i][j]
+
+
+def _indexed(system: Coalgebra) -> list:
+    """Each state's successor element, with states renamed to indices."""
+    index = system.carrier.index
+    return [apply_map(index, system.step(s)) for s in system.carrier.elements]
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
+    """Iterates 1, 2, ... of the chain from zero, as (rows, residual) pairs.
+
+    rows is a list of row lists and is never changed once yielded; a row
+    in which nothing moved is shared with the previous iterate.  The
+    residual is the sup-norm of the step.
+    """
+    functor = sys_a.functor
+    steps_a, steps_b = _indexed(sys_a), _indexed(sys_b)
+    n_a, n_b = len(steps_a), len(steps_b)
+    view_source, view_target = Carrier(tuple(range(n_a))), Carrier(tuple(range(n_b)))
+    # readers_a[k]: the rows whose successor element mentions state k of A;
+    # readers_b[l]: bitmask of the columns whose successor mentions l of B
+    readers_a = [[] for _ in range(n_a)]
+    for i, t1 in enumerate(steps_a):
+        for k in base(t1):
+            readers_a[k].append(i)
+    readers_b = [0] * n_b
+    for j, t2 in enumerate(steps_b):
+        for l in base(t2):
+            readers_b[l] |= 1 << j
+    rows = [[ZERO] * n_b for _ in range(n_a)]
+    dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
+    while True:
+        view = _IndexRel(view_source, view_target, rows)
+        nxt = list(rows)
+        moved = {}  # row -> bitmask of the columns that changed
+        residual = ZERO
+        for i, mask in enumerate(dirty):
+            if not mask:
+                continue
+            old, new, t1, changed = rows[i], None, steps_a[i], 0
+            for j in _bits(mask):
+                value = as_unit(lift_value(lifting, functor, view, t1, steps_b[j]))
+                delta = value - old[j]
+                if not delta:
+                    continue
+                if delta < 0:
+                    raise StructureError(
+                        "iteration chain decreased; the lifting violates monotonicity"
+                    )
+                if new is None:
+                    new = nxt[i] = list(old)
+                new[j] = value
+                changed |= 1 << j
+                if delta > residual:
+                    residual = delta
+            if changed:
+                moved[i] = changed
+        rows = nxt
+        yield rows, residual
+        dirty = [0] * n_a
+        for k, columns in moved.items():
+            readers = 0
+            for l in _bits(columns):
+                readers |= readers_b[l]
+            if readers:
+                for i in readers_a[k]:
+                    dirty[i] |= readers
 
 
 def distance_chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
@@ -97,8 +195,8 @@ def distance_chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
         raise StructureError("steps must be nonnegative")
     _check_setup(lifting, sys_a, sys_b)
     chain = [_zero(sys_a, sys_b)]
-    for _ in range(steps):
-        chain.append(_step(lifting, sys_a.functor, sys_a, sys_b, chain[-1]))
+    for rows, _ in islice(_chain(lifting, sys_a, sys_b), steps):
+        chain.append(_rel(sys_a, sys_b, rows))
     return chain
 
 
@@ -121,30 +219,23 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
         raise StructureError("max_iter must be at least 1")
     _check_setup(lifting, sys_a, sys_b)
     factor = contraction_factor(lifting)
+    trace = [_zero(sys_a, sys_b)] if keep_trace else None
 
-    def finish(matrix, n, residual, converged, trace):
+    def finish(rows, n, residual, converged):
+        matrix = trace[-1] if trace else _rel(sys_a, sys_b, rows)
         gap = residual * factor / (1 - factor) if factor < 1 else None
         return DistanceResult(matrix, n, residual, converged,
                               tuple(trace) if trace else None, gap)
 
-    current = _zero(sys_a, sys_b)
-    trace = [current] if keep_trace else None
-    residual = ONE
-    for n in range(1, max_iter + 1):
-        nxt = _step(lifting, sys_a.functor, sys_a, sys_b, current)
-        if not current.entrywise_le(nxt):
-            raise StructureError(
-                "iteration chain decreased; the lifting violates monotonicity"
-            )
-        residual = sup_distance(nxt, current)
-        current = nxt
+    # zip draws from range first, so no step is computed past max_iter
+    for n, (rows, residual) in zip(range(1, max_iter + 1), _chain(lifting, sys_a, sys_b)):
         if trace is not None:
-            trace.append(current)
+            trace.append(_rel(sys_a, sys_b, rows))
         if residual == 0:
-            return finish(current, n, ZERO, True, trace)
+            return finish(rows, n, ZERO, True)
         if tol > 0 and residual <= tol:
-            return finish(current, n, residual, True, trace)
-    return finish(current, max_iter, residual, False, trace)
+            return finish(rows, n, residual, True)
+    return finish(rows, max_iter, residual, False)
 
 
 def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,

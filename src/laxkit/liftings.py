@@ -20,7 +20,8 @@ class here and exporting it.
     suite in laxkit.axioms,
   * KantorovichGrid is a generic sup-over-modalities oracle on a finite
     value grid; it restricts the right-hand table of each candidate pair
-    to the companion of the left-hand one, which is lossless for monotone
+    to the companion of the left-hand one, and the left-hand one to the
+    support of the left element, both lossless for monotone natural
     modalities, and its value is within one grid step below the true
     supremum when all modalities are nonexpansive.
 """
@@ -37,7 +38,6 @@ from .core import (
     StructureError,
     ZERO,
     as_unit,
-    companion,
     format_unit,
     inf,
     is_pseudometric,
@@ -55,6 +55,7 @@ from .functors import (
     PFin,
     Pair,
     SetEl,
+    base,
 )
 from .modalities import is_dual_closed, resolve_modality, standard_modalities
 from .transport import min_cost_transport
@@ -477,6 +478,16 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
                            t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Sup over modalities and grid-valued left tables, right = companion.
 
+    Left tables take grid values on base(t1) only and are 0 elsewhere.
+    This loses nothing.  A natural modality reads a table only on the
+    support of its element, so lam(t1, f) depends on f over base(t1)
+    alone.  The companion g(b) = sup_a f(a) (-) rel(a, b) is monotone in f,
+    so zeroing f off base(t1) can only lower g, and a monotone lam then
+    only lowers lam(t2, g): the value lam(t1, f) (-) lam(t2, g) cannot
+    drop.  Hence the value reads rel only on base(t1) x base(t2), and the
+    search costs |levels|^(arity * |base t1|) tables, to which the cap
+    applies, instead of |levels|^(arity * |source|).
+
     Returns a value in [true - step, true] when all modalities are
     nonexpansive (see grid_error_bound); exact whenever the optimum is
     attained on the grid.
@@ -491,7 +502,9 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
         k += 1
     if levels[-1] != 1:
         levels.append(ONE)
-    source = rel.source.elements
+    left, right = base(t1), base(t2)
+    block = [[rel.at(a, b) for b in right] for a in left]
+    width = len(left)
     best = ZERO
     for lam in modalities:
         if not lam.monotone:
@@ -499,18 +512,18 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
                 f"modality {lam.name} is not monotone; refusing the companion-"
                 "restricted grid search"
             )
-        dims = lam.arity * len(source)
+        dims = lam.arity * width
         if len(levels) ** dims > _GRID_CAP:
             raise StructureError(
                 f"grid search over {len(levels)}^{dims} tables exceeds the cap; "
                 "use a coarser step or smaller carriers"
             )
         for combo in product(levels, repeat=dims):
-            fs = tuple(
-                dict(zip(source, combo[i * len(source):(i + 1) * len(source)]))
-                for i in range(lam.arity)
-            )
-            gs = tuple(companion(rel, f) for f in fs)
+            tables = [combo[i * width:(i + 1) * width] for i in range(lam.arity)]
+            fs = tuple(dict(zip(left, f)) for f in tables)
+            # the companion of each left table, on base(t2) only
+            gs = tuple({b: sup(sat_sub(x, row[jb]) for x, row in zip(f, block))
+                        for jb, b in enumerate(right)} for f in tables)
             value = sat_sub(lam.evaluator(t1, fs), lam.evaluator(t2, gs))
             if value > best:
                 best = value

@@ -5,13 +5,28 @@ trees of the bipartite supply/demand graph), and enumeration of all set
 couplings for the finite-powerset case.  Both are exponential and meant
 for supports of at most four points.  Also the transportation simplex on
 Fractions (Bland's rule on both cells), which the integer kernel of
-laxkit.transport must match pivot for pivot.
+laxkit.transport must match pivot for pivot; the Kleene loop that
+re-lifts every pair on every step, which laxkit.distance must match
+iterate for iterate; and the grid search over left tables on the whole
+source, which laxkit.liftings' support-restricted search must match.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from laxkit.core import ONE, StructureError, ZERO
+from laxkit.core import (
+    FuzzyRel,
+    ONE,
+    StructureError,
+    ZERO,
+    companion,
+    sat_sub,
+    sup_distance,
+)
+from laxkit.distance import DistanceResult, _check_setup
+from laxkit.functors import FunctorElement
+from laxkit.liftings import LiftingSpec, _GRID_CAP, contraction_factor, lift_value
+from laxkit.systems import Coalgebra
 from laxkit.transport import TransportResult
 
 
@@ -233,3 +248,130 @@ def rational_transport_simplex(mu, nu, cost) -> TransportResult:
     value = sum((alloc[c] * cost[c[0]][c[1]] for c in alloc), ZERO)
     plan = tuple((i, j, q) for (i, j), q in sorted(alloc.items()) if q > 0)
     return TransportResult(value, plan)
+
+
+def _zero(sys_a: Coalgebra, sys_b: Coalgebra) -> FuzzyRel:
+    return FuzzyRel.constant(sys_a.carrier, sys_b.carrier, ZERO)
+
+
+def _full_step(lifting, functor, sys_a, sys_b, current: FuzzyRel) -> FuzzyRel:
+    rows = tuple(
+        tuple(
+            lift_value(lifting, functor, current, sys_a.step(a), sys_b.step(b))
+            for b in sys_b.carrier.elements
+        )
+        for a in sys_a.carrier.elements
+    )
+    return FuzzyRel(sys_a.carrier, sys_b.carrier, rows)
+
+
+def full_recompute_chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
+                         steps: int) -> list:
+    """The first entries of the iteration chain, starting at the zero matrix.
+
+    The loop laxkit.distance.distance_chain ran before it re-lifted only
+    the pairs whose inputs moved: every step lifts every pair.
+    """
+    if steps < 0:
+        raise StructureError("steps must be nonnegative")
+    _check_setup(lifting, sys_a, sys_b)
+    chain = [_zero(sys_a, sys_b)]
+    for _ in range(steps):
+        chain.append(_full_step(lifting, sys_a.functor, sys_a, sys_b, chain[-1]))
+    return chain
+
+
+def full_recompute_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
+                            tol: Fraction = ZERO, max_iter: int = 100,
+                            keep_trace: bool = False) -> DistanceResult:
+    """Iterate to the least fixpoint from below, re-lifting every pair.
+
+    The loop laxkit.distance.behavioural_distance ran before it re-lifted
+    only the pairs whose inputs moved, kept as the oracle it is diffed
+    against: results, traces included, must be equal.
+
+    Stops on an exact fixpoint (residual 0), on residual <= tol for a
+    positive tol, or after max_iter steps (reported as not converged).
+    The matrix always underapproximates the true distance from below;
+    when the lifting contracts with factor c < 1, the result additionally
+    carries gap_bound = residual * c / (1 - c), a bound on how far below
+    the limit the matrix can be.  Without a contraction factor only the
+    residual is reported.
+    """
+    if tol < 0:
+        raise StructureError("tolerance must be nonnegative")
+    if max_iter < 1:
+        raise StructureError("max_iter must be at least 1")
+    _check_setup(lifting, sys_a, sys_b)
+    factor = contraction_factor(lifting)
+
+    def finish(matrix, n, residual, converged, trace):
+        gap = residual * factor / (1 - factor) if factor < 1 else None
+        return DistanceResult(matrix, n, residual, converged,
+                              tuple(trace) if trace else None, gap)
+
+    current = _zero(sys_a, sys_b)
+    trace = [current] if keep_trace else None
+    residual = ONE
+    for n in range(1, max_iter + 1):
+        nxt = _full_step(lifting, sys_a.functor, sys_a, sys_b, current)
+        if not current.entrywise_le(nxt):
+            raise StructureError(
+                "iteration chain decreased; the lifting violates monotonicity"
+            )
+        residual = sup_distance(nxt, current)
+        current = nxt
+        if trace is not None:
+            trace.append(current)
+        if residual == 0:
+            return finish(current, n, ZERO, True, trace)
+        if tol > 0 and residual <= tol:
+            return finish(current, n, residual, True, trace)
+    return finish(current, max_iter, residual, False, trace)
+
+
+def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
+                            t1: FunctorElement, t2: FunctorElement) -> Fraction:
+    """Sup over modalities and grid-valued left tables, right = companion.
+
+    The search laxkit.liftings.grid_kantorovich_value ran before it
+    restricted left tables to base(t1): every table over the whole source.
+
+    Returns a value in [true - step, true] when all modalities are
+    nonexpansive (see grid_error_bound); exact whenever the optimum is
+    attained on the grid.
+    """
+    levels = []
+    k = 0
+    while True:
+        v = k * step
+        if v > 1:
+            break
+        levels.append(v)
+        k += 1
+    if levels[-1] != 1:
+        levels.append(ONE)
+    source = rel.source.elements
+    best = ZERO
+    for lam in modalities:
+        if not lam.monotone:
+            raise StructureError(
+                f"modality {lam.name} is not monotone; refusing the companion-"
+                "restricted grid search"
+            )
+        dims = lam.arity * len(source)
+        if len(levels) ** dims > _GRID_CAP:
+            raise StructureError(
+                f"grid search over {len(levels)}^{dims} tables exceeds the cap; "
+                "use a coarser step or smaller carriers"
+            )
+        for combo in product(levels, repeat=dims):
+            fs = tuple(
+                dict(zip(source, combo[i * len(source):(i + 1) * len(source)]))
+                for i in range(lam.arity)
+            )
+            gs = tuple(companion(rel, f) for f in fs)
+            value = sat_sub(lam.evaluator(t1, fs), lam.evaluator(t2, gs))
+            if value > best:
+                best = value
+    return best

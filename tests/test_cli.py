@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from laxkit import cli
+from laxkit import cli, logic
 from laxkit.cli import main
 from tests.conftest import fixture_path
 
@@ -220,6 +220,23 @@ def test_synth_writes_formula(tmp_path, capsys):
     assert os.path.exists(out_path)
     stored = json.load(open(out_path))
     assert stored == report["formula"]
+
+
+def test_synth_computes_the_semantics_table_once(monkeypatch, capsys):
+    calls = []
+    real = logic.semantics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # evaluate reaches semantics through laxkit.logic, the CLI through its own name
+    monkeypatch.setattr(logic, "semantics", counted)
+    monkeypatch.setattr(cli, "semantics", counted, raising=False)
+    code, out, _ = run_cli(capsys, "synth", *frames_args(), "--target", "b1", "--rank", "2")
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 6
+    assert len(calls) == 1
 
 
 def test_synth_then_eval_round_trip(tmp_path, capsys):

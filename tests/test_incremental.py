@@ -1,0 +1,184 @@
+"""The incremental fixpoint and the support-restricted grid search against
+their full-recompute oracles in tests/oracles.py.
+
+The fixpoint re-lifts a pair only when an entry it reads has changed, so
+its iterates must be those of the loop that re-lifts every pair: whole
+DistanceResults, traces included, and chains are compared for equality.
+Systems come from fixed seeds at sizes fixed in CASES, and the cases
+cover every entry of LIFTING_KINDS.  Carriers of more than ten states
+make index order differ from the string order of the state ids.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import laxkit as lk
+from laxkit import distance
+from laxkit.axioms import rand_carrier, rand_element, rand_rel
+from laxkit.functors import base
+from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
+from laxkit.modalities import standard_modalities
+from tests.conftest import number_const
+from tests.oracles import (
+    full_recompute_chain,
+    full_recompute_distance,
+    unrestricted_grid_value,
+)
+
+LABELS = number_const(("0", "1/4", "3/5", "1"))
+SET, DIST = lk.PFin(lk.Id()), lk.DFin(lk.Id())
+H_SYM = lk.Hausdorff("sym", lk.IdLift())
+H_LEFT = lk.Hausdorff("left", lk.IdLift())
+KANT = lk.KantorovichD(lk.IdLift())
+
+LABELLED_SET, LABELLED_DIST = lk.Pair(LABELS, SET), lk.Pair(LABELS, DIST)
+
+
+def labelled(lifting):
+    return lk.PairSum(F(1, 2), F(1, 2), lk.ConstLift(), lifting)
+
+
+# name -> (lifting, functor, |A|, |B|)
+CASES = {
+    "id": (lk.IdLift(), lk.Id(), 4, 3),
+    "const": (lk.ConstLift(), LABELS, 4, 3),
+    "hausdorff-sym": (H_SYM, SET, 12, 5),
+    "hausdorff-left": (labelled(H_LEFT), LABELLED_SET, 5, 4),
+    "hausdorff-right": (labelled(lk.Hausdorff("right", lk.IdLift())), LABELLED_SET, 5, 11),
+    "kantorovich": (labelled(KANT), LABELLED_DIST, 4, 4),
+    "wasserstein": (lk.MaybeLift(lk.WassersteinD(lk.IdLift())), lk.Maybe(DIST), 3, 5),
+    "pair-sum": (labelled(H_SYM), LABELLED_SET, 11, 4),
+    "pair-max": (lk.PairMax(H_LEFT, KANT), lk.Pair(SET, DIST), 4, 3),
+    "discount": (lk.Discount(F(1, 2), H_SYM), SET, 5, 5),
+    "maybe": (lk.MaybeLift(KANT), lk.Maybe(DIST), 4, 4),
+    "weighted-loops": (lk.Hausdorff("left", lk.PairSum(F(1), F(1, 2), lk.ConstLift(),
+                                                       lk.IdLift())),
+                       lk.PFin(lk.Pair(number_const(("0", "1/4")), lk.Id())), 4, 3),
+    "grid-set": (lk.KantorovichGrid(("dia", "box"), F(1, 2)), SET, 3, 3),
+    "grid-labelled": (lk.KantorovichGrid(("dia", "at-1/4"), F(1, 2)), LABELLED_SET, 3, 3),
+    "grid-dist": (lk.KantorovichGrid(("dia", "box"), F(1, 3)), lk.Maybe(DIST), 3, 2),
+}
+SEEDS = (0, 1, 2)
+RUNS = (  # (tol, max_iter): exact stop, tolerance stop, cut-off
+    (F(0), 25),
+    (F(1, 64), 25),
+    (F(0), 2),
+)
+
+
+def rand_system(rng, functor, prefix, size):
+    carrier = lk.Carrier(tuple(f"{prefix}{i}" for i in range(size)))
+    return lk.Coalgebra.of(functor, carrier, {
+        s: rand_element(rng, functor, carrier) for s in carrier.elements
+    })
+
+
+def systems(name, seed):
+    lifting, functor, size_a, size_b = CASES[name]
+    rng = random.Random(f"{name}/{seed}")
+    return lifting, rand_system(rng, functor, "a", size_a), rand_system(rng, functor, "b", size_b)
+
+
+def kinds(lifting):
+    yield lifting.kind
+    for name in lifting.child_fields:
+        yield from kinds(getattr(lifting, name))
+
+
+def test_cases_cover_every_lifting_kind():
+    assert {k for lifting, *_ in CASES.values() for k in kinds(lifting)} == set(LIFTING_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_distance_equals_full_recompute(name):
+    for seed in SEEDS:
+        lifting, sys_a, sys_b = systems(name, seed)
+        for tol, max_iter in RUNS:
+            for keep_trace in (True, False):
+                got = lk.behavioural_distance(lifting, sys_a, sys_b, tol=tol,
+                                              max_iter=max_iter, keep_trace=keep_trace)
+                want = full_recompute_distance(lifting, sys_a, sys_b, tol=tol,
+                                               max_iter=max_iter, keep_trace=keep_trace)
+                assert got == want, (seed, tol, max_iter, keep_trace)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_chain_equals_full_recompute(name):
+    for seed in SEEDS:
+        lifting, sys_a, sys_b = systems(name, seed)
+        for steps in (0, 1, 6):
+            assert lk.distance_chain(lifting, sys_a, sys_b, steps) == \
+                full_recompute_chain(lifting, sys_a, sys_b, steps), (seed, steps)
+
+
+def test_the_cases_iterate():
+    # the comparisons above would be weak if every chain stopped at once
+    iterations = [lk.behavioural_distance(*systems(name, 0), max_iter=25).iterations
+                  for name in CASES]
+    assert sum(n >= 3 for n in iterations) >= len(CASES) // 2
+
+
+GRID_FUNCTORS = {
+    "pfin": (SET, ("dia", "box")),
+    "dfin": (DIST, ("E",)),
+    "maybe-dfin": (lk.Maybe(DIST), ("dia", "box")),
+}
+
+
+@pytest.mark.parametrize("functor_name", sorted(GRID_FUNCTORS))
+@pytest.mark.parametrize("step", [F(1, 2), F(1, 3), F(1, 4)])
+def test_grid_equals_unrestricted_search(functor_name, step):
+    functor, names = GRID_FUNCTORS[functor_name]
+    modalities = [standard_modalities(functor)[n] for n in names]
+    rng = random.Random(f"grid/{functor_name}/{step}")
+    for _ in range(34):
+        a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
+        rel = rand_rel(rng, a, b)
+        t1, t2 = rand_element(rng, functor, a), rand_element(rng, functor, b)
+        value = grid_kantorovich_value(modalities, step, rel, t1, t2)
+        assert value == unrestricted_grid_value(modalities, step, rel, t1, t2)
+        # the dependency rule: entries off base(t1) x base(t2) do not matter
+        block = {(x, y) for x in base(t1) for y in base(t2)}
+        other = lk.FuzzyRel.from_function(
+            a, b, lambda x, y: rel.at(x, y) if (x, y) in block else rng.choice((F(0), F(1))))
+        assert grid_kantorovich_value(modalities, step, other, t1, t2) == value
+
+
+def test_lift_calls_follow_the_dependency_rule(monkeypatch):
+    def frame(succ):
+        return lk.Coalgebra.of(SET, lk.Carrier(tuple(succ)), {
+            s: lk.fset(lk.IdEl(t) for t in ts) for s, ts in succ.items()
+        })
+
+    # a2 and b3 deadlock; b2 loops
+    sys_a = frame({"a0": ["a1"], "a1": ["a0", "a2"], "a2": []})
+    sys_b = frame({"b0": ["b1"], "b1": ["b2", "b3"], "b2": ["b2"], "b3": []})
+    oracle = full_recompute_distance(H_SYM, sys_a, sys_b, keep_trace=True)
+    states_a, states_b = sys_a.carrier.elements, sys_b.carrier.elements
+
+    # step 1 lifts every pair; step n > 1 the pairs reading an entry that
+    # step n - 1 changed
+    predicted = len(states_a) * len(states_b)
+    for before, after in zip(oracle.trace, oracle.trace[1:-1]):
+        changed = {(k, l) for k in states_a for l in states_b
+                   if before.at(k, l) != after.at(k, l)}
+        predicted += sum(
+            any((k, l) in changed for k in base(sys_a.step(a)) for l in base(sys_b.step(b)))
+            for a in states_a for b in states_b
+        )
+
+    calls = []
+    real = distance.lift_value
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distance, "lift_value", counted)
+    result = lk.behavioural_distance(H_SYM, sys_a, sys_b, keep_trace=True)
+    assert result == oracle
+    assert result.iterations >= 3
+    assert len(calls) == predicted
+    assert len(calls) < result.iterations * len(states_a) * len(states_b)

@@ -8,7 +8,9 @@ package, or reaches one as an attribute of the functors or liftings module.
 
 It also keeps the transport kernel exact: transport.py may use no true
 division, no float and no math function other than lcm and gcd, so an
-integer kernel cannot slip into floating point unnoticed.
+integer kernel cannot slip into floating point unnoticed.  And it keeps
+the brute-force oracles in tests/oracles.py out of the package: no module
+under src/laxkit imports the tests package.
 """
 
 import ast
@@ -133,4 +135,43 @@ def test_exactness_guard_sees_each_float_path(tmp_path):
     assert float_uses(str(probe)) == [
         "line 3: math.sqrt", "line 4: true division", "line 5: true division",
         "line 6: float", "line 6: math.floor",
+    ]
+
+
+def oracle_imports(path: str) -> list:
+    """Absolute imports of the tests package or one of its modules."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: imports {name}" for name in names
+                  if name == "tests" or name.startswith("tests.")]
+    return found
+
+
+def test_package_imports_no_test_oracle():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    assert "distance.py" in modules
+    assert {m: oracle_imports(os.path.join(SRC, m)) for m in modules} == {m: [] for m in modules}
+
+
+def test_oracle_guard_sees_each_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import tests.oracles\n"
+        "import os, tests\n"
+        "from tests.oracles import full_recompute_distance\n"
+        "from tests import oracles\n"
+        "from .tests import nothing\n"
+        "import testsuite\n"
+    )
+    assert oracle_imports(str(probe)) == [
+        "line 1: imports tests.oracles", "line 2: imports tests",
+        "line 3: imports tests.oracles", "line 4: imports tests",
     ]
