@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Benchmark a parent checkout against a change checkout, pair by pair.
+
+    python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --workloads kripke_logic \\
+        --seeds 905-914 [--seconds 35] [--out BENCH.json]
+
+For every workload and seed it runs `python3 perfbench/run.py --trace 0`
+once in each checkout, one right after the other; which side goes first
+alternates from pair to pair, starting with the parent.  Each checkout
+runs its own perfbench and its own src.  The output JSON holds every
+pair's two result lines and, per workload and end-to-end metric, each
+side's median and quartiles (statistics.quantiles, n=4), the change of
+the median in percent, and how many pairs the change won (ties count for
+neither side), plus the failed and attempted calls summed over each
+side's runs.  The file is rewritten after every pair, so a cut run keeps
+the pairs it finished.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def seed_list(text: str) -> list:
+    """'3-7' or '3,5,9'."""
+    if "-" in text:
+        low, high = text.split("-")
+        return list(range(int(low), int(high) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def commit_of(root: str) -> str | None:
+    proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} failed in a checkout:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list, better: dict) -> dict:
+    out = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        runs = [p for p in pairs if p["workload"] == workload]
+        row = {"pairs": len(runs)}
+        for side in SIDES:
+            row[f"failed_{side}"] = sum(p[side]["failed"] for p in runs)
+            row[f"attempted_{side}"] = sum(p[side]["attempted"] for p in runs)
+        metrics = {}
+        for name in runs[0]["parent"]["metrics"]:
+            values = {side: [p[side]["metrics"][name]["value"] for p in runs] for side in SIDES}
+            entry = {side: quartiles(values[side]) for side in SIDES}
+            base = entry["parent"]["median"]
+            entry["change_pct"] = (100 * (entry["change"]["median"] - base) / base
+                                   if base else None)
+            sign = {"lower": -1, "higher": 1}.get(better.get(name))
+            if sign is not None:
+                entry["better"] = better[name]
+                entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in
+                                           zip(values["parent"], values["change"]))
+            metrics[name] = entry
+        row["metrics"] = metrics
+        out[workload] = row
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the change checkout")
+    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
+    parser.add_argument("--seeds", type=seed_list, required=True, help="'a-b' or 'a,b,c'")
+    parser.add_argument("--seconds", type=float,
+                        help="measuring window per run (default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--out", default="BENCH.json")
+    args = parser.parse_args()
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
+        bench = json.load(handle)
+    seconds = args.seconds or bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    report = {
+        "command": "perfbench/run.py --trace 0",
+        "seconds": seconds,
+        "commits": {side: commit_of(roots[side]) for side in SIDES},
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "pairs": [],
+    }
+    index = 0
+    for workload in args.workloads.split(","):
+        for seed in args.seeds:
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {"workload": workload, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(roots[side], workload, seed, seconds)
+            report["pairs"].append(pair)
+            report["summary"] = summarise(report["pairs"], better)
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=1)
+                handle.write("\n")
+            print(f"{workload} seed {seed} ({order[0]} first): "
+                  + "  ".join(f"{side} failed {pair[side]['failed']}/{pair[side]['attempted']}"
+                              for side in SIDES), flush=True)
+            index += 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -178,9 +178,10 @@ class Hausdorff(LiftingSpec):
         if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
             raise StructureError("Hausdorff lifting expects set elements")
         sub, sub_functor = self.sub, functor.sub
-        d = lambda a, b: sub.lift(sub_functor, rel, a, b)
-        left = lambda: sup(inf(d(a, b) for b in t2.members) for a in t1.members)
-        right = lambda: sup(inf(d(a, b) for a in t1.members) for b in t2.members)
+        # every variant reads each (a, b) pair, so lift each pair once
+        d = [[sub.lift(sub_functor, rel, a, b) for b in t2.members] for a in t1.members]
+        left = lambda: sup(inf(row) for row in d)
+        right = lambda: sup(inf(row[j] for row in d) for j in range(len(t2.members)))
         if self.variant == "left":
             return left()
         if self.variant == "right":
@@ -366,8 +367,16 @@ class KantorovichGrid(LiftingSpec):
             raise StructureError("grid step must be 1/k for a positive integer k")
 
     def _modalities(self, functor):
-        available = standard_modalities(functor)
-        return [resolve_modality(available, name) for name in self.modality_names]
+        """The named modalities over a functor, resolved once per functor.
+
+        They are kept on this node, so they live exactly as long as it does.
+        """
+        resolved = self.__dict__.setdefault("_resolved", {})
+        if functor not in resolved:
+            available = standard_modalities(functor)
+            resolved[functor] = [resolve_modality(available, name)
+                                 for name in self.modality_names]
+        return resolved[functor]
 
     def match(self, functor, path=""):
         available = standard_modalities(functor)

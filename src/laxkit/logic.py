@@ -11,6 +11,10 @@ complemented matrix.
 
 Negation is a derived form: it is rewritten away before evaluation and
 requires every named modality in use to have a registered dual.
+
+One evaluation keeps a memo of value tables, so a formula shared by
+several others is evaluated once; the modality table is built only when
+a formula names a modality.
 """
 
 from __future__ import annotations
@@ -142,6 +146,14 @@ def push_negations(formula: Formula, modalities: dict) -> Formula:
     Memoized per (node, polarity) so shared subformulas stay shared and
     untouched subtrees are returned as the same objects.
     """
+    return _push_negations(formula, lambda: modalities)
+
+
+def _push_negations(formula: Formula, modalities) -> Formula:
+    """push_negations with the modality table behind a thunk.
+
+    modalities() is called only when a named modality is negated.
+    """
     memo: dict = {}
 
     def go(f: Formula, neg: bool) -> Formula:
@@ -171,7 +183,7 @@ def push_negations(formula: Formula, modalities: dict) -> Formula:
         elif isinstance(f, Modal):
             args = tuple(go(a, neg) for a in f.args)
             if neg:
-                out = Modal(dual_of(modalities, f.name).name, args)
+                out = Modal(dual_of(modalities(), f.name).name, args)
             else:
                 out = f if all(a is b for a, b in zip(args, f.args)) else Modal(f.name, args)
         elif isinstance(f, MossDelta):
@@ -190,22 +202,36 @@ def push_negations(formula: Formula, modalities: dict) -> Formula:
     return go(formula, False)
 
 
-def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
-              modalities: dict | None = None) -> dict:
-    """Value of a formula at every state of a system.
+class _Evaluator:
+    """Value tables of formulas on one system under one lifting.
 
-    Named modalities default to the standard registry for the system's
-    functor; evaluating the structural modality requires a backing lifting.
+    One memo serves every formula run through an instance, so a distinct
+    formula gets its table once however many formulas share it.  The
+    standard modality table is built on first use, when a named modality
+    is evaluated or negated, and never for formulas that name none.
     """
-    if modalities is None:
-        modalities = standard_modalities(system.functor)
-    formula = push_negations(formula, modalities)
-    carrier = system.carrier
-    memo: dict = {}
 
-    def table(f: Formula) -> dict:
+    def __init__(self, system, lifting: LiftingSpec | None = None,
+                 modalities: dict | None = None):
+        self.system = system
+        self.lifting = lifting
+        self._modalities = modalities
+        self._memo: dict = {}
+
+    def modalities(self) -> dict:
+        if self._modalities is None:
+            self._modalities = standard_modalities(self.system.functor)
+        return self._modalities
+
+    def __call__(self, formula: Formula) -> dict:
+        return self._table(_push_negations(formula, self.modalities))
+
+    def _table(self, f: Formula) -> dict:
+        memo = self._memo
         if f in memo:
             return memo[f]
+        carrier = self.system.carrier
+        table = self._table
         if isinstance(f, Const):
             out = {x: f.value for x in carrier.elements}
         elif isinstance(f, MinusC):
@@ -221,25 +247,27 @@ def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
             l, r = table(f.left), table(f.right)
             out = {x: max(l[x], r[x]) for x in carrier.elements}
         elif isinstance(f, Modal):
-            lam = resolve_modality(modalities, f.name)
+            lam = resolve_modality(self.modalities(), f.name)
             if lam.arity != len(f.args):
                 raise StructureError(
                     f"modality {f.name} takes {lam.arity} arguments, got {len(f.args)}"
                 )
             tabs = tuple(table(a) for a in f.args)
-            out = {x: lam.evaluator(system.step(x), tabs) for x in carrier.elements}
+            out = {x: lam.evaluator(self.system.step(x), tabs) for x in carrier.elements}
         elif isinstance(f, (MossDelta, MossNabla)):
-            out = _structural(f, table)
+            out = self._structural(f)
         else:
             raise StructureError(f"not a formula: {f!r}")
         memo[f] = out
         return out
 
-    def _structural(f, table) -> dict:
-        if lifting is None:
+    def _structural(self, f) -> dict:
+        if self.lifting is None:
             raise StructureError("evaluating a structural modality needs a lifting")
+        system = self.system
+        carrier = system.carrier
         formulas = base(f.element)
-        sub_tables = {g: table(g) for g in formulas}
+        sub_tables = {g: self._table(g) for g in formulas}
         target = Carrier(formulas)
         flip = isinstance(f, MossNabla)
         rows = tuple(
@@ -252,12 +280,21 @@ def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
         membership = FuzzyRel(carrier, target, rows)
         out = {}
         for x in carrier.elements:
-            value = lift_value(lifting, system.functor, membership,
+            value = lift_value(self.lifting, system.functor, membership,
                                system.step(x), f.element)
             out[x] = (ONE - value) if flip else value
         return out
 
-    return table(formula)
+
+def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
+              modalities: dict | None = None) -> dict:
+    """Value of a formula at every state of a system.
+
+    Named modalities default to the standard registry for the system's
+    functor, which is built only if the formula names a modality;
+    evaluating the structural modality requires a backing lifting.
+    """
+    return _Evaluator(system, lifting, modalities)(formula)
 
 
 def evaluate(formula: Formula, system, state, lifting: LiftingSpec | None = None,

@@ -12,7 +12,10 @@ the relation's own columns on the left and their companions on the right.
 That separation is also what makes distinguishing-formula synthesis
 exact: replacing the successors in a state's transition structure by
 rank-k formulas produces a rank-(k+1) formula whose value table is the
-next step of the distance chain.
+next step of the distance chain.  The logical distance evaluates all its
+target formulas with one shared memo, so each distinct synthesized
+formula is evaluated once per call; they name no modality, so no
+modality table is built.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from .core import Carrier, FuzzyRel, StructureError, ZERO, companion, sat_sub
 from .functors import FunctorElement, FunctorSpec, apply_map, base
 from .liftings import LiftingSpec, lift_value, require_match
-from .logic import Const, Formula, MossDelta, semantics
+from .logic import Const, Formula, MossDelta, _Evaluator
 from .systems import Coalgebra, disjoint_union
 
 
@@ -142,16 +145,18 @@ def logical_distance(sys_a: Coalgebra, sys_b: Coalgebra, lifting: LiftingSpec,
 
     Entry (a, b) is the value gap of the synthesized rank-n formula for b
     on the disjoint union of the systems; no formula enumeration happens.
+    All |B| target formulas run through one evaluator, so each distinct
+    subformula (at most |B| per rank) is evaluated once per call, with one
+    lift per union state; synthesized formulas name no modality, so no
+    modality table is built.
     """
     if sys_a.functor != sys_b.functor:
         raise StructureError("the two systems must share a functor")
     require_match(lifting, sys_a.functor)
     union, inj1, inj2 = disjoint_union(sys_a, sys_b)
     formulas = synthesize_levels(union, rank_n)[rank_n]
-    tables = {
-        b: semantics(formulas[inj2[b]], union, lifting)
-        for b in sys_b.carrier.elements
-    }
+    evaluator = _Evaluator(union, lifting)
+    tables = {b: evaluator(formulas[inj2[b]]) for b in sys_b.carrier.elements}
     rows = tuple(
         tuple(
             sat_sub(tables[b][inj1[a]], tables[b][inj2[b]])

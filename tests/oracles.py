@@ -7,8 +7,11 @@ for supports of at most four points.  Also the transportation simplex on
 Fractions (Bland's rule on both cells), which the integer kernel of
 laxkit.transport must match pivot for pivot; the Kleene loop that
 re-lifts every pair on every step, which laxkit.distance must match
-iterate for iterate; and the grid search over left tables on the whole
-source, which laxkit.liftings' support-restricted search must match.
+iterate for iterate; the grid search over left tables on the whole
+source, which laxkit.liftings' support-restricted search must match; the
+Hausdorff lifting that lifts each pair once per direction; and the
+logical distance that evaluates each target formula on its own, which
+laxkit.moss.logical_distance must match entry for entry.
 """
 
 from fractions import Fraction
@@ -20,13 +23,24 @@ from laxkit.core import (
     StructureError,
     ZERO,
     companion,
+    inf,
     sat_sub,
+    sup,
     sup_distance,
 )
 from laxkit.distance import DistanceResult, _check_setup
-from laxkit.functors import FunctorElement
-from laxkit.liftings import LiftingSpec, _GRID_CAP, contraction_factor, lift_value
-from laxkit.systems import Coalgebra
+from laxkit.functors import FunctorElement, FunctorSpec
+from laxkit.liftings import (
+    Hausdorff,
+    LiftingSpec,
+    _GRID_CAP,
+    contraction_factor,
+    lift_value,
+    require_match,
+)
+from laxkit.logic import semantics
+from laxkit.moss import synthesize_levels
+from laxkit.systems import Coalgebra, disjoint_union
 from laxkit.transport import TransportResult
 
 
@@ -375,3 +389,49 @@ def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
             if value > best:
                 best = value
     return best
+
+
+def two_pass_hausdorff(lifting: Hausdorff, functor: FunctorSpec, rel: FuzzyRel,
+                       t1: FunctorElement, t2: FunctorElement) -> Fraction:
+    """The Hausdorff lifting with each one-sided distance lifting its own pairs.
+
+    The definition laxkit.liftings.Hausdorff.lift used before it lifted
+    each pair once for both directions: the symmetric variant lifts every
+    pair twice.
+    """
+    sub, sub_functor = lifting.sub, functor.sub
+    d = lambda a, b: sub.lift(sub_functor, rel, a, b)
+    left = lambda: sup(inf(d(a, b) for b in t2.members) for a in t1.members)
+    right = lambda: sup(inf(d(a, b) for a in t1.members) for b in t2.members)
+    if lifting.variant == "left":
+        return left()
+    if lifting.variant == "right":
+        return right()
+    return max(left(), right())
+
+
+def per_target_logical_distance(sys_a: Coalgebra, sys_b: Coalgebra,
+                                lifting: LiftingSpec, rank_n: int) -> FuzzyRel:
+    """Rank-n logical distance matrix, one semantics call per target state.
+
+    The route laxkit.moss.logical_distance took before it ran every target
+    formula through one evaluator: each call starts from a fresh memo, so
+    the lower-rank formulas the targets share are evaluated once per target.
+    """
+    if sys_a.functor != sys_b.functor:
+        raise StructureError("the two systems must share a functor")
+    require_match(lifting, sys_a.functor)
+    union, inj1, inj2 = disjoint_union(sys_a, sys_b)
+    formulas = synthesize_levels(union, rank_n)[rank_n]
+    tables = {
+        b: semantics(formulas[inj2[b]], union, lifting)
+        for b in sys_b.carrier.elements
+    }
+    rows = tuple(
+        tuple(
+            sat_sub(tables[b][inj1[a]], tables[b][inj2[b]])
+            for b in sys_b.carrier.elements
+        )
+        for a in sys_a.carrier.elements
+    )
+    return FuzzyRel(sys_a.carrier, sys_b.carrier, rows)

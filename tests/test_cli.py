@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from laxkit import cli, logic
+from laxkit import cli, liftings, logic, modalities
 from laxkit.cli import main
 from tests.conftest import fixture_path
 
@@ -237,6 +237,43 @@ def test_synth_computes_the_semantics_table_once(monkeypatch, capsys):
     assert code == 0
     assert len(json.loads(out)["values"]) == 6
     assert len(calls) == 1
+
+
+def count_modality_tables(monkeypatch):
+    """Record every call of standard_modalities made outside laxkit.modalities."""
+    calls = []
+    real = modalities.standard_modalities
+
+    def counted(functor):
+        calls.append(functor)
+        return real(functor)
+
+    for module in (cli, liftings, logic):
+        monkeypatch.setattr(module, "standard_modalities", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["logic", "distance", "--rank", "3"],
+    ["synth", "--target", "b1", "--rank", "3"],
+])
+def test_synthesized_formulas_build_no_modality_table(monkeypatch, capsys, argv):
+    tables = count_modality_tables(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv, *frames_args())
+    assert code == 0
+    assert tables == []
+
+
+def test_logic_eval_builds_the_modality_table_once(monkeypatch, capsys):
+    tables = count_modality_tables(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "logic", "eval",
+        "--formula", fixture_path("dia_shift.txt"),
+        "--system", fixture_path("prob_deadlock.json"),
+        "--state", "u0",
+    )
+    assert code == 0
+    assert len(tables) == 1
 
 
 def test_synth_then_eval_round_trip(tmp_path, capsys):

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import distance
+from laxkit import distance, liftings
 from laxkit.axioms import rand_carrier, rand_element, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
@@ -182,3 +182,24 @@ def test_lift_calls_follow_the_dependency_rule(monkeypatch):
     assert result.iterations >= 3
     assert len(calls) == predicted
     assert len(calls) < result.iterations * len(states_a) * len(states_b)
+
+
+def test_grid_resolves_its_modalities_once(monkeypatch):
+    # the node keeps the modalities it resolved for a functor, so the
+    # number of modality tables built does not grow with the lifts
+    lifting, sys_a, sys_b = systems("grid-labelled", 0)
+    tables, lifts = [], []
+    real_tables, real_lift = liftings.standard_modalities, distance.lift_value
+    monkeypatch.setattr(liftings, "standard_modalities",
+                        lambda functor: tables.append(functor) or real_tables(functor))
+    monkeypatch.setattr(distance, "lift_value", lambda *args: lifts.append(args) or real_lift(*args))
+    counts = []
+    for max_iter in (1, 4):
+        tables.clear()
+        lifts.clear()
+        fresh = lk.KantorovichGrid(lifting.modality_names, lifting.step)
+        lk.behavioural_distance(fresh, sys_a, sys_b, max_iter=max_iter)
+        counts.append((len(lifts), len(tables)))
+    (few_lifts, few_tables), (many_lifts, many_tables) = counts
+    assert few_lifts < many_lifts
+    assert few_tables == many_tables <= 2  # one for the shape check, one for the lifts

@@ -34,7 +34,7 @@ from laxkit import (
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
-from tests.oracles import min_sup_over_set_couplings
+from tests.oracles import min_sup_over_set_couplings, two_pass_hausdorff
 from tests.conftest import number_const, rel_from
 
 SET_FUNCTOR = PFin(Id())
@@ -77,6 +77,30 @@ def test_hausdorff_one_sided_split():
     assert lift_value(H_LEFT, SET_FUNCTOR, rel, u, v) == 1
     assert lift_value(H_RIGHT, SET_FUNCTOR, rel, u, v) == 0
     assert lift_value(H_SYM, SET_FUNCTOR, rel, u, v) == 1
+
+
+def test_hausdorff_lifts_each_pair_once(monkeypatch):
+    # all three variants equal the definition that lifts each direction's
+    # pairs on its own, and lift every (a, b) exactly once
+    calls = []
+    real = IdLift.lift
+    monkeypatch.setattr(IdLift, "lift", lambda self, *args: calls.append(args) or real(self, *args))
+    rng = random.Random("hausdorff-one-pass")
+
+    def rand_set(carrier):
+        return fset(IdEl(x) for x in carrier.elements if rng.random() < 0.5)
+
+    empty = fset([])
+    for _ in range(40):
+        a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
+        rel = rand_rel(rng, a, b)
+        t1, t2 = rand_set(a), rand_set(b)
+        for s1, s2 in ((t1, t2), (empty, t2), (t1, empty), (empty, empty)):
+            for lifting in (H_SYM, H_LEFT, H_RIGHT):
+                want = two_pass_hausdorff(lifting, SET_FUNCTOR, rel, s1, s2)
+                calls.clear()
+                assert lifting.lift(SET_FUNCTOR, rel, s1, s2) == want
+                assert len(calls) == len(s1.members) * len(s2.members)
 
 
 def test_transport_lifting_point_masses():

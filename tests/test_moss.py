@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import laxkit as lk
 from laxkit import (
     Carrier,
@@ -21,10 +23,13 @@ from laxkit import (
     synthesize_levels,
     witness_value,
 )
+from laxkit import logic
 from laxkit.axioms import rand_carrier, rand_element, rand_rel, rand_unit
 from laxkit.logic import semantics
 from laxkit.systems import disjoint_union
 from tests.conftest import number_const
+from tests.oracles import per_target_logical_distance
+from tests.test_incremental import CASES, SEEDS, systems
 
 SET_FUNCTOR = lk.PFin(lk.Id())
 H_SYM = lk.Hausdorff("sym", lk.IdLift())
@@ -256,6 +261,37 @@ def test_logical_distance_matches_chain_on_random_systems():
         chain = distance_chain(lifting, sys_a, sys_b, 5)
         for n in range(6):
             assert logical_distance(sys_a, sys_b, lifting, n) == chain[n]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (lifting, *_) in CASES.items()
+                                         if lifting.kind != "kantorovich-grid"))
+def test_logical_distance_equals_chain_on_every_case(name):
+    # criterion 7 beyond the fixtures: every exact lifting kind, sizes fixed in CASES
+    for seed in SEEDS:
+        lifting, sys_a, sys_b = systems(name, seed)
+        chain = distance_chain(lifting, sys_a, sys_b, 3)
+        for n in range(4):
+            got = logical_distance(sys_a, sys_b, lifting, n)
+            assert got == chain[n], (seed, n)
+            assert got == per_target_logical_distance(sys_a, sys_b, lifting, n), (seed, n)
+
+
+def test_logical_distance_evaluates_each_formula_once(monkeypatch):
+    # one lift per union state for each distinct synthesized formula, of
+    # which there are at most |B| per rank; the per-target route repeats
+    # the shared lower ranks for every target
+    calls = []
+    real = logic.lift_value
+    monkeypatch.setattr(logic, "lift_value", lambda *args: calls.append(args) or real(*args))
+    lifting, sys_a, sys_b = systems("hausdorff-sym", 0)
+    size_a, size_b = len(sys_a.carrier), len(sys_b.carrier)
+    rank_n = 3
+    got = logical_distance(sys_a, sys_b, lifting, rank_n)
+    shared = len(calls)
+    calls.clear()
+    assert per_target_logical_distance(sys_a, sys_b, lifting, rank_n) == got
+    assert shared <= rank_n * (size_a + size_b) * size_b
+    assert shared < len(calls)
 
 
 def random_structural_formula(rng, functor, carrier, depth):
