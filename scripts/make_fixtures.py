@@ -14,8 +14,10 @@ Two bundles:
     distance chain is an infinite geometric sum, so this bundle exercises
     tolerance-based convergence.
 
-Plus bare Hausdorff liftings (both variants) for the law-suite command
-and a small probabilistic system with a deadlock.
+Plus bare Hausdorff liftings (both variants) for the law-suite command,
+a small probabilistic system with a deadlock, and two formulas: one in
+the text syntax and one in JSON that negates a named and a structural
+modality over the labelled frames' functor.
 """
 
 import os
@@ -28,9 +30,11 @@ from laxkit import (
     Carrier, Coalgebra, Const, ConstEl, Certificate, DFin, FuzzyRel, Hausdorff,
     Id, IdEl, KantorovichD, MaybeLift, Maybe, NOTHING, PFin, Pair, PairEl,
     PairSum, ConstLift, IdLift, fdist, fset, just,
+    FormulaConst, Modal, MossDelta, Neg, Or,
 )
 from laxkit.jsonio import (
-    dump_json, encode_certificate, encode_functor, encode_lifting, encode_system,
+    dump_json, encode_certificate, encode_formula, encode_functor, encode_lifting,
+    encode_system,
 )
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -43,9 +47,12 @@ def number_labels(values):
     return Const(labels, metric)
 
 
+def labelled_functor():
+    return Pair(number_labels(("0", "1/5", "2/5", "7/10", "4/5")), PFin(Id()))
+
+
 def labelled_kripke():
-    const = number_labels(("0", "1/5", "2/5", "7/10", "4/5"))
-    functor = Pair(const, PFin(Id()))
+    functor = labelled_functor()
 
     def state(label, succs):
         return PairEl(ConstEl(label), fset(IdEl(s) for s in succs))
@@ -112,6 +119,12 @@ def probabilistic():
 def formulas():
     with open(f"{OUT}/dia_shift.txt", "w", encoding="utf-8") as handle:
         handle.write("(<>( 1/2 ) /\\ 0.3) (+) 1/4\n")
+    successors = fset([IdEl(Modal("far-1/5", ())), IdEl(FormulaConst(F(1, 2)))])
+    negated = Or(
+        Neg(Modal("dia", (Modal("at-7/10", ()),))),
+        Neg(MossDelta(PairEl(ConstEl("2/5"), successors))),
+    )
+    dump_json(encode_formula(negated, labelled_functor()), f"{OUT}/neg_modalities.json")
 
 
 if __name__ == "__main__":

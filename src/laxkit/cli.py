@@ -27,6 +27,7 @@ from .formparse import parse_formula
 from .functors import FUNCTOR_KINDS
 from .jsonio import (
     JsonFormatError,
+    check_nesting,
     decode_certificate,
     decode_formula,
     decode_functor,
@@ -41,7 +42,6 @@ from .jsonio import (
 )
 from .liftings import LIFTING_KINDS, match_lifting
 from .logic import evaluate, rank, semantics
-from .modalities import standard_modalities
 from .moss import logical_distance, synthesize
 from .systems import disjoint_union, validate
 
@@ -326,16 +326,20 @@ def cmd_synth(cfg: RunConfig, args) -> int:
             args.target = inj2[args.target]
     lifting = _load_lifting(inputs, args.lifting, system.functor)
     formula = synthesize(system, args.target, args.rank)
+    encoded = encode_formula(formula, system.functor)
+    if args.out:
+        # refuse, before anything is written, a file laxkit could not read
+        check_nesting(encoded, args.out)
     values = semantics(formula, system, lifting)
     table = {s: format_unit(values[s]) for s in system.carrier.elements}
     body = {
         "target": args.target,
         "rank": args.rank,
-        "formula": encode_formula(formula, system.functor),
+        "formula": encoded,
         "values": table,
     }
     if args.out:
-        dump_json(encode_formula(formula, system.functor), args.out)
+        dump_json(encoded, args.out)
         body["out"] = args.out
     _emit(cfg, _envelope(cfg, inputs, body))
     return EXIT_OK
@@ -361,7 +365,7 @@ def cmd_catalog(cfg: RunConfig, args) -> int:
                 "nonexpansive": lam.nonexpansive,
                 "dual": lam.dual_name,
             }
-            for _, lam in sorted(standard_modalities(functor).items())
+            for _, lam in sorted(functor.standard_modalities().items())
         ]
     _emit(cfg, _envelope(cfg, inputs, body))
     return EXIT_OK

@@ -9,9 +9,12 @@
 NUMBER is 'p/q' or an exact decimal; both parse to the same rational, and
 the original spelling is kept on the node so printing a parsed formula
 reproduces the input up to whitespace.  NAME is an identifier (dots,
-dashes and digits allowed after the first letter); '<>' and '[]' are
-accepted as aliases for the sup/inf modalities.  The structural modality
-has no text form and lives in JSON only.
+dashes, digits, and slashes not starting '/\\', allowed after the first
+letter, so label modalities such as 'at-1/5' have a text form); '<>' and
+'[]' are accepted as aliases for the sup/inf modalities.  The structural
+modality has no text form and lives in JSON only.  A formula nests at most
+jsonio.MAX_NESTING levels deep, counting parentheses as levels, the same
+bound JSON files obey.
 """
 
 from __future__ import annotations
@@ -19,22 +22,24 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import LaxkitError, format_unit, parse_unit
-from .logic import And, Const, Formula, MinusC, Modal, MossDelta, MossNabla, Neg, Or, PlusC
+from .core import LaxkitError, parse_unit
+from .jsonio import MAX_NESTING
+from .logic import ATOM, FORMULA_KINDS, NAME_PATTERN, SHIFT, Formula
+
+# Binary operators by their text; each formula class that has one sets it
+# (`op`) together with its precedence (`level`).
+_OPERATORS = {cls.op: cls for cls in FORMULA_KINDS.values() if hasattr(cls, "op")}
 
 TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<plusc>\(\+\))
-  | (?P<minusc>\(-\))
+  | (?P<op>{ops})
   | (?P<number>\d+(\.\d+)?(/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.\-]*|<>|\[\])
-  | (?P<and>/\\)
-  | (?P<or>\\/)
+  | (?P<name>{name})
   | (?P<lpar>\()
   | (?P<rpar>\))
   | (?P<comma>,)
-""",
+""".format(ops="|".join(map(re.escape, _OPERATORS)), name=NAME_PATTERN),
     re.VERBOSE,
 )
 
@@ -61,9 +66,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; each rule returns its formula and the depth of
+    that formula's tree, and `groups` counts the parentheses open around
+    the current token."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.groups = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -75,55 +85,58 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        out = self.disj()
-        while self.peek()[0] in ("plusc", "minusc"):
-            kind, _, _ = self.take(self.peek()[0])
-            _, text, pos = self.take("number")
-            value = self._unit(text, pos)
-            if kind == "plusc":
-                out = PlusC(out, value, text)
+    def formula(self, level: int = SHIFT):
+        """A formula whose operators bind at least as tightly as level; each
+        level associates to the left, and a shift's right operand is a
+        NUMBER."""
+        if level == ATOM:
+            return self.atom()
+        out, depth = self.formula(level + 1)
+        while self.peek()[0] == "op" and _OPERATORS[self.peek()[1]].level == level:
+            _, text, pos = self.take("op")
+            if level == SHIFT:
+                _, number, at = self.take("number")
+                out = _OPERATORS[text](out, self._unit(number, at), number)
             else:
-                out = MinusC(out, value, text)
-        return out
+                right, right_depth = self.formula(level + 1)
+                out, depth = _OPERATORS[text](out, right), max(depth, right_depth)
+            depth = _deeper(depth, pos)
+        return out, depth
 
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek()[0] == "or":
-            self.take("or")
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.atom()
-        while self.peek()[0] == "and":
-            self.take("and")
-            out = And(out, self.atom())
-        return out
-
-    def atom(self) -> Formula:
+    def atom(self):
         kind, text, pos = self.peek()
         if kind == "number":
             self.take("number")
-            return Const(self._unit(text, pos), text)
+            return FORMULA_KINDS["const"](self._unit(text, pos), text), 1
         if kind == "name":
             self.take("name")
-            args = []
+            args = []  # (formula, depth) pairs
             if self.peek()[0] == "lpar":
-                self.take("lpar")
+                self.open()
                 if self.peek()[0] != "rpar":
                     args.append(self.formula())
                     while self.peek()[0] == "comma":
                         self.take("comma")
                         args.append(self.formula())
-                self.take("rpar")
-            return Modal(text, tuple(args))
+                self.close()
+            depth = max((d for _, d in args), default=0)
+            return FORMULA_KINDS["modal"](text, tuple(f for f, _ in args)), _deeper(depth, pos)
         if kind == "lpar":
-            self.take("lpar")
+            self.open()
             out = self.formula()
-            self.take("rpar")
+            self.close()
             return out
         raise FormulaSyntaxError(f"expected a formula, found {text!r}", pos)
+
+    def open(self):
+        _, _, pos = self.take("lpar")
+        self.groups += 1
+        if self.groups > MAX_NESTING:
+            raise FormulaSyntaxError(_TOO_DEEP, pos)
+
+    def close(self):
+        self.take("rpar")
+        self.groups -= 1
 
     @staticmethod
     def _unit(text: str, pos: int) -> Fraction:
@@ -133,65 +146,33 @@ class _Parser:
             raise FormulaSyntaxError(str(exc), pos) from None
 
 
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
+
+
+def _deeper(depth: int, pos: int) -> int:
+    """The depth of a node over children at most depth deep."""
+    if depth >= MAX_NESTING:
+        raise FormulaSyntaxError(_TOO_DEEP, pos)
+    return depth + 1
+
+
 def parse_formula(text: str) -> Formula:
     parser = _Parser(_tokenize(text))
-    out = parser.formula()
+    out, _ = parser.formula()
     parser.take("end")
     return out
-
-
-def _const_text(value: Fraction, lexeme: str | None) -> str:
-    return lexeme if lexeme is not None else format_unit(value)
-
-
-_SHIFT, _OR, _AND, _ATOM = range(4)
 
 
 def print_formula(formula: Formula) -> str:
     """Render to the text syntax.
 
     Compound operands of the constant shifts are parenthesized, lattice
-    connectives carry minimal parentheses.  Reparsing always gives back an
-    equal formula, and parsing canonically parenthesized text then
-    printing reproduces it up to whitespace (redundant parentheses are the
-    one thing the syntax does not remember).  Structural-modality and
-    negation nodes have no text form (raises); serialize those to JSON.
+    connectives carry minimal parentheses.  Reparsing a formula within the
+    nesting bound always gives back an equal formula, and parsing
+    canonically parenthesized text then printing reproduces it up to
+    whitespace (redundant parentheses are the one thing the syntax does not
+    remember).  Structural-modality and negation nodes, and modality names
+    that are not one NAME token, have no text form (raises LaxkitError);
+    serialize those to JSON.
     """
-    return _print(formula, _SHIFT)
-
-
-def _level(formula: Formula) -> int:
-    if isinstance(formula, (MinusC, PlusC)):
-        return _SHIFT
-    if isinstance(formula, Or):
-        return _OR
-    if isinstance(formula, And):
-        return _AND
-    return _ATOM
-
-
-def _print(formula: Formula, floor: int) -> str:
-    if isinstance(formula, Const):
-        return _const_text(formula.value, formula.lexeme)
-    if isinstance(formula, (MinusC, PlusC)):
-        op = "(+)" if isinstance(formula, PlusC) else "(-)"
-        sub = _print(formula.sub, _ATOM if _level(formula.sub) != _ATOM else _SHIFT)
-        text = f"{sub} {op} {_const_text(formula.value, formula.lexeme)}"
-    elif isinstance(formula, Or):
-        text = f"{_print(formula.left, _OR)} \\/ {_print(formula.right, _AND)}"
-    elif isinstance(formula, And):
-        text = f"{_print(formula.left, _AND)} /\\ {_print(formula.right, _ATOM)}"
-    elif isinstance(formula, Modal):
-        if not formula.args:
-            return formula.name
-        return (formula.name + "("
-                + ", ".join(_print(a, _SHIFT) for a in formula.args) + ")")
-    elif isinstance(formula, (MossDelta, MossNabla, Neg)):
-        raise LaxkitError(
-            f"{type(formula).__name__} has no text form; use the JSON encoding"
-        )
-    else:
-        raise LaxkitError(f"not a formula: {formula!r}")
-    if _level(formula) < floor:
-        return f"({text})"
-    return text
+    return formula.text()

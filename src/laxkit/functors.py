@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .core import Carrier, FuzzyRel, StructureError, ZERO, format_unit, is_hemimetric
+from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, format_unit, inf,
+                   is_hemimetric, is_pseudometric, sat_sub, sup)
+from .modalities import PredicateLifting, dia_box, expecting
 
 
 FUNCTOR_KINDS: dict = {}  # JSON kind -> functor class, in definition order
@@ -264,8 +266,11 @@ class FunctorSpec:
     functors; `element_type`, the class of its elements; and `noun`, how
     validation names such an element.  It defines the positional element
     codec (`encode_element`, `decode_element`), the checks `_errors` on an
-    element already known to be of its element type, and `random_element`.
-    Children are reached by direct method calls.
+    element already known to be of its element type, `random_element`,
+    and, where the kind has a standard reading, `_modalities`, the table of
+    named modalities over it (see laxkit.modalities); shapes without one,
+    such as nested sets, offer none and get theirs by derivation from a
+    lifting.  Children are reached by direct method calls.
     """
 
     child_fields = ()
@@ -291,6 +296,16 @@ class FunctorSpec:
             return [("error", path or "<root>",
                      f"expected {self.noun}, got {type(element).__name__}")]
         return self._errors(element, leaf_ok, path)
+
+    def standard_modalities(self) -> dict:
+        """The shipped named modalities over this node, keyed by name; built
+        on first use and kept on the node, so its readers share one table."""
+        if "_modality_table" not in self.__dict__:
+            object.__setattr__(self, "_modality_table", self._modalities())
+        return self._modality_table
+
+    def _modalities(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -361,6 +376,23 @@ class Const(FunctorSpec):
     def random_element(self, rng, carrier):
         return ConstEl(rng.choice(self.labels.elements))
 
+    def _modalities(self):
+        # "at-l" reads closeness to l.  Its dual, the raw distance readout
+        # "far-l", is a nonexpansive modality only for symmetric metrics.
+        symmetric, metric = is_pseudometric(self.metric), self.metric
+        out = {}
+        for label in self.labels.elements:
+            at, far = f"at-{label}", f"far-{label}"
+            out[at] = PredicateLifting(
+                at, 0, True, True,
+                lambda el, args, label=label: sat_sub(ONE, metric.at(label, el.label)),
+                far if symmetric else None)
+            if symmetric:
+                out[far] = PredicateLifting(
+                    far, 0, True, True, lambda el, args, label=label: metric.at(label, el.label),
+                    at)
+        return out
+
 
 @dataclass(frozen=True)
 class PFin(FunctorSpec):
@@ -394,6 +426,16 @@ class PFin(FunctorSpec):
     def random_element(self, rng, carrier):
         size = rng.randint(0, min(3, len(carrier)))
         return fset(self.sub.random_element(rng, carrier) for _ in range(size))
+
+    def _modalities(self):
+        if not isinstance(self.sub, Id):
+            return {}
+
+        def over_members(name, pick):
+            return expecting(SetEl, f"{name} expects a finite set of states",
+                             lambda el, args: pick(args[0][m.value] for m in el.members))
+
+        return dia_box(over_members("dia", sup), over_members("box", inf))
 
 
 @dataclass(frozen=True)
@@ -449,6 +491,14 @@ class DFin(FunctorSpec):
         total = sum(weights)
         return fdist((m, Fraction(w, total)) for m, w in zip(members, weights))
 
+    def _modalities(self):
+        if not isinstance(self.sub, Id):
+            return {}
+        expectation = expecting(
+            DistEl, "E expects a distribution over states",
+            lambda el, args: sum((p * args[0][sub.value] for sub, p in el.pairs), ZERO))
+        return {"E": PredicateLifting("E", 1, True, True, expectation, "E")}
+
 
 @dataclass(frozen=True)
 class Pair(FunctorSpec):
@@ -478,6 +528,22 @@ class Pair(FunctorSpec):
         return PairEl(self.left.random_element(rng, carrier),
                       self.right.random_element(rng, carrier))
 
+    def _modalities(self):
+        # each side's modalities through its projection; clashing names get "l."/"r."
+        left, right = self.left._modalities(), self.right._modalities()
+        clash = bool(set(left) & set(right))
+        out = {}
+        for side, component, group in (("l", "left", left), ("r", "right", right)):
+            prefix = f"{side}." if clash else ""
+            for name, lam in group.items():
+                projected = expecting(PairEl, "modality expects a pair",
+                                      lambda el, args, read=lam.evaluator, side=component:
+                                      read(getattr(el, side), args))
+                out[prefix + name] = PredicateLifting(
+                    prefix + name, lam.arity, lam.monotone, lam.nonexpansive, projected,
+                    prefix + lam.dual_name if lam.dual_name in group else None)
+        return out
+
 
 @dataclass(frozen=True)
 class Maybe(FunctorSpec):
@@ -505,6 +571,19 @@ class Maybe(FunctorSpec):
         if rng.random() < 0.25:
             return NOTHING
         return just(self.sub.random_element(rng, carrier))
+
+    def _modalities(self):
+        # deadlock-aware readings of a distribution over states: the
+        # expectation of a filled value, 0 (dia) or 1 (box) on deadlock
+        if not (isinstance(self.sub, DFin) and isinstance(self.sub.sub, Id)):
+            return {}
+        expectation = self.sub._modalities()["E"].evaluator
+
+        def on_deadlock(value):
+            return expecting(MaybeEl, "modality expects an optional value", lambda el, args: (
+                value if el.value is None else expectation(el.value, args)))
+
+        return dia_box(on_deadlock(ZERO), on_deadlock(ONE))
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,7 @@ from .core import Carrier, FuzzyRel, LaxkitError, format_unit, parse_unit
 from .distance import Certificate
 from .functors import FUNCTOR_KINDS, FunctorElement, FunctorSpec
 from .liftings import LIFTING_KINDS, LiftingSpec
-from .logic import (
-    And,
-    Const as FmConst,
-    Formula,
-    MinusC,
-    Modal,
-    MossDelta,
-    MossNabla,
-    Neg,
-    Or,
-    PlusC,
-)
+from .logic import FORMULA_KINDS, Formula
 from .systems import Coalgebra
 
 
@@ -97,17 +86,20 @@ def decode_rel(raw, path="rel") -> FuzzyRel:
 class _Node:
     """A JSON value at a path, as a grammar class's decoder reads it.
 
-    Functor and lifting nodes are objects whose children decode through
-    `child`; positional elements decode their parts through `element` and
-    read their Id leaves through `leaf`.  Errors are JsonFormatErrors at
-    the node's path, extended by the suffix `at` where one is given.
+    Functor, lifting and formula nodes are objects whose children decode
+    through `child` or `decode`; positional elements decode their parts
+    through `element` and read their Id leaves through `leaf`.  A formula
+    node also carries the system `functor` its structural modalities are
+    elements of.  Errors are JsonFormatErrors at the node's path, extended
+    by the suffix `at` where one is given.
     """
 
-    def __init__(self, raw, path: str, decode, notes=None):
+    def __init__(self, raw, path: str, decode, notes=None, functor=None):
         self.raw = raw
         self.path = path
         self._decode = decode  # the grammar's decoder, or an element's leaf decoder
         self._notes = notes
+        self.functor = functor
 
     def expect(self, condition, message, at=""):
         _expect(condition, message, self.path + at)
@@ -121,6 +113,9 @@ class _Node:
     def child(self, key):
         return self._decode(self.raw.get(key), f"{self.path}.{key}")
 
+    def decode(self, raw, at):
+        return self._decode(raw, self.path + at)
+
     def element(self, spec: FunctorSpec, raw, at) -> FunctorElement:
         return spec.decode_element(_Node(raw, self.path + at, self._decode, self._notes))
 
@@ -132,13 +127,13 @@ class _Node:
             self._notes.append(message)
 
 
-def _decode_node(kinds: dict, grammar: str, decode, raw, path: str):
+def _decode_node(kinds: dict, grammar: str, decode, raw, path: str, functor=None):
     _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
     kind = raw["kind"]
     cls = kinds.get(kind) if isinstance(kind, str) else None
     _expect(cls is not None, f"unknown {grammar} kind {kind!r}", path)
     try:
-        return cls.from_json(_Node(raw, path, decode))
+        return cls.from_json(_Node(raw, path, decode, functor=functor))
     except JsonFormatError:
         raise
     except LaxkitError as exc:
@@ -248,73 +243,12 @@ def decode_certificate(raw, path="certificate") -> Certificate:
 
 
 def encode_formula(formula: Formula, functor: FunctorSpec | None = None):
-    if isinstance(formula, FmConst):
-        return {"kind": "const", "value": format_unit(formula.value)}
-    if isinstance(formula, MinusC):
-        return {"kind": "minus", "sub": encode_formula(formula.sub, functor),
-                "value": format_unit(formula.value)}
-    if isinstance(formula, PlusC):
-        return {"kind": "plus", "sub": encode_formula(formula.sub, functor),
-                "value": format_unit(formula.value)}
-    if isinstance(formula, And):
-        return {"kind": "and", "left": encode_formula(formula.left, functor),
-                "right": encode_formula(formula.right, functor)}
-    if isinstance(formula, Or):
-        return {"kind": "or", "left": encode_formula(formula.left, functor),
-                "right": encode_formula(formula.right, functor)}
-    if isinstance(formula, Modal):
-        return {"kind": "modal", "name": formula.name,
-                "args": [encode_formula(a, functor) for a in formula.args]}
-    if isinstance(formula, Neg):
-        return {"kind": "neg", "sub": encode_formula(formula.sub, functor)}
-    if isinstance(formula, (MossDelta, MossNabla)):
-        if functor is None:
-            raise LaxkitError("encoding a structural modality needs the functor")
-        kind = "moss-delta" if isinstance(formula, MossDelta) else "moss-nabla"
-        return {
-            "kind": kind,
-            "element": encode_element(
-                functor, formula.element, lambda f: encode_formula(f, functor)
-            ),
-        }
-    raise LaxkitError(f"not a formula: {formula!r}")
+    return formula.to_json(functor)
 
 
 def decode_formula(raw, path="formula", functor: FunctorSpec | None = None) -> Formula:
-    _expect(isinstance(raw, dict) and "kind" in raw, "expected a node with 'kind'", path)
-    kind = raw["kind"]
-    if kind == "const":
-        return FmConst(_unit(raw.get("value"), f"{path}.value"))
-    if kind == "minus":
-        return MinusC(decode_formula(raw.get("sub"), f"{path}.sub", functor),
-                      _unit(raw.get("value"), f"{path}.value"))
-    if kind == "plus":
-        return PlusC(decode_formula(raw.get("sub"), f"{path}.sub", functor),
-                     _unit(raw.get("value"), f"{path}.value"))
-    if kind == "and":
-        return And(decode_formula(raw.get("left"), f"{path}.left", functor),
-                   decode_formula(raw.get("right"), f"{path}.right", functor))
-    if kind == "or":
-        return Or(decode_formula(raw.get("left"), f"{path}.left", functor),
-                  decode_formula(raw.get("right"), f"{path}.right", functor))
-    if kind == "modal":
-        _expect(isinstance(raw.get("name"), str), "modal needs a 'name'", path)
-        args = raw.get("args", [])
-        _expect(isinstance(args, list), "modal args must be a list", f"{path}.args")
-        return Modal(raw["name"], tuple(
-            decode_formula(a, f"{path}.args[{i}]", functor) for i, a in enumerate(args)
-        ))
-    if kind == "neg":
-        return Neg(decode_formula(raw.get("sub"), f"{path}.sub", functor))
-    if kind in ("moss-delta", "moss-nabla"):
-        _expect(functor is not None,
-                "decoding a structural modality needs the system functor", path)
-        element = decode_element(
-            functor, raw.get("element"), f"{path}.element",
-            leaf_decoder=lambda item, p: decode_formula(item, p, functor),
-        )
-        return MossDelta(element) if kind == "moss-delta" else MossNabla(element)
-    raise JsonFormatError(f"unknown formula kind {kind!r}", path)
+    return _decode_node(FORMULA_KINDS, "formula",
+                        lambda item, at: decode_formula(item, at, functor), raw, path, functor)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +269,28 @@ def _nesting(value) -> int:
     return depth
 
 
+_TOO_DEEP = f"JSON nested deeper than {MAX_NESTING} levels"
+
+
+def check_nesting(data, path: str) -> None:
+    """Raise unless data nests shallowly enough for load_json to read it."""
+    if _nesting(data) > MAX_NESTING:
+        raise JsonFormatError(_TOO_DEEP, path)
+
+
 def load_json(path: str):
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise JsonFormatError(str(exc), path) from None
-    too_deep = f"JSON nested deeper than {MAX_NESTING} levels"
     try:
         data = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise JsonFormatError(f"invalid JSON: {exc}", path) from None
     except RecursionError:
-        raise JsonFormatError(too_deep, path) from None
-    if _nesting(data) > MAX_NESTING:
-        raise JsonFormatError(too_deep, path)
+        raise JsonFormatError(_TOO_DEEP, path) from None
+    check_nesting(data, path)
     return data
 
 

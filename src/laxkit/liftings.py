@@ -57,7 +57,7 @@ from .functors import (
     SetEl,
     base,
 )
-from .modalities import is_dual_closed, resolve_modality, standard_modalities
+from .modalities import is_dual_closed, resolve_modality
 from .transport import min_cost_transport
 
 
@@ -367,23 +367,15 @@ class KantorovichGrid(LiftingSpec):
             raise StructureError("grid step must be 1/k for a positive integer k")
 
     def _modalities(self, functor):
-        """The named modalities over a functor, resolved once per functor.
-
-        They are kept on this node, so they live exactly as long as it does.
-        """
-        resolved = self.__dict__.setdefault("_resolved", {})
-        if functor not in resolved:
-            available = standard_modalities(functor)
-            resolved[functor] = [resolve_modality(available, name)
-                                 for name in self.modality_names]
-        return resolved[functor]
+        """The named modalities, read from the table the functor keeps."""
+        available = functor.standard_modalities()
+        return [resolve_modality(available, name) for name in self.modality_names]
 
     def match(self, functor, path=""):
-        available = standard_modalities(functor)
         out = []
         for name in self.modality_names:
             try:
-                lam = resolve_modality(available, name)
+                lam = resolve_modality(functor.standard_modalities(), name)
             except StructureError as exc:
                 out.append((path or "<root>", str(exc)))
                 continue

@@ -9,27 +9,108 @@ value of that formula at a state, and the backing lifting is applied to
 this matrix.  Its De Morgan dual is evaluated the same way on the
 complemented matrix.
 
-Negation is a derived form: it is rewritten away before evaluation and
-requires every named modality in use to have a registered dual.
+Each formula kind is one class (see Formula), registered in FORMULA_KINDS
+under its JSON kind: the JSON codec, the text printer, rank, negation and
+evaluation all reach it through its methods, so adding a kind means adding
+one class here.  Negation is a derived form: it is rewritten away before
+evaluation and requires every named modality in use to have a registered
+dual.
 
 One evaluation keeps a memo of value tables, so a formula shared by
-several others is evaluated once; the modality table is built only when
-a formula names a modality.
+several others is evaluated once.  Named modalities come from the table
+the system's functor keeps (FunctorSpec.standard_modalities), which is
+built on the first formula that names one.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Carrier, FuzzyRel, ONE, StructureError, as_unit, sat_add, sat_sub
+from .core import Carrier, FuzzyRel, LaxkitError, ONE, StructureError, as_unit, format_unit
+from .core import sat_add, sat_sub
 from .functors import Canonical, FunctorElement, apply_map, base, canonical_key
 from .liftings import LiftingSpec, lift_value
-from .modalities import dual_of, resolve_modality, standard_modalities
+from .modalities import dual_of, resolve_modality
+
+FORMULA_KINDS: dict = {}  # JSON kind -> formula class, in definition order
+
+# Text precedence, loosest first: constant shifts, \/, /\, atoms.
+SHIFT, OR, AND, ATOM = range(4)
+
+# A modality name in the text syntax: an identifier that may also hold '/'
+# (label modalities such as "at-1/5"), except where '/\' starts a
+# conjunction, or one of the aliases '<>' and '[]'.
+NAME_PATTERN = r"[A-Za-z_](?:[A-Za-z0-9_.\-]|/(?!\\))*|<>|\[\]"
+_NAME = re.compile(NAME_PATTERN)
 
 
 class Formula(Canonical):
-    """Base class of formula nodes."""
+    """Base class of formula nodes; each subclass is one formula kind.
+
+    A subclass sets `kind`, the JSON tag it registers under in
+    FORMULA_KINDS; `child_fields`, the attributes holding its subformulas;
+    and `valued`, whether a rational `value` (spelled `lexeme` in the text
+    it was parsed from) follows them.  Rank, canonical key and JSON codec
+    default to reading those.  It defines `push(go, neg, modalities)`, one
+    De Morgan step of push_negations (its children rewritten by
+    go(child, polarity), the node negated when neg holds), `table(ev)`, its
+    value table over the tables ev.table gives its children, and
+    `_text()`, its text form at precedence `level`, if it has one.  Kinds
+    that differ only in an operator share one class body and set the
+    operator, and the kind of their De Morgan dual, as class attributes.
+    """
+
+    child_fields = ()
+    valued = False
+    level = ATOM
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            FORMULA_KINDS[cls.kind] = cls
+
+    def __post_init__(self):
+        if self.valued:
+            as_unit(self.value)
+
+    def _key(self):
+        key = ("fm-" + self.kind,
+               *(getattr(self, name)._canonical_key() for name in self.child_fields))
+        return key + (canonical_key(self.value),) if self.valued else key
+
+    def rank(self) -> int:
+        return max((getattr(self, name).rank() for name in self.child_fields), default=0)
+
+    def to_json(self, functor=None) -> dict:
+        """The JSON form; structural modalities need the system functor."""
+        out = {"kind": self.kind}
+        for name in self.child_fields:
+            out[name] = getattr(self, name).to_json(functor)
+        if self.valued:
+            out["value"] = format_unit(self.value)
+        return out
+
+    @classmethod
+    def from_json(cls, node) -> Formula:
+        """Build from a JSON node reader (see laxkit.jsonio.decode_formula)."""
+        args = [node.child(name) for name in cls.child_fields]
+        if cls.valued:
+            args.append(node.unit(node.raw.get("value"), ".value"))
+        return cls(*args)
+
+    def text(self, floor: int = SHIFT) -> str:
+        """The text form, parenthesized when it binds looser than floor."""
+        text = self._text()
+        return f"({text})" if self.level < floor else text
+
+    def _text(self) -> str:
+        raise LaxkitError(f"{type(self).__name__} has no text form; use the JSON encoding")
+
+
+    def _value_text(self) -> str:
+        return self.lexeme if self.lexeme is not None else format_unit(self.value)
 
 
 @dataclass(frozen=True)
@@ -37,55 +118,87 @@ class Const(Formula):
     value: Fraction
     lexeme: str | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        as_unit(self.value)
+    kind = "const"
+    valued = True
 
-    def _key(self):
-        return ("fm-const", canonical_key(self.value))
+    def push(self, go, neg, modalities):
+        return Const(ONE - self.value) if neg else self
+
+    def table(self, ev):
+        return dict.fromkeys(ev.states, self.value)
+
+    def _text(self):
+        return self._value_text()
 
 
 @dataclass(frozen=True)
-class MinusC(Formula):
+class _Shift(Formula):
+    """A truncated shift by a constant; MinusC and PlusC differ in `shift`."""
+
     sub: Formula
     value: Fraction
     lexeme: str | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        as_unit(self.value)
+    child_fields = ("sub",)
+    valued = True
+    level = SHIFT
 
-    def _key(self):
-        return ("fm-minus", self.sub._canonical_key(), canonical_key(self.value))
+    def push(self, go, neg, modalities):
+        sub = go(self.sub, neg)
+        if neg:
+            return FORMULA_KINDS[self.dual_kind](sub, self.value)
+        return self if sub is self.sub else type(self)(sub, self.value, self.lexeme)
+
+    def table(self, ev):
+        sub, shift, value = ev.table(self.sub), self.shift, self.value
+        return {x: shift(sub[x], value) for x in ev.states}
+
+    def _text(self):
+        return f"{self.sub.text(ATOM)} {self.op} {self._value_text()}"
+
+
+class MinusC(_Shift):
+    kind, dual_kind, op = "minus", "plus", "(-)"
+    shift = staticmethod(sat_sub)
+
+
+class PlusC(_Shift):
+    kind, dual_kind, op = "plus", "minus", "(+)"
+    shift = staticmethod(sat_add)
 
 
 @dataclass(frozen=True)
-class PlusC(Formula):
-    sub: Formula
-    value: Fraction
-    lexeme: str | None = field(default=None, compare=False)
+class _Lattice(Formula):
+    """A binary lattice connective; And and Or differ in `join`."""
 
-    def __post_init__(self):
-        as_unit(self.value)
-
-    def _key(self):
-        return ("fm-plus", self.sub._canonical_key(), canonical_key(self.value))
-
-
-@dataclass(frozen=True)
-class And(Formula):
     left: Formula
     right: Formula
 
-    def _key(self):
-        return ("fm-and", self.left._canonical_key(), self.right._canonical_key())
+    child_fields = ("left", "right")
+
+    def push(self, go, neg, modalities):
+        l, r = go(self.left, neg), go(self.right, neg)
+        if neg:
+            return FORMULA_KINDS[self.dual_kind](l, r)
+        return self if l is self.left and r is self.right else type(self)(l, r)
+
+    def table(self, ev):
+        l, r, join = ev.table(self.left), ev.table(self.right), self.join
+        return {x: join(l[x], r[x]) for x in ev.states}
+
+    def _text(self):
+        # left-associative: only the right operand needs the tighter floor
+        return f"{self.left.text(self.level)} {self.op} {self.right.text(self.level + 1)}"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Lattice):
+    kind, dual_kind, op, level = "and", "or", "/\\", AND
+    join = staticmethod(min)
 
-    def _key(self):
-        return ("fm-or", self.left._canonical_key(), self.right._canonical_key())
+
+class Or(_Lattice):
+    kind, dual_kind, op, level = "or", "and", "\\/", OR
+    join = staticmethod(max)
 
 
 @dataclass(frozen=True)
@@ -93,51 +206,130 @@ class Modal(Formula):
     name: str
     args: tuple
 
+    kind = "modal"
+
     def _key(self):
         return ("fm-modal", self.name, tuple(a._canonical_key() for a in self.args))
 
+    def rank(self):
+        return 1 + max((a.rank() for a in self.args), default=0)
+
+    def push(self, go, neg, modalities):
+        args = tuple(go(a, neg) for a in self.args)
+        if neg:
+            return Modal(dual_of(modalities(), self.name).name, args)
+        return self if all(a is b for a, b in zip(args, self.args)) else Modal(self.name, args)
+
+    def table(self, ev):
+        lam = resolve_modality(ev.modalities(), self.name)
+        if lam.arity != len(self.args):
+            raise StructureError(
+                f"modality {self.name} takes {lam.arity} arguments, got {len(self.args)}"
+            )
+        tabs = tuple(ev.table(a) for a in self.args)
+        step = ev.system.step
+        return {x: lam.evaluator(step(x), tabs) for x in ev.states}
+
+    def to_json(self, functor=None):
+        return {"kind": self.kind, "name": self.name,
+                "args": [a.to_json(functor) for a in self.args]}
+
+    @classmethod
+    def from_json(cls, node):
+        node.expect(isinstance(node.raw.get("name"), str), "modal needs a 'name'")
+        args = node.raw.get("args", [])
+        node.expect(isinstance(args, list), "modal args must be a list", ".args")
+        return cls(node.raw["name"],
+                   tuple(node.decode(a, f".args[{i}]") for i, a in enumerate(args)))
+
+    def _text(self):
+        if not _NAME.fullmatch(self.name):
+            raise LaxkitError(f"modality name {self.name!r} has no text form; "
+                              "use the JSON encoding")
+        if not self.args:
+            return self.name
+        return self.name + "(" + ", ".join(a.text() for a in self.args) + ")"
+
 
 @dataclass(frozen=True)
-class MossDelta(Formula):
+class _Structural(Formula):
+    """The structural modality over a functor element with formulas at its
+    Id leaves; MossDelta and its De Morgan dual MossNabla differ in `flip`,
+    which complements the membership matrix and the lifted value."""
+
+    element: FunctorElement
+
+    def _key(self):
+        return (self.tag, self.element._canonical_key())
+
+    def rank(self):
+        return 1 + max((f.rank() for f in base(self.element)), default=0)
+
+    def push(self, go, neg, modalities):
+        element = apply_map(lambda g: go(g, neg), self.element)
+        if neg:
+            return FORMULA_KINDS[self.dual_kind](element)
+        return self if element == self.element else type(self)(element)
+
+    def table(self, ev):
+        if ev.lifting is None:
+            raise StructureError("evaluating a structural modality needs a lifting")
+        system, flip = ev.system, self.flip
+        formulas = base(self.element)
+        sub_tables = [ev.table(g) for g in formulas]
+        rows = tuple(
+            tuple((ONE - sub[x]) if flip else sub[x] for sub in sub_tables)
+            for x in ev.states
+        )
+        membership = FuzzyRel(system.carrier, Carrier(formulas), rows)
+        out = {}
+        for x in ev.states:
+            value = lift_value(ev.lifting, system.functor, membership,
+                               system.step(x), self.element)
+            out[x] = (ONE - value) if flip else value
+        return out
+
+    def to_json(self, functor=None):
+        if functor is None:
+            raise LaxkitError("encoding a structural modality needs the functor")
+        return {"kind": self.kind, "element": functor.encode_element(
+            self.element, lambda f: f.to_json(functor))}
+
+    @classmethod
+    def from_json(cls, node):
+        node.expect(node.functor is not None,
+                    "decoding a structural modality needs the system functor")
+        return cls(node.element(node.functor, node.raw.get("element"), ".element"))
+
+
+class MossDelta(_Structural):
     """Structural modality: a functor element with formulas at Id leaves."""
 
-    element: FunctorElement
-
-    def _key(self):
-        return ("fm-delta", self.element._canonical_key())
+    kind, tag, dual_kind, flip = "moss-delta", "fm-delta", "moss-nabla", False
 
 
-@dataclass(frozen=True)
-class MossNabla(Formula):
+class MossNabla(_Structural):
     """De Morgan dual of the structural modality."""
 
-    element: FunctorElement
-
-    def _key(self):
-        return ("fm-nabla", self.element._canonical_key())
+    kind, tag, dual_kind, flip = "moss-nabla", "fm-nabla", "moss-delta", True
 
 
 @dataclass(frozen=True)
 class Neg(Formula):
+    """Negation, rewritten away by push_negations before evaluation."""
+
     sub: Formula
 
-    def _key(self):
-        return ("fm-neg", self.sub._canonical_key())
+    kind = "neg"
+    child_fields = ("sub",)
+
+    def push(self, go, neg, modalities):
+        return go(self.sub, not neg)
 
 
 def rank(formula: Formula) -> int:
     """Modal nesting depth; constants have rank 0."""
-    if isinstance(formula, Const):
-        return 0
-    if isinstance(formula, (MinusC, PlusC, Neg)):
-        return rank(formula.sub)
-    if isinstance(formula, (And, Or)):
-        return max(rank(formula.left), rank(formula.right))
-    if isinstance(formula, Modal):
-        return 1 + max((rank(a) for a in formula.args), default=0)
-    if isinstance(formula, (MossDelta, MossNabla)):
-        return 1 + max((rank(f) for f in base(formula.element)), default=0)
-    raise StructureError(f"not a formula: {formula!r}")
+    return formula.rank()
 
 
 def push_negations(formula: Formula, modalities: dict) -> Formula:
@@ -158,45 +350,9 @@ def _push_negations(formula: Formula, modalities) -> Formula:
 
     def go(f: Formula, neg: bool) -> Formula:
         key = (id(f), neg)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, Neg):
-            out = go(f.sub, not neg)
-        elif isinstance(f, Const):
-            out = Const(ONE - f.value) if neg else f
-        elif isinstance(f, MinusC):
-            sub = go(f.sub, neg)
-            out = PlusC(sub, f.value) if neg else (
-                f if sub is f.sub else MinusC(sub, f.value, f.lexeme))
-        elif isinstance(f, PlusC):
-            sub = go(f.sub, neg)
-            out = MinusC(sub, f.value) if neg else (
-                f if sub is f.sub else PlusC(sub, f.value, f.lexeme))
-        elif isinstance(f, And):
-            l, r = go(f.left, neg), go(f.right, neg)
-            out = Or(l, r) if neg else (
-                f if l is f.left and r is f.right else And(l, r))
-        elif isinstance(f, Or):
-            l, r = go(f.left, neg), go(f.right, neg)
-            out = And(l, r) if neg else (
-                f if l is f.left and r is f.right else Or(l, r))
-        elif isinstance(f, Modal):
-            args = tuple(go(a, neg) for a in f.args)
-            if neg:
-                out = Modal(dual_of(modalities(), f.name).name, args)
-            else:
-                out = f if all(a is b for a, b in zip(args, f.args)) else Modal(f.name, args)
-        elif isinstance(f, MossDelta):
-            element = apply_map(lambda g: go(g, neg), f.element)
-            out = MossNabla(element) if neg else (
-                f if element == f.element else MossDelta(element))
-        elif isinstance(f, MossNabla):
-            element = apply_map(lambda g: go(g, neg), f.element)
-            out = MossDelta(element) if neg else (
-                f if element == f.element else MossNabla(element))
-        else:
-            raise StructureError(f"not a formula: {f!r}")
-        memo[key] = out
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = f.push(go, neg, modalities)
         return out
 
     return go(formula, False)
@@ -206,92 +362,40 @@ class _Evaluator:
     """Value tables of formulas on one system under one lifting.
 
     One memo serves every formula run through an instance, so a distinct
-    formula gets its table once however many formulas share it.  The
-    standard modality table is built on first use, when a named modality
-    is evaluated or negated, and never for formulas that name none.
+    formula gets its table once however many formulas share it.  Named
+    modalities are read from the given table, or else from the one the
+    system's functor keeps.
     """
 
     def __init__(self, system, lifting: LiftingSpec | None = None,
                  modalities: dict | None = None):
         self.system = system
+        self.states = system.carrier.elements
         self.lifting = lifting
         self._modalities = modalities
         self._memo: dict = {}
 
     def modalities(self) -> dict:
         if self._modalities is None:
-            self._modalities = standard_modalities(self.system.functor)
+            return self.system.functor.standard_modalities()
         return self._modalities
 
     def __call__(self, formula: Formula) -> dict:
-        return self._table(_push_negations(formula, self.modalities))
+        return self.table(_push_negations(formula, self.modalities))
 
-    def _table(self, f: Formula) -> dict:
-        memo = self._memo
-        if f in memo:
-            return memo[f]
-        carrier = self.system.carrier
-        table = self._table
-        if isinstance(f, Const):
-            out = {x: f.value for x in carrier.elements}
-        elif isinstance(f, MinusC):
-            sub = table(f.sub)
-            out = {x: sat_sub(sub[x], f.value) for x in carrier.elements}
-        elif isinstance(f, PlusC):
-            sub = table(f.sub)
-            out = {x: sat_add(sub[x], f.value) for x in carrier.elements}
-        elif isinstance(f, And):
-            l, r = table(f.left), table(f.right)
-            out = {x: min(l[x], r[x]) for x in carrier.elements}
-        elif isinstance(f, Or):
-            l, r = table(f.left), table(f.right)
-            out = {x: max(l[x], r[x]) for x in carrier.elements}
-        elif isinstance(f, Modal):
-            lam = resolve_modality(self.modalities(), f.name)
-            if lam.arity != len(f.args):
-                raise StructureError(
-                    f"modality {f.name} takes {lam.arity} arguments, got {len(f.args)}"
-                )
-            tabs = tuple(table(a) for a in f.args)
-            out = {x: lam.evaluator(self.system.step(x), tabs) for x in carrier.elements}
-        elif isinstance(f, (MossDelta, MossNabla)):
-            out = self._structural(f)
-        else:
-            raise StructureError(f"not a formula: {f!r}")
-        memo[f] = out
-        return out
-
-    def _structural(self, f) -> dict:
-        if self.lifting is None:
-            raise StructureError("evaluating a structural modality needs a lifting")
-        system = self.system
-        carrier = system.carrier
-        formulas = base(f.element)
-        sub_tables = {g: self._table(g) for g in formulas}
-        target = Carrier(formulas)
-        flip = isinstance(f, MossNabla)
-        rows = tuple(
-            tuple(
-                (ONE - sub_tables[g][x]) if flip else sub_tables[g][x]
-                for g in formulas
-            )
-            for x in carrier.elements
-        )
-        membership = FuzzyRel(carrier, target, rows)
-        out = {}
-        for x in carrier.elements:
-            value = lift_value(self.lifting, system.functor, membership,
-                               system.step(x), f.element)
-            out[x] = (ONE - value) if flip else value
-        return out
+    def table(self, f: Formula) -> dict:
+        table = self._memo.get(f)
+        if table is None:
+            table = self._memo[f] = f.table(self)
+        return table
 
 
 def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
               modalities: dict | None = None) -> dict:
     """Value of a formula at every state of a system.
 
-    Named modalities default to the standard registry for the system's
-    functor, which is built only if the formula names a modality;
+    Named modalities default to the standard table of the system's
+    functor, which is built only if a formula names a modality;
     evaluating the structural modality requires a backing lifting.
     """
     return _Evaluator(system, lifting, modalities)(formula)

@@ -2,14 +2,18 @@
 
 A modality turns predicate tables on states into a value on a functor
 element; each carries monotonicity/nonexpansiveness flags and, where one
-exists, the name of its dual.  The standard registry walks a functor
-grammar node and offers:
+exists, the name of its dual.  The standard modalities live on the
+functor nodes: each node builds its table once and keeps it
+(FunctorSpec.standard_modalities), and offers
 
   * sup/inf readings ("dia"/"box") over finite sets of states,
   * expectation ("E", self-dual) over finite distributions,
   * deadlock-aware "dia"/"box" over optional distributions,
   * nullary label readouts ("at-<label>") on label components,
   * projection-composed copies of all of the above under pairing.
+
+This module holds what they share: the modality type, the element-type
+guard of an evaluator, and name resolution with the text aliases.
 """
 
 from __future__ import annotations
@@ -17,20 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ONE, StructureError, ZERO, inf, sat_sub, sup
-from .functors import (
-    Const,
-    DFin,
-    DistEl,
-    FunctorSpec,
-    Id,
-    Maybe,
-    MaybeEl,
-    PFin,
-    Pair,
-    PairEl,
-    SetEl,
-)
+from .core import StructureError
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,130 +41,29 @@ class PredicateLifting:
         return self.evaluator(element, args)
 
 
-def _dia_set(element, args):
-    if not isinstance(element, SetEl):
-        raise StructureError("dia expects a finite set of states")
-    (f,) = args
-    return sup(f[m.value] for m in element.members)
+def expecting(element_type, message, read) -> Callable:
+    """An evaluator reading elements of element_type; others raise message."""
 
-
-def _box_set(element, args):
-    if not isinstance(element, SetEl):
-        raise StructureError("box expects a finite set of states")
-    (f,) = args
-    return inf(f[m.value] for m in element.members)
-
-
-def _expectation(element, args):
-    if not isinstance(element, DistEl):
-        raise StructureError("E expects a distribution over states")
-    (f,) = args
-    return sum((p * f[el.value] for el, p in element.pairs), ZERO)
-
-
-def _maybe(nothing_value, inner):
     def run(element, args):
-        if not isinstance(element, MaybeEl):
-            raise StructureError("modality expects an optional value")
-        if element.value is None:
-            return nothing_value
-        return inner(element.value, args)
+        if not isinstance(element, element_type):
+            raise StructureError(message)
+        return read(element, args)
 
     return run
 
 
-def _project(side, inner):
-    def run(element, args):
-        if not isinstance(element, PairEl):
-            raise StructureError("modality expects a pair")
-        return inner(element.left if side == "l" else element.right, args)
-
-    return run
-
-
-def _label_readout(metric, label):
-    def run(element, args):
-        return sat_sub(ONE, metric.at(label, element.label))
-
-    return run
-
-
-def _label_distance(metric, label):
-    def run(element, args):
-        return metric.at(label, element.label)
-
-    return run
+def dia_box(dia: Callable, box: Callable) -> dict:
+    """The mutually dual monotone nonexpansive pair "dia"/"box"."""
+    return {"dia": PredicateLifting("dia", 1, True, True, dia, "box"),
+            "box": PredicateLifting("box", 1, True, True, box, "dia")}
 
 
 DIA_ALIASES = {"<>": "dia", "[]": "box"}
 
 
-def standard_modalities(functor: FunctorSpec) -> dict:
-    """The shipped named modalities for a functor node, keyed by name.
-
-    Functor shapes without a standard reading (e.g. nested sets) simply
-    contribute nothing; their modalities arise through derivation from a
-    lifting instead.
-    """
-    if isinstance(functor, PFin) and isinstance(functor.sub, Id):
-        return {
-            "dia": PredicateLifting("dia", 1, True, True, _dia_set, "box"),
-            "box": PredicateLifting("box", 1, True, True, _box_set, "dia"),
-        }
-    if isinstance(functor, DFin) and isinstance(functor.sub, Id):
-        return {"E": PredicateLifting("E", 1, True, True, _expectation, "E")}
-    if (
-        isinstance(functor, Maybe)
-        and isinstance(functor.sub, DFin)
-        and isinstance(functor.sub.sub, Id)
-    ):
-        return {
-            "dia": PredicateLifting(
-                "dia", 1, True, True, _maybe(ZERO, _expectation), "box"
-            ),
-            "box": PredicateLifting(
-                "box", 1, True, True, _maybe(ONE, _expectation), "dia"
-            ),
-        }
-    if isinstance(functor, Const):
-        # "at-l" reads closeness to l.  Its dual, the raw distance readout,
-        # is a nonexpansive modality only for symmetric label metrics.
-        from .core import is_pseudometric
-
-        symmetric = is_pseudometric(functor.metric)
-        out = {}
-        for label in functor.labels.elements:
-            name = f"at-{label}"
-            dual = f"far-{label}" if symmetric else None
-            out[name] = PredicateLifting(
-                name, 0, True, True, _label_readout(functor.metric, label), dual
-            )
-            if symmetric:
-                out[f"far-{label}"] = PredicateLifting(
-                    f"far-{label}", 0, True, True,
-                    _label_distance(functor.metric, label), name,
-                )
-        return out
-    if isinstance(functor, Pair):
-        left = standard_modalities(functor.left)
-        right = standard_modalities(functor.right)
-        out = {}
-        for side, group in (("l", left), ("r", right)):
-            prefix = "" if not (set(left) & set(right)) else f"{side}."
-            for name, lam in group.items():
-                dual = lam.dual_name and (
-                    f"{prefix}{lam.dual_name}" if lam.dual_name in group else None
-                )
-                out[f"{prefix}{name}"] = PredicateLifting(
-                    f"{prefix}{name}",
-                    lam.arity,
-                    lam.monotone,
-                    lam.nonexpansive,
-                    _project(side, lam.evaluator),
-                    dual,
-                )
-        return out
-    return {}
+def standard_modalities(functor) -> dict:
+    """The shipped named modalities for a functor node (see FunctorSpec)."""
+    return functor.standard_modalities()
 
 
 def resolve_modality(modalities: dict, name: str) -> PredicateLifting:

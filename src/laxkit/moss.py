@@ -29,6 +29,11 @@ from .liftings import LiftingSpec, lift_value, require_match
 from .logic import Const, Formula, MossDelta, _Evaluator
 from .systems import Coalgebra, disjoint_union
 
+# The highest rank synthesis builds.  Rewriting, evaluating and encoding a
+# rank-n formula recurse through n structural modalities and the functor
+# elements beneath them: a one-state pfin(id) loop at rank 124 exhausts
+# the interpreter's recursion limit.
+MAX_RANK = 64
 
 @dataclass(frozen=True, eq=False)
 class MossModality:
@@ -120,6 +125,8 @@ def synthesize_levels(system: Coalgebra, max_rank: int) -> list:
     """
     if max_rank < 0:
         raise StructureError("rank must be nonnegative")
+    if max_rank > MAX_RANK:
+        raise StructureError(f"rank {max_rank} exceeds the limit {MAX_RANK}")
     zero = Const(ZERO)
     levels = [{s: zero for s in system.carrier.elements}]
     for _ in range(max_rank):

@@ -22,6 +22,25 @@ def number_const(values):
     return lk.Const(labels, metric)
 
 
+def count_modality_tables(monkeypatch):
+    """Record every functor node that builds its modality table.
+
+    FunctorSpec.standard_modalities is the one place a table is built, on
+    a call that finds none kept on the node; the list grows by the node
+    on each such call.
+    """
+    built = []
+    real = lk.FunctorSpec.standard_modalities
+
+    def counted(functor):
+        if "_modality_table" not in vars(functor):
+            built.append(functor)
+        return real(functor)
+
+    monkeypatch.setattr(lk.FunctorSpec, "standard_modalities", counted)
+    return built
+
+
 def rel_from(source, target, entries, default=F(1)):
     return lk.FuzzyRel.from_function(
         source, target, lambda a, b: entries.get((a, b), default)

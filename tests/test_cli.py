@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from laxkit import cli, liftings, logic, modalities
+from laxkit import cli, logic
 from laxkit.cli import main
-from tests.conftest import fixture_path
+from laxkit.jsonio import MAX_NESTING
+from laxkit.moss import MAX_RANK
+from tests.conftest import count_modality_tables, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -239,20 +241,6 @@ def test_synth_computes_the_semantics_table_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def count_modality_tables(monkeypatch):
-    """Record every call of standard_modalities made outside laxkit.modalities."""
-    calls = []
-    real = modalities.standard_modalities
-
-    def counted(functor):
-        calls.append(functor)
-        return real(functor)
-
-    for module in (cli, liftings, logic):
-        monkeypatch.setattr(module, "standard_modalities", counted)
-    return calls
-
-
 @pytest.mark.parametrize("argv", [
     ["logic", "distance", "--rank", "3"],
     ["synth", "--target", "b1", "--rank", "3"],
@@ -356,3 +344,99 @@ def test_seed_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+
+# ---------------------------------------------------------------------------
+# Resource bounds on formulas: refused as usage errors before the work starts
+
+
+def weighted_loop_args():
+    return ["--system", fixture_path("weighted_loop_a.json"),
+            "--system", fixture_path("weighted_loop_b.json"),
+            "--lifting", fixture_path("weighted_step_lifting.json")]
+
+
+def deadlock_loop_args(tmp_path):
+    """A one-state maybe(dfin(pair(const, id))) loop and its lifting."""
+    functor = {"kind": "maybe", "sub": {"kind": "dfin", "sub": {
+        "kind": "pair", "left": {"kind": "const", "labels": ["0", "1"],
+                                 "metric": [["0", "1"], ["1", "0"]]},
+        "right": {"kind": "id"}}}}
+    system = tmp_path / "deadlock_loop.json"
+    system.write_text(json.dumps({"functor": functor, "states": ["s"],
+                                  "alpha": {"s": [[["1", "s"], "1"]]}}))
+    lifting = tmp_path / "deadlock_loop_lifting.json"
+    lifting.write_text(json.dumps({"kind": "maybe", "sub": {"kind": "kantorovich", "sub": {
+        "kind": "pair-max", "left": {"kind": "const"}, "right": {"kind": "id"}}}}))
+    return ["--system", str(system), "--lifting", str(lifting)]
+
+
+@pytest.mark.parametrize("command", [["synth", "--target", "t"], ["logic", "distance"]])
+def test_rank_bound_on_weighted_loops(capsys, command):
+    code, out, _ = run_cli(capsys, *command, *weighted_loop_args(),
+                           "--rank", str(MAX_RANK))
+    assert code == 0 and json.loads(out)["rank"] == MAX_RANK
+    code, out, err = run_cli(capsys, *command, *weighted_loop_args(),
+                             "--rank", str(MAX_RANK + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: rank {MAX_RANK + 1} exceeds the limit {MAX_RANK}\n"
+
+
+@pytest.mark.parametrize("command", [["synth", "--target", "s"], ["logic", "distance"]])
+def test_rank_bound_on_a_deadlock_loop(tmp_path, capsys, command):
+    args = deadlock_loop_args(tmp_path)
+    code, _, _ = run_cli(capsys, *command, *args, "--rank", str(MAX_RANK))
+    assert code == 0
+    code, out, _ = run_cli(capsys, *command, *args, "--rank", str(MAX_RANK + 1))
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("depth, ok", [(MAX_NESTING, True), (MAX_NESTING + 1, False), (250, False)])
+@pytest.mark.parametrize("shape", [
+    lambda n: "(" * n + "1" + ")" * n,
+    lambda n: " /\\ ".join(["1"] * n),
+    lambda n: " (+) ".join(["1"] + ["0"] * (n - 1)),
+], ids=["parentheses", "conjunctions", "shifts"])
+def test_deep_text_formulas_are_usage_errors(tmp_path, capsys, shape, depth, ok):
+    formula = tmp_path / "deep.txt"
+    formula.write_text(shape(depth))
+    code, out, err = run_cli(capsys, "logic", "eval", "--formula", str(formula),
+                             "--system", fixture_path("prob_deadlock.json"), "--state", "u0")
+    if ok:
+        assert code == 0 and json.loads(out)["value"] == "1"
+    else:
+        assert (code, out) == (2, "")
+        assert err.endswith(f"formula nested deeper than {MAX_NESTING} levels\n")
+
+
+def test_synth_out_refuses_a_formula_laxkit_cannot_read(tmp_path, capsys):
+    readable = tmp_path / "rank32.json"
+    code, out, _ = run_cli(capsys, "synth", *weighted_loop_args(), "--target", "t",
+                           "--rank", "32", "--out", str(readable))
+    assert code == 0
+    claimed = json.loads(out)["values"]["s"]
+    code, out, _ = run_cli(capsys, "logic", "eval", "--formula", str(readable),
+                           "--system", fixture_path("weighted_loop_a.json"), "--state", "s",
+                           "--lifting", fixture_path("weighted_step_lifting.json"))
+    assert code == 0 and json.loads(out)["value"] == claimed
+    too_deep = tmp_path / "rank33.json"
+    code, out, err = run_cli(capsys, "synth", *weighted_loop_args(), "--target", "t",
+                             "--rank", "33", "--out", str(too_deep))
+    assert (code, out) == (2, "")
+    assert err == f"error: {too_deep}: JSON nested deeper than {MAX_NESTING} levels\n"
+    assert not too_deep.exists()
+
+
+def test_label_modalities_with_a_slash_evaluate_from_text(tmp_path, capsys):
+    system = ["--system", fixture_path("labelled_kripke_a.json"), "--state", "a1"]
+    values = []
+    for name, text in (("at.txt", "at-1/5 \\/ far-7/10"),
+                       ("at.json", json.dumps({"kind": "or", "left": {
+                           "kind": "modal", "name": "at-1/5", "args": []}, "right": {
+                           "kind": "modal", "name": "far-7/10", "args": []}}))):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "logic", "eval", "--formula", str(path), *system)
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values == ["1/2", "1/2"]

@@ -44,6 +44,13 @@ CASES = {
                               "--lifting", "fixtures/half_label_hausdorff.json"],
     "logic-eval": ["logic", "eval", "--formula", "fixtures/dia_shift.txt",
                    "--system", "fixtures/prob_deadlock.json", "--state", "u0"],
+    "logic-eval-neg-json": ["logic", "eval", "--formula", "fixtures/neg_modalities.json",
+                            "--system", "fixtures/labelled_kripke_a.json", "--state", "a1",
+                            "--lifting", "fixtures/half_label_hausdorff.json"],
+    "logic-eval-neg-table": ["logic", "eval", "--formula", "fixtures/neg_modalities.json",
+                             "--system", "fixtures/labelled_kripke_a.json", "--state", "a3",
+                             "--lifting", "fixtures/half_label_hausdorff.json",
+                             "--format", "table"],
     "logic-distance": ["logic", "distance", "--rank", "2", *KRIPKE],
     "synth-table": ["synth", *KRIPKE, "--target", "b1", "--rank", "2", "--format", "table"],
     "catalog-functor": ["catalog", "--functor", "fixtures/labelled_kripke_functor.json"],
@@ -65,6 +72,8 @@ GOLDEN = {
     'dist-mismatch': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: fixtures/hausdorff_sym.json: lifting does not fit the system functor: .sub: IdLift needs the identity functor\n'),
     'logic-distance': (0, '1248e053877cf99c2bd1c58f39fb79f2481fa85ff4aa18346ad13f13431f34aa', ''),
     'logic-eval': (0, '4cf469ba62727847296cd769ce2180cf845b9d9b7b22ab28dbdf193162673859', ''),
+    'logic-eval-neg-json': (0, '04f01cb3edff293af440383f4131e4440149379272497919855768f3a5e6982d', ''),
+    'logic-eval-neg-table': (0, 'f85efe6d4f039a83d546139f4678840311629da8d5d7f85fa886a96e93df9983', ''),
     'synth-table': (0, 'f99feeb56a14a6728c5bfe79c4715780b2e336ec495a646dec12157ec4f98898', ''),
 }
 

@@ -15,12 +15,12 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import distance, liftings
+from laxkit import distance
 from laxkit.axioms import rand_carrier, rand_element, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
 from laxkit.modalities import standard_modalities
-from tests.conftest import number_const
+from tests.conftest import count_modality_tables, number_const
 from tests.oracles import (
     full_recompute_chain,
     full_recompute_distance,
@@ -185,21 +185,22 @@ def test_lift_calls_follow_the_dependency_rule(monkeypatch):
 
 
 def test_grid_resolves_its_modalities_once(monkeypatch):
-    # the node keeps the modalities it resolved for a functor, so the
-    # number of modality tables built does not grow with the lifts
+    # the shape check and every lift read the one table the functor node
+    # keeps, so the number of tables built does not grow with the lifts
     lifting, sys_a, sys_b = systems("grid-labelled", 0)
-    tables, lifts = [], []
-    real_tables, real_lift = liftings.standard_modalities, distance.lift_value
-    monkeypatch.setattr(liftings, "standard_modalities",
-                        lambda functor: tables.append(functor) or real_tables(functor))
+    tables, lifts = count_modality_tables(monkeypatch), []
+    real_lift = distance.lift_value
     monkeypatch.setattr(distance, "lift_value", lambda *args: lifts.append(args) or real_lift(*args))
     counts = []
     for max_iter in (1, 4):
         tables.clear()
         lifts.clear()
+        functor = lk.Pair(*[getattr(sys_a.functor, name) for name in ("left", "right")])
         fresh = lk.KantorovichGrid(lifting.modality_names, lifting.step)
-        lk.behavioural_distance(fresh, sys_a, sys_b, max_iter=max_iter)
+        lk.behavioural_distance(fresh, lk.Coalgebra(functor, sys_a.carrier, sys_a.alpha),
+                                lk.Coalgebra(functor, sys_b.carrier, sys_b.alpha),
+                                max_iter=max_iter)
         counts.append((len(lifts), len(tables)))
     (few_lifts, few_tables), (many_lifts, many_tables) = counts
     assert few_lifts < many_lifts
-    assert few_tables == many_tables <= 2  # one for the shape check, one for the lifts
+    assert few_tables == many_tables == 1

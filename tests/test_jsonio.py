@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import laxkit as lk
 from laxkit.jsonio import (
@@ -21,6 +23,7 @@ from laxkit.jsonio import (
     encode_rel,
     encode_system,
 )
+from laxkit.logic import FORMULA_KINDS
 from tests.conftest import fixture_path, number_const
 
 
@@ -274,3 +277,134 @@ def test_element_ingestion_notes():
     assert el == lk.PairEl(lk.fset([lk.IdEl("s")]), lk.fdist([(lk.IdEl("s"), 1)]))
     assert notes == ["duplicate set member ['s', 's'] deduplicated",
                      "duplicate support entry at alpha[s][1][1] merged"]
+
+
+# ---------------------------------------------------------------------------
+# The formula codec: every decode_formula error, one example per formula kind
+
+
+CONST_1 = {"kind": "const", "value": "1"}
+
+
+@pytest.mark.parametrize("raw, functor, message", [
+    (3, None, "formula: expected a node with 'kind'"),
+    ({"value": "1"}, None, "formula: expected a node with 'kind'"),
+    ({"kind": "warp"}, None, "formula: unknown formula kind 'warp'"),
+    ({"kind": ["const"]}, None, "formula: unknown formula kind ['const']"),
+    ({"kind": 7}, None, "formula: unknown formula kind 7"),
+    ({"kind": "const"}, None, "formula.value: expected a rational string"),
+    ({"kind": "const", "value": "3/2"}, None,
+     "formula.value: value 3/2 outside the unit interval"),
+    ({"kind": "const", "value": "x"}, None,
+     "formula.value: cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+    ({"kind": "minus", "value": "1"}, None, "formula.sub: expected a node with 'kind'"),
+    ({"kind": "minus", "sub": CONST_1, "value": 0.5}, None,
+     "formula.value: expected a rational string"),
+    ({"kind": "minus", "sub": {"kind": "const", "value": "2"}}, None,
+     "formula.sub.value: value 2 outside the unit interval"),
+    ({"kind": "plus", "sub": CONST_1}, None, "formula.value: expected a rational string"),
+    ({"kind": "plus", "sub": [], "value": "1"}, None, "formula.sub: expected a node with 'kind'"),
+    ({"kind": "and", "right": CONST_1}, None, "formula.left: expected a node with 'kind'"),
+    ({"kind": "and", "left": CONST_1, "right": {"kind": "or"}}, None,
+     "formula.right.left: expected a node with 'kind'"),
+    ({"kind": "or", "left": CONST_1}, None, "formula.right: expected a node with 'kind'"),
+    ({"kind": "modal"}, None, "formula: modal needs a 'name'"),
+    ({"kind": "modal", "name": 3}, None, "formula: modal needs a 'name'"),
+    ({"kind": "modal", "name": "dia", "args": CONST_1}, None,
+     "formula.args: modal args must be a list"),
+    ({"kind": "modal", "name": "dia", "args": [CONST_1, "1"]}, None,
+     "formula.args[1]: expected a node with 'kind'"),
+    ({"kind": "neg"}, None, "formula.sub: expected a node with 'kind'"),
+    ({"kind": "neg", "sub": {"kind": "neg", "sub": {"kind": "nope"}}}, None,
+     "formula.sub.sub: unknown formula kind 'nope'"),
+    ({"kind": "moss-delta", "element": [CONST_1]}, None,
+     "formula: decoding a structural modality needs the system functor"),
+    ({"kind": "moss-nabla", "element": [CONST_1]}, None,
+     "formula: decoding a structural modality needs the system functor"),
+    ({"kind": "moss-nabla"}, SET, "formula.element: expected a list (finite set)"),
+    ({"kind": "moss-nabla", "element": [{"kind": "neg"}]}, SET,
+     "formula.element[0].sub: expected a node with 'kind'"),
+    ({"kind": "moss-delta", "element": [[CONST_1, "2"]]}, DIST,
+     "formula.element[0]: value 2 outside the unit interval"),
+    ({"kind": "modal", "name": "dia",
+      "args": [{"kind": "moss-delta", "element": [[{"kind": "const"}, "1"]]}]}, DIST,
+     "formula.args[0].element[0].value: expected a rational string"),
+])
+def test_formula_decode_errors(raw, functor, message):
+    with pytest.raises(JsonFormatError) as err:
+        decode_formula(raw, functor=functor)
+    assert str(err.value) == message
+    assert err.value.path == message.split(": ", 1)[0]
+
+
+def _labelled_example(labelled_frames, kind):
+    """One formula per JSON kind over the labelled frames' functor.
+
+    Returns (formula, rank).  The modality names carry no '/', so every
+    formula with a text form reparses at any version of the text syntax.
+    """
+    at0, far0 = lk.Modal("at-0", ()), lk.Modal("far-0", ())
+    half = lk.FormulaConst(F(1, 2))
+
+    def element(label, *formulas):
+        return lk.PairEl(lk.ConstEl(label), lk.fset(lk.IdEl(f) for f in formulas))
+
+    return {
+        "const": (lk.FormulaConst(F(3, 10)), 0),
+        "minus": (lk.MinusC(lk.Modal("dia", (at0,)), F(1, 4)), 2),
+        "plus": (lk.PlusC(lk.Or(lk.Modal("box", (half,)), far0), F(1, 5)), 1),
+        "and": (lk.And(at0, lk.PlusC(far0, F(1, 10))), 1),
+        "or": (lk.Or(lk.And(at0, half), lk.Modal("dia", (lk.Modal("box", (far0,)),))), 3),
+        "modal": (lk.Modal("box", (lk.Or(at0, lk.FormulaConst(F(1, 10))),)), 2),
+        "neg": (lk.Neg(lk.Modal("dia", (lk.MinusC(far0, F(1, 3)),))), 2),
+        "moss-delta": (lk.MossDelta(element("7/10", half, lk.Modal("dia", (at0,)))), 3),
+        "moss-nabla": (lk.MossNabla(element("1/5", lk.Neg(at0), lk.synthesize(
+            labelled_frames[0], "a1", 1))), 2),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", list(FORMULA_KINDS))
+def test_formula_kind_example(labelled_frames, kind):
+    sys_a, _, functor, lifting, _ = labelled_frames
+    phi, phi_rank = _labelled_example(labelled_frames, kind)
+    raw = json.loads(json.dumps(encode_formula(phi, functor)))
+    assert raw["kind"] == kind
+    assert decode_formula(raw, functor=functor) == phi
+    assert lk.rank(phi) == phi_rank
+    assert lk.semantics(lk.Neg(lk.Neg(phi)), sys_a, lifting) == \
+        lk.semantics(phi, sys_a, lifting)
+    if kind in ("neg", "moss-delta", "moss-nabla"):  # no text form
+        with pytest.raises(lk.LaxkitError) as err:
+            lk.print_formula(phi)
+        assert str(err.value) == \
+            f"{type(phi).__name__} has no text form; use the JSON encoding"
+    else:
+        assert lk.parse_formula(lk.print_formula(phi)) == phi
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.sampled_from(["0", "1", "1/2", "0.25", "3/2", "x", "dia", "at-0"])
+                | st.text(max_size=4))
+_FORMULA_KEYS = st.sampled_from(["kind", "value", "sub", "left", "right", "name", "args",
+                                 "element"])
+_KINDS = st.sampled_from([*FORMULA_KINDS, "warp"])
+
+
+def _json_values(children):
+    node = st.fixed_dictionaries({"kind": _KINDS}, optional={
+        "value": children, "sub": children, "left": children, "right": children,
+        "name": children, "args": children, "element": children,
+    })
+    return st.lists(children, max_size=3) | st.dictionaries(_FORMULA_KEYS, children,
+                                                            max_size=3) | node
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.recursive(_JSON_LEAVES, _json_values, max_leaves=12),
+       functor=st.sampled_from([None, SET, DIST, lk.Pair(number_const(("0", "1")), SET)]))
+def test_decode_formula_decodes_or_reports_a_format_error(raw, functor):
+    try:
+        phi = decode_formula(raw, functor=functor)
+    except JsonFormatError:
+        return
+    assert isinstance(phi, lk.Formula)

@@ -1,10 +1,12 @@
-"""Only laxkit.functors and laxkit.liftings name concrete grammar classes.
+"""Only laxkit.functors, laxkit.liftings and laxkit.logic name concrete
+grammar classes.
 
 The JSON codec, the CLI and the systems module reach functor kinds,
-element kinds and lifting kinds through the registries and the base
-classes, so adding a kind touches one class.  This test reads the source
-of those modules and fails if one imports a concrete class from the
-package, or reaches one as an attribute of the functors or liftings module.
+element kinds, lifting kinds and formula kinds through the registries and
+the base classes, so adding a kind touches one class.  This test reads the
+source of those modules and fails if one imports a concrete class from the
+package, or reaches one as an attribute of the functors, liftings or logic
+module.
 
 It also keeps the transport kernel exact: transport.py may use no true
 division, no float and no math function other than lcm and gcd, so an
@@ -18,21 +20,22 @@ import os
 
 import pytest
 
-from laxkit import functors, liftings
+from laxkit import functors, liftings, logic
 from laxkit.functors import FunctorElement, FunctorSpec
 from laxkit.liftings import LiftingSpec
+from laxkit.logic import Formula
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "laxkit")
-BASES = (FunctorSpec, FunctorElement, LiftingSpec)
+BASES = (FunctorSpec, FunctorElement, LiftingSpec, Formula)
 CONCRETE = {
-    name for module in (functors, liftings) for name, obj in vars(module).items()
+    name for module in (functors, liftings, logic) for name, obj in vars(module).items()
     if isinstance(obj, type) and issubclass(obj, BASES) and obj not in BASES
 }
-GRAMMAR_MODULES = {"functors", "liftings"}
+GRAMMAR_MODULES = {"functors", "liftings", "logic"}
 
 
 def _source_module(node: ast.ImportFrom):
-    """'functors', 'liftings', 'package' (laxkit itself) or None."""
+    """'functors', 'liftings', 'logic', 'package' (laxkit itself) or None."""
     name = node.module or ""
     if node.level == 0:
         if name == "laxkit":
@@ -72,10 +75,11 @@ def concrete_names(path: str) -> list:
 def test_concrete_class_set_is_complete():
     assert {"Id", "Const", "PFin", "DFin", "Pair", "Maybe", "IdEl", "SetEl", "DistEl",
             "Hausdorff", "KantorovichD", "WassersteinD", "KantorovichGrid"} <= CONCRETE
-    assert not {"FunctorSpec", "FunctorElement", "LiftingSpec"} & CONCRETE
+    assert {cls.__name__ for cls in logic.FORMULA_KINDS.values()} <= CONCRETE
+    assert not {"FunctorSpec", "FunctorElement", "LiftingSpec", "Formula"} & CONCRETE
 
 
-@pytest.mark.parametrize("module", ["jsonio.py", "cli.py", "systems.py"])
+@pytest.mark.parametrize("module", ["jsonio.py", "cli.py", "systems.py", "formparse.py"])
 def test_module_names_no_concrete_grammar_class(module):
     assert concrete_names(os.path.join(SRC, module)) == []
 
@@ -87,12 +91,14 @@ def test_guard_sees_each_way_of_naming_a_class(tmp_path):
         "from .liftings import *\n"
         "from . import functors as f\n"
         "import laxkit.liftings as L\n"
-        "from .logic import Const\n"
-        "x = f.SetEl, L.Hausdorff, laxkit.functors.DistEl, f.FunctorSpec\n"
+        "from .logic import FORMULA_KINDS, Formula, MossNabla, rank\n"
+        "from . import logic as G\n"
+        "x = f.SetEl, L.Hausdorff, laxkit.functors.DistEl, f.FunctorSpec, G.Neg, G.semantics\n"
     )
     assert concrete_names(str(probe)) == [
-        "line 1: imports PFin", "line 2: imports *",
-        "line 6: uses f.SetEl", "line 6: uses L.Hausdorff", "line 6: uses functors.DistEl",
+        "line 1: imports PFin", "line 2: imports *", "line 5: imports MossNabla",
+        "line 7: uses f.SetEl", "line 7: uses L.Hausdorff", "line 7: uses functors.DistEl",
+        "line 7: uses G.Neg",
     ]
 
 

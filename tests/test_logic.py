@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -21,7 +22,9 @@ from laxkit import (
     rank,
     semantics,
 )
+from laxkit.jsonio import decode_functor
 from laxkit.modalities import standard_modalities
+from tests.conftest import fixture_path
 
 
 def plain_ts(edges):
@@ -207,3 +210,20 @@ def test_structural_modality_has_no_text_form(labelled_frames):
     phi = lk.synthesize(sys_a, "a1", 1)
     with pytest.raises(lk.LaxkitError):
         print_formula(phi)
+
+
+def test_every_labelled_modality_prints_and_reparses():
+    functor = decode_functor(json.load(open(fixture_path("labelled_kripke_functor.json"))))
+    mods = standard_modalities(functor)
+    assert {"at-1/5", "far-7/10"} <= set(mods)
+    for name, lam in mods.items():
+        phi = Modal(name, tuple(FormulaConst(F(1, 2)) for _ in range(lam.arity)))
+        assert parse_formula(print_formula(phi)) == phi
+    assert parse_formula("at-1/5/\\far-0") == And(Modal("at-1/5", ()), Modal("far-0", ()))
+
+
+@pytest.mark.parametrize("name", ["at-x y", "dia(", "2nd", "at-a,b", ""])
+def test_names_that_are_not_one_token_have_no_text_form(name):
+    with pytest.raises(lk.LaxkitError) as err:
+        print_formula(Or(FormulaConst(F(0)), Modal(name, ())))
+    assert str(err.value) == f"modality name {name!r} has no text form; use the JSON encoding"
