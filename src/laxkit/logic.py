@@ -108,7 +108,6 @@ class Formula(Canonical):
     def _text(self) -> str:
         raise LaxkitError(f"{type(self).__name__} has no text form; use the JSON encoding")
 
-
     def _value_text(self) -> str:
         return self.lexeme if self.lexeme is not None else format_unit(self.value)
 
