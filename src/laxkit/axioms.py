@@ -16,10 +16,16 @@ Each lifting instance is probed on small random carriers and elements:
 
 Comparisons are exact for exact liftings; if a grid oracle occurs in the
 lifting, inequalities get the documented approximation slack instead of
-being reported as spurious violations.  Counterexamples are greedily
-shrunk (entries pushed to 0 or 1, set members dropped) and serialized
-into the report.  Everything is driven by per-check, per-trial string
-seeds, so reports are reproducible across processes.
+being reported as spurious violations.
+
+Each law is stated once, as a draw (a trial's case of named fields, built
+from the trial's rng) and a test of those fields; one runner executes the
+trials for every law.  The first failing case is greedily shrunk, field by
+field in the order the law names (relation entries pushed to 0 or 1, set
+members dropped) while the test still fails, and every value in the
+counterexample is computed by the test at the shrunk case before it is
+serialized into the report.  Everything is driven by per-check, per-trial
+string seeds, so reports are reproducible across processes.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .core import (
     sat_add,
     sat_sub,
 )
-from .functors import FunctorSpec, SetEl, apply_map, fset, render_element
+from .functors import FunctorElement, FunctorSpec, apply_map
 from .liftings import (
     LiftingSpec,
     approximation_slack,
@@ -192,33 +198,27 @@ def _shrink_rel(rel: FuzzyRel, still_fails) -> FuzzyRel:
 
 
 def _shrink_element(element, still_fails):
-    """Drop set members while the violation persists."""
-    if isinstance(element, SetEl):
-        current = element
-        changed = True
-        while changed:
-            changed = False
-            for m in current.members:
-                candidate = fset(x for x in current.members if x is not m)
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-        return current
-    return element
+    """Move to the first smaller candidate that still fails, while one does."""
+    current = element
+    while True:
+        for candidate in current.shrink_candidates():
+            if still_fails(candidate):
+                current = candidate
+                break
+        else:
+            return current
 
 
 # ---------------------------------------------------------------------------
-# The individual checks
+# The laws
 
 
-def _run_check(name, claimed, cfg, one_trial):
-    for trial in range(cfg.trials):
-        rng = _rng(cfg, name, trial)
-        cex = one_trial(rng, trial)
-        if cex is not None:
-            return CheckResult(name, claimed, trial + 1, cex)
-    return CheckResult(name, claimed, cfg.trials, None)
+def _render(value):
+    if isinstance(value, FunctorElement):
+        return value.render()
+    if isinstance(value, FuzzyRel):
+        return [[str(x) for x in row] for row in value.values]
+    return str(value)
 
 
 def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
@@ -237,160 +237,131 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     def eq(x, y):
         return abs(x - y) <= 2 * slack if slack else x == y
 
-    def fail(check, trial, description, **data):
-        rendered = {
-            k: (render_element(v) if hasattr(v, "_canonical_key") else
-                [[str(x) for x in row] for row in v.values] if isinstance(v, FuzzyRel)
-                else str(v))
-            for k, v in data.items()
-        }
-        return Counterexample(check, trial, description, rendered)
+    def carriers(rng, prefixes):  # one carrier per prefix letter, in draw order
+        return [rand_carrier(rng, p, cfg.max_size) for p in prefixes]
 
-    def l1(rng, trial):
-        a = rand_carrier(rng, "a", cfg.max_size)
-        b = rand_carrier(rng, "b", cfg.max_size)
-        r2 = rand_rel(rng, a, b)
-        r1 = r2.map_entries(lambda v: sat_sub(v, rand_unit(rng)))
-        t1 = rand_element(rng, functor, a)
-        t2 = rand_element(rng, functor, b)
-        if le(value(r1, t1, t2), value(r2, t1, t2)):
-            return None
+    def elements(rng, *over):
+        return [rand_element(rng, functor, c) for c in over]
 
-        def fails(cand_r1):
-            return not le(value(cand_r1, t1, t2), value(r2, t1, t2))
+    # Each law is a draw, building a trial's case from its rng, and a test
+    # of the case's fields: None where the law holds, else (description, data).
 
-        r1 = _shrink_rel(r1, fails)
-        return fail("L1", trial, "smaller relation lifted to a larger value",
-                    smaller=r1, larger=r2, t1=t1, t2=t2)
+    def draw_l1(rng):
+        a, b = carriers(rng, "ab")
+        larger = rand_rel(rng, a, b)
+        smaller = larger.map_entries(lambda v: sat_sub(v, rand_unit(rng)))
+        t1, t2 = elements(rng, a, b)
+        return dict(smaller=smaller, larger=larger, t1=t1, t2=t2)
 
-    def l2(rng, trial):
-        a = rand_carrier(rng, "a", cfg.max_size)
-        b = rand_carrier(rng, "b", cfg.max_size)
-        c = rand_carrier(rng, "c", cfg.max_size)
-        r = rand_rel(rng, a, b)
-        s = rand_rel(rng, b, c)
-        t1 = rand_element(rng, functor, a)
-        t2 = rand_element(rng, functor, b)
-        t3 = rand_element(rng, functor, c)
-        lhs = value(compose(r, s), t1, t3)
-        rhs = sat_add(value(r, t1, t2), value(s, t2, t3))
-        if le(lhs, rhs):
-            return None
+    def test_l1(smaller, larger, t1, t2):
+        # a shrink step may push an entry of smaller above larger, voiding the premise
+        if (not le(value(smaller, t1, t2), value(larger, t1, t2))
+                and smaller.entrywise_le(larger)):
+            return ("smaller relation lifted to a larger value",
+                    dict(smaller=smaller, larger=larger, t1=t1, t2=t2))
 
-        def fails(cand_r):
-            return not le(
-                value(compose(cand_r, s), t1, t3),
-                sat_add(value(cand_r, t1, t2), value(s, t2, t3)),
-            )
+    def draw_l2(rng):
+        a, b, c = carriers(rng, "abc")
+        r, s = rand_rel(rng, a, b), rand_rel(rng, b, c)
+        t1, t2, t3 = elements(rng, a, b, c)
+        return dict(r=r, s=s, t1=t1, t2=t2, t3=t3)
 
-        r = _shrink_rel(r, fails)
-        return fail("L2", trial, "composite relation lifted above the composed bound",
-                    r=r, s=s, t1=t1, t2=t2, t3=t3)
+    def test_l2(r, s, t1, t2, t3):
+        if not le(value(compose(r, s), t1, t3),
+                  sat_add(value(r, t1, t2), value(s, t2, t3))):
+            return ("composite relation lifted above the composed bound",
+                    dict(r=r, s=s, t1=t1, t2=t2, t3=t3))
 
-    def l3(rng, trial):
-        a = rand_carrier(rng, "a", cfg.max_size)
-        b = rand_carrier(rng, "b", cfg.max_size)
+    def draw_l3(rng):
+        a, b = carriers(rng, "ab")
         f = rand_function(rng, a, b)
-        t1 = rand_element(rng, functor, a)
+        return dict(a=a, b=b, f=f, t1=rand_element(rng, functor, a))
+
+    def test_l3(a, b, f, t1):
         mapped = apply_map(lambda x: f[x], t1)
         gr = graph(f, a, b)
-        forward = value(gr, t1, mapped)
-        backward = value(converse(gr), mapped, t1)
-        if le(forward, ZERO) and le(backward, ZERO):
-            return None
-        return fail("L3", trial, "graph of a function lifted to a nonzero value",
-                    f=str(f), t1=t1, mapped=mapped,
-                    forward=forward, backward=backward)
+        forward, backward = value(gr, t1, mapped), value(converse(gr), mapped, t1)
+        if not (le(forward, ZERO) and le(backward, ZERO)):
+            return ("graph of a function lifted to a nonzero value",
+                    dict(f=f, t1=t1, mapped=mapped, forward=forward, backward=backward))
 
-    def l4(rng, trial):
+    def draw_l4(rng):
         a = rand_carrier(rng, "a", cfg.max_size)
         den = rng.choice(_DENOMS[1:])
         eps = Fraction(rng.randint(1, den), den)
-        t = rand_element(rng, functor, a)
+        return dict(a=a, eps=eps, t=rand_element(rng, functor, a))
+
+    def test_l4(a, eps, t):
         got = value(diagonal(a, eps), t, t)
-        if le(got, eps):
-            return None
+        if not le(got, eps):
+            return "epsilon-diagonal lifted above epsilon", dict(eps=eps, t=t, got=got)
 
-        def fails(cand_t):
-            return not le(value(diagonal(a, eps), cand_t, cand_t), eps)
-
-        t = _shrink_element(t, fails)
-        return fail("L4", trial, "epsilon-diagonal lifted above epsilon",
-                    eps=eps, t=t, got=got)
-
-    def l0(rng, trial):
-        a = rand_carrier(rng, "a", cfg.max_size)
-        b = rand_carrier(rng, "b", cfg.max_size)
-        r = rand_rel(rng, a, b)
-        t1 = rand_element(rng, functor, a)
-        t2 = rand_element(rng, functor, b)
-        fwd = value(r, t1, t2)
-        bwd = value(converse(r), t2, t1)
-        if eq(fwd, bwd):
-            return None
-
-        def fails(cand_r):
-            return not eq(value(cand_r, t1, t2), value(converse(cand_r), t2, t1))
-
-        r = _shrink_rel(r, fails)
-        fwd = value(r, t1, t2)
-        bwd = value(converse(r), t2, t1)
-        t1 = _shrink_element(t1, lambda cand: not eq(
-            value(r, cand, t2), value(converse(r), t2, cand)))
-        t2 = _shrink_element(t2, lambda cand: not eq(
-            value(r, t1, cand), value(converse(r), cand, t1)))
-        return fail("L0", trial, "lifting does not preserve converse",
-                    r=r, t1=t1, t2=t2,
-                    forward=value(r, t1, t2), backward=value(converse(r), t2, t1))
-
-    def naturality(rng, trial):
-        a = rand_carrier(rng, "a", cfg.max_size)
-        b = rand_carrier(rng, "b", cfg.max_size)
-        a2 = rand_carrier(rng, "u", cfg.max_size)
-        b2 = rand_carrier(rng, "v", cfg.max_size)
-        f = rand_function(rng, a, a2)
-        g = rand_function(rng, b, b2)
+    def draw_naturality(rng):
+        a, b, a2, b2 = carriers(rng, "abuv")
+        f, g = rand_function(rng, a, a2), rand_function(rng, b, b2)
         r = rand_rel(rng, a2, b2)
+        t1, t2 = elements(rng, a, b)
+        return dict(a=a, b=b, f=f, g=g, r=r, t1=t1, t2=t2)
+
+    def test_naturality(a, b, f, g, r, t1, t2):
         reindexed = FuzzyRel.from_function(a, b, lambda x, y: r.at(f[x], g[y]))
-        t1 = rand_element(rng, functor, a)
-        t2 = rand_element(rng, functor, b)
-        mapped1 = apply_map(lambda x: f[x], t1)
-        mapped2 = apply_map(lambda y: g[y], t2)
         lhs = value(reindexed, t1, t2)
-        rhs = value(r, mapped1, mapped2)
-        if eq(lhs, rhs):
-            return None
-        return fail("naturality", trial, "reindexing does not commute with lifting",
-                    r=r, f=str(f), g=str(g), t1=t1, t2=t2, lhs=lhs, rhs=rhs)
+        rhs = value(r, apply_map(lambda x: f[x], t1), apply_map(lambda y: g[y], t2))
+        if not eq(lhs, rhs):
+            return ("reindexing does not commute with lifting",
+                    dict(r=r, f=f, g=g, t1=t1, t2=t2, lhs=lhs, rhs=rhs))
 
-    def hemimetric(rng, trial):
+    def draw_hemimetric(rng):
         a = rand_carrier(rng, "a", cfg.max_size)
-        symmetric = converse_claimed
-        d = rand_hemimetric(rng, a, symmetric)
-        t = rand_element(rng, functor, a)
-        t1 = rand_element(rng, functor, a)
-        t2 = rand_element(rng, functor, a)
-        t3 = rand_element(rng, functor, a)
-        if not le(value(d, t, t), ZERO):
-            return fail("hemimetric", trial, "lifted hemimetric lost reflexivity",
-                        d=d, t=t, got=value(d, t, t))
-        lhs = value(d, t1, t3)
-        rhs = sat_add(value(d, t1, t2), value(d, t2, t3))
-        if not le(lhs, rhs):
-            return fail("hemimetric", trial, "lifted hemimetric lost the triangle inequality",
-                        d=d, t1=t1, t2=t2, t3=t3, lhs=lhs, rhs=rhs)
-        if symmetric and not eq(value(d, t1, t2), value(d, t2, t1)):
-            return fail("hemimetric", trial, "lifted pseudometric lost symmetry",
-                        d=d, t1=t1, t2=t2)
-        return None
+        d = rand_hemimetric(rng, a, converse_claimed)
+        t, t1, t2, t3 = elements(rng, a, a, a, a)
+        return dict(d=d, t=t, t1=t1, t2=t2, t3=t3)
 
-    checks = [
-        _run_check("L1", True, cfg, l1),
-        _run_check("L2", True, cfg, l2),
-        _run_check("L3", True, cfg, l3),
-        _run_check("L4", True, cfg, l4),
-        _run_check("naturality", True, cfg, naturality),
-        _run_check("hemimetric", True, cfg, hemimetric),
-        _run_check("L0", converse_claimed, cfg, l0),
-    ]
-    return AxiomReport(tuple(checks))
+    def test_hemimetric(d, t, t1, t2, t3):
+        got = value(d, t, t)
+        if not le(got, ZERO):
+            return "lifted hemimetric lost reflexivity", dict(d=d, t=t, got=got)
+        lhs, rhs = value(d, t1, t3), sat_add(value(d, t1, t2), value(d, t2, t3))
+        if not le(lhs, rhs):
+            return ("lifted hemimetric lost the triangle inequality",
+                    dict(d=d, t1=t1, t2=t2, t3=t3, lhs=lhs, rhs=rhs))
+        if converse_claimed and not eq(value(d, t1, t2), value(d, t2, t1)):
+            return "lifted pseudometric lost symmetry", dict(d=d, t1=t1, t2=t2)
+
+    def draw_l0(rng):
+        a, b = carriers(rng, "ab")
+        r = rand_rel(rng, a, b)
+        t1, t2 = elements(rng, a, b)
+        return dict(r=r, t1=t1, t2=t2)
+
+    def test_l0(r, t1, t2):
+        forward, backward = value(r, t1, t2), value(converse(r), t2, t1)
+        if not eq(forward, backward):
+            return ("lifting does not preserve converse",
+                    dict(r=r, t1=t1, t2=t2, forward=forward, backward=backward))
+
+    def run(name, claimed, draw, test, shrink):
+        """The first failing trial, its named fields shrunk in order, as a result."""
+        for trial in range(cfg.trials):
+            case = draw(_rng(cfg, name, trial))
+            if test(**case) is None:
+                continue
+            for field in shrink:
+                shrinker = _shrink_rel if isinstance(case[field], FuzzyRel) else _shrink_element
+                case[field] = shrinker(
+                    case[field], lambda cand: test(**{**case, field: cand}) is not None)
+            description, data = test(**case)
+            rendered = {k: _render(v) for k, v in data.items()}
+            return CheckResult(name, claimed, trial + 1,
+                               Counterexample(name, trial, description, rendered))
+        return CheckResult(name, claimed, cfg.trials, None)
+
+    return AxiomReport((
+        run("L1", True, draw_l1, test_l1, ("smaller",)),
+        run("L2", True, draw_l2, test_l2, ("r",)),
+        run("L3", True, draw_l3, test_l3, ()),
+        run("L4", True, draw_l4, test_l4, ("t",)),
+        run("naturality", True, draw_naturality, test_naturality, ()),
+        run("hemimetric", True, draw_hemimetric, test_hemimetric, ()),
+        run("L0", converse_claimed, draw_l0, test_l0, ("r", "t1", "t2")),
+    ))

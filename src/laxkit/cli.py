@@ -16,12 +16,10 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .axioms import AxiomConfig, check_axioms
-from .core import LaxkitError, StructureError, ZERO, format_unit, parse_unit
+from .core import LaxkitError, StructureError, format_unit, parse_unit
 from .distance import behavioural_distance, check_certificate
 from .formparse import parse_formula
 from .functors import FUNCTOR_KINDS
@@ -51,16 +49,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tol: Fraction = ZERO
-    max_iter: int = 100
-    trials: int = 500
-    output: str | None = None
-    fmt: str = "json"
-
-
 class _Inputs:
     """Tracks loaded files and their digests for the report envelope."""
 
@@ -76,21 +64,21 @@ class _Inputs:
         return data
 
 
-def _envelope(cfg: RunConfig, inputs: _Inputs, body: dict) -> dict:
+def _envelope(args, inputs: _Inputs, body: dict) -> dict:
     report = {
         "tool": "laxkit",
         "version": __version__,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "inputs": inputs.digests,
     }
     report.update(body)
     return report
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
-    text = _render_table(report) if cfg.fmt == "table" else dump_json(report)
-    if cfg.output:
-        write_text(text, cfg.output)
+def _emit(args, report: dict) -> None:
+    text = _render_table(report) if args.format == "table" else dump_json(report)
+    if args.output:
+        write_text(text, args.output)
     else:
         sys.stdout.write(text)
 
@@ -190,12 +178,12 @@ def _check_fit(lifting, functor, path: str) -> None:
         raise JsonFormatError(f"lifting does not fit the system functor: {lines}", path)
 
 
-def cmd_dist(cfg: RunConfig, args) -> int:
+def cmd_dist(args) -> int:
     inputs = _Inputs()
     sys_a, sys_b = _load_two_systems(inputs, args.system)
     lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
     result = behavioural_distance(
-        lifting, sys_a, sys_b, tol=cfg.tol, max_iter=cfg.max_iter,
+        lifting, sys_a, sys_b, tol=args.tol, max_iter=args.max_iter,
         keep_trace=args.trace,
     )
     body = {
@@ -208,11 +196,11 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         body["gap-bound"] = format_unit(result.gap_bound)
     if args.trace:
         body["trace"] = [encode_rel(step) for step in result.trace]
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK
 
 
-def cmd_check_cert(cfg: RunConfig, args) -> int:
+def cmd_check_cert(args) -> int:
     inputs = _Inputs()
     sys_a, sys_b = _load_two_systems(inputs, args.system)
     lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
@@ -237,12 +225,12 @@ def cmd_check_cert(cfg: RunConfig, args) -> int:
     }
     if verdict.backward is not None:
         body["backward"] = rows(verdict.backward)
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
 
-def cmd_axioms(cfg: RunConfig, args) -> int:
-    axiom_cfg = AxiomConfig(trials=cfg.trials, max_size=args.max_size, seed=cfg.seed)
+def cmd_axioms(args) -> int:
+    axiom_cfg = AxiomConfig(trials=args.trials, max_size=args.max_size, seed=args.seed)
     inputs = _Inputs()
     if args.functor:
         functor = decode_functor(inputs.load(args.functor), args.functor)
@@ -255,7 +243,7 @@ def cmd_axioms(cfg: RunConfig, args) -> int:
     _check_fit(lifting, functor, args.lifting)
     report = check_axioms(lifting, functor, axiom_cfg)
     body = {
-        "trials": cfg.trials,
+        "trials": args.trials,
         "ok": report.ok,
         "consistent": report.consistent,
         "checks": [
@@ -273,7 +261,7 @@ def cmd_axioms(cfg: RunConfig, args) -> int:
             for c in report.checks
         ],
     }
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -289,7 +277,7 @@ def _load_formula(inputs: _Inputs, path: str, functor):
     return parse_formula(text)
 
 
-def cmd_logic_eval(cfg: RunConfig, args) -> int:
+def cmd_logic_eval(args) -> int:
     inputs = _Inputs()
     system = _load_system(inputs, args.system)
     lifting = None
@@ -302,20 +290,20 @@ def cmd_logic_eval(cfg: RunConfig, args) -> int:
         "rank": rank(formula),
         "value": format_unit(value),
     }
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK
 
 
-def cmd_logic_distance(cfg: RunConfig, args) -> int:
+def cmd_logic_distance(args) -> int:
     inputs = _Inputs()
     sys_a, sys_b = _load_two_systems(inputs, args.system)
     lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
     matrix = logical_distance(sys_a, sys_b, lifting, args.rank)
-    _emit(cfg, _envelope(cfg, inputs, {"rank": args.rank, "matrix": encode_rel(matrix)}))
+    _emit(args, _envelope(args, inputs, {"rank": args.rank, "matrix": encode_rel(matrix)}))
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
+def cmd_synth(args) -> int:
     inputs = _Inputs()
     if len(args.system) == 1:
         system = _load_system(inputs, args.system[0])
@@ -341,11 +329,11 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     if args.out:
         dump_json(encoded, args.out)
         body["out"] = args.out
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK
 
 
-def cmd_catalog(cfg: RunConfig, args) -> int:
+def cmd_catalog(args) -> int:
     inputs = _Inputs()
     body = {
         "functor-kinds": list(FUNCTOR_KINDS),
@@ -367,7 +355,7 @@ def cmd_catalog(cfg: RunConfig, args) -> int:
             }
             for _, lam in sorted(functor.standard_modalities().items())
         ]
-    _emit(cfg, _envelope(cfg, inputs, body))
+    _emit(args, _envelope(args, inputs, body))
     return EXIT_OK
 
 
@@ -379,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"laxkit {__version__}")
 
     def common(sub):
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=int, default=0,
                          help="RNG seed (env LAXKIT_SEED overrides; default 0)")
         sub.add_argument("--output", help="write the report here instead of stdout")
         sub.add_argument("--format", choices=("json", "table"), default="json",
@@ -448,35 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    seed = args.seed if getattr(args, "seed", None) is not None else None
+def _seed(flag: int) -> int:
+    """The effective seed: LAXKIT_SEED, when set, overrides --seed."""
     env_seed = os.environ.get("LAXKIT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise LaxkitError(f"LAXKIT_SEED must be an integer, got {env_seed!r}")
-    if seed is None:
-        seed = 0
-    cfg = RunConfig(seed=seed)
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = parse_unit(args.tol)
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    cfg.output = getattr(args, "output", None)
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    return cfg
+    if env_seed is None:
+        return flag
+    try:
+        return int(env_seed)
+    except ValueError:
+        raise LaxkitError(f"LAXKIT_SEED must be an integer, got {env_seed!r}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return args.run(cfg, args)
+        args.seed = _seed(args.seed)
+        if "tol" in args:
+            args.tol = parse_unit(args.tol)
+        return args.run(args)
     except LaxkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,10 +92,15 @@ class FunctorElement(Canonical):
     """Base class of element nodes; each subclass belongs to one functor kind.
 
     A subclass defines `map` (the functor action, see apply_map), `leaves`
-    (the values at its Id leaves, in order and with repeats) and `render`.
+    (the values at its Id leaves, in order and with repeats) and `render`;
+    `shrink_candidates` yields its one-step-smaller variants, in the order
+    the law suite's shrinker tries them.
     """
 
     def leaves(self):
+        return ()
+
+    def shrink_candidates(self):
         return ()
 
 
@@ -150,6 +155,10 @@ class SetEl(FunctorElement):
     def leaves(self):
         for m in self.members:
             yield from m.leaves()
+
+    def shrink_candidates(self):
+        for i in range(len(self.members)):  # drop one member; the rest stay sorted
+            yield SetEl(self.members[:i] + self.members[i + 1:])
 
     def render(self):
         return "{" + ", ".join(m.render() for m in self.members) + "}"

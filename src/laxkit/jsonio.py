@@ -148,9 +148,9 @@ def decode_functor(raw, path="functor") -> FunctorSpec:
     return _decode_node(FUNCTOR_KINDS, "functor", decode_functor, raw, path)
 
 
-def encode_element(spec: FunctorSpec, el: FunctorElement, leaf_encoder=None):
-    """Encode positionally; leaf_encoder maps the value at each Id leaf."""
-    return spec.encode_element(el, leaf_encoder)
+def encode_element(spec: FunctorSpec, el: FunctorElement):
+    """Encode positionally, with the value at each Id leaf as it is."""
+    return spec.encode_element(el, None)
 
 
 def _state_id(raw, path):
@@ -158,12 +158,12 @@ def _state_id(raw, path):
     return raw
 
 
-def decode_element(spec: FunctorSpec, raw, path, leaf_decoder=None, notes=None):
-    """Decode positionally; structural problems raise, semantic ones are
-    collected into notes (duplicate set members, for instance) so system
-    validation can surface them as warnings.  leaf_decoder(raw, path)
-    gives the value at each Id leaf, a state id by default."""
-    return spec.decode_element(_Node(raw, path, leaf_decoder or _state_id, notes))
+def decode_element(spec: FunctorSpec, raw, path, notes=None):
+    """Decode positionally, with a state id at each Id leaf; structural
+    problems raise, semantic ones are collected into notes (duplicate set
+    members, for instance) so system validation can surface them as
+    warnings."""
+    return spec.decode_element(_Node(raw, path, _state_id, notes))
 
 
 # ---------------------------------------------------------------------------

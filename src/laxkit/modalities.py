@@ -33,13 +33,6 @@ class PredicateLifting:
     evaluator: Callable  # (FunctorElement, args: tuple of predicate tables) -> Fraction
     dual_name: str | None = None
 
-    def __call__(self, element, *args):
-        if len(args) != self.arity:
-            raise StructureError(
-                f"modality {self.name} takes {self.arity} arguments, got {len(args)}"
-            )
-        return self.evaluator(element, args)
-
 
 def expecting(element_type, message, read) -> Callable:
     """An evaluator reading elements of element_type; others raise message."""

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
+
+import pytest
 
 import laxkit as lk
 from laxkit import AxiomConfig, check_axioms
 from laxkit.axioms import rand_hemimetric
-import random
 
 from tests.conftest import number_const
 
@@ -96,3 +98,101 @@ def test_random_hemimetrics_really_are_hemimetrics():
         assert lk.is_hemimetric(d)
         p = rand_hemimetric(rng, carrier, symmetric=True)
         assert lk.is_pseudometric(p)
+
+
+# Lawless liftings, test-only (no JSON kind, so none registers in
+# LIFTING_KINDS).  Each breaks one law, so the law suite's shrink path for
+# that law runs; no shipped family fails anything but L0.  The reported,
+# shrunk case is read back from the counterexample and every reported value
+# is recomputed there.
+
+
+class SpikeAtZero(lk.LiftingSpec):
+    """Breaks L1: 1 exactly where the relation is 0, else 0."""
+
+    functor_type, mismatch = lk.Id, "needs the identity functor"
+
+    def lift(self, functor, rel, t1, t2):
+        return F(1) if rel.at(t1.value, t2.value) == 0 else F(0)
+
+
+class Squared(lk.LiftingSpec):
+    """Breaks L2: the relation's value squared, superadditive."""
+
+    functor_type, mismatch = lk.Id, "needs the identity functor"
+
+    def lift(self, functor, rel, t1, t2):
+        return rel.at(t1.value, t2.value) ** 2
+
+
+class CountMembers(lk.LiftingSpec):
+    """Breaks L4: min(1, |t1|/4), whatever the relation."""
+
+    functor_type, mismatch = lk.PFin, "needs a finite-set component"
+
+    def lift(self, functor, rel, t1, t2):
+        return min(F(1), F(len(t1.members), 4))
+
+
+def reported_rel(rows, source, target):
+    """A rendered relation back as a FuzzyRel over the suite's carrier names."""
+    return lk.FuzzyRel(lk.Carrier(tuple(f"{source}{i}" for i in range(len(rows)))),
+                       lk.Carrier(tuple(f"{target}{j}" for j in range(len(rows[0])))),
+                       tuple(tuple(F(x) for x in row) for row in rows))
+
+
+def reported_set(text):
+    """A rendered set of states, such as '{a1, a2}', back as a set element."""
+    inner = text.strip("{}")
+    return lk.fset(lk.IdEl(x) for x in inner.split(", ") if x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_l1_report_is_a_monotonicity_counterexample_after_shrinking(seed):
+    lifting, functor = SpikeAtZero(), lk.Id()
+    cfg = AxiomConfig(trials=120, max_size=4, seed=seed)
+    cex = check_axioms(lifting, functor, cfg).by_name("L1").counterexample
+    assert cex is not None and cex.description == "smaller relation lifted to a larger value"
+    smaller = reported_rel(cex.data["smaller"], "a", "b")
+    larger = reported_rel(cex.data["larger"], "a", "b")
+    t1, t2 = lk.IdEl(cex.data["t1"]), lk.IdEl(cex.data["t2"])
+    # shrinking keeps the law's premise: the smaller relation stays below
+    assert smaller.entrywise_le(larger)
+    assert lifting.lift(functor, smaller, t1, t2) > lifting.lift(functor, larger, t1, t2)
+    # every entry went to 0, then to 1 wherever the premise and the violation allow
+    expected = tuple(tuple(F(y == 1 and (a, b) != (t1.value, t2.value))
+                           for b, y in zip(larger.target.elements, row))
+                     for a, row in zip(larger.source.elements, larger.values))
+    assert smaller.values == expected
+
+
+def test_l2_report_is_recomputed_at_the_shrunk_relation():
+    lifting, functor = Squared(), lk.Id()
+    cex = check_axioms(lifting, functor, FAST).by_name("L2").counterexample
+    assert cex is not None and cex.description == (
+        "composite relation lifted above the composed bound")
+    r = reported_rel(cex.data["r"], "a", "b")
+    s = reported_rel(cex.data["s"], "b", "c")
+    t1, t2, t3 = (lk.IdEl(cex.data[k]) for k in ("t1", "t2", "t3"))
+    lhs = lifting.lift(functor, lk.compose(r, s), t1, t3)
+    rhs = lk.sat_add(lifting.lift(functor, r, t1, t2), lifting.lift(functor, s, t2, t3))
+    assert lhs > rhs
+    # rows other than t1's are never read, so the shrinker settled them at 1
+    assert all(x == 1 for a, row in zip(r.source.elements, r.values) if a != t1.value
+               for x in row)
+
+
+def test_l4_reports_the_value_at_the_shrunk_element():
+    lifting, functor = CountMembers(), lk.PFin(lk.Id())
+    cfg = AxiomConfig(trials=200, max_size=5, seed=11)
+    cex = check_axioms(lifting, functor, cfg).by_name("L4").counterexample
+    assert cex is not None and cex.description == "epsilon-diagonal lifted above epsilon"
+    eps, t = F(cex.data["eps"]), reported_set(cex.data["t"])
+    carrier = lk.Carrier(tuple(m.value for m in t.members))
+    got = lifting.lift(functor, lk.diagonal(carrier, eps), t, t)
+    assert F(cex.data["got"]) == got
+    assert got > eps
+    # shrunk: dropping any one member no longer breaks the law
+    for i in range(len(t.members)):
+        smaller = lk.SetEl(t.members[:i] + t.members[i + 1:])
+        assert lifting.lift(functor, lk.diagonal(carrier, eps), smaller, smaller) <= eps

@@ -310,7 +310,7 @@ def test_catalog_refuses_an_invalid_system(tmp_path, capsys):
 
 
 def test_internal_errors_exit_3_with_a_traceback(capsys, monkeypatch):
-    def broken(cfg, args):
+    def broken(args):
         raise RuntimeError("kaput")
 
     monkeypatch.setattr(cli, "cmd_catalog", broken)
