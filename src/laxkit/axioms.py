@@ -14,6 +14,11 @@ Each lifting instance is probed on small random carriers and elements:
                   lifted pseudometrics stay symmetric when the lifting
                   claims converse preservation
 
+Random unit values are drawn as integers over _SCALE, the lcm of the
+draw denominators.  A random hemimetric is symmetrized and triangle-closed
+(Floyd-Warshall) on those integers, where truncated addition never
+saturates, and only the closed matrix becomes Fractions.
+
 Comparisons are exact for exact liftings; if a grid oracle occurs in the
 lifting, inequalities get the documented approximation slack instead of
 being reported as spurious violations.
@@ -33,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     Carrier,
@@ -57,6 +63,7 @@ from .liftings import (
 )
 
 _DENOMS = (1, 2, 3, 4, 5, 6, 8, 10)
+_SCALE = lcm(*_DENOMS)  # every rand_unit draw is an integer over this
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,25 @@ def _rng(cfg: AxiomConfig, check: str, trial: int) -> random.Random:
     return random.Random(f"{cfg.seed}:{check}:{trial}")
 
 
-def rand_unit(rng: random.Random) -> Fraction:
+def _rand_scaled(rng: random.Random) -> int:
+    """A random unit value, as its numerator over _SCALE."""
     roll = rng.random()
     if roll < 0.15:
-        return ZERO
+        return 0
     if roll < 0.3:
-        return ONE
+        return _SCALE
     den = rng.choice(_DENOMS)
-    return Fraction(rng.randint(0, den), den)
+    return rng.randint(0, den) * (_SCALE // den)
+
+
+def _unscale(numerator: int) -> Fraction:
+    if numerator == _SCALE:
+        return ONE
+    return Fraction(numerator, _SCALE) if numerator else ZERO
+
+
+def rand_unit(rng: random.Random) -> Fraction:
+    return _unscale(_rand_scaled(rng))
 
 
 def rand_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
@@ -155,24 +173,28 @@ def rand_element(rng: random.Random, functor: FunctorSpec, carrier: Carrier):
 
 
 def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> FuzzyRel:
-    """Zero diagonal, optional symmetrization, then triangle closure."""
+    """Zero diagonal, optional symmetrization, then triangle closure.
+
+    The closure runs on the draws' numerators over _SCALE.  It never
+    saturates: a path replaces d[i][j] only when it is shorter, and
+    d[i][j] is at most _SCALE.
+    """
     n = len(carrier)
-    d = [[rand_unit(rng) for _ in range(n)] for _ in range(n)]
+    d = [[_rand_scaled(rng) for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        d[i][i] = ZERO
+        d[i][i] = 0
     if symmetric:
         for i in range(n):
+            for j in range(i):
+                d[i][j] = d[j][i] = min(d[i][j], d[j][i])
+    for k, row_k in enumerate(d):
+        for row in d:
+            to_k = row[k]
             for j in range(n):
-                if d[i][j] != d[j][i]:
-                    low = min(d[i][j], d[j][i])
-                    d[i][j] = d[j][i] = low
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = sat_add(d[i][k], d[k][j])
-                if via < d[i][j]:
-                    d[i][j] = via
-    return FuzzyRel(carrier, carrier, tuple(tuple(row) for row in d))
+                via = to_k + row_k[j]
+                if via < row[j]:
+                    row[j] = via
+    return FuzzyRel(carrier, carrier, tuple(tuple(map(_unscale, row)) for row in d))
 
 
 # ---------------------------------------------------------------------------

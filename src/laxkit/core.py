@@ -11,12 +11,19 @@ reading follows the convention that 0 means "related" and 1 means
 "unrelated", so relation composition uses inf/sat_add and the diagonal is
 the 0/1 matrix with 0 on the diagonal.  Infima over an empty index range
 are 1 and suprema are 0 (the lattice bounds of the unit interval).
+
+Most values arriving here are Fractions already, so the unit check reads
+their numerator and denominator and builds a Fraction only for other
+input types.  Composition runs on integers over the common denominator of
+both relations and builds one Fraction per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Hashable, Iterable, Mapping
 
 ZERO = Fraction(0)
@@ -32,9 +39,12 @@ class StructureError(LaxkitError):
 
 
 def as_unit(value) -> Fraction:
-    """Coerce to an exact Fraction and check it lies in [0, 1]."""
-    x = Fraction(value)
-    if not ZERO <= x <= ONE:
+    """Coerce to an exact Fraction and check it lies in [0, 1].
+
+    A Fraction is returned as it is; its denominator is always positive.
+    """
+    x = value if isinstance(value, Fraction) else Fraction(value)
+    if not 0 <= x.numerator <= x.denominator:
         raise StructureError(f"value {x} outside the unit interval")
     return x
 
@@ -113,7 +123,9 @@ class Carrier:
 class FuzzyRel:
     """A [0,1]-valued relation between two carriers, stored densely.
 
-    values[i][j] relates source.elements[i] to target.elements[j].
+    values[i][j] relates source.elements[i] to target.elements[j].  Every
+    entry is stored as the Fraction `as_unit` returns for it; a row whose
+    entries all are Fractions already is kept as given.
     """
 
     source: Carrier
@@ -123,16 +135,23 @@ class FuzzyRel:
     def __post_init__(self):
         if len(self.values) != len(self.source):
             raise StructureError("row count does not match source carrier")
-        for row in self.values:
-            if len(row) != len(self.target):
+        width = len(self.target)
+        rows = None
+        for i, row in enumerate(self.values):
+            if len(row) != width:
                 raise StructureError("column count does not match target carrier")
             for v in row:
-                as_unit(v)
+                if as_unit(v) is not v:
+                    rows = rows or list(self.values)
+                    rows[i] = tuple(as_unit(x) for x in row)
+                    break
+        if rows is not None:
+            object.__setattr__(self, "values", tuple(rows))
 
     @staticmethod
     def from_function(source: Carrier, target: Carrier, fn: Callable) -> "FuzzyRel":
         rows = tuple(
-            tuple(as_unit(fn(a, b)) for b in target.elements) for a in source.elements
+            tuple(fn(a, b) for b in target.elements) for a in source.elements
         )
         return FuzzyRel(source, target, rows)
 
@@ -161,7 +180,7 @@ class FuzzyRel:
     def map_entries(self, fn: Callable[[Fraction], Fraction]) -> "FuzzyRel":
         return FuzzyRel(
             self.source, self.target,
-            tuple(tuple(as_unit(fn(v)) for v in row) for row in self.values),
+            tuple(tuple(fn(v) for v in row) for row in self.values),
         )
 
 
@@ -173,19 +192,32 @@ def _require_same_carriers(r: FuzzyRel, s: FuzzyRel) -> None:
 def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
     """Relation composition r;s with (r;s)(a,c) = inf_b r(a,b) (+) s(b,c).
 
+    Runs on integers: with D the lcm of every entry's denominator, each
+    entry x becomes x * D, and (r;s)(a,c) * D = min(min_b (r + s), D).
     An empty middle carrier yields the all-1 relation (inf over nothing).
     """
     if r.target != s.source:
         raise StructureError("composition: middle carriers disagree")
-    mid = range(len(r.target))
+    den = lcm(*{x.denominator for row in r.values for x in row},
+              *{x.denominator for row in s.values for x in row})
+    left = [[x.numerator * (den // x.denominator) for x in row] for row in r.values]
+    right = [[x.numerator * (den // x.denominator) for x in row] for row in s.values]
+    columns = list(zip(*right)) if right else [()] * len(s.target)
     rows = tuple(
         tuple(
-            inf(sat_add(r.values[i][k], s.values[k][j]) for k in mid)
-            for j in range(len(s.target))
+            _over(min(min(map(add, row, col), default=den), den), den)
+            for col in columns
         )
-        for i in range(len(r.source))
+        for row in left
     )
     return FuzzyRel(r.source, s.target, rows)
+
+
+def _over(numerator: int, den: int) -> Fraction:
+    """numerator / den as a Fraction, with the bounds shared."""
+    if numerator == den:
+        return ONE
+    return Fraction(numerator, den) if numerator else ZERO
 
 
 def converse(r: FuzzyRel) -> FuzzyRel:

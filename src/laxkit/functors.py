@@ -244,7 +244,8 @@ def fdist(pairs: Iterable[tuple]) -> DistEl:
     merged: dict = {}
     elements: dict = {}
     for el, p in pairs:
-        p = Fraction(p)
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
         if p <= 0:
             raise StructureError("distribution probabilities must be positive")
         key = el._canonical_key()

@@ -11,19 +11,26 @@ iterate for iterate; the grid search over left tables on the whole
 source, which laxkit.liftings' support-restricted search must match; the
 Hausdorff lifting that lifts each pair once per direction; and the
 logical distance that evaluates each target formula on its own, which
-laxkit.moss.logical_distance must match entry for entry.
+laxkit.moss.logical_distance must match entry for entry; and relation
+composition and the random hemimetric's triangle closure on Fractions,
+which laxkit.core.compose and laxkit.axioms.rand_hemimetric must match on
+their integers.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from laxkit.axioms import rand_unit
 from laxkit.core import (
+    Carrier,
     FuzzyRel,
     ONE,
     StructureError,
     ZERO,
     companion,
     inf,
+    sat_add,
     sat_sub,
     sup,
     sup_distance,
@@ -435,3 +442,40 @@ def per_target_logical_distance(sys_a: Coalgebra, sys_b: Coalgebra,
         for a in sys_a.carrier.elements
     )
     return FuzzyRel(sys_a.carrier, sys_b.carrier, rows)
+
+
+def fraction_compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
+    """Relation composition r;s entry by entry: inf_b r(a,b) (+) s(b,c) on Fractions."""
+    if r.target != s.source:
+        raise StructureError("composition: middle carriers disagree")
+    mid = range(len(r.target))
+    rows = tuple(
+        tuple(
+            inf(sat_add(r.values[i][k], s.values[k][j]) for k in mid)
+            for j in range(len(s.target))
+        )
+        for i in range(len(r.source))
+    )
+    return FuzzyRel(r.source, s.target, rows)
+
+
+def fraction_rand_hemimetric(rng: random.Random, carrier: Carrier,
+                             symmetric: bool) -> FuzzyRel:
+    """rand_hemimetric's draws, symmetrized and closed with Fraction sat_add."""
+    n = len(carrier)
+    d = [[rand_unit(rng) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        d[i][i] = ZERO
+    if symmetric:
+        for i in range(n):
+            for j in range(n):
+                if d[i][j] != d[j][i]:
+                    low = min(d[i][j], d[j][i])
+                    d[i][j] = d[j][i] = low
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = sat_add(d[i][k], d[k][j])
+                if via < d[i][j]:
+                    d[i][j] = via
+    return FuzzyRel(carrier, carrier, tuple(tuple(row) for row in d))

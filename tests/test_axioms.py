@@ -8,6 +8,7 @@ from laxkit import AxiomConfig, check_axioms
 from laxkit.axioms import rand_hemimetric
 
 from tests.conftest import number_const
+from tests.oracles import fraction_rand_hemimetric
 
 FAST = AxiomConfig(trials=120, max_size=4, seed=11)
 
@@ -98,6 +99,37 @@ def test_random_hemimetrics_really_are_hemimetrics():
         assert lk.is_hemimetric(d)
         p = rand_hemimetric(rng, carrier, symmetric=True)
         assert lk.is_pseudometric(p)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_integer_hemimetric_closure_matches_the_fraction_oracle(symmetric):
+    for seed in range(3000):
+        carrier = lk.Carrier(tuple(f"a{i}" for i in range(1 + seed % 5)))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        d = rand_hemimetric(rng, carrier, symmetric)
+        assert d == fraction_rand_hemimetric(oracle_rng, carrier, symmetric), seed
+        assert rng.getstate() == oracle_rng.getstate()  # the same draws
+
+
+@pytest.mark.parametrize("lifting, functor, bound", [
+    (lk.Hausdorff("sym", lk.IdLift()), lk.PFin(lk.Id()), 6918),
+    (lk.KantorovichD(lk.IdLift()), lk.DFin(lk.Id()), 10969),
+], ids=["hausdorff-sym", "kantorovich"])
+def test_law_suite_builds_few_fractions(lifting, functor, bound, monkeypatch):
+    """Fractions built by one law-suite run stay at most 0.6x the count
+    measured while composition and the hemimetric closure ran on
+    Fractions: 6918 for hausdorff-sym and 10969 for kantorovich."""
+    real = F.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    check_axioms(lifting, functor, AxiomConfig(trials=25, max_size=5, seed=0))
+    monkeypatch.undo()
+    assert len(built) <= 0.6 * bound
 
 
 # Lawless liftings, test-only (no JSON kind, so none registers in

@@ -19,7 +19,9 @@ from laxkit import (
     is_pseudometric,
     sup_distance,
 )
-from laxkit.core import parse_unit, sat_add, sat_sub, table_le
+from laxkit.core import as_unit, parse_unit, sat_add, sat_sub, table_le
+
+from tests.oracles import fraction_compose
 
 
 @st.composite
@@ -29,8 +31,8 @@ def unit_fraction(draw):
 
 
 @st.composite
-def carrier(draw, prefix, max_size=4):
-    size = draw(st.integers(1, max_size))
+def carrier(draw, prefix, max_size=4, min_size=1):
+    size = draw(st.integers(min_size, max_size))
     return Carrier(tuple(f"{prefix}{i}" for i in range(size)))
 
 
@@ -117,6 +119,53 @@ def test_compose_empty_middle_is_all_one():
     r = FuzzyRel(a, empty, ((),))
     s = FuzzyRel(empty, c, ())
     assert compose(r, s).at("x", "z") == 1
+
+
+@st.composite
+def rel_any_denominators(draw, source, target):
+    unit = st.one_of(st.sampled_from([F(0), F(1)]),
+                     st.fractions(min_value=0, max_value=1, max_denominator=10**4))
+    return FuzzyRel(source, target,
+                    tuple(tuple(draw(unit) for _ in target) for _ in source))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_compose_matches_the_fraction_oracle(data):
+    a, b, c = (data.draw(carrier(p, max_size=3, min_size=0)) for p in "abc")
+    r, s = data.draw(rel_any_denominators(a, b)), data.draw(rel_any_denominators(b, c))
+    got = compose(r, s)
+    assert got == fraction_compose(r, s)
+    assert all(type(x) is F for row in got.values for x in row)
+
+
+@pytest.mark.parametrize("value, text", [
+    (F(-1, 2), "value -1/2 outside the unit interval"),
+    (F(3, 2), "value 3/2 outside the unit interval"),
+    (2, "value 2 outside the unit interval"),
+    (-1, "value -1 outside the unit interval"),
+])
+def test_values_outside_the_unit_interval_are_refused(value, text):
+    one = Carrier.of("x")
+    with pytest.raises(StructureError) as exc:
+        as_unit(value)
+    assert str(exc.value) == text
+    with pytest.raises(StructureError) as exc:
+        FuzzyRel(one, one, ((value,),))
+    assert str(exc.value) == text
+
+
+def test_relation_entries_are_stored_as_checked_fractions():
+    assert as_unit("2/3") == F(2, 3) and as_unit(0.5) == F(1, 2)
+    c = Carrier.of("x", "y")
+    r = FuzzyRel(c, c, ((0.5, 1), (0, True)))
+    assert r.values == ((F(1, 2), F(1)), (F(0), F(1)))
+    assert all(type(x) is F for row in r.values for x in row)
+    assert all(type(x) is F for row in compose(r, r).values for x in row)
+    assert FuzzyRel(c, c, (("2/3", F(1)), (F(0), F(1)))).values[0] == (F(2, 3), F(1))
+    # rows that hold Fractions only are kept as given
+    rows = ((F(1, 2), F(1)), (F(0), F(1, 3)))
+    assert FuzzyRel(c, c, rows).values is rows
 
 
 def test_compose_carrier_mismatch():
