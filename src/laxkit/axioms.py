@@ -202,12 +202,16 @@ def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> Fu
 
 
 def _shrink_rel(rel: FuzzyRel, still_fails) -> FuzzyRel:
-    """Greedy entrywise simplification: push entries to 0, then to 1."""
+    """Greedy entrywise simplification: push entries to 0, then the rest to 1.
+
+    The second pass visits only entries strictly between 0 and 1, so an
+    entry the first pass zeroed stays 0.
+    """
     current = rel
     for bound in (ZERO, ONE):
         for i in range(len(current.source)):
             for j in range(len(current.target)):
-                if current.values[i][j] == bound:
+                if current.values[i][j] in (ZERO, bound):
                     continue
                 rows = [list(r) for r in current.values]
                 rows[i][j] = bound

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import AxiomConfig, check_axioms
+from laxkit import AxiomConfig, axioms, check_axioms
 from laxkit.axioms import rand_hemimetric
 
 from tests.conftest import number_const
@@ -191,11 +191,40 @@ def test_l1_report_is_a_monotonicity_counterexample_after_shrinking(seed):
     # shrinking keeps the law's premise: the smaller relation stays below
     assert smaller.entrywise_le(larger)
     assert lifting.lift(functor, smaller, t1, t2) > lifting.lift(functor, larger, t1, t2)
-    # every entry went to 0, then to 1 wherever the premise and the violation allow
-    expected = tuple(tuple(F(y == 1 and (a, b) != (t1.value, t2.value))
-                           for b, y in zip(larger.target.elements, row))
-                     for a, row in zip(larger.source.elements, larger.values))
-    assert smaller.values == expected
+    # every entry went to 0, and the push to 1 leaves zeros alone
+    assert all(x == 0 for row in smaller.values for x in row)
+
+
+def test_shrinker_keeps_zeroed_entries_at_zero(monkeypatch):
+    """On hausdorff-left's L0 counterexamples, an entry that a still-failing
+    candidate holds at 0 (the push-to-0 pass zeroed it) is 0 in the report."""
+    real = axioms._shrink_rel
+    shrunk = []
+
+    def recorded(rel, still_fails):
+        accepted = []
+
+        def recording(candidate):
+            fails = still_fails(candidate)
+            if fails:
+                accepted.append(candidate)
+            return fails
+
+        shrunk.append((rel, accepted, real(rel, recording)))
+        return shrunk[-1][2]
+
+    monkeypatch.setattr(axioms, "_shrink_rel", recorded)
+    lifting, functor = lk.Hausdorff("left", lk.IdLift()), lk.PFin(lk.Id())
+    for seed in range(20):
+        check_axioms(lifting, functor, AxiomConfig(trials=20, max_size=5, seed=seed))
+    zeroed = 0
+    for rel, accepted, result in shrunk:
+        for i, row in enumerate(rel.values):
+            for j, x in enumerate(row):
+                if x != 0 and any(c.values[i][j] == 0 for c in accepted):
+                    zeroed += 1
+                    assert result.values[i][j] == 0
+    assert zeroed > 100
 
 
 def test_l2_report_is_recomputed_at_the_shrunk_relation():
@@ -209,8 +238,8 @@ def test_l2_report_is_recomputed_at_the_shrunk_relation():
     lhs = lifting.lift(functor, lk.compose(r, s), t1, t3)
     rhs = lk.sat_add(lifting.lift(functor, r, t1, t2), lifting.lift(functor, s, t2, t3))
     assert lhs > rhs
-    # rows other than t1's are never read, so the shrinker settled them at 1
-    assert all(x == 1 for a, row in zip(r.source.elements, r.values) if a != t1.value
+    # rows other than t1's are never read, so the shrinker settled them at 0
+    assert all(x == 0 for a, row in zip(r.source.elements, r.values) if a != t1.value
                for x in row)
 
 

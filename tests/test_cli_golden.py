@@ -62,7 +62,7 @@ GOLDEN = {
     'axioms-kantorovich': (0, '74323ccdba9309475ea48ffd5681f020fd7756208ac00ab2d6f783147a97ef84', ''),
     'axioms-labels-derived': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: lifting.left: a label component has no default label metric; pass --functor\n'),
     'axioms-labels-functor': (0, '9f05cc8260a4497c11d4cc99f4a179364399321cb0ded51a166f769b57a11cc5', ''),
-    'axioms-left': (1, '5338be1b74fece398e94913a27cd47ca5c898f5e3662c1b4a4fe29b294d7123d', ''),
+    'axioms-left': (1, '9164ac547f4bd54342c6c9ecb65910de251bc49e43632935b574e70347eab354', ''),
     'catalog-functor': (0, '419a5829648b7a0c08aace2a72aea08d4acfbccff78c0cd515e2ffc6ab1e05e8', ''),
     'check-cert': (0, '113faddefc3237d3e72116a2cbcb17f418d5cfda31ece6ba143bc8b643ac6c60', ''),
     'dist-deadlock': (0, '0dc4adb665238c4b5c33257a04736165b07c744732e99235cb406c91ce292199', ''),
