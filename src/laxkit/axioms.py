@@ -52,6 +52,7 @@ from .core import (
     graph,
     sat_add,
     sat_sub,
+    unit_over,
 )
 from .functors import FunctorElement, FunctorSpec, apply_map
 from .liftings import (
@@ -139,14 +140,8 @@ def _rand_scaled(rng: random.Random) -> int:
     return rng.randint(0, den) * (_SCALE // den)
 
 
-def _unscale(numerator: int) -> Fraction:
-    if numerator == _SCALE:
-        return ONE
-    return Fraction(numerator, _SCALE) if numerator else ZERO
-
-
 def rand_unit(rng: random.Random) -> Fraction:
-    return _unscale(_rand_scaled(rng))
+    return unit_over(_rand_scaled(rng), _SCALE)
 
 
 def rand_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
@@ -194,7 +189,8 @@ def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> Fu
                 via = to_k + row_k[j]
                 if via < row[j]:
                     row[j] = via
-    return FuzzyRel(carrier, carrier, tuple(tuple(map(_unscale, row)) for row in d))
+    rows = tuple(tuple(unit_over(x, _SCALE) for x in row) for row in d)
+    return FuzzyRel(carrier, carrier, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,13 @@ def format_unit(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def unit_over(numerator: int, den: int) -> Fraction:
+    """numerator / den for 0 <= numerator <= den; the bounds are ZERO and ONE."""
+    if numerator == den:
+        return ONE
+    return Fraction(numerator, den) if numerator else ZERO
+
+
 def sat_add(x: Fraction, y: Fraction) -> Fraction:
     return min(x + y, ONE)
 
@@ -205,19 +212,12 @@ def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
     columns = list(zip(*right)) if right else [()] * len(s.target)
     rows = tuple(
         tuple(
-            _over(min(min(map(add, row, col), default=den), den), den)
+            unit_over(min(min(map(add, row, col), default=den), den), den)
             for col in columns
         )
         for row in left
     )
     return FuzzyRel(r.source, s.target, rows)
-
-
-def _over(numerator: int, den: int) -> Fraction:
-    """numerator / den as a Fraction, with the bounds shared."""
-    if numerator == den:
-        return ONE
-    return Fraction(numerator, den) if numerator else ZERO
 
 
 def converse(r: FuzzyRel) -> FuzzyRel:
