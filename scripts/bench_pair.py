@@ -13,7 +13,9 @@ side's median and quartiles (statistics.quantiles, n=4), the change of
 the median in percent, and how many pairs the change won (ties count for
 neither side), plus the failed and attempted calls summed over each
 side's runs.  The file is rewritten after every pair, so a cut run keeps
-the pairs it finished.  Stdlib only.
+the pairs it finished.  At the end, one line per workload and end-to-end
+metric gives the two medians, the change in percent and the pairs won.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -85,6 +87,21 @@ def summarise(pairs: list, better: dict) -> dict:
     return out
 
 
+def summary_lines(summary: dict) -> list:
+    """One line per workload and end-to-end metric: parent median -> change
+    median, the change in percent, and the pairs the change won."""
+    lines = []
+    for workload, row in summary.items():
+        for name, entry in row["metrics"].items():
+            if "better" not in entry:
+                continue
+            pct = "n/a" if entry["change_pct"] is None else f"{entry['change_pct']:+.1f}%"
+            lines.append(f"{workload} {name}: {entry['parent']['median']:.6g} -> "
+                         f"{entry['change']['median']:.6g} ({pct}, {entry['better']} is better),"
+                         f" change won {entry['change_wins']}/{row['pairs']} pairs")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -124,6 +141,8 @@ def main() -> int:
                   + "  ".join(f"{side} failed {pair[side]['failed']}/{pair[side]['attempted']}"
                               for side in SIDES), flush=True)
             index += 1
+    for line in summary_lines(report.get("summary", {})):
+        print(line)
     return 0
 
 

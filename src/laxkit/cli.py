@@ -13,6 +13,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -34,8 +35,8 @@ from .jsonio import (
     dump_json,
     encode_formula,
     encode_rel,
-    file_digest,
     load_json,
+    load_text,
     write_text,
 )
 from .liftings import LIFTING_KINDS, match_lifting
@@ -50,18 +51,17 @@ EXIT_INTERNAL = 3
 
 
 class _Inputs:
-    """Tracks loaded files and their digests for the report envelope."""
+    """Reads input files, each once, and keeps their sha256 digests for the
+    report envelope; a digest is taken from the bytes that are parsed."""
 
     def __init__(self):
         self.digests = {}
 
-    def record(self, path: str):
-        self.digests[path] = file_digest(path)
-
     def load(self, path: str):
-        data = load_json(path)
-        self.record(path)
-        return data
+        return load_json(path, self.digests)
+
+    def text(self, path: str) -> str:
+        return load_text(path, self.digests)
 
 
 def _envelope(args, inputs: _Inputs, body: dict) -> dict:
@@ -159,7 +159,8 @@ def _load_system(inputs: _Inputs, path: str):
 
 def _load_two_systems(inputs: _Inputs, paths) -> tuple:
     if len(paths) == 1:
-        paths = paths * 2
+        system = _load_system(inputs, paths[0])
+        return system, system
     if len(paths) != 2:
         raise JsonFormatError("give one or two --system files", "--system")
     return _load_system(inputs, paths[0]), _load_system(inputs, paths[1])
@@ -268,13 +269,7 @@ def cmd_axioms(args) -> int:
 def _load_formula(inputs: _Inputs, path: str, functor):
     if path.endswith(".json"):
         return decode_formula(inputs.load(path), path, functor)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise JsonFormatError(str(exc), path) from None
-    inputs.record(path)
-    return parse_formula(text)
+    return parse_formula(inputs.text(path))
 
 
 def cmd_logic_eval(args) -> int:
@@ -359,7 +354,11 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one.  A subcommand's `run` default names its cmd_* function, which
+    `main` looks up when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="laxkit",
         description="Behavioural distances on finite coalgebras via relation liftings",
@@ -382,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--trace", action="store_true", help="include every iterate")
     common(p)
-    p.set_defaults(run=cmd_dist)
+    p.set_defaults(run="cmd_dist")
 
     p = subs.add_parser("check-cert", help="verify a (bi)simulation certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--system", action="append", required=True)
     p.add_argument("--lifting", required=True)
     common(p)
-    p.set_defaults(run=cmd_check_cert)
+    p.set_defaults(run="cmd_check_cert")
 
     p = subs.add_parser("axioms", help="randomized law suite for a lifting")
     p.add_argument("--lifting", required=True)
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--max-size", type=int, default=5)
     common(p)
-    p.set_defaults(run=cmd_axioms)
+    p.set_defaults(run="cmd_axioms")
 
     logic = subs.add_parser("logic", help="formula evaluation and logical distance")
     logic_subs = logic.add_subparsers(dest="logic_command", required=True)
@@ -408,14 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--lifting", help="needed for structural-modality formulas")
     common(p)
-    p.set_defaults(run=cmd_logic_eval)
+    p.set_defaults(run="cmd_logic_eval")
 
     p = logic_subs.add_parser("distance", help="rank-n logical distance matrix")
     p.add_argument("--system", action="append", required=True)
     p.add_argument("--lifting", required=True)
     p.add_argument("--rank", type=int, required=True)
     common(p)
-    p.set_defaults(run=cmd_logic_distance)
+    p.set_defaults(run="cmd_logic_distance")
 
     p = subs.add_parser("synth", help="synthesize a distinguishing formula")
     p.add_argument("--system", action="append", required=True)
@@ -425,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--out", help="write the formula JSON here")
     common(p)
-    p.set_defaults(run=cmd_synth)
+    p.set_defaults(run="cmd_synth")
 
     p = subs.add_parser("catalog", help="list supported grammar nodes and modalities")
     p.add_argument("--functor")
     p.add_argument("--system")
     common(p)
-    p.set_defaults(run=cmd_catalog)
+    p.set_defaults(run="cmd_catalog")
 
     return parser
 
@@ -448,13 +447,12 @@ def _seed(flag: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args.seed)
         if "tol" in args:
             args.tol = parse_unit(args.tol)
-        return args.run(args)
+        return globals()[args.run](args)
     except LaxkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

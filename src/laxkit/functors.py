@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional
 
 from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, format_unit, inf,
-                   is_hemimetric, is_pseudometric, sat_sub, sup)
+                   is_hemimetric, is_pseudometric, sat_sub, sup, unit_over)
 from .modalities import PredicateLifting, dia_box, expecting
 
 
@@ -240,21 +241,30 @@ def fset(members: Iterable[FunctorElement]) -> SetEl:
 
 
 def fdist(pairs: Iterable[tuple]) -> DistEl:
-    """Build a distribution: merge duplicate support, check mass exactly 1."""
-    merged: dict = {}
-    elements: dict = {}
+    """Build a distribution: merge duplicate support, check mass exactly 1.
+
+    Merging and the mass check run on integers over the lcm D of the
+    denominators; a probability seen once is kept as given, and a merged
+    one becomes a Fraction over D.
+    """
+    entries = []
     for el, p in pairs:
         if not isinstance(p, Fraction):
             p = Fraction(p)
-        if p <= 0:
+        if p.numerator <= 0:
             raise StructureError("distribution probabilities must be positive")
-        key = el._canonical_key()
-        merged[key] = merged.get(key, ZERO) + p
-        elements[key] = el
-    total = sum(merged.values(), ZERO)
-    if total != 1:
-        raise StructureError(f"distribution mass {total} is not 1")
-    return DistEl(tuple((elements[k], merged[k]) for k in sorted(merged)))
+        entries.append((el._canonical_key(), el, p))
+    den = lcm(*{p.denominator for _, _, p in entries})
+    mass: dict = {}
+    merged: dict = {}  # key -> (element, probability, or None once merged)
+    for key, el, p in entries:
+        mass[key] = mass.get(key, 0) + p.numerator * (den // p.denominator)
+        merged[key] = (el, None if key in merged else p)
+    total = sum(mass.values())
+    if total != den:
+        raise StructureError(f"distribution mass {Fraction(total, den)} is not 1")
+    return DistEl(tuple((el, p or unit_over(mass[k], den))
+                        for k, (el, p) in sorted(merged.items())))
 
 
 def just(el: FunctorElement) -> MaybeEl:

@@ -278,12 +278,26 @@ def check_nesting(data, path: str) -> None:
         raise JsonFormatError(_TOO_DEEP, path)
 
 
-def load_json(path: str):
+def file_digest(blob: bytes) -> str:
+    """The sha256 hex digest of a file's bytes, as reports list it."""
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _read(path: str, digests: dict | None) -> bytes:
+    """The file's bytes, read once; their digest goes into `digests` under path."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise JsonFormatError(str(exc), path) from None
+    if digests is not None:
+        digests[path] = file_digest(blob)
+    return blob
+
+
+def load_json(path: str, digests: dict | None = None):
+    """Parse a JSON file, recording its digest in `digests` when one is given."""
+    blob = _read(path, digests)
     try:
         data = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -294,9 +308,14 @@ def load_json(path: str):
     return data
 
 
-def file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+def load_text(path: str, digests: dict | None = None) -> str:
+    """A UTF-8 text file with universal newlines, as text-mode open() reads it."""
+    blob = _read(path, digests)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise JsonFormatError(f"not UTF-8 text: {exc}", path) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_text(text: str, path: str) -> None:

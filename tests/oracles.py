@@ -14,7 +14,8 @@ logical distance that evaluates each target formula on its own, which
 laxkit.moss.logical_distance must match entry for entry; and relation
 composition and the random hemimetric's triangle closure on Fractions,
 which laxkit.core.compose and laxkit.axioms.rand_hemimetric must match on
-their integers.
+their integers; and the distribution factory summing Fractions, which
+laxkit.functors.fdist must match on its integers.
 """
 
 import random
@@ -36,7 +37,7 @@ from laxkit.core import (
     sup_distance,
 )
 from laxkit.distance import DistanceResult, _check_setup
-from laxkit.functors import FunctorElement, FunctorSpec
+from laxkit.functors import DistEl, FunctorElement, FunctorSpec
 from laxkit.liftings import (
     Hausdorff,
     LiftingSpec,
@@ -479,3 +480,21 @@ def fraction_rand_hemimetric(rng: random.Random, carrier: Carrier,
                 if via < d[i][j]:
                     d[i][j] = via
     return FuzzyRel(carrier, carrier, tuple(tuple(row) for row in d))
+
+
+def fraction_fdist(pairs) -> DistEl:
+    """fdist with the merge and the mass check on Fraction sums."""
+    merged: dict = {}
+    elements: dict = {}
+    for el, p in pairs:
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
+        if p <= 0:
+            raise StructureError("distribution probabilities must be positive")
+        key = el._canonical_key()
+        merged[key] = merged.get(key, ZERO) + p
+        elements[key] = el
+    total = sum(merged.values(), ZERO)
+    if total != 1:
+        raise StructureError(f"distribution mass {total} is not 1")
+    return DistEl(tuple((elements[k], merged[k]) for k in sorted(merged)))

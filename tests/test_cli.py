@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -5,6 +6,7 @@ import pytest
 
 from laxkit import cli, logic
 from laxkit.cli import main
+from laxkit.core import parse_unit
 from laxkit.jsonio import MAX_NESTING
 from laxkit.moss import MAX_RANK
 from tests.conftest import count_modality_tables, fixture_path
@@ -440,3 +442,108 @@ def test_label_modalities_with_a_slash_evaluate_from_text(tmp_path, capsys):
         assert code == 0
         values.append(json.loads(out)["value"])
     assert values == ["1/2", "1/2"]
+
+
+def test_a_non_utf8_text_formula_is_a_usage_error(tmp_path, capsys):
+    formula = tmp_path / "latin1.txt"
+    formula.write_bytes("dia(1/2) é".encode("latin-1"))
+    code, out, err = run_cli(capsys, "logic", "eval", "--formula", str(formula),
+                             "--system", fixture_path("prob_deadlock.json"), "--state", "u0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {formula}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cert", "--cert", fixture_path("labelled_kripke_cert.json"), *frames_args()],
+    ["logic", "eval", "--formula", fixture_path("dia_shift.txt"),
+     "--system", fixture_path("prob_deadlock.json"), "--state", "u0"],
+    ["synth", "--system", fixture_path("prob_deadlock.json"),
+     "--lifting", fixture_path("prob_lifting.json"), "--target", "u1", "--rank", "2"],
+], ids=["check-cert", "text-formula", "one-system"])
+def test_each_input_file_is_opened_once(monkeypatch, capsys, argv):
+    cli.build_parser()  # the parser's own set-up is not an input
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert sorted(opened) == sorted(inputs)
+
+
+def test_one_system_is_decoded_once(monkeypatch, capsys):
+    decoded = []
+    real = cli.decode_system
+
+    def counted(*args, **kwargs):
+        decoded.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "decode_system", counted)
+    for command in (["synth", "--target", "u1", "--rank", "2"], ["dist"],
+                    ["logic", "distance", "--rank", "2"]):
+        decoded.clear()
+        code, _, _ = run_cli(capsys, *command, "--system", fixture_path("prob_deadlock.json"),
+                             "--lifting", fixture_path("prob_lifting.json"))
+        assert code == 0
+        assert decoded == [fixture_path("prob_deadlock.json")]
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(monkeypatch):
+    """Each call's arguments equal a fresh parser's: appends, flags and
+    per-subcommand defaults do not carry over from the call before."""
+    monkeypatch.delenv("LAXKIT_SEED", raising=False)
+    seen = []
+    for name in ("cmd_dist", "cmd_synth", "cmd_axioms", "cmd_logic_eval", "cmd_catalog"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    calls = [
+        ["dist", "--system", "a.json", "--system", "b.json", "--lifting", "l.json",
+         "--trace", "--tol", "1/8", "--max-iter", "7", "--seed", "5", "--format", "table",
+         "--output", "o.json"],
+        ["dist", "--system", "c.json", "--lifting", "l.json"],
+        ["synth", "--system", "a.json", "--system", "b.json", "--lifting", "l.json",
+         "--target", "t", "--rank", "2", "--out", "f.json"],
+        ["synth", "--system", "c.json", "--lifting", "l.json", "--target", "t", "--rank", "1"],
+        ["axioms", "--lifting", "l.json", "--trials", "3", "--max-size", "2", "--functor", "f"],
+        ["axioms", "--lifting", "l.json"],
+        ["logic", "eval", "--formula", "p.txt", "--system", "a.json", "--state", "s"],
+        ["catalog"],
+    ]
+    for argv in calls:
+        assert main(argv) == 0
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        if "tol" in fresh:
+            fresh["tol"] = parse_unit(fresh["tol"])
+        assert seen[-1] == fresh
+    second_dist = seen[1]
+    assert second_dist["system"] == ["c.json"]
+    assert (second_dist["trace"], second_dist["max_iter"], second_dist["tol"]) == (False, 100, 0)
+    assert (second_dist["seed"], second_dist["format"], second_dist["output"]) == (0, "json", None)
+    assert (seen[5]["trials"], seen[5]["max_size"], seen[5]["functor"]) == (500, 5, None)
+
+
+def test_no_parser_is_built_after_the_first_call(monkeypatch, capsys):
+    run_cli(capsys, "catalog")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in (["dist", *frames_args()], ["logic", "distance", "--rank", "1", *frames_args()],
+                 ["catalog", "--system", fixture_path("prob_deadlock.json")]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert built == []
+
+
+def test_internal_errors_exit_3_after_an_earlier_call(capsys, monkeypatch):
+    assert run_cli(capsys, "catalog")[0] == 0
+    test_internal_errors_exit_3_with_a_traceback(capsys, monkeypatch)

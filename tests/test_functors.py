@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from laxkit import (
     Carrier,
@@ -28,6 +30,7 @@ from laxkit.axioms import rand_element
 from laxkit.functors import FUNCTOR_KINDS, canonical_key, element_errors, render_element
 from laxkit.jsonio import decode_element, decode_functor, encode_element, encode_functor
 from tests.conftest import number_const
+from tests.oracles import fraction_fdist
 
 FUNCTOR_ZOO = [
     PFin(Id()),
@@ -56,6 +59,31 @@ def test_fdist_merges_and_checks_mass():
         fdist([(IdEl("x"), F(1, 2)), (IdEl("y"), F(1, 3))])
     with pytest.raises(StructureError):
         fdist([(IdEl("x"), F(0)), (IdEl("y"), F(1))])
+
+
+def _probability_lists():
+    """Support pairs as fdist gets them: normalised weights (mass 1, with
+    duplicate support), raw ints and Fractions (mass off 1, entries <= 0)."""
+    label = st.sampled_from("xyz")
+    normalised = st.lists(st.tuples(label, st.integers(1, 6)), min_size=1, max_size=5).map(
+        lambda ws: [(x, F(w, sum(w for _, w in ws))) for x, w in ws])
+    raw = st.lists(st.tuples(label, st.one_of(
+        st.integers(-1, 2), st.builds(F, st.integers(-2, 6), st.integers(1, 6)))), max_size=5)
+    return st.one_of(normalised, raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probability_lists())
+def test_fdist_matches_the_fraction_oracle(raw):
+    pairs = [(IdEl(x), p) for x, p in raw]
+
+    def outcome(build):
+        try:
+            return build(pairs).pairs
+        except StructureError as exc:
+            return str(exc)
+
+    assert outcome(fdist) == outcome(fraction_fdist)
 
 
 def test_raw_constructors_demand_canonical_order():

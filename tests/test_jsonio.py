@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tempfile
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -22,6 +24,8 @@ from laxkit.jsonio import (
     encode_lifting,
     encode_rel,
     encode_system,
+    load_json,
+    load_text,
 )
 from laxkit.logic import FORMULA_KINDS
 from tests.conftest import fixture_path, number_const
@@ -201,6 +205,30 @@ def test_dump_json_is_deterministic(tmp_path):
     first = dump_json(data, str(tmp_path / "x.json"))
     second = dump_json(data, str(tmp_path / "y.json"))
     assert first == second == '{\n  "a": [\n    1,\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="ab\r\n\ufeffé", max_size=12))
+def test_load_text_reads_as_text_mode_open_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/formula.txt"
+        blob = text.encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        digests = {}
+        loaded = load_text(path, digests)
+        with open(path, "r", encoding="utf-8") as handle:
+            assert loaded == handle.read()
+    assert digests == {path: hashlib.sha256(blob).hexdigest()}
+
+
+def test_load_json_digests_the_bytes_it_parses(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_bytes(b'{"a": [1, 2]}\r\n')
+    digests = {}
+    assert load_json(str(path), digests) == {"a": [1, 2]}
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert load_json(str(path)) == {"a": [1, 2]}
 
 
 SET = lk.PFin(lk.Id())
