@@ -15,7 +15,9 @@ are 1 and suprema are 0 (the lattice bounds of the unit interval).
 Most values arriving here are Fractions already, so the unit check reads
 their numerator and denominator and builds a Fraction only for other
 input types.  Composition runs on integers over the common denominator of
-both relations and builds one Fraction per output entry.
+both relations and builds one Fraction per output entry; the hemimetric
+and pseudometric checks run on the metric's integers over its common
+denominator and build no relation.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def unit_over(numerator: int, den: int) -> Fraction:
     if numerator == den:
         return ONE
     return Fraction(numerator, den) if numerator else ZERO
+
+
+def scaled_rows(*blocks) -> tuple:
+    """(den, ints): den is the lcm of every entry's denominator across the
+    blocks (1 for no entries), and ints holds each block's rows as lists of
+    the integers entry * den."""
+    den = lcm(*{x.denominator for block in blocks for row in block for x in row})
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in block]
+                 for block in blocks]
 
 
 def sat_add(x: Fraction, y: Fraction) -> Fraction:
@@ -205,10 +216,7 @@ def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
     """
     if r.target != s.source:
         raise StructureError("composition: middle carriers disagree")
-    den = lcm(*{x.denominator for row in r.values for x in row},
-              *{x.denominator for row in s.values for x in row})
-    left = [[x.numerator * (den // x.denominator) for x in row] for row in r.values]
-    right = [[x.numerator * (den // x.denominator) for x in row] for row in s.values]
+    den, (left, right) = scaled_rows(r.values, s.values)
     columns = list(zip(*right)) if right else [()] * len(s.target)
     rows = tuple(
         tuple(
@@ -247,16 +255,34 @@ def diagonal(carrier: Carrier, eps=ZERO) -> FuzzyRel:
     return graph({x: x for x in carrier.elements}, carrier, carrier, eps)
 
 
-def is_hemimetric(d: FuzzyRel) -> bool:
-    """d <= diagonal (reflexivity) and d <= d;d (triangle inequality)."""
+def _hemimetric_ints(d: FuzzyRel) -> list | None:
+    """d's entries times the lcm of their denominators if d is a hemimetric.
+
+    Reflexivity (d <= diagonal) asks for a zero diagonal; off the diagonal
+    it holds for every unit value.  The triangle inequality d <= d;d
+    compares each entry with min_k d(i,k) + d(k,j), leaving out the
+    truncation at 1 that d;d applies, since no entry exceeds 1.
+    """
     if not d.is_square():
         raise StructureError("hemimetric check needs a square relation")
-    return d.entrywise_le(diagonal(d.source)) and d.entrywise_le(compose(d, d))
+    _, (ints,) = scaled_rows(d.values)
+    if any(row[i] for i, row in enumerate(ints)):
+        return None
+    columns = list(zip(*ints))
+    if all(x <= min(map(add, row, col)) for row in ints for x, col in zip(row, columns)):
+        return ints
+    return None
+
+
+def is_hemimetric(d: FuzzyRel) -> bool:
+    """d <= diagonal (reflexivity) and d <= d;d (triangle inequality)."""
+    return _hemimetric_ints(d) is not None
 
 
 def is_pseudometric(d: FuzzyRel) -> bool:
     """A symmetric hemimetric."""
-    return is_hemimetric(d) and converse(d) == d
+    ints = _hemimetric_ints(d)
+    return ints is not None and list(map(list, zip(*ints))) == ints
 
 
 def sup_distance(r: FuzzyRel, s: FuzzyRel) -> Fraction:

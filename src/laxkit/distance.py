@@ -23,7 +23,11 @@ of the right one) turn each step's changed entries into the next step's
 pairs to re-lift.  The iterates are exactly those of a full recompute.
 Every re-lifted value passes as_unit and the monotonicity check, and the
 final matrix and every traced iterate are validated FuzzyRels over the
-systems' carriers.
+systems' carriers.  The step compares each re-lifted value with the old
+one by one integer cross-product of numerators and denominators, which
+tells unchanged, grown and decreased apart, and keeps the residual as an
+integer numerator and denominator until the step ends, so it builds one
+residual Fraction per step.
 
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to
@@ -37,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .core import Carrier, FuzzyRel, ONE, StructureError, ZERO, as_unit, converse, sup_distance
+from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, as_unit, converse,
+                   sup_distance, unit_over)
 from .functors import apply_map, base
 from .liftings import LiftingSpec, contraction_factor, lift_value, require_match
 from .systems import Coalgebra
@@ -154,17 +159,19 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
         view = _IndexRel(view_source, view_target, rows)
         nxt = list(rows)
         moved = {}  # row -> bitmask of the columns that changed
-        residual = ZERO
+        top, top_den = 0, 1  # the residual so far, as top / top_den
         for i, mask in enumerate(dirty):
             if not mask:
                 continue
             old, new, t1, changed = rows[i], None, steps_a[i], 0
             for j in _bits(mask):
                 value = as_unit(lift_value(lifting, functor, view, t1, steps_b[j]))
-                delta = value - old[j]
-                if not delta:
+                # value - old[j] = (up - down) / den, compared on integers
+                prev = old[j]
+                up, down = value.numerator * prev.denominator, prev.numerator * value.denominator
+                if up == down:
                     continue
-                if delta < 0:
+                if up < down:
                     raise StructureError(
                         "iteration chain decreased; the lifting violates monotonicity"
                     )
@@ -172,12 +179,13 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
                     new = nxt[i] = list(old)
                 new[j] = value
                 changed |= 1 << j
-                if delta > residual:
-                    residual = delta
+                den = value.denominator * prev.denominator
+                if (up - down) * top_den > top * den:
+                    top, top_den = up - down, den
             if changed:
                 moved[i] = changed
         rows = nxt
-        yield rows, residual
+        yield rows, unit_over(top, top_den)
         dirty = [0] * n_a
         for k, columns in moved.items():
             readers = 0

@@ -71,11 +71,21 @@ def decode_rel(raw, path="rel") -> FuzzyRel:
     values = raw["values"]
     _expect(isinstance(values, list) and len(values) == len(source),
             f"need {len(source)} rows", f"{path}.values")
+    # Each distinct entry is parsed once.  The key holds the type, since
+    # JSON true decodes to True == 1 yet is no rational string.
+    parsed = {}
     rows = []
     for i, row in enumerate(values):
         _expect(isinstance(row, list) and len(row) == len(target),
                 f"need {len(target)} columns", f"{path}.values[{i}]")
-        rows.append(tuple(_unit(v, f"{path}.values[{i}][{j}]") for j, v in enumerate(row)))
+        out = []
+        for j, v in enumerate(row):
+            key = (type(v), v) if isinstance(v, (str, int)) else None
+            x = parsed.get(key)
+            if x is None:
+                x = parsed[key] = _unit(v, f"{path}.values[{i}][{j}]")
+            out.append(x)
+        rows.append(tuple(out))
     return FuzzyRel(source, target, tuple(rows))
 
 

@@ -7,14 +7,18 @@ class here and exporting it.
 
   * IdLift reads the relation itself,
   * ConstLift reads the label hemimetric,
-  * Hausdorff (symmetric or one-sided) handles finite sets,
+  * Hausdorff (symmetric or one-sided) handles finite sets; it lifts each
+    pair of members once and takes inf and sup on the block's integers
+    over the lcm of its denominators,
   * KantorovichD handles finite distributions through the exact
     transportation program; WassersteinD is the same class under its own
     JSON kind, which is sound because the sup-over-nonexpansive-pairs and
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
     enumeration,
-  * PairSum / PairMax / Discount / MaybeLift combine and rescale; no
+  * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
+    forms w_l * x + w_r * y as one integer numerator over the product of
+    the four denominators); no
     general law status is claimed for weighted or discounted
     composites, each instance is certified empirically by the law
     suite in laxkit.axioms,
@@ -24,6 +28,9 @@ class here and exporting it.
     support of the left element, both lossless for monotone natural
     modalities, and its value is within one grid step below the true
     supremum when all modalities are nonexpansive.
+
+Whatever arithmetic a kind runs inside, every `lift` returns a Fraction
+in the unit interval.
 """
 
 from __future__ import annotations
@@ -39,10 +46,11 @@ from .core import (
     ZERO,
     as_unit,
     format_unit,
-    inf,
     is_pseudometric,
     sat_sub,
+    scaled_rows,
     sup,
+    unit_over,
 )
 from .functors import (
     Const,
@@ -178,15 +186,17 @@ class Hausdorff(LiftingSpec):
         if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
             raise StructureError("Hausdorff lifting expects set elements")
         sub, sub_functor = self.sub, functor.sub
-        # every variant reads each (a, b) pair, so lift each pair once
-        d = [[sub.lift(sub_functor, rel, a, b) for b in t2.members] for a in t1.members]
-        left = lambda: sup(inf(row) for row in d)
-        right = lambda: sup(inf(row[j] for row in d) for j in range(len(t2.members)))
-        if self.variant == "left":
-            return left()
-        if self.variant == "right":
-            return right()
-        return max(left(), right())
+        # every variant reads each (a, b) pair, so lift each pair once, then
+        # take inf and sup on the block's integers over its common denominator
+        den, (d,) = scaled_rows(
+            [[sub.lift(sub_functor, rel, a, b) for b in t2.members] for a in t1.members])
+        value = 0  # sup over nothing; an inf over nothing is den
+        if self.variant != "right":
+            value = max((min(row, default=den) for row in d), default=0)
+        if self.variant != "left":
+            columns = zip(*d) if d else [()] * len(t2.members)
+            value = max(value, max((min(col, default=den) for col in columns), default=0))
+        return unit_over(value, den)
 
     def to_json(self):
         return {**super().to_json(), "variant": self.variant}
@@ -263,10 +273,14 @@ class PairSum(LiftingSpec):
                 + self.w_right * self.right.contraction_factor())
 
     def lift(self, functor, rel, t1, t2):
-        return as_unit(
-            self.w_left * self.left.lift(functor.left, rel, t1.left, t2.left)
-            + self.w_right * self.right.lift(functor.right, rel, t1.right, t2.right)
-        )
+        # w_l * x + w_r * y as one integer numerator over the four denominators
+        x = self.left.lift(functor.left, rel, t1.left, t2.left)
+        y = self.right.lift(functor.right, rel, t1.right, t2.right)
+        wl, wr = self.w_left, self.w_right
+        left_den, right_den = wl.denominator * x.denominator, wr.denominator * y.denominator
+        return as_unit(Fraction(wl.numerator * x.numerator * right_den
+                                + wr.numerator * y.numerator * left_den,
+                                left_den * right_den))
 
     def to_json(self):
         return {**super().to_json(),

@@ -15,7 +15,10 @@ laxkit.moss.logical_distance must match entry for entry; and relation
 composition and the random hemimetric's triangle closure on Fractions,
 which laxkit.core.compose and laxkit.axioms.rand_hemimetric must match on
 their integers; and the distribution factory summing Fractions, which
-laxkit.functors.fdist must match on its integers.
+laxkit.functors.fdist must match on its integers; and the weighted pair
+sum and the hemimetric and pseudometric checks on Fractions, which
+laxkit.liftings.PairSum and laxkit.core.is_hemimetric and is_pseudometric
+must match on their integers.
 """
 
 import random
@@ -29,7 +32,10 @@ from laxkit.core import (
     ONE,
     StructureError,
     ZERO,
+    as_unit,
     companion,
+    converse,
+    diagonal,
     inf,
     sat_add,
     sat_sub,
@@ -41,6 +47,7 @@ from laxkit.functors import DistEl, FunctorElement, FunctorSpec
 from laxkit.liftings import (
     Hausdorff,
     LiftingSpec,
+    PairSum,
     _GRID_CAP,
     contraction_factor,
     lift_value,
@@ -418,6 +425,15 @@ def two_pass_hausdorff(lifting: Hausdorff, functor: FunctorSpec, rel: FuzzyRel,
     return max(left(), right())
 
 
+def fraction_pair_sum(lifting: PairSum, functor: FunctorSpec, rel: FuzzyRel,
+                      t1: FunctorElement, t2: FunctorElement) -> Fraction:
+    """w_l * x + w_r * y on Fractions, checked into the unit interval."""
+    return as_unit(
+        lifting.w_left * lifting.left.lift(functor.left, rel, t1.left, t2.left)
+        + lifting.w_right * lifting.right.lift(functor.right, rel, t1.right, t2.right)
+    )
+
+
 def per_target_logical_distance(sys_a: Coalgebra, sys_b: Coalgebra,
                                 lifting: LiftingSpec, rank_n: int) -> FuzzyRel:
     """Rank-n logical distance matrix, one semantics call per target state.
@@ -498,3 +514,15 @@ def fraction_fdist(pairs) -> DistEl:
     if total != 1:
         raise StructureError(f"distribution mass {total} is not 1")
     return DistEl(tuple((elements[k], merged[k]) for k in sorted(merged)))
+
+
+def fraction_is_hemimetric(d: FuzzyRel) -> bool:
+    """d <= diagonal and d <= d;d, with both relations built on Fractions."""
+    if not d.is_square():
+        raise StructureError("hemimetric check needs a square relation")
+    return d.entrywise_le(diagonal(d.source)) and d.entrywise_le(fraction_compose(d, d))
+
+
+def fraction_is_pseudometric(d: FuzzyRel) -> bool:
+    """fraction_is_hemimetric and equal to its converse."""
+    return fraction_is_hemimetric(d) and converse(d) == d

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from laxkit import (
 )
 from laxkit.core import as_unit, parse_unit, sat_add, sat_sub, table_le
 
-from tests.oracles import fraction_compose
+from tests.oracles import fraction_compose, fraction_is_hemimetric, fraction_is_pseudometric
 
 
 @st.composite
@@ -209,6 +210,31 @@ def test_hemimetric_examples():
     ))
     # 1 > 9/10 (+) 1/20 = 19/20, so the triangle inequality fails
     assert not is_hemimetric(broken)
+
+
+def test_integer_metric_checks_match_the_fraction_oracles():
+    rng = random.Random("metric-checks")
+    seen = set()
+    for _ in range(300):
+        c = Carrier(tuple(f"x{i}" for i in range(rng.randint(0, 4))))
+        points = [F(rng.randint(0, d), d) for d in (rng.randint(1, 12) for _ in c)]
+        # |p - q| is a pseudometric and (p - q) (-) 0 a hemimetric; one
+        # redrawn entry often breaks either
+        one_sided = rng.random() < 0.5
+        rows = [[max(p - q, F(0)) if one_sided else abs(p - q) for q in points]
+                for p in points]
+        if rows and rng.random() < 0.5:
+            den = rng.randint(1, 12)
+            rows[rng.randrange(len(rows))][rng.randrange(len(rows))] = F(rng.randint(0, den), den)
+        d = FuzzyRel(c, c, tuple(map(tuple, rows)))
+        want = (fraction_is_hemimetric(d), fraction_is_pseudometric(d))
+        assert (is_hemimetric(d), is_pseudometric(d)) == want
+        seen.add(want)
+    assert seen == {(False, False), (True, False), (True, True)}
+    a, b = Carrier.of("x"), Carrier.of("y")
+    for check in (is_hemimetric, is_pseudometric):
+        with pytest.raises(StructureError, match="^hemimetric check needs a square relation$"):
+            check(FuzzyRel(a, b, ((F(0),),)))
 
 
 def test_companion_examples():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,9 @@ from laxkit import (
     sup_distance,
 )
 from laxkit.axioms import rand_rel
+from laxkit.liftings import LiftingSpec
 from tests.conftest import rel_from
+from tests.oracles import full_recompute_distance
 
 # Full fixpoint matrix for the labelled-frame pair, worked out by hand:
 # rows a1..a3, columns b1..b3.
@@ -180,6 +183,30 @@ def test_chain_is_monotone(labelled_frames, weighted_loops):
         chain = distance_chain(lifting, sys_a, sys_b, 6)
         for lo, hi in zip(chain, chain[1:]):
             assert lo.entrywise_le(hi)
+
+
+@dataclass(frozen=True)
+class _Antitone(LiftingSpec):
+    """2/3 * (1 - rel) at the successors: it raises the zero matrix, then
+    lowers what it raised."""
+
+    functor_type = lk.Id
+    mismatch = "needs the identity functor"
+
+    def lift(self, functor, rel, t1, t2):
+        return F(2, 3) * (1 - rel.at(t1.value, t2.value))
+
+
+def test_a_decreasing_chain_is_refused():
+    carrier = lk.Carrier.of("s", "t")
+    system = lk.Coalgebra.of(lk.Id(), carrier, {"s": lk.IdEl("t"), "t": lk.IdEl("s")})
+    assert distance_chain(_Antitone(), system, system, 1)[1].values == ((F(2, 3),) * 2,) * 2
+    message = "^iteration chain decreased; the lifting violates monotonicity$"
+    for run in (lambda: behavioural_distance(_Antitone(), system, system),
+                lambda: distance_chain(_Antitone(), system, system, 2),
+                lambda: full_recompute_distance(_Antitone(), system, system)):
+        with pytest.raises(StructureError, match=message):
+            run()
 
 
 def test_every_ok_certificate_bounds_the_distance(labelled_frames):

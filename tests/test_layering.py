@@ -9,9 +9,12 @@ source of those modules and fails if one imports a concrete class from the
 package, or reaches one as an attribute of the functors, liftings or logic
 module.
 
-It also keeps the transport kernel exact: transport.py may use no true
-division, no float and no math function other than lcm and gcd, so an
-integer kernel cannot slip into floating point unnoticed.  And it keeps
+It also keeps the integer kernels exact: transport.py, and each function
+that runs a lifting, the Kleene step, composition or the metric checks on
+integers, may use no true division, no float and no math function other
+than lcm and gcd, so an integer kernel cannot slip into floating point
+unnoticed.  The check is made per function where the rest of a module
+divides Fractions on purpose.  And it keeps
 the brute-force oracles in tests/oracles.py out of the package: no module
 under src/laxkit imports the tests package.
 """
@@ -104,19 +107,36 @@ def test_guard_sees_each_way_of_naming_a_class(tmp_path):
     ]
 
 
-def float_uses(path: str) -> list:
-    """True division, the name float, and math functions other than lcm/gcd."""
+def _function(tree: ast.Module, qualname: str):
+    """The definition named qualname ('f' or 'Class.method') in tree."""
+    scope = tree
+    for name in qualname.split("."):
+        scope = next((node for node in scope.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name),
+                     None)
+        if scope is None:
+            raise LookupError(f"no definition {qualname!r}")
+    return scope
+
+
+def float_uses(path: str, function: str | None = None) -> list:
+    """True division, the name float, and math functions other than lcm/gcd,
+    in the whole module or in the one function named ('f' or 'Class.method')."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
-    found, math_aliases = [], {"math"}
+    found, math_aliases, math_names = [], {"math"}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             math_aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
-    for node in ast.walk(tree):
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            math_names |= {a.asname or a.name for a in node.names if a.name not in {"lcm", "gcd"}}
+    for node in ast.walk(tree if function is None else _function(tree, function)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append((node.lineno, "true division"))
         elif isinstance(node, ast.Name) and node.id == "float":
             found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Name) and node.id in math_names:
+            found.append((node.lineno, f"math.{node.id}"))
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found += [(node.lineno, f"math.{a.name}") for a in node.names
                       if a.name not in {"lcm", "gcd"}]
@@ -130,6 +150,16 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     assert float_uses(os.path.join(SRC, "transport.py")) == []
 
 
+@pytest.mark.parametrize("module, function", [
+    ("liftings.py", "Hausdorff.lift"), ("liftings.py", "PairSum.lift"),
+    ("distance.py", "_chain"), ("core.py", "scaled_rows"), ("core.py", "unit_over"),
+    ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
+    ("core.py", "is_pseudometric"),
+])
+def test_integer_kernel_stays_in_exact_arithmetic(module, function):
+    assert float_uses(os.path.join(SRC, module), function) == []
+
+
 def test_exactness_guard_sees_each_float_path(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
@@ -139,11 +169,23 @@ def test_exactness_guard_sees_each_float_path(tmp_path):
         "a = 1 / 2\n"
         "a /= 3\n"
         "b = float(a) + math.gcd(4, 6) + m.floor(a) + lcm(2, 3) // 1\n"
+        "def kernel(x):\n"
+        "    return sqrt(x) + lcm(x, 2)\n"
+        "class Node:\n"
+        "    def lift(self, x):\n"
+        "        return x // 2, x / 2\n"
+        "    def exact(self, x):\n"
+        "        return x // 2\n"
     )
     assert float_uses(str(probe)) == [
         "line 3: math.sqrt", "line 4: true division", "line 5: true division",
-        "line 6: float", "line 6: math.floor",
+        "line 6: float", "line 6: math.floor", "line 8: math.sqrt", "line 11: true division",
     ]
+    assert float_uses(str(probe), "kernel") == ["line 8: math.sqrt"]
+    assert float_uses(str(probe), "Node.lift") == ["line 11: true division"]
+    assert float_uses(str(probe), "Node.exact") == []
+    with pytest.raises(LookupError):
+        float_uses(str(probe), "Node.missing")
 
 
 def oracle_imports(path: str) -> list:

@@ -34,7 +34,7 @@ from laxkit import (
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
-from tests.oracles import min_sup_over_set_couplings, two_pass_hausdorff
+from tests.oracles import fraction_pair_sum, min_sup_over_set_couplings, two_pass_hausdorff
 from tests.conftest import number_const, rel_from
 
 SET_FUNCTOR = PFin(Id())
@@ -46,6 +46,17 @@ H_RIGHT = Hausdorff("right", IdLift())
 
 def two_carriers():
     return Carrier.of("x1", "x2"), Carrier.of("y1", "y2")
+
+
+def rand_unit_mixed(rng):
+    """0, 1 or k/d with d drawn from 1..12, so entries seldom share a denominator."""
+    den = rng.randint(1, 12)
+    return rng.choice((F(0), F(1), F(rng.randint(0, den), den)))
+
+
+def mixed_rel(rng, source, target):
+    return FuzzyRel(source, target, tuple(tuple(rand_unit_mixed(rng) for _ in target)
+                                          for _ in source))
 
 
 def test_worked_example_values(labelled_frames):
@@ -91,9 +102,9 @@ def test_hausdorff_lifts_each_pair_once(monkeypatch):
         return fset(IdEl(x) for x in carrier.elements if rng.random() < 0.5)
 
     empty = fset([])
-    for _ in range(40):
+    for trial in range(60):
         a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
-        rel = rand_rel(rng, a, b)
+        rel = (rand_rel, mixed_rel)[trial % 2](rng, a, b)
         t1, t2 = rand_set(a), rand_set(b)
         for s1, s2 in ((t1, t2), (empty, t2), (t1, empty), (empty, empty)):
             for lifting in (H_SYM, H_LEFT, H_RIGHT):
@@ -101,6 +112,38 @@ def test_hausdorff_lifts_each_pair_once(monkeypatch):
                 calls.clear()
                 assert lifting.lift(SET_FUNCTOR, rel, s1, s2) == want
                 assert len(calls) == len(s1.members) * len(s2.members)
+
+
+def test_pair_sum_matches_the_fraction_oracle():
+    rng = random.Random("pair-sum")
+    labels = Carrier.of("p", "q")
+    a, b = Carrier.of("x1", "x2", "x3"), Carrier.of("y1", "y2")
+    for _ in range(60):
+        metric = FuzzyRel(labels, labels, ((F(0), rand_unit_mixed(rng)),
+                                           (rand_unit_mixed(rng), F(0))))
+        functor = lk.Pair(lk.Const(labels, metric), SET_FUNCTOR)
+        lifting = lk.PairSum(rand_unit_mixed(rng), rand_unit_mixed(rng), ConstLift(), H_SYM)
+        rel = mixed_rel(rng, a, b)
+        t1 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, a))
+        t2 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, b))
+        try:
+            want = fraction_pair_sum(lifting, functor, rel, t1, t2)
+        except StructureError as exc:
+            with pytest.raises(StructureError, match=f"^{exc}$"):
+                lifting.lift(functor, rel, t1, t2)
+        else:
+            assert lifting.lift(functor, rel, t1, t2) == want
+    # a lift past 1 directly, without the weight check of match_lifting
+    metric = FuzzyRel(labels, labels, ((F(0), F(1, 2)), (F(1, 2), F(0))))
+    functor = lk.Pair(lk.Const(labels, metric), SET_FUNCTOR)
+    heavy = lk.PairSum(F(1), F(1), ConstLift(), H_SYM)
+    rel = rel_from(a, b, {})
+    t1 = lk.PairEl(lk.ConstEl("p"), fset([IdEl("x1")]))
+    t2 = lk.PairEl(lk.ConstEl("q"), fset([IdEl("y1")]))
+    for lift in (heavy.lift, lambda *args: fraction_pair_sum(heavy, *args)):
+        with pytest.raises(StructureError) as exc:
+            lift(functor, rel, t1, t2)
+        assert str(exc.value) == "value 3/2 outside the unit interval"
 
 
 def test_transport_lifting_point_masses():
