@@ -269,13 +269,6 @@ def _moss_formula(raw):
      "functor.metric.values: need 2 rows"),
     (decode_functor, {"kind": "const", "labels": ["x"], "metric": [["2"]]},
      "functor.metric.values[0][0]: value 2 outside the unit interval"),
-    # entries parsed once per relation: a repeat or a JSON true is still refused where it sits
-    (decode_functor, {"kind": "const", "labels": ["x", "y"],
-                      "metric": [["0", "1/2"], ["1/2", "3/2"]]},
-     "functor.metric.values[1][1]: value 3/2 outside the unit interval"),
-    (decode_functor, {"kind": "const", "labels": ["x", "y"], "metric": [["0", 1], [1, True]]},
-     "functor.metric.values[1][1]: cannot parse rational 'True': "
-     "Invalid literal for Fraction: 'True'"),
     (decode_functor, {"kind": "const", "labels": ["x"], "metric": [["1/2"]]},
      "functor: label metric is not a hemimetric"),
     # positional elements
@@ -297,6 +290,13 @@ def _moss_formula(raw):
     # formula leaves decoded inside a structural modality
     (_moss_formula, 3, "formula.element: expected a list (finite set)"),
     (_moss_formula, [3], "formula.element[0]: expected a node with 'kind'"),
+    # entries parsed once per relation: a repeat or a JSON true is still refused where it sits
+    (decode_functor, {"kind": "const", "labels": ["x", "y"],
+                      "metric": [["0", "1/2"], ["1/2", "3/2"]]},
+     "functor.metric.values[1][1]: value 3/2 outside the unit interval"),
+    (decode_functor, {"kind": "const", "labels": ["x", "y"], "metric": [["0", 1], [1, True]]},
+     "functor.metric.values[1][1]: cannot parse rational 'True': "
+     "Invalid literal for Fraction: 'True'"),
 ])
 def test_malformed_functor_and_element_json(decode, raw, message):
     with pytest.raises(JsonFormatError) as err:
