@@ -21,13 +21,25 @@ and is copied forward.  The first step lifts every pair; reverse lists
 (which rows read state k of the left system, which columns read state l
 of the right one) turn each step's changed entries into the next step's
 pairs to re-lift.  The iterates are exactly those of a full recompute.
-Every re-lifted value passes as_unit and the monotonicity check, and the
-final matrix and every traced iterate are validated FuzzyRels over the
-systems' carriers.  The step compares each re-lifted value with the old
-one by one integer cross-product of numerators and denominators, which
-tells unchanged, grown and decreased apart, and keeps the residual as an
-integer numerator and denominator until the step ends, so it builds one
-residual Fraction per step.
+Every re-lifted value passes the monotonicity check, which keeps it at or
+above its old entry.  Its upper bound is the lifting's: every `lift`
+returns a Fraction in the unit interval, by construction in each kind but
+PairSum, whose weighted sum passes as_unit itself, so the chain runs no
+second unit check.  The final matrix and every traced iterate are
+validated FuzzyRels over the systems' carriers.  The step compares each
+re-lifted value with the old one by one integer cross-product of
+numerators and denominators, which tells unchanged, grown and decreased
+apart, and keeps the residual as an integer numerator and denominator
+until the step ends, so it builds one residual Fraction per step.
+
+The chain keeps one dict of transport warm starts for all its steps, on
+its index view (transport_starts).  A transport node keeps in it, per
+pair of distribution elements, the last optimal basis and the scaled
+masses.  Along the chain the masses stay put and only the costs move, so
+the next step's solve for that pair resumes from that basis instead of
+the northwest corner (see laxkit.transport).  Optimal values are unique,
+so the iterates do not change.  Relations without the dict, such as
+certificates, are solved cold.
 
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to
@@ -41,8 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, as_unit, converse,
-                   sup_distance, unit_over)
+from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, converse, sup_distance,
+                   unit_over)
 from .functors import apply_map, base
 from .liftings import LiftingSpec, contraction_factor, lift_value, require_match
 from .systems import Coalgebra
@@ -107,12 +119,18 @@ def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: list) -> FuzzyRel:
 
 
 class _IndexRel:
-    """The iterate as lifts read it: states are their carrier indices."""
+    """The iterate as lifts read it: states are their carrier indices.
 
-    __slots__ = ("source", "target", "values")
+    transport_starts is the chain's one dict of transport warm starts,
+    shared by the views of all its steps (see KantorovichD.lift).
+    """
 
-    def __init__(self, source: Carrier, target: Carrier, values: list):
+    __slots__ = ("source", "target", "values", "transport_starts")
+
+    def __init__(self, source: Carrier, target: Carrier, values: list,
+                 transport_starts: dict):
         self.source, self.target, self.values = source, target, values
+        self.transport_starts = transport_starts
 
     def at(self, i: int, j: int) -> Fraction:
         return self.values[i][j]
@@ -155,8 +173,9 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
             readers_b[l] |= 1 << j
     rows = [[ZERO] * n_b for _ in range(n_a)]
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
+    starts = {}  # transport warm starts, kept across the steps
     while True:
-        view = _IndexRel(view_source, view_target, rows)
+        view = _IndexRel(view_source, view_target, rows, starts)
         nxt = list(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den
@@ -165,7 +184,7 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
                 continue
             old, new, t1, changed = rows[i], None, steps_a[i], 0
             for j in _bits(mask):
-                value = as_unit(lift_value(lifting, functor, view, t1, steps_b[j]))
+                value = lift_value(lifting, functor, view, t1, steps_b[j])
                 # value - old[j] = (up - down) / den, compared on integers
                 prev = old[j]
                 up, down = value.numerator * prev.denominator, prev.numerator * value.denominator

@@ -15,7 +15,11 @@ class here and exporting it.
     JSON kind, which is sound because the sup-over-nonexpansive-pairs and
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
-    enumeration,
+    enumeration.  A relation that carries a `transport_starts` dict (the
+    Kleene chain's index view does) gets warm solves: the node keeps one
+    TransportStart in it per pair of elements, so each solve resumes from
+    the last optimal basis for that pair; any other relation is solved
+    cold,
   * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
     forms w_l * x + w_r * y as one integer numerator over the product of
     the four denominators); no
@@ -66,7 +70,7 @@ from .functors import (
     base,
 )
 from .modalities import is_dual_closed, resolve_modality
-from .transport import min_cost_transport
+from .transport import TransportStart, min_cost_transport
 
 
 LIFTING_KINDS: dict = {}  # JSON kind -> lifting class, in definition order
@@ -226,7 +230,17 @@ class KantorovichD(LiftingSpec):
         mu = [p for _, p in t1.pairs]
         nu = [p for _, p in t2.pairs]
         cost = [[sub.lift(sub_functor, rel, a, b) for b, _ in t2.pairs] for a, _ in t1.pairs]
-        return min_cost_transport(mu, nu, cost).value
+        starts = getattr(rel, "transport_starts", None)
+        if starts is None:
+            return min_cost_transport(mu, nu, cost).value
+        # One start per node and pair of elements.  The ids are stable while
+        # the relation's owner keeps the elements alive, and a start whose
+        # masses differ is ignored by the solver anyway.
+        key = (id(self), id(t1), id(t2))
+        start = starts.get(key)
+        if start is None:
+            start = starts[key] = TransportStart()
+        return min_cost_transport(mu, nu, cost, start).value
 
 
 class WassersteinD(KantorovichD):

@@ -8,15 +8,22 @@ constants keeps every sign and every tie, so the pivots, the plan and the
 value are those of the same simplex run on the Fractions themselves.  The
 rational simplex and the brute-force oracles it is cross-checked against
 live with the tests (tests/oracles.py).
+
+A solve starts cold from the northwest-corner basis, or warm from a
+TransportStart that an earlier solve over the same masses filled in.  The
+masses fix the feasible set and the costs only move the objective, so
+that solve's optimal basis is still feasible, often still optimal, and
+the simplex resumes from it without rescaling the masses.  The optimal
+value is unique, so a warm solve returns the cold solve's value; on ties
+its plan may be another optimal one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .core import StructureError
+from .core import StructureError, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -25,10 +32,19 @@ class TransportResult:
     plan: tuple  # ((i, j, mass), ...), positive cells in lexicographic order
 
 
-def _scaled(values):
-    """(den, ints): den is the lcm of the denominators, ints[k] = values[k] * den."""
-    den = lcm(*[q.denominator for q in values])
-    return den, [q.numerator * (den // q.denominator) for q in values]
+class TransportStart:
+    """A warm start for repeated solves over the same masses.
+
+    It is empty when made.  min_cost_transport, given it, solves from the
+    basis it holds if its masses equal the ones asked for, and cold
+    otherwise; either way it then holds that solve's masses (as given),
+    their scale dm and its optimal basis {(i, j): mass * dm}.
+    """
+
+    __slots__ = ("mu", "nu", "dm", "flow")
+
+    def __init__(self):
+        self.mu = self.nu = self.dm = self.flow = None
 
 
 def _northwest_corner(m, n, supply, demand):
@@ -50,8 +66,8 @@ def _northwest_corner(m, n, supply, demand):
             j += 1
 
 
-def _simplex(m, n, supply, demand, cost):
-    """Optimal basis {(i, j): mass} of the integer transportation problem.
+def _simplex(m, n, flow, cost):
+    """Pivot the basis flow {(i, j): mass}, in place, to an optimal one.
 
     The basis is a spanning tree over the nodes 0..m-1 (rows) and
     m..m+n-1 (columns).  Each pivot hangs the tree from row 0 to get the
@@ -60,7 +76,6 @@ def _simplex(m, n, supply, demand, cost):
     negative, and leaves the least cell, in lexicographic order, among
     those of the cycle's minus cells that reach the step size first.
     """
-    flow = _northwest_corner(m, n, supply, demand)
     adj = [[] for _ in range(m + n)]
     for (i, j) in flow:
         adj[i].append(m + j)
@@ -89,7 +104,7 @@ def _simplex(m, n, supply, demand, cost):
             None,
         )
         if entering is None:
-            return flow
+            return
         ei, ej = entering
         # Tree path from column ej to row ei; its cells alternate -, +, ...
         up, down = [], []
@@ -124,29 +139,34 @@ def _simplex(m, n, supply, demand, cost):
         adj[m + ej].append(ei)
 
 
-def min_cost_transport(mu, nu, cost) -> TransportResult:
+def min_cost_transport(mu, nu, cost, start: TransportStart | None = None) -> TransportResult:
     """Minimize sum x_ij c_ij subject to row sums mu and column sums nu.
 
     mu and nu are sequences of positive rationals (Fractions or ints) with
     equal totals; cost is an m-by-n matrix of rationals.  Infeasibility
     cannot occur for valid distributions, so any internal inconsistency
-    raises.
+    raises.  With a start, the solve resumes from its basis when its
+    masses equal mu and nu, and leaves this solve's basis in it.
     """
     m, n = len(mu), len(nu)
     if m == 0 or n == 0:
         raise StructureError("transport requires nonempty supports")
     if len(cost) != m or any(len(row) != n for row in cost):
         raise StructureError(f"transport requires a {m}x{n} cost matrix")
-    dm, supply_demand = _scaled([*mu, *nu])
-    supply, demand = supply_demand[:m], supply_demand[m:]
-    if sum(supply) != sum(demand):
-        raise StructureError("transport requires equal total mass")
-    if min(supply_demand) <= 0:
-        raise StructureError("transport requires positive masses")
-    dc, flat = _scaled([c for row in cost for c in row])
-    scaled_cost = [flat[i * n:(i + 1) * n] for i in range(m)]
+    if start is not None and start.mu == mu and start.nu == nu:
+        dm, flow = start.dm, start.flow
+    else:
+        dm, [[supply, demand]] = scaled_rows([mu, nu])
+        if sum(supply) != sum(demand):
+            raise StructureError("transport requires equal total mass")
+        if min(supply) <= 0 or min(demand) <= 0:
+            raise StructureError("transport requires positive masses")
+        flow = _northwest_corner(m, n, supply, demand)
+    dc, [scaled_cost] = scaled_rows(cost)
 
-    flow = _simplex(m, n, supply, demand, scaled_cost)
+    _simplex(m, n, flow, scaled_cost)
+    if start is not None:
+        start.mu, start.nu, start.dm, start.flow = mu, nu, dm, flow
     total = sum(q * scaled_cost[i][j] for (i, j), q in flow.items())
     plan = tuple((i, j, Fraction(q, dm)) for (i, j), q in sorted(flow.items()) if q > 0)
     return TransportResult(Fraction(total, dm * dc), plan)

@@ -5,7 +5,8 @@ The fixpoint re-lifts a pair only when an entry it reads has changed, so
 its iterates must be those of the loop that re-lifts every pair: whole
 DistanceResults, traces included, and chains are compared for equality.
 Systems come from fixed seeds at sizes fixed in CASES, and the cases
-cover every entry of LIFTING_KINDS.  Carriers of more than ten states
+cover every entry of LIFTING_KINDS, and transport nodes that share one
+chain's warm starts.  Carriers of more than ten states
 make index order differ from the string order of the state ids.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import distance
+from laxkit import distance, liftings, transport
 from laxkit.axioms import rand_carrier, rand_element, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
@@ -53,6 +54,10 @@ CASES = {
     "pair-max": (lk.PairMax(H_LEFT, KANT), lk.Pair(SET, DIST), 4, 3),
     "discount": (lk.Discount(F(1, 2), H_SYM), SET, 5, 5),
     "maybe": (lk.MaybeLift(KANT), lk.Maybe(DIST), 4, 4),
+    # two transport nodes share one chain's warm starts
+    "two-transports": (labelled(lk.PairMax(KANT, lk.WassersteinD(lk.IdLift()))),
+                       lk.Pair(LABELS, lk.Pair(DIST, DIST)), 4, 4),
+    "hausdorff-kantorovich": (lk.Hausdorff("sym", KANT), lk.PFin(DIST), 4, 3),
     "weighted-loops": (lk.Hausdorff("left", lk.PairSum(F(1), F(1, 2), lk.ConstLift(),
                                                        lk.IdLift())),
                        lk.PFin(lk.Pair(number_const(("0", "1/4")), lk.Id())), 4, 3),
@@ -182,6 +187,32 @@ def test_lift_calls_follow_the_dependency_rule(monkeypatch):
     assert result.iterations >= 3
     assert len(calls) == predicted
     assert len(calls) < result.iterations * len(states_a) * len(states_b)
+
+
+def test_transport_starts_cold_once_per_pair_per_chain(monkeypatch):
+    # every step after the first resumes each pair's solve from the basis
+    # the step before left, so the northwest-corner starts count the pairs
+    # of distributions, not the steps
+    lifting, sys_a, sys_b = labelled(KANT), *[
+        rand_system(random.Random(f"warm/{side}"), LABELLED_DIST, side, 5) for side in "ab"]
+    solves, starts = [], []
+    real_solve, real_start = liftings.min_cost_transport, transport._northwest_corner
+    monkeypatch.setattr(liftings, "min_cost_transport",
+                        lambda *args: solves.append(args) or real_solve(*args))
+    monkeypatch.setattr(transport, "_northwest_corner",
+                        lambda *args: starts.append(args) or real_start(*args))
+    pairs = len(sys_a.carrier) * len(sys_b.carrier)
+
+    oracle = full_recompute_distance(lifting, sys_a, sys_b, max_iter=8, keep_trace=True)
+    assert len(starts) == len(solves)  # plain relations solve cold
+    solves.clear()
+    starts.clear()
+    for chains in (1, 2):
+        result = lk.behavioural_distance(lifting, sys_a, sys_b, max_iter=8, keep_trace=True)
+        assert result == oracle
+        assert len(starts) == chains * pairs  # each chain starts cold
+    assert result.iterations >= 3
+    assert len(solves) > len(starts)
 
 
 def test_grid_resolves_its_modalities_once(monkeypatch):

@@ -9,6 +9,10 @@ source of those modules and fails if one imports a concrete class from the
 package, or reaches one as an attribute of the functors, liftings or logic
 module.
 
+It keeps the layers in order: the transport solver imports only the core,
+and the liftings, which hand the solver its warm starts, do not import
+the distance engine that owns them.
+
 It also keeps the integer kernels exact: transport.py, and each function
 that runs a lifting, the Kleene step, composition or the metric checks on
 integers, may use no true division, no float and no math function other
@@ -107,6 +111,48 @@ def test_guard_sees_each_way_of_naming_a_class(tmp_path):
     ]
 
 
+def package_imports(path: str) -> set:
+    """The laxkit modules a module imports, by name ('core', 'transport', ...)."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("laxkit.")}
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name != "laxkit" and not name.startswith("laxkit."):
+                    continue
+                name = name[len("laxkit."):]
+            if name:
+                found.add(name.split(".")[0])
+            else:  # from . import core, transport
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_layers_import_downward_only():
+    assert package_imports(os.path.join(SRC, "transport.py")) == {"core"}
+    assert "distance" not in package_imports(os.path.join(SRC, "liftings.py"))
+    assert "transport" in package_imports(os.path.join(SRC, "liftings.py"))
+
+
+def test_import_guard_sees_each_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os, laxkit.core\n"
+        "from .distance import _chain\n"
+        "from . import transport, liftings as L\n"
+        "from laxkit.functors import base\n"
+        "from laxkit import logic\n"
+        "from fractions import Fraction\n"
+    )
+    assert package_imports(str(probe)) == {
+        "core", "distance", "transport", "liftings", "functors", "logic"}
+
+
 def _function(tree: ast.Module, qualname: str):
     """The definition named qualname ('f' or 'Class.method') in tree."""
     scope = tree
@@ -152,6 +198,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
 
 @pytest.mark.parametrize("module, function", [
     ("liftings.py", "Hausdorff.lift"), ("liftings.py", "PairSum.lift"),
+    ("liftings.py", "KantorovichD.lift"), ("distance.py", "_IndexRel.__init__"),
     ("distance.py", "_chain"), ("core.py", "scaled_rows"), ("core.py", "unit_over"),
     ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
     ("core.py", "is_pseudometric"),

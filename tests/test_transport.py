@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from laxkit import StructureError
-from laxkit.transport import min_cost_transport
+from laxkit import StructureError, transport
+from laxkit.transport import TransportStart, min_cost_transport
 from tests.oracles import (
     min_sup_over_set_couplings,
     rational_transport_simplex,
@@ -205,3 +205,81 @@ def test_set_couplings_hand_case():
     w = {(0, 0): F(1, 10), (0, 1): F(9, 10), (1, 0): F(1), (1, 1): F(1, 5)}
     got = min_sup_over_set_couplings(2, 2, lambda i, j: w[(i, j)])
     assert got == F(1, 5)  # {(0,0),(1,1)} works; nothing beats 1/5
+
+
+def degenerate_instance():
+    """The equal-split instance of test_degenerate_instances_terminate."""
+    return [F(1, 4)] * 4, [F(1, 4)] * 4, [[F(abs(i - j), 4) for j in range(4)] for i in range(4)]
+
+
+def second_cost(rng, cost):
+    """Another cost matrix of the same shape: half the time the first one
+    with some entries raised (as a Kleene step moves costs), else a fresh
+    draw from a few values, so optimal plans tie."""
+    if rng.random() < 0.5:
+        return [[c + F(rng.randint(0, 2), 7) * rng.randint(0, 1) for c in row] for row in cost]
+    den = rng.choice([1, 2, 3, 8])
+    return [[F(rng.randint(0, 3), den) for _ in row] for row in cost]
+
+
+def assert_coupling(result, mu, nu, cost):
+    rows, cols = [F(0)] * len(mu), [F(0)] * len(nu)
+    for i, j, q in result.plan:
+        assert q > 0
+        rows[i] += q
+        cols[j] += q
+    assert rows == list(mu) and cols == list(nu)
+    assert result.value == sum(q * cost[i][j] for i, j, q in result.plan)
+
+
+def test_warm_start_equals_cold_solve(monkeypatch):
+    # Solve on one cost matrix, then on a second one from the first's
+    # optimal basis: the value is the cold solve's and the rational
+    # simplex's, and the plan is a coupling of that cost.  Counting the
+    # northwest-corner starts shows the second solve really is warm.
+    starts = []
+    real = transport._northwest_corner
+    monkeypatch.setattr(transport, "_northwest_corner",
+                        lambda *args: starts.append(args) or real(*args))
+    rng = random.Random("warm-start")
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        start = TransportStart()
+        starts.clear()
+        assert min_cost_transport(mu, nu, cost, start) == min_cost_transport(mu, nu, cost)
+        assert len(starts) == 2  # an empty start is a cold solve
+        other = second_cost(rng, cost)
+        cold = min_cost_transport(mu, nu, other)
+        warm = min_cost_transport(list(mu), list(nu), other, start)
+        assert len(starts) == 3  # the warm solve made no northwest corner
+        assert warm.value == cold.value == rational_transport_simplex(mu, nu, other).value
+        assert_coupling(warm, mu, nu, other)
+        # and the basis it left behind serves the next solve as well
+        assert min_cost_transport(mu, nu, cost, start).value == \
+            min_cost_transport(mu, nu, cost).value
+        assert len(starts) == 4
+
+
+def test_a_start_for_other_masses_is_ignored(monkeypatch):
+    starts = []
+    real = transport._northwest_corner
+    monkeypatch.setattr(transport, "_northwest_corner",
+                        lambda *args: starts.append(args) or real(*args))
+    rng = random.Random("warm-start-masses")
+    for mu, nu, cost in diff_instances():
+        start = TransportStart()
+        min_cost_transport(mu, nu, cost, start)
+        m, n = len(mu), len(nu)
+        other_mu, other_nu = rand_masses(rng, m, 12), rand_masses(rng, n, 12)
+        if (other_mu, other_nu) == (list(mu), list(nu)):
+            continue
+        starts.clear()
+        # a cold solve from the northwest corner: the same result to the plan
+        assert min_cost_transport(other_mu, other_nu, cost, start) == \
+            min_cost_transport(other_mu, other_nu, cost)
+        assert len(starts) == 2
+        assert (start.mu, start.nu) == (other_mu, other_nu)
+    # masses of another shape are other masses too
+    start = TransportStart()
+    min_cost_transport([F(1)], [F(1, 2), F(1, 2)], [[F(0), F(1)]], start)
+    got = min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]], start)
+    assert got == min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]])
