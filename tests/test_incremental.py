@@ -5,9 +5,9 @@ The fixpoint re-lifts a pair only when an entry it reads has changed, so
 its iterates must be those of the loop that re-lifts every pair: whole
 DistanceResults, traces included, and chains are compared for equality.
 Systems come from fixed seeds at sizes fixed in CASES, and the cases
-cover every entry of LIFTING_KINDS, and transport nodes that share one
-chain's warm starts.  Carriers of more than ten states
-make index order differ from the string order of the state ids.
+cover every entry of LIFTING_KINDS and two transport nodes sharing one
+chain's warm starts.  Carriers of more than ten states make index order
+differ from the string order of the state ids.
 """
 
 import random
