@@ -10,12 +10,14 @@ alternates from pair to pair, starting with the parent.  Each checkout
 runs its own perfbench and its own src.  The output JSON holds every
 pair's two result lines and, per workload and end-to-end metric, each
 side's median and quartiles (statistics.quantiles, n=4), the change of
-the median in percent, and how many pairs the change won (ties count for
-neither side), plus the failed and attempted calls summed over each
+the median in percent, how many pairs the change won (ties count for
+neither side) and whether the change's median is worse than the parent's
+by more than the metric's bound in BENCHMARK.json (a share of the
+parent's median), plus the failed and attempted calls summed over each
 side's runs.  The file is rewritten after every pair, so a cut run keeps
 the pairs it finished.  At the end, one line per workload and end-to-end
-metric gives the two medians, the change in percent and the pairs won.
-Stdlib only.
+metric gives the two medians, the change in percent, the pairs won and
+the verdict against the bound.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -61,7 +63,15 @@ def quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def beyond_bound(parent: float, change: float, better: str, bound: float) -> bool:
+    """Whether change is worse than parent by more than bound * |parent|."""
+    worse_by = change - parent if better == "lower" else parent - change
+    return worse_by > bound * abs(parent)
+
+
+def summarise(pairs: list, end_to_end: dict) -> dict:
+    """Per workload and metric, each side's quartiles; end_to_end maps each
+    end-to-end metric's name to its BENCHMARK.json entry."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -76,11 +86,14 @@ def summarise(pairs: list, better: dict) -> dict:
             base = entry["parent"]["median"]
             entry["change_pct"] = (100 * (entry["change"]["median"] - base) / base
                                    if base else None)
-            sign = {"lower": -1, "higher": 1}.get(better.get(name))
-            if sign is not None:
-                entry["better"] = better[name]
+            spec = end_to_end.get(name)
+            if spec is not None:
+                sign = -1 if spec["better"] == "lower" else 1
+                entry["better"], entry["bound"] = spec["better"], spec["bound"]
                 entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in
                                            zip(values["parent"], values["change"]))
+                entry["beyond_bound"] = beyond_bound(base, entry["change"]["median"],
+                                                     spec["better"], spec["bound"])
             metrics[name] = entry
         row["metrics"] = metrics
         out[workload] = row
@@ -89,16 +102,19 @@ def summarise(pairs: list, better: dict) -> dict:
 
 def summary_lines(summary: dict) -> list:
     """One line per workload and end-to-end metric: parent median -> change
-    median, the change in percent, and the pairs the change won."""
+    median, the change in percent, the pairs the change won, and whether
+    the change is worse than the parent beyond the metric's bound."""
     lines = []
     for workload, row in summary.items():
         for name, entry in row["metrics"].items():
             if "better" not in entry:
                 continue
             pct = "n/a" if entry["change_pct"] is None else f"{entry['change_pct']:+.1f}%"
+            verdict = "WORSE beyond" if entry["beyond_bound"] else "within"
             lines.append(f"{workload} {name}: {entry['parent']['median']:.6g} -> "
                          f"{entry['change']['median']:.6g} ({pct}, {entry['better']} is better),"
-                         f" change won {entry['change_wins']}/{row['pairs']} pairs")
+                         f" change won {entry['change_wins']}/{row['pairs']} pairs,"
+                         f" {verdict} its {entry['bound']:.0%} bound")
     return lines
 
 
@@ -116,7 +132,7 @@ def main() -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     seconds = args.seconds or bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     report = {
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
@@ -133,7 +149,7 @@ def main() -> int:
             for side in order:
                 pair[side] = run_once(roots[side], workload, seed, seconds)
             report["pairs"].append(pair)
-            report["summary"] = summarise(report["pairs"], better)
+            report["summary"] = summarise(report["pairs"], end_to_end)
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(report, handle, indent=1)
                 handle.write("\n")

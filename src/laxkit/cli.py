@@ -50,26 +50,14 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class _Inputs:
-    """Reads input files, each once, and keeps their sha256 digests for the
-    report envelope; a digest is taken from the bytes that are parsed."""
-
-    def __init__(self):
-        self.digests = {}
-
-    def load(self, path: str):
-        return load_json(path, self.digests)
-
-    def text(self, path: str) -> str:
-        return load_text(path, self.digests)
-
-
-def _envelope(args, inputs: _Inputs, body: dict) -> dict:
+def _envelope(args, digests: dict, body: dict) -> dict:
+    """The report: tool, version, seed and the sha256 digest of every input
+    file, which load_json and load_text record as they read each file once."""
     report = {
         "tool": "laxkit",
         "version": __version__,
         "seed": args.seed,
-        "inputs": inputs.digests,
+        "inputs": digests,
     }
     report.update(body)
     return report
@@ -148,8 +136,8 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_system(inputs: _Inputs, path: str):
-    system, notes = decode_system(inputs.load(path), path)
+def _load_system(digests: dict, path: str):
+    system, notes = decode_system(load_json(path, digests), path)
     report = validate(system, notes)
     if not report.ok:
         lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
@@ -157,17 +145,17 @@ def _load_system(inputs: _Inputs, path: str):
     return system
 
 
-def _load_two_systems(inputs: _Inputs, paths) -> tuple:
+def _load_two_systems(digests: dict, paths) -> tuple:
     if len(paths) == 1:
-        system = _load_system(inputs, paths[0])
+        system = _load_system(digests, paths[0])
         return system, system
     if len(paths) != 2:
         raise JsonFormatError("give one or two --system files", "--system")
-    return _load_system(inputs, paths[0]), _load_system(inputs, paths[1])
+    return _load_system(digests, paths[0]), _load_system(digests, paths[1])
 
 
-def _load_lifting(inputs: _Inputs, path: str, functor):
-    lifting = decode_lifting(inputs.load(path), path)
+def _load_lifting(digests: dict, path: str, functor):
+    lifting = decode_lifting(load_json(path, digests), path)
     _check_fit(lifting, functor, path)
     return lifting
 
@@ -180,9 +168,9 @@ def _check_fit(lifting, functor, path: str) -> None:
 
 
 def cmd_dist(args) -> int:
-    inputs = _Inputs()
-    sys_a, sys_b = _load_two_systems(inputs, args.system)
-    lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
+    digests = {}
+    sys_a, sys_b = _load_two_systems(digests, args.system)
+    lifting = _load_lifting(digests, args.lifting, sys_a.functor)
     result = behavioural_distance(
         lifting, sys_a, sys_b, tol=args.tol, max_iter=args.max_iter,
         keep_trace=args.trace,
@@ -197,15 +185,15 @@ def cmd_dist(args) -> int:
         body["gap-bound"] = format_unit(result.gap_bound)
     if args.trace:
         body["trace"] = [encode_rel(step) for step in result.trace]
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK
 
 
 def cmd_check_cert(args) -> int:
-    inputs = _Inputs()
-    sys_a, sys_b = _load_two_systems(inputs, args.system)
-    lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
-    cert = decode_certificate(inputs.load(args.cert), args.cert)
+    digests = {}
+    sys_a, sys_b = _load_two_systems(digests, args.system)
+    lifting = _load_lifting(digests, args.lifting, sys_a.functor)
+    cert = decode_certificate(load_json(args.cert, digests), args.cert)
     verdict = check_certificate(lifting, sys_a, sys_b, cert)
 
     def rows(direction):
@@ -226,16 +214,16 @@ def cmd_check_cert(args) -> int:
     }
     if verdict.backward is not None:
         body["backward"] = rows(verdict.backward)
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
 
 def cmd_axioms(args) -> int:
     axiom_cfg = AxiomConfig(trials=args.trials, max_size=args.max_size, seed=args.seed)
-    inputs = _Inputs()
+    digests = {}
     if args.functor:
-        functor = decode_functor(inputs.load(args.functor), args.functor)
-    lifting = decode_lifting(inputs.load(args.lifting), args.lifting)
+        functor = decode_functor(load_json(args.functor, digests), args.functor)
+    lifting = decode_lifting(load_json(args.lifting, digests), args.lifting)
     if not args.functor:
         try:
             functor = lifting.default_functor()
@@ -262,52 +250,52 @@ def cmd_axioms(args) -> int:
             for c in report.checks
         ],
     }
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _load_formula(inputs: _Inputs, path: str, functor):
+def _load_formula(digests: dict, path: str, functor):
     if path.endswith(".json"):
-        return decode_formula(inputs.load(path), path, functor)
-    return parse_formula(inputs.text(path))
+        return decode_formula(load_json(path, digests), path, functor)
+    return parse_formula(load_text(path, digests))
 
 
 def cmd_logic_eval(args) -> int:
-    inputs = _Inputs()
-    system = _load_system(inputs, args.system)
+    digests = {}
+    system = _load_system(digests, args.system)
     lifting = None
     if args.lifting:
-        lifting = _load_lifting(inputs, args.lifting, system.functor)
-    formula = _load_formula(inputs, args.formula, system.functor)
+        lifting = _load_lifting(digests, args.lifting, system.functor)
+    formula = _load_formula(digests, args.formula, system.functor)
     value = evaluate(formula, system, args.state, lifting)
     body = {
         "state": args.state,
         "rank": rank(formula),
         "value": format_unit(value),
     }
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK
 
 
 def cmd_logic_distance(args) -> int:
-    inputs = _Inputs()
-    sys_a, sys_b = _load_two_systems(inputs, args.system)
-    lifting = _load_lifting(inputs, args.lifting, sys_a.functor)
+    digests = {}
+    sys_a, sys_b = _load_two_systems(digests, args.system)
+    lifting = _load_lifting(digests, args.lifting, sys_a.functor)
     matrix = logical_distance(sys_a, sys_b, lifting, args.rank)
-    _emit(args, _envelope(args, inputs, {"rank": args.rank, "matrix": encode_rel(matrix)}))
+    _emit(args, _envelope(args, digests, {"rank": args.rank, "matrix": encode_rel(matrix)}))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    inputs = _Inputs()
+    digests = {}
     if len(args.system) == 1:
-        system = _load_system(inputs, args.system[0])
+        system = _load_system(digests, args.system[0])
     else:
-        sys_a, sys_b = _load_two_systems(inputs, args.system)
+        sys_a, sys_b = _load_two_systems(digests, args.system)
         system, _, inj2 = disjoint_union(sys_a, sys_b)
         if args.target in inj2 and inj2[args.target] != args.target:
             args.target = inj2[args.target]
-    lifting = _load_lifting(inputs, args.lifting, system.functor)
+    lifting = _load_lifting(digests, args.lifting, system.functor)
     formula = synthesize(system, args.target, args.rank)
     encoded = encode_formula(formula, system.functor)
     if args.out:
@@ -324,21 +312,21 @@ def cmd_synth(args) -> int:
     if args.out:
         dump_json(encoded, args.out)
         body["out"] = args.out
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    inputs = _Inputs()
+    digests = {}
     body = {
         "functor-kinds": list(FUNCTOR_KINDS),
         "lifting-kinds": list(LIFTING_KINDS),
     }
     functor = None
     if args.functor:
-        functor = decode_functor(inputs.load(args.functor), args.functor)
+        functor = decode_functor(load_json(args.functor, digests), args.functor)
     elif args.system:
-        functor = _load_system(inputs, args.system).functor
+        functor = _load_system(digests, args.system).functor
     if functor is not None:
         body["modalities"] = [
             {
@@ -350,7 +338,7 @@ def cmd_catalog(args) -> int:
             }
             for _, lam in sorted(functor.standard_modalities().items())
         ]
-    _emit(args, _envelope(args, inputs, body))
+    _emit(args, _envelope(args, digests, body))
     return EXIT_OK
 
 

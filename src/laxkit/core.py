@@ -182,9 +182,6 @@ class FuzzyRel:
     def at(self, a, b) -> Fraction:
         return self.values[self.source.index(a)][self.target.index(b)]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.values[i][j]
-
     def is_square(self) -> bool:
         return self.source == self.target
 

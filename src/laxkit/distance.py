@@ -34,10 +34,11 @@ until the step ends, so it builds one residual Fraction per step.
 
 The chain keeps one dict of transport warm starts for all its steps, on
 its index view (transport_starts).  A transport node keeps in it, per
-pair of distribution elements, the last optimal basis and the scaled
-masses.  Along the chain the masses stay put and only the costs move, so
-the next step's solve for that pair resumes from that basis instead of
-the northwest corner (see laxkit.transport).  Optimal values are unique,
+pair of distribution elements, the last solve's TransportResult: its
+masses, their scale and its optimal basis.  Along the chain the masses
+stay put and only the costs move, so the next step's solve for that pair
+resumes from that basis instead of the northwest corner (see
+laxkit.transport).  Optimal values are unique,
 so the iterates do not change.  Relations without the dict, such as
 certificates, are solved cold.
 
@@ -121,8 +122,9 @@ def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: list) -> FuzzyRel:
 class _IndexRel:
     """The iterate as lifts read it: states are their carrier indices.
 
-    transport_starts is the chain's one dict of transport warm starts,
-    shared by the views of all its steps (see KantorovichD.lift).
+    transport_starts is the chain's one dict of transport results, each
+    the next solve's warm start, shared by the views of all its steps
+    (see KantorovichD.lift).
     """
 
     __slots__ = ("source", "target", "values", "transport_starts")

@@ -429,13 +429,10 @@ class PFin(FunctorSpec):
     def decode_element(self, node):
         node.expect(isinstance(node.raw, list), "expected a list (finite set)")
         members = [node.element(self.sub, item, f"[{i}]") for i, item in enumerate(node.raw)]
-        by_key = {}
-        for m in members:
-            key = m._canonical_key()
-            if key in by_key:
-                node.note(f"duplicate set member {node.raw!r} deduplicated")
-            by_key[key] = m
-        return SetEl(tuple(by_key[k] for k in sorted(by_key)))
+        el = fset(members)
+        for _ in range(len(members) - len(el.members)):
+            node.note(f"duplicate set member {node.raw!r} deduplicated")
+        return el
 
     def _errors(self, el, leaf_ok, path):
         out = []

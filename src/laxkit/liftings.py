@@ -16,10 +16,10 @@ class here and exporting it.
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
     enumeration.  A relation that carries a `transport_starts` dict (the
-    Kleene chain's index view does) gets warm solves: the node keeps one
-    TransportStart in it per pair of elements, so each solve resumes from
-    the last optimal basis for that pair; any other relation is solved
-    cold,
+    Kleene chain's index view does) gets warm solves: the node keeps the
+    last TransportResult in it per pair of elements, and each solve
+    resumes from that result's optimal basis; any other relation is
+    solved cold,
   * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
     forms w_l * x + w_r * y as one integer numerator over the product of
     the four denominators); no
@@ -70,7 +70,7 @@ from .functors import (
     base,
 )
 from .modalities import is_dual_closed, resolve_modality
-from .transport import TransportStart, min_cost_transport
+from .transport import min_cost_transport
 
 
 LIFTING_KINDS: dict = {}  # JSON kind -> lifting class, in definition order
@@ -233,14 +233,13 @@ class KantorovichD(LiftingSpec):
         starts = getattr(rel, "transport_starts", None)
         if starts is None:
             return min_cost_transport(mu, nu, cost).value
-        # One start per node and pair of elements.  The ids are stable while
-        # the relation's owner keeps the elements alive, and a start whose
-        # masses differ is ignored by the solver anyway.
+        # One result per node and pair of elements, each the next solve's
+        # warm start.  The ids are stable while the relation's owner keeps
+        # the elements alive, and a result whose masses differ is ignored
+        # by the solver anyway.
         key = (id(self), id(t1), id(t2))
-        start = starts.get(key)
-        if start is None:
-            start = starts[key] = TransportStart()
-        return min_cost_transport(mu, nu, cost, start).value
+        result = starts[key] = min_cost_transport(mu, nu, cost, starts.get(key))
+        return result.value
 
 
 class WassersteinD(KantorovichD):

@@ -362,22 +362,17 @@ class _Evaluator:
 
     One memo serves every formula run through an instance, so a distinct
     formula gets its table once however many formulas share it.  Named
-    modalities are read from the given table, or else from the one the
-    system's functor keeps.
+    modalities are read from the table the system's functor keeps.
     """
 
-    def __init__(self, system, lifting: LiftingSpec | None = None,
-                 modalities: dict | None = None):
+    def __init__(self, system, lifting: LiftingSpec | None = None):
         self.system = system
         self.states = system.carrier.elements
         self.lifting = lifting
-        self._modalities = modalities
         self._memo: dict = {}
 
     def modalities(self) -> dict:
-        if self._modalities is None:
-            return self.system.functor.standard_modalities()
-        return self._modalities
+        return self.system.functor.standard_modalities()
 
     def __call__(self, formula: Formula) -> dict:
         return self.table(_push_negations(formula, self.modalities))
@@ -389,20 +384,18 @@ class _Evaluator:
         return table
 
 
-def semantics(formula: Formula, system, lifting: LiftingSpec | None = None,
-              modalities: dict | None = None) -> dict:
+def semantics(formula: Formula, system, lifting: LiftingSpec | None = None) -> dict:
     """Value of a formula at every state of a system.
 
-    Named modalities default to the standard table of the system's
+    Named modalities come from the standard table of the system's
     functor, which is built only if a formula names a modality;
     evaluating the structural modality requires a backing lifting.
     """
-    return _Evaluator(system, lifting, modalities)(formula)
+    return _Evaluator(system, lifting)(formula)
 
 
-def evaluate(formula: Formula, system, state, lifting: LiftingSpec | None = None,
-             modalities: dict | None = None) -> Fraction:
+def evaluate(formula: Formula, system, state, lifting: LiftingSpec | None = None) -> Fraction:
     """Value of a formula at one state."""
     if state not in system.carrier:
         raise StructureError(f"state {state!r} is not in the system")
-    return semantics(formula, system, lifting, modalities)[state]
+    return semantics(formula, system, lifting)[state]

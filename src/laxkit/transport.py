@@ -9,11 +9,11 @@ value are those of the same simplex run on the Fractions themselves.  The
 rational simplex and the brute-force oracles it is cross-checked against
 live with the tests (tests/oracles.py).
 
-A solve starts cold from the northwest-corner basis, or warm from a
-TransportStart that an earlier solve over the same masses filled in.  The
-masses fix the feasible set and the costs only move the objective, so
-that solve's optimal basis is still feasible, often still optimal, and
-the simplex resumes from it without rescaling the masses.  The optimal
+A solve starts cold from the northwest-corner basis, or warm from the
+TransportResult of an earlier solve over the same masses.  The masses fix
+the feasible set and the costs only move the objective, so that solve's
+optimal basis is still feasible, often still optimal, and the simplex
+resumes from a copy of it without rescaling the masses.  The optimal
 value is unique, so a warm solve returns the cold solve's value; on ties
 its plan may be another optimal one.
 """
@@ -28,23 +28,24 @@ from .core import StructureError, scaled_rows
 
 @dataclass(frozen=True)
 class TransportResult:
-    value: Fraction
-    plan: tuple  # ((i, j, mass), ...), positive cells in lexicographic order
+    """One solve: its optimal value, the masses as given, their scale dm
+    and its optimal basis {(i, j): mass * dm}, m+n-1 cells over integers.
 
-
-class TransportStart:
-    """A warm start for repeated solves over the same masses.
-
-    It is empty when made.  min_cost_transport, given it, solves from the
-    basis it holds if its masses equal the ones asked for, and cold
-    otherwise; either way it then holds that solve's masses (as given),
-    their scale dm and its optimal basis {(i, j): mass * dm}.
+    Passed back to min_cost_transport as `warm`, it is the next solve's
+    start; the plan is read off the basis when asked for.
     """
 
-    __slots__ = ("mu", "nu", "dm", "flow")
+    value: Fraction
+    mu: list
+    nu: list
+    dm: int
+    basis: dict
 
-    def __init__(self):
-        self.mu = self.nu = self.dm = self.flow = None
+    @property
+    def plan(self) -> tuple:
+        """((i, j, mass), ...): the positive basis cells in lexicographic order."""
+        dm = self.dm
+        return tuple((i, j, Fraction(q, dm)) for (i, j), q in sorted(self.basis.items()) if q > 0)
 
 
 def _northwest_corner(m, n, supply, demand):
@@ -139,22 +140,23 @@ def _simplex(m, n, flow, cost):
         adj[m + ej].append(ei)
 
 
-def min_cost_transport(mu, nu, cost, start: TransportStart | None = None) -> TransportResult:
+def min_cost_transport(mu, nu, cost, warm: TransportResult | None = None) -> TransportResult:
     """Minimize sum x_ij c_ij subject to row sums mu and column sums nu.
 
     mu and nu are sequences of positive rationals (Fractions or ints) with
     equal totals; cost is an m-by-n matrix of rationals.  Infeasibility
     cannot occur for valid distributions, so any internal inconsistency
-    raises.  With a start, the solve resumes from its basis when its
-    masses equal mu and nu, and leaves this solve's basis in it.
+    raises.  The solve resumes from a copy of warm's basis when warm's
+    masses equal mu and nu, and starts cold otherwise; it changes nothing
+    it is given.
     """
     m, n = len(mu), len(nu)
     if m == 0 or n == 0:
         raise StructureError("transport requires nonempty supports")
     if len(cost) != m or any(len(row) != n for row in cost):
         raise StructureError(f"transport requires a {m}x{n} cost matrix")
-    if start is not None and start.mu == mu and start.nu == nu:
-        dm, flow = start.dm, start.flow
+    if warm is not None and warm.mu == mu and warm.nu == nu:
+        dm, flow = warm.dm, dict(warm.basis)
     else:
         dm, [[supply, demand]] = scaled_rows([mu, nu])
         if sum(supply) != sum(demand):
@@ -165,8 +167,5 @@ def min_cost_transport(mu, nu, cost, start: TransportStart | None = None) -> Tra
     dc, [scaled_cost] = scaled_rows(cost)
 
     _simplex(m, n, flow, scaled_cost)
-    if start is not None:
-        start.mu, start.nu, start.dm, start.flow = mu, nu, dm, flow
     total = sum(q * scaled_cost[i][j] for (i, j), q in flow.items())
-    plan = tuple((i, j, Fraction(q, dm)) for (i, j), q in sorted(flow.items()) if q > 0)
-    return TransportResult(Fraction(total, dm * dc), plan)
+    return TransportResult(Fraction(total, dm * dc), mu, nu, dm, flow)

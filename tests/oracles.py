@@ -56,7 +56,6 @@ from laxkit.liftings import (
 from laxkit.logic import semantics
 from laxkit.moss import synthesize_levels
 from laxkit.systems import Coalgebra, disjoint_union
-from laxkit.transport import TransportResult
 
 
 def transport_value_by_vertex_enumeration(mu, nu, cost) -> Fraction:
@@ -225,7 +224,7 @@ def _tree_path(basis, start, goal):
     return path
 
 
-def rational_transport_simplex(mu, nu, cost) -> TransportResult:
+def rational_transport_simplex(mu, nu, cost) -> tuple:
     """Minimize sum x_ij c_ij subject to row sums mu and column sums nu.
 
     The transportation simplex on Fractions that laxkit.transport ran
@@ -234,7 +233,8 @@ def rational_transport_simplex(mu, nu, cost) -> TransportResult:
 
     mu and nu are sequences of positive Fractions with equal totals; cost is
     an m-by-n matrix of Fractions.  Infeasibility cannot occur for valid
-    distributions, so any internal inconsistency raises.
+    distributions, so any internal inconsistency raises.  Returns the pair
+    (value, plan), the plan as TransportResult.plan gives it.
     """
     m, n = len(mu), len(nu)
     if m == 0 or n == 0:
@@ -276,7 +276,7 @@ def rational_transport_simplex(mu, nu, cost) -> TransportResult:
 
     value = sum((alloc[c] * cost[c[0]][c[1]] for c in alloc), ZERO)
     plan = tuple((i, j, q) for (i, j), q in sorted(alloc.items()) if q > 0)
-    return TransportResult(value, plan)
+    return value, plan
 
 
 def _zero(sys_a: Coalgebra, sys_b: Coalgebra) -> FuzzyRel:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from laxkit import StructureError, transport
-from laxkit.transport import TransportStart, min_cost_transport
+from laxkit.transport import min_cost_transport
 from tests.oracles import (
     min_sup_over_set_couplings,
     rational_transport_simplex,
@@ -174,9 +174,14 @@ def rand_masses(rng, size, den):
     return [F(q, den) for q in rand_parts(rng, size, den)]
 
 
+def solved(result):
+    """What a solve answers: its value and its plan."""
+    return result.value, result.plan
+
+
 def test_integer_kernel_matches_rational_simplex():
-    for mu, nu, cost in diff_instances():
-        assert min_cost_transport(mu, nu, cost) == rational_transport_simplex(mu, nu, cost)
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        assert solved(min_cost_transport(mu, nu, cost)) == rational_transport_simplex(mu, nu, cost)
 
 
 def test_int_inputs_match_equal_fractions():
@@ -189,8 +194,8 @@ def test_int_inputs_match_equal_fractions():
         as_fractions = (
             [F(q) for q in mu], [F(q) for q in nu], [[F(c) for c in row] for row in cost]
         )
-        got = min_cost_transport(mu, nu, cost)
-        assert got == min_cost_transport(*as_fractions)
+        got = solved(min_cost_transport(mu, nu, cost))
+        assert got == solved(min_cost_transport(*as_fractions))
         assert got == rational_transport_simplex(*as_fractions)
 
 
@@ -232,54 +237,82 @@ def assert_coupling(result, mu, nu, cost):
     assert result.value == sum(q * cost[i][j] for i, j, q in result.plan)
 
 
+def count_northwest_corners(monkeypatch) -> list:
+    starts = []
+    real = transport._northwest_corner
+    monkeypatch.setattr(transport, "_northwest_corner",
+                        lambda *args: starts.append(args) or real(*args))
+    return starts
+
+
 def test_warm_start_equals_cold_solve(monkeypatch):
     # Solve on one cost matrix, then on a second one from the first's
     # optimal basis: the value is the cold solve's and the rational
     # simplex's, and the plan is a coupling of that cost.  Counting the
     # northwest-corner starts shows the second solve really is warm.
-    starts = []
-    real = transport._northwest_corner
-    monkeypatch.setattr(transport, "_northwest_corner",
-                        lambda *args: starts.append(args) or real(*args))
+    starts = count_northwest_corners(monkeypatch)
     rng = random.Random("warm-start")
     for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
-        start = TransportStart()
         starts.clear()
-        assert min_cost_transport(mu, nu, cost, start) == min_cost_transport(mu, nu, cost)
-        assert len(starts) == 2  # an empty start is a cold solve
+        first = min_cost_transport(mu, nu, cost)
+        assert len(starts) == 1
         other = second_cost(rng, cost)
         cold = min_cost_transport(mu, nu, other)
-        warm = min_cost_transport(list(mu), list(nu), other, start)
-        assert len(starts) == 3  # the warm solve made no northwest corner
-        assert warm.value == cold.value == rational_transport_simplex(mu, nu, other).value
+        warm = min_cost_transport(list(mu), list(nu), other, first)
+        assert len(starts) == 2  # the warm solve made no northwest corner
+        assert warm.value == cold.value == rational_transport_simplex(mu, nu, other)[0]
         assert_coupling(warm, mu, nu, other)
-        # and the basis it left behind serves the next solve as well
-        assert min_cost_transport(mu, nu, cost, start).value == \
-            min_cost_transport(mu, nu, cost).value
-        assert len(starts) == 4
+        # and the result it returned serves the next solve as well
+        assert min_cost_transport(mu, nu, cost, warm).value == first.value
+        assert len(starts) == 2
+
+
+def test_a_solve_builds_one_fraction(monkeypatch):
+    # cold or warm, a solve builds its value and nothing else; the plan
+    # is built only when it is read
+    built = []
+    monkeypatch.setattr(transport, "Fraction", lambda *args: built.append(args) or F(*args))
+    rng = random.Random("one-fraction")
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        built.clear()
+        first = min_cost_transport(mu, nu, cost)
+        assert len(built) == 1
+        min_cost_transport(mu, nu, second_cost(rng, cost), first)
+        assert len(built) == 2
+
+
+def test_a_warm_solve_changes_nothing_it_is_given():
+    rng = random.Random("warm-unchanged")
+    moved = 0
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        first = min_cost_transport(mu, nu, cost)
+        before = (first.value, first.plan, dict(first.basis), list(first.mu), list(first.nu))
+        other = second_cost(rng, cost)
+        given = (list(mu), list(nu), [list(row) for row in other])
+        warm = min_cost_transport(mu, nu, other, first)
+        assert (first.value, first.plan, first.basis, first.mu, first.nu) == before
+        assert (mu, nu, other) == given
+        assert warm.basis is not first.basis
+        moved += warm.basis != first.basis
+    assert moved > 100  # the warm solves pivoted, so an alias would show
 
 
 def test_a_start_for_other_masses_is_ignored(monkeypatch):
-    starts = []
-    real = transport._northwest_corner
-    monkeypatch.setattr(transport, "_northwest_corner",
-                        lambda *args: starts.append(args) or real(*args))
+    starts = count_northwest_corners(monkeypatch)
     rng = random.Random("warm-start-masses")
     for mu, nu, cost in diff_instances():
-        start = TransportStart()
-        min_cost_transport(mu, nu, cost, start)
+        first = min_cost_transport(mu, nu, cost)
         m, n = len(mu), len(nu)
         other_mu, other_nu = rand_masses(rng, m, 12), rand_masses(rng, n, 12)
         if (other_mu, other_nu) == (list(mu), list(nu)):
             continue
         starts.clear()
         # a cold solve from the northwest corner: the same result to the plan
-        assert min_cost_transport(other_mu, other_nu, cost, start) == \
-            min_cost_transport(other_mu, other_nu, cost)
+        got = min_cost_transport(other_mu, other_nu, cost, first)
+        assert solved(got) == solved(min_cost_transport(other_mu, other_nu, cost))
         assert len(starts) == 2
-        assert (start.mu, start.nu) == (other_mu, other_nu)
+        assert (got.mu, got.nu) == (other_mu, other_nu)
     # masses of another shape are other masses too
-    start = TransportStart()
-    min_cost_transport([F(1)], [F(1, 2), F(1, 2)], [[F(0), F(1)]], start)
-    got = min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]], start)
-    assert got == min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]])
+    first = min_cost_transport([F(1)], [F(1, 2), F(1, 2)], [[F(0), F(1)]])
+    got = min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]], first)
+    assert solved(got) == solved(min_cost_transport([F(1, 2), F(1, 2)], [F(1)], [[F(1, 3)], [F(1)]]))
