@@ -38,9 +38,9 @@ pair of distribution elements, the last solve's TransportResult: its
 masses, their scale and its optimal basis.  Along the chain the masses
 stay put and only the costs move, so the next step's solve for that pair
 resumes from that basis instead of the northwest corner (see
-laxkit.transport).  Optimal values are unique,
-so the iterates do not change.  Relations without the dict, such as
-certificates, are solved cold.
+laxkit.transport).  Optimal values are unique, so the iterates do not
+change.  Relations without the dict, such as certificates, are solved
+cold.
 
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to
