@@ -7,7 +7,9 @@
 For every workload and seed it runs `python3 perfbench/run.py --trace 0`
 once in each checkout, one right after the other; which side goes first
 alternates from pair to pair, starting with the parent.  Each checkout
-runs its own perfbench and its own src.  The output JSON holds every
+runs its own perfbench and its own src.  The output JSON records each
+side's commit, if the checkout is a git work tree, and a sha256 over the
+files under its src/ and perfbench/ (see tree_digest), and holds every
 pair's two result lines and, per workload and end-to-end metric, each
 side's median and quartiles (statistics.quantiles, n=4), the change of
 the median in percent, how many pairs the change won (ties count for
@@ -23,6 +25,7 @@ the verdict against the bound.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -31,6 +34,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+DIGESTED = ("src", "perfbench")  # the code a run executes
 
 
 def seed_list(text: str) -> list:
@@ -45,6 +49,24 @@ def commit_of(root: str) -> str | None:
     proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def tree_digest(root: str) -> str:
+    """sha256 over the sorted relative paths and bytes of the files under
+    root's src/ and perfbench/, skipping __pycache__.  It names the code a
+    side ran even where the checkout is an export without a commit."""
+    paths = []
+    for top in DIGESTED:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+            paths += [os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+                      for name in filenames]
+    digest = hashlib.sha256()
+    for rel in sorted(paths):
+        with open(os.path.join(root, rel), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -137,6 +159,7 @@ def main() -> int:
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
         "commits": {side: commit_of(roots[side]) for side in SIDES},
+        "trees": {side: tree_digest(roots[side]) for side in SIDES},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "pairs": [],

@@ -44,7 +44,6 @@ from .functors import (
     Pair,
     PairEl,
     SetEl,
-    apply_map,
     base,
     fdist,
     fset,
@@ -63,13 +62,9 @@ from .liftings import (
     PairMax,
     PairSum,
     WassersteinD,
-    claims_converse,
-    contraction_factor,
     grid_error_bound,
     grid_kantorovich_value,
     lift_value,
-    match_lifting,
-    range_bound,
     require_match,
 )
 from .modalities import PredicateLifting, standard_modalities
@@ -96,7 +91,6 @@ from .logic import (
     PlusC,
     evaluate,
     push_negations,
-    rank,
     semantics,
 )
 from .formparse import FormulaSyntaxError, parse_formula, print_formula

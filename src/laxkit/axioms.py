@@ -54,14 +54,8 @@ from .core import (
     sat_sub,
     unit_over,
 )
-from .functors import FunctorElement, FunctorSpec, apply_map
-from .liftings import (
-    LiftingSpec,
-    approximation_slack,
-    claims_converse,
-    lift_value,
-    require_match,
-)
+from .functors import FunctorElement, FunctorSpec
+from .liftings import LiftingSpec, lift_value, require_match
 
 _DENOMS = (1, 2, 3, 4, 5, 6, 8, 10)
 _SCALE = lcm(*_DENOMS)  # every rand_unit draw is an integer over this
@@ -247,8 +241,8 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
                  cfg: AxiomConfig = AxiomConfig()) -> AxiomReport:
     """Run the whole randomized law suite against one lifting instance."""
     require_match(lifting, functor)
-    slack = approximation_slack(lifting)
-    converse_claimed = claims_converse(lifting, functor)
+    slack = lifting.approximation_slack()
+    converse_claimed = lifting.claims_converse(functor)
 
     def value(rel, t1, t2):
         return lift_value(lifting, functor, rel, t1, t2)
@@ -300,7 +294,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
         return dict(a=a, b=b, f=f, t1=rand_element(rng, functor, a))
 
     def test_l3(a, b, f, t1):
-        mapped = apply_map(lambda x: f[x], t1)
+        mapped = t1.map(lambda x: f[x])
         gr = graph(f, a, b)
         forward, backward = value(gr, t1, mapped), value(converse(gr), mapped, t1)
         if not (le(forward, ZERO) and le(backward, ZERO)):
@@ -328,7 +322,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     def test_naturality(a, b, f, g, r, t1, t2):
         reindexed = FuzzyRel.from_function(a, b, lambda x, y: r.at(f[x], g[y]))
         lhs = value(reindexed, t1, t2)
-        rhs = value(r, apply_map(lambda x: f[x], t1), apply_map(lambda y: g[y], t2))
+        rhs = value(r, t1.map(lambda x: f[x]), t2.map(lambda y: g[y]))
         if not eq(lhs, rhs):
             return ("reindexing does not commute with lifting",
                     dict(r=r, f=f, g=g, t1=t1, t2=t2, lhs=lhs, rhs=rhs))

@@ -39,8 +39,8 @@ from .jsonio import (
     load_text,
     write_text,
 )
-from .liftings import LIFTING_KINDS, match_lifting
-from .logic import evaluate, rank, semantics
+from .liftings import LIFTING_KINDS
+from .logic import evaluate, semantics
 from .moss import logical_distance, synthesize
 from .systems import disjoint_union, validate
 
@@ -161,7 +161,7 @@ def _load_lifting(digests: dict, path: str, functor):
 
 
 def _check_fit(lifting, functor, path: str) -> None:
-    problems = match_lifting(lifting, functor)
+    problems = lifting.match(functor)
     if problems:
         lines = "; ".join(f"{p}: {m}" for p, m in problems)
         raise JsonFormatError(f"lifting does not fit the system functor: {lines}", path)
@@ -270,7 +270,7 @@ def cmd_logic_eval(args) -> int:
     value = evaluate(formula, system, args.state, lifting)
     body = {
         "state": args.state,
-        "rank": rank(formula),
+        "rank": formula.rank(),
         "value": format_unit(value),
     }
     _emit(args, _envelope(args, digests, body))

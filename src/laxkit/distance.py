@@ -11,7 +11,7 @@ away.
 
 Both behavioural_distance and distance_chain take their iterates from one
 routine, _chain.  It renames every successor element to state indices
-once (apply_map with the carrier index), keeps the iterate as lists of
+once (mapping it with the carrier index), keeps the iterate as lists of
 rows, and lets the lifting read it through an index-addressed view whose
 at(i, j) is rows[i][j].  It re-lifts only what moved, by a dependency
 rule: pair (i, j) reads the iterate only at base(alpha(i)) x base(beta(j)),
@@ -56,8 +56,8 @@ from itertools import islice
 
 from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, converse, sup_distance,
                    unit_over)
-from .functors import apply_map, base
-from .liftings import LiftingSpec, contraction_factor, lift_value, require_match
+from .functors import base
+from .liftings import LiftingSpec, lift_value, require_match
 from .systems import Coalgebra
 
 
@@ -141,7 +141,7 @@ class _IndexRel:
 def _indexed(system: Coalgebra) -> list:
     """Each state's successor element, with states renamed to indices."""
     index = system.carrier.index
-    return [apply_map(index, system.step(s)) for s in system.carrier.elements]
+    return [system.step(s).map(index) for s in system.carrier.elements]
 
 
 def _bits(mask: int):
@@ -247,7 +247,7 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     if max_iter < 1:
         raise StructureError("max_iter must be at least 1")
     _check_setup(lifting, sys_a, sys_b)
-    factor = contraction_factor(lifting)
+    factor = lifting.contraction_factor()
     trace = [_zero(sys_a, sys_b)] if keep_trace else None
 
     def finish(rows, n, residual, converged):

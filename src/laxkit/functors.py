@@ -92,11 +92,23 @@ class Canonical:
 class FunctorElement(Canonical):
     """Base class of element nodes; each subclass belongs to one functor kind.
 
-    A subclass defines `map` (the functor action, see apply_map), `leaves`
-    (the values at its Id leaves, in order and with repeats) and `render`;
+    A subclass defines `map` (the functor action), `leaves` (the values at
+    its Id leaves, in order and with repeats) and `render`;
     `shrink_candidates` yields its one-step-smaller variants, in the order
     the law suite's shrinker tries them.
     """
+
+    def map(self, fn: Callable) -> FunctorElement:
+        """Functor action on a map: rename Id leaves, rebuild the structure.
+
+        Sets deduplicate collided members; distributions merge their
+        probabilities (image-measure semantics).
+        """
+        raise NotImplementedError
+
+    def render(self) -> str:
+        """Compact human-readable rendering, used in diagnostics."""
+        raise NotImplementedError
 
     def leaves(self):
         return ()
@@ -311,7 +323,12 @@ class FunctorSpec:
         """Build from a JSON node reader (see laxkit.jsonio.decode_functor)."""
         return cls(*[node.child(name) for name in cls.child_fields])
 
-    def element_errors(self, element, leaf_ok: Callable, path: str) -> list:
+    def element_errors(self, element, leaf_ok: Callable, path: str = "") -> list:
+        """Type-check an element against a grammar node.
+
+        Returns (severity, path, message) triples; severity is 'error' or
+        'warning'.  leaf_ok decides whether an Id leaf value is admissible.
+        """
         if not isinstance(element, self.element_type):
             return [("error", path or "<root>",
                      f"expected {self.noun}, got {type(element).__name__}")]
@@ -607,30 +624,6 @@ class Maybe(FunctorSpec):
 # Operations
 
 
-def apply_map(fn: Callable, element: FunctorElement) -> FunctorElement:
-    """Functor action on a map: rename Id leaves, rebuild the structure.
-
-    Sets deduplicate collided members; distributions merge their
-    probabilities (image-measure semantics).
-    """
-    return element.map(fn)
-
-
 def base(element: FunctorElement) -> tuple:
     """The ordered tuple of distinct carrier values occurring in Id leaves."""
     return tuple(dict.fromkeys(element.leaves()))
-
-
-def element_errors(spec: FunctorSpec, element: FunctorElement, leaf_ok: Callable,
-                   path: str = "") -> list:
-    """Type-check an element against a grammar node.
-
-    Returns (severity, path, message) triples; severity is 'error' or
-    'warning'.  leaf_ok decides whether an Id leaf value is admissible.
-    """
-    return spec.element_errors(element, leaf_ok, path)
-
-
-def render_element(element: FunctorElement) -> str:
-    """Compact human-readable rendering, used in diagnostics."""
-    return element.render()

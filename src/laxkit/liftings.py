@@ -97,14 +97,30 @@ class LiftingSpec:
             LIFTING_KINDS[cls.kind] = cls
 
     def range_bound(self, functor: FunctorSpec) -> Fraction:
+        """An upper bound for the values this lifting can produce."""
         return ONE  # every lifted value is a distance in [0, 1]
 
     def contraction_factor(self) -> Fraction:
+        """A structural Lipschitz constant of the lifting in its relation.
+
+        Moving every relation entry by delta moves the lifted value by at most
+        factor * delta.  Discounted or label-weighted composites contract
+        (factor < 1), which turns a fixpoint residual into a bound on the
+        remaining gap to the limit; a factor of 1 promises nothing beyond
+        nonexpansiveness.
+        """
         # as Lipschitz as its worst child; a leaf promises nonexpansiveness only
         return max((getattr(self, name).contraction_factor() for name in self.child_fields),
                    default=ONE)
 
     def match(self, functor: FunctorSpec, path: str = "") -> list:
+        """Shape-check a lifting against a functor; returns (path, message) pairs.
+
+        Besides shapes this checks the weight constraints: combined weights must
+        keep values inside the unit interval given each component's range bound
+        (so a label metric bounded by 1 - lambda admits weight 1 next to a
+        lambda-discounted component).
+        """
         if not isinstance(functor, self.functor_type):
             return [(path or "<root>", self.mismatch)]
         out = []
@@ -113,10 +129,12 @@ class LiftingSpec:
         return out
 
     def claims_converse(self, functor: FunctorSpec) -> bool:
+        """Whether the lifting is expected to preserve relational converse."""
         return all(getattr(self, name).claims_converse(getattr(functor, name))
                    for name in self.child_fields)
 
     def approximation_slack(self) -> Fraction:
+        """Zero for exact liftings; the grid step wherever a grid oracle occurs."""
         return max((getattr(self, name).approximation_slack() for name in self.child_fields),
                    default=ZERO)
 
@@ -390,7 +408,7 @@ class KantorovichGrid(LiftingSpec):
     kind = "kantorovich-grid"
 
     def __post_init__(self):
-        if self.step <= 0 or (1 / self.step).denominator != 1:
+        if not isinstance(self.step, Fraction) or self.step.numerator != 1:
             raise StructureError("grid step must be 1/k for a positive integer k")
 
     def _modalities(self, functor):
@@ -440,53 +458,11 @@ class KantorovichGrid(LiftingSpec):
         return cls(tuple(names), node.unit(node.raw["step"], ".step"))
 
 
-# ---------------------------------------------------------------------------
-# The public operations, one per node method
-
-
-def range_bound(lifting: LiftingSpec, functor: FunctorSpec) -> Fraction:
-    """An upper bound for the values this lifting can produce."""
-    return lifting.range_bound(functor)
-
-
-def match_lifting(lifting: LiftingSpec, functor: FunctorSpec, path: str = "") -> list:
-    """Shape-check a lifting against a functor; returns (path, message) pairs.
-
-    Besides shapes this checks the weight constraints: combined weights must
-    keep values inside the unit interval given each component's range bound
-    (so a label metric bounded by 1 - lambda admits weight 1 next to a
-    lambda-discounted component).
-    """
-    return lifting.match(functor, path)
-
-
 def require_match(lifting: LiftingSpec, functor: FunctorSpec) -> None:
-    problems = match_lifting(lifting, functor)
+    problems = lifting.match(functor)
     if problems:
         lines = "; ".join(f"{p}: {m}" for p, m in problems)
         raise StructureError(f"lifting does not fit the functor: {lines}")
-
-
-def claims_converse(lifting: LiftingSpec, functor: FunctorSpec) -> bool:
-    """Whether the lifting is expected to preserve relational converse."""
-    return lifting.claims_converse(functor)
-
-
-def approximation_slack(lifting: LiftingSpec) -> Fraction:
-    """Zero for exact liftings; the grid step wherever a grid oracle occurs."""
-    return lifting.approximation_slack()
-
-
-def contraction_factor(lifting: LiftingSpec) -> Fraction:
-    """A structural Lipschitz constant of the lifting in its relation.
-
-    Moving every relation entry by delta moves the lifted value by at most
-    factor * delta.  Discounted or label-weighted composites contract
-    (factor < 1), which turns a fixpoint residual into a bound on the
-    remaining gap to the limit; a factor of 1 promises nothing beyond
-    nonexpansiveness.
-    """
-    return lifting.contraction_factor()
 
 
 def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, LaxkitError, ONE, StructureError, as_unit, format_unit
 from .core import sat_add, sat_sub
-from .functors import Canonical, FunctorElement, apply_map, base, canonical_key
+from .functors import Canonical, FunctorElement, base, canonical_key
 from .liftings import LiftingSpec, lift_value
 from .modalities import dual_of, resolve_modality
 
@@ -73,7 +73,7 @@ class Formula(Canonical):
 
     def __post_init__(self):
         if self.valued:
-            as_unit(self.value)
+            object.__setattr__(self, "value", as_unit(self.value))
 
     def _key(self):
         key = ("fm-" + self.kind,
@@ -81,6 +81,7 @@ class Formula(Canonical):
         return key + (canonical_key(self.value),) if self.valued else key
 
     def rank(self) -> int:
+        """Modal nesting depth; constants have rank 0."""
         return max((getattr(self, name).rank() for name in self.child_fields), default=0)
 
     def to_json(self, functor=None) -> dict:
@@ -265,7 +266,7 @@ class _Structural(Formula):
         return 1 + max((f.rank() for f in base(self.element)), default=0)
 
     def push(self, go, neg, modalities):
-        element = apply_map(lambda g: go(g, neg), self.element)
+        element = self.element.map(lambda g: go(g, neg))
         if neg:
             return FORMULA_KINDS[self.dual_kind](element)
         return self if element == self.element else type(self)(element)
@@ -324,11 +325,6 @@ class Neg(Formula):
 
     def push(self, go, neg, modalities):
         return go(self.sub, not neg)
-
-
-def rank(formula: Formula) -> int:
-    """Modal nesting depth; constants have rank 0."""
-    return formula.rank()
 
 
 def push_negations(formula: Formula, modalities: dict) -> Formula:

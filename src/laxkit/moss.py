@@ -1,7 +1,7 @@
 """Modalities derived from a lifting, and the logic they generate.
 
 Any functor element t with base y_1..y_n has a canonical indexed form t0
-over {1..n} with apply_map(i -> y_i, t0) = t.  Pairing an indexed form
+over {1..n} with t0.map(i -> y_i) = t.  Pairing an indexed form
 with a lifting yields a derived n-ary modality: feed it predicate tables
 f_1..f_n on X, build the membership matrix E(x, i) = f_i(x), and read off
 the lifted value between a given element over X and t0.  These modalities
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, StructureError, ZERO, companion, sat_sub
-from .functors import FunctorElement, FunctorSpec, apply_map, base
+from .functors import FunctorElement, FunctorSpec, base
 from .liftings import LiftingSpec, lift_value, require_match
 from .logic import Const, Formula, MossDelta, _Evaluator
 from .systems import Coalgebra, disjoint_union
@@ -53,12 +53,12 @@ def presentation_of(element: FunctorElement, lifting: LiftingSpec,
     """Canonical indexed form of an element.
 
     Returns (modality, placeholders) where placeholders lists the base in
-    index order; apply_map(i -> placeholders[i-1], indexed) rebuilds the
+    index order; indexed.map(i -> placeholders[i-1]) rebuilds the
     element exactly.
     """
     placeholders = base(element)
     position = {y: i + 1 for i, y in enumerate(placeholders)}
-    indexed = apply_map(lambda y: position[y], element)
+    indexed = element.map(lambda y: position[y])
     return MossModality(indexed, len(placeholders), lifting, functor), placeholders
 
 
@@ -96,7 +96,7 @@ def separation_witness(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel
     def column(b):
         return tuple(rel.at(a, b) for a in source)
 
-    mapped = apply_map(column, t2)
+    mapped = t2.map(column)
     modality, placeholders = presentation_of(mapped, lifting, functor)
     left = tuple(dict(zip(source, col)) for col in placeholders)
     right = tuple(companion(rel, f) for f in left)
@@ -132,7 +132,7 @@ def synthesize_levels(system: Coalgebra, max_rank: int) -> list:
     for _ in range(max_rank):
         prev = levels[-1]
         level = {
-            s: MossDelta(apply_map(lambda succ: prev[succ], system.step(s)))
+            s: MossDelta(system.step(s).map(lambda succ: prev[succ]))
             for s in system.carrier.elements
         }
         levels.append(level)

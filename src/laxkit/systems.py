@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Carrier, StructureError
-from .functors import FunctorElement, FunctorSpec, apply_map, element_errors
+from .functors import FunctorElement, FunctorSpec
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def validate(system: Coalgebra, raw_alpha: dict | None = None) -> ValidationRepo
     for state in carrier.elements:
         el = system.step(state)
         issues.extend(
-            element_errors(system.functor, el, lambda v: v in carrier, f"alpha[{state}]")
+            system.functor.element_errors(el, lambda v: v in carrier, f"alpha[{state}]")
         )
     if raw_alpha:
         for state, notes in raw_alpha.items():
@@ -107,7 +107,7 @@ def disjoint_union(c1: Coalgebra, c2: Coalgebra):
                       + tuple(inj2[s] for s in c2.carrier.elements))
     alpha = {}
     for s in c1.carrier.elements:
-        alpha[inj1[s]] = apply_map(lambda v: inj1[v], c1.step(s))
+        alpha[inj1[s]] = c1.step(s).map(lambda v: inj1[v])
     for s in c2.carrier.elements:
-        alpha[inj2[s]] = apply_map(lambda v: inj2[v], c2.step(s))
+        alpha[inj2[s]] = c2.step(s).map(lambda v: inj2[v])
     return Coalgebra.of(c1.functor, carrier, alpha), inj1, inj2

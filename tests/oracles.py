@@ -49,7 +49,6 @@ from laxkit.liftings import (
     LiftingSpec,
     PairSum,
     _GRID_CAP,
-    contraction_factor,
     lift_value,
     require_match,
 )
@@ -332,7 +331,7 @@ def full_recompute_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalg
     if max_iter < 1:
         raise StructureError("max_iter must be at least 1")
     _check_setup(lifting, sys_a, sys_b)
-    factor = contraction_factor(lifting)
+    factor = lifting.contraction_factor()
 
     def finish(matrix, n, residual, converged, trace):
         gap = residual * factor / (1 - factor) if factor < 1 else None

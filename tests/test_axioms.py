@@ -61,7 +61,7 @@ def test_discounted_encoding_of_the_weighted_step():
     lifting = lk.Hausdorff("left", lk.PairSum(
         F(1), F(1), lk.ConstLift(), lk.Discount(F(1, 2), lk.IdLift())
     ))
-    assert lk.match_lifting(lifting, functor) == []  # bounds 1/4 + 1/2 <= 1
+    assert lifting.match(functor) == []  # bounds 1/4 + 1/2 <= 1
     report = check_axioms(lifting, functor, FAST)
     got = names(report)
     assert all(got[k] for k in ("L1", "L2", "L3", "L4", "naturality", "hemimetric"))

@@ -142,7 +142,7 @@ def test_honest_non_convergence(weighted_loops):
 
 def test_gap_bound_for_contracting_liftings(weighted_loops, labelled_frames):
     sys_a, sys_b, _, lifting = weighted_loops
-    assert lk.contraction_factor(lifting) == F(1, 2)
+    assert lifting.contraction_factor() == F(1, 2)
     result = behavioural_distance(lifting, sys_a, sys_b, tol=0, max_iter=8)
     # the remaining gap to the limit 1/2 is exactly residual * c/(1-c) here
     true_gap = F(1, 2) - result.matrix.at("s", "t")
@@ -150,7 +150,7 @@ def test_gap_bound_for_contracting_liftings(weighted_loops, labelled_frames):
     # exact convergence leaves no gap
     frames = labelled_frames
     exact = behavioural_distance(frames[3], frames[0], frames[1])
-    assert lk.contraction_factor(frames[3]) == F(1, 2)
+    assert frames[3].contraction_factor() == F(1, 2)
     assert exact.gap_bound == 0
     # no contraction factor, no bound
     plain = behavioural_distance(

@@ -20,14 +20,13 @@ from laxkit import (
     PairEl,
     SetEl,
     StructureError,
-    apply_map,
     base,
     fdist,
     fset,
     just,
 )
 from laxkit.axioms import rand_element
-from laxkit.functors import FUNCTOR_KINDS, canonical_key, element_errors, render_element
+from laxkit.functors import FUNCTOR_KINDS, canonical_key
 from laxkit.jsonio import decode_element, decode_functor, encode_element, encode_functor
 from tests.conftest import number_const
 from tests.oracles import fraction_fdist
@@ -99,12 +98,12 @@ def test_apply_map_identity():
     for functor in FUNCTOR_ZOO:
         for _ in range(20):
             el = rand_element(rng, functor, x)
-            assert apply_map(lambda v: v, el) == el
+            assert el.map(lambda v: v) == el
 
 
 def test_apply_map_pushforward_merges():
     el = fdist([(IdEl("x"), F(1, 2)), (IdEl("y"), F(1, 2))])
-    assert apply_map(lambda v: "z", el) == fdist([(IdEl("z"), F(1))])
+    assert el.map(lambda v: "z") == fdist([(IdEl("z"), F(1))])
 
 
 def test_apply_map_composition_law():
@@ -116,8 +115,8 @@ def test_apply_map_composition_law():
             el = rand_element(rng, functor, x)
             f = {v: rng.choice(targets.elements) for v in x.elements}
             g = {v: rng.choice(x.elements) for v in targets.elements}
-            composed = apply_map(lambda v: g[f[v]], el)
-            staged = apply_map(lambda v: g[v], apply_map(lambda v: f[v], el))
+            composed = el.map(lambda v: g[f[v]])
+            staged = el.map(lambda v: f[v]).map(lambda v: g[v])
             assert composed == staged
 
 
@@ -135,7 +134,7 @@ def test_base_of_mapped_element_within_image():
         for _ in range(20):
             el = rand_element(rng, functor, x)
             f = {v: rng.choice(("p", "q")) for v in x.elements}
-            mapped = apply_map(lambda v: f[v], el)
+            mapped = el.map(lambda v: f[v])
             assert set(base(mapped)) <= {f[v] for v in base(el)}
 
 
@@ -143,24 +142,24 @@ def test_element_errors_spot_checks():
     x, _ = carriers()
     ok = lambda v: v in x
     good = fset([IdEl("x")])
-    assert element_errors(PFin(Id()), good, ok) == []
+    assert PFin(Id()).element_errors(good, ok) == []
     # wrong shape
-    errs = element_errors(PFin(Id()), IdEl("x"), ok)
+    errs = PFin(Id()).element_errors(IdEl("x"), ok)
     assert errs and errs[0][0] == "error"
     # foreign state
-    errs = element_errors(PFin(Id()), fset([IdEl("nope")]), ok)
+    errs = PFin(Id()).element_errors(fset([IdEl("nope")]), ok)
     assert any("not in the carrier" in m for _, _, m in errs)
     # bad mass is reported, not raised
     bad_mass = DistEl(((IdEl("x"), F(1, 2)), (IdEl("y"), F(1, 3))))
-    errs = element_errors(DFin(Id()), bad_mass, ok)
+    errs = DFin(Id()).element_errors(bad_mass, ok)
     assert any("mass 5/6" in m for _, _, m in errs)
 
 
 def test_render_element():
     el = PairEl(ConstEl("7/10"), fset([IdEl("a2"), IdEl("a3")]))
-    assert render_element(el) == "(7/10, {a2, a3})"
-    assert render_element(NOTHING) == "nothing"
-    assert render_element(just(IdEl("x"))) == "just x"
+    assert el.render() == "(7/10, {a2, a3})"
+    assert NOTHING.render() == "nothing"
+    assert just(IdEl("x")).render() == "just x"
 
 
 def test_canonical_key_is_total_and_stable():
@@ -196,7 +195,7 @@ def test_every_functor_kind_samples_validates_and_round_trips(name):
     for _ in range(40):
         el = rand_element(rng, functor, x)
         assert isinstance(el, functor.element_type)
-        assert element_errors(functor, el, lambda v: v in x) == []
+        assert functor.element_errors(el, lambda v: v in x) == []
         raw = json.loads(json.dumps(encode_element(functor, el)))
         assert decode_element(functor, raw, "el") == el
-        assert apply_map(lambda v: v, el) == el
+        assert el.map(lambda v: v) == el

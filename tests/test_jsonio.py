@@ -405,7 +405,7 @@ def test_formula_kind_example(labelled_frames, kind):
     raw = json.loads(json.dumps(encode_formula(phi, functor)))
     assert raw["kind"] == kind
     assert decode_formula(raw, functor=functor) == phi
-    assert lk.rank(phi) == phi_rank
+    assert phi.rank() == phi_rank
     assert lk.semantics(lk.Neg(lk.Neg(phi)), sys_a, lifting) == \
         lk.semantics(phi, sys_a, lifting)
     if kind in ("neg", "moss-delta", "moss-nabla"):  # no text form

@@ -21,15 +21,12 @@ from laxkit import (
     PFin,
     StructureError,
     WassersteinD,
-    claims_converse,
     fdist,
     fset,
     grid_error_bound,
     grid_kantorovich_value,
     just,
     lift_value,
-    match_lifting,
-    range_bound,
     sup_distance,
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
@@ -133,7 +130,7 @@ def test_pair_sum_matches_the_fraction_oracle():
                 lifting.lift(functor, rel, t1, t2)
         else:
             assert lifting.lift(functor, rel, t1, t2) == want
-    # a lift past 1 directly, without the weight check of match_lifting
+    # a lift past 1 directly, without the weight check of LiftingSpec.match
     metric = FuzzyRel(labels, labels, ((F(0), F(1, 2)), (F(1, 2), F(0))))
     functor = lk.Pair(lk.Const(labels, metric), SET_FUNCTOR)
     heavy = lk.PairSum(F(1), F(1), ConstLift(), H_SYM)
@@ -220,40 +217,40 @@ def test_maybe_lift_deadlock_conventions():
 
 
 def test_match_lifting_shapes():
-    assert match_lifting(H_SYM, SET_FUNCTOR) == []
-    assert match_lifting(H_SYM, DIST_FUNCTOR) != []
-    assert match_lifting(KantorovichD(IdLift()), SET_FUNCTOR) != []
+    assert H_SYM.match(SET_FUNCTOR) == []
+    assert H_SYM.match(DIST_FUNCTOR) != []
+    assert KantorovichD(IdLift()).match(SET_FUNCTOR) != []
     const = number_const(("0", "1/4"))
     functor = lk.Pair(const, Id())
     heavy = lk.PairSum(F(1), F(1), ConstLift(), IdLift())
-    problems = match_lifting(heavy, functor)
+    problems = heavy.match(functor)
     assert problems and "weighted sum can reach" in problems[0][1]
     ok = lk.PairSum(F(1), F(1, 2), ConstLift(), IdLift())
-    assert match_lifting(ok, functor) == []  # label range 1/4 <= 1 - 1/2
+    assert ok.match(functor) == []  # label range 1/4 <= 1 - 1/2
 
 
 def test_range_bound_tracks_discounts():
     const = number_const(("0", "1/4"))
     functor = lk.Pair(const, Id())
-    assert range_bound(ConstLift(), const) == F(1, 4)
-    assert range_bound(Discount(F(1, 2), IdLift()), Id()) == F(1, 2)
+    assert ConstLift().range_bound(const) == F(1, 4)
+    assert Discount(F(1, 2), IdLift()).range_bound(Id()) == F(1, 2)
     combo = lk.PairSum(F(1), F(1, 2), ConstLift(), IdLift())
-    assert range_bound(combo, functor) == F(3, 4)
+    assert combo.range_bound(functor) == F(3, 4)
 
 
 def test_claims_converse():
-    assert claims_converse(H_SYM, SET_FUNCTOR)
-    assert not claims_converse(H_LEFT, SET_FUNCTOR)
-    assert not claims_converse(H_RIGHT, SET_FUNCTOR)
-    assert claims_converse(KantorovichD(IdLift()), DIST_FUNCTOR)
-    assert claims_converse(KantorovichGrid(("dia", "box"), F(1, 4)), SET_FUNCTOR)
-    assert not claims_converse(KantorovichGrid(("dia",), F(1, 4)), SET_FUNCTOR)
+    assert H_SYM.claims_converse(SET_FUNCTOR)
+    assert not H_LEFT.claims_converse(SET_FUNCTOR)
+    assert not H_RIGHT.claims_converse(SET_FUNCTOR)
+    assert KantorovichD(IdLift()).claims_converse(DIST_FUNCTOR)
+    assert KantorovichGrid(("dia", "box"), F(1, 4)).claims_converse(SET_FUNCTOR)
+    assert not KantorovichGrid(("dia",), F(1, 4)).claims_converse(SET_FUNCTOR)
 
 
 def test_grid_converse_reads_modality_aliases():
     for names in (("<>", "box"), ("dia", "[]"), ("<>", "[]")):
-        assert claims_converse(KantorovichGrid(names, F(1, 4)), SET_FUNCTOR)
-    assert not claims_converse(KantorovichGrid(("<>",), F(1, 4)), SET_FUNCTOR)
+        assert KantorovichGrid(names, F(1, 4)).claims_converse(SET_FUNCTOR)
+    assert not KantorovichGrid(("<>",), F(1, 4)).claims_converse(SET_FUNCTOR)
 
 
 def test_grid_matches_one_sided_hausdorff_within_step():
@@ -301,6 +298,13 @@ def test_grid_error_bound_contract():
     clamped = PredicateLifting("jump", 1, True, False, mods["dia"].evaluator)
     with pytest.raises(StructureError):
         grid_error_bound([clamped], F(1, 16))
+
+
+def test_grid_step_must_be_a_unit_fraction():
+    assert KantorovichGrid(("dia",), F(1)).step == 1
+    for step in (1, 0.25, F(0), F(2, 3), F(2)):
+        with pytest.raises(StructureError, match="grid step must be 1/k"):
+            KantorovichGrid(("dia",), step)
 
 
 def test_grid_refuses_non_monotone():

@@ -19,7 +19,6 @@ from laxkit import (
     parse_formula,
     print_formula,
     push_negations,
-    rank,
     semantics,
 )
 from laxkit.jsonio import decode_functor
@@ -59,6 +58,18 @@ def random_formula(rng, names_arities, depth):
 def test_constant_evaluation():
     system = plain_ts({"s": ["s"]})
     assert evaluate(FormulaConst(F(1, 3)), system, "s") == F(1, 3)
+
+
+def test_formula_values_are_stored_as_fractions():
+    system = plain_ts({"s": ["s"]})
+    table = semantics(MinusC(FormulaConst(F(3, 4)), 0.5), system)
+    assert table == {"s": F(1, 4)} and type(table["s"]) is F
+    value = evaluate(FormulaConst(True), system, "s")
+    assert value == 1 and type(value) is F
+    assert type(PlusC(FormulaConst(F(0)), 1).value) is F
+    assert len({FormulaConst(1), FormulaConst(F(1))}) == 1
+    with pytest.raises(lk.StructureError):
+        FormulaConst(F(3, 2))
 
 
 def test_zadeh_connectives():
@@ -106,16 +117,16 @@ def test_label_readout_modalities(labelled_frames):
 
 def test_rank():
     phi = Modal("dia", (And(FormulaConst(F(1)), Modal("box", (FormulaConst(F(0)),))),))
-    assert rank(FormulaConst(F(1))) == 0
-    assert rank(phi) == 2
-    assert rank(PlusC(phi, F(1, 2))) == 2
+    assert FormulaConst(F(1)).rank() == 0
+    assert phi.rank() == 2
+    assert PlusC(phi, F(1, 2)).rank() == 2
 
 
 def test_rank_of_structural_modality(labelled_frames):
     sys_a, _, _, lifting, _ = labelled_frames
     phi = lk.synthesize(sys_a, "a1", 2)
     assert isinstance(phi, MossDelta)
-    assert rank(phi) == 2
+    assert phi.rank() == 2
 
 
 def test_negation_duality_exact():

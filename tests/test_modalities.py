@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import Carrier, apply_map
+from laxkit import Carrier
 from laxkit.axioms import rand_carrier, rand_element, rand_function, rand_unit
 from laxkit.modalities import (
     dual_of,
@@ -66,7 +66,7 @@ def test_naturality():
                 composed = tuple(
                     {a: g[f[a]] for a in x.elements} for g in tables_y
                 )
-                assert lam.evaluator(apply_map(lambda v: f[v], t), tables_y) == \
+                assert lam.evaluator(t.map(lambda v: f[v]), tables_y) == \
                     lam.evaluator(t, composed)
 
 

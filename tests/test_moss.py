@@ -8,7 +8,6 @@ from laxkit import (
     Carrier,
     FuzzyRel,
     IdEl,
-    apply_map,
     base,
     companion,
     distance_chain,
@@ -60,14 +59,14 @@ def test_presentation_round_trip_examples():
     mod, placeholders = presentation_of(t, H_SYM, SET_FUNCTOR)
     assert placeholders == ("a2", "a3")
     assert mod.indexed == fset([IdEl(1), IdEl(2)])
-    rebuilt = apply_map(lambda i: placeholders[i - 1], mod.indexed)
+    rebuilt = mod.indexed.map(lambda i: placeholders[i - 1])
     assert rebuilt == t
 
     functor, lifting = labelled_functor_and_lifting()
     labelled = lk.PairEl(lk.ConstEl("7/10"), fset([IdEl("a2"), IdEl("a3")]))
     mod, placeholders = presentation_of(labelled, lifting, functor)
     assert mod.indexed == lk.PairEl(lk.ConstEl("7/10"), fset([IdEl(1), IdEl(2)]))
-    assert apply_map(lambda i: placeholders[i - 1], mod.indexed) == labelled
+    assert mod.indexed.map(lambda i: placeholders[i - 1]) == labelled
 
 
 def test_presentation_round_trip_random():
@@ -79,7 +78,7 @@ def test_presentation_round_trip_random():
             t = rand_element(rng, functor, carrier)
             mod, placeholders = presentation_of(t, H_SYM, functor)
             assert set(base(mod.indexed)) <= set(range(1, mod.arity + 1))
-            assert apply_map(lambda i: placeholders[i - 1], mod.indexed) == t
+            assert mod.indexed.map(lambda i: placeholders[i - 1]) == t
 
 
 def test_moss_eval_against_direct_hausdorff():
@@ -316,7 +315,7 @@ def random_structural_formula(rng, functor, carrier, depth):
         x: random_structural_formula(rng, functor, carrier, depth - 1)
         for x in carrier.elements
     }
-    return lk.MossDelta(apply_map(lambda x: subs[x], shape))
+    return lk.MossDelta(shape.map(lambda x: subs[x]))
 
 
 def test_probabilistic_synthesis_end_to_end(prob_deadlock):
@@ -352,7 +351,7 @@ def test_structural_formulas_respect_rank_distances():
             phi = random_structural_formula(
                 rng, functor, union.carrier, rng.randint(1, 4)
             )
-            k = lk.rank(phi)
+            k = phi.rank()
             table = semantics(phi, union, lifting)
             for a in sys_a.carrier.elements:
                 for b in sys_b.carrier.elements:
