@@ -21,6 +21,10 @@ unnoticed.  The check is made per function where the rest of a module
 divides Fractions on purpose.  And it keeps
 the brute-force oracles in tests/oracles.py out of the package: no module
 under src/laxkit imports the tests package.
+
+Finally it keeps one spelling per grammar operation: outside an allowlist,
+no module-level function in src/laxkit only passes its parameters on to a
+method of one of them, so each contract lives on its node method.
 """
 
 import ast
