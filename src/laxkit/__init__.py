@@ -14,7 +14,6 @@ from .core import (
     Carrier,
     FuzzyRel,
     LaxkitError,
-    NonexpansivePair,
     StructureError,
     companion,
     compose,

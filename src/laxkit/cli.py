@@ -39,7 +39,7 @@ from .jsonio import (
     load_text,
     write_text,
 )
-from .liftings import LIFTING_KINDS
+from .liftings import LIFTING_KINDS, require_match
 from .logic import evaluate, semantics
 from .moss import logical_distance, synthesize
 from .systems import disjoint_union, validate
@@ -137,8 +137,13 @@ def _render_table(report: dict) -> str:
 
 
 def _load_system(digests: dict, path: str):
+    """Decode and validate a system file; each validation warning, such as
+    a merged support entry, goes to stderr as one line, and any error is
+    a format error at the file's path."""
     system, notes = decode_system(load_json(path, digests), path)
     report = validate(system, notes)
+    for _, at, message in report.warnings():
+        print(f"warning: {path}: {at}: {message}", file=sys.stderr)
     if not report.ok:
         lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
         raise JsonFormatError(f"system does not validate: {lines}", path)
@@ -161,10 +166,11 @@ def _load_lifting(digests: dict, path: str, functor):
 
 
 def _check_fit(lifting, functor, path: str) -> None:
-    problems = lifting.match(functor)
-    if problems:
-        lines = "; ".join(f"{p}: {m}" for p, m in problems)
-        raise JsonFormatError(f"lifting does not fit the system functor: {lines}", path)
+    """require_match, its refusal reported at the lifting file's path."""
+    try:
+        require_match(lifting, functor)
+    except StructureError as exc:
+        raise JsonFormatError(str(exc), path) from None
 
 
 def cmd_dist(args) -> int:

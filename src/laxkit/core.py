@@ -309,10 +309,6 @@ def companion(r: FuzzyRel, f: PredTable) -> dict:
     return out
 
 
-def table_le(f: PredTable, g: PredTable, carrier: Carrier) -> bool:
-    return all(f[x] <= g[x] for x in carrier.elements)
-
-
 def is_nonexpansive_pair(r: FuzzyRel, f: PredTable, g: PredTable) -> bool:
     """f(a) - g(b) <= r(a,b) for all a, b."""
     return all(
@@ -320,43 +316,3 @@ def is_nonexpansive_pair(r: FuzzyRel, f: PredTable, g: PredTable) -> bool:
         for i, a in enumerate(r.source.elements)
         for j, b in enumerate(r.target.elements)
     )
-
-
-@dataclass(frozen=True)
-class NonexpansivePair:
-    """A pair of unit-valued tables recorded against a specific relation.
-
-    Construction fails unless f(a) - g(b) <= rel(a,b) holds everywhere.
-    """
-
-    rel: FuzzyRel
-    f: tuple
-    g: tuple
-
-    def __post_init__(self):
-        ftab, gtab = self.f_table(), self.g_table()
-        for x in ftab.values():
-            as_unit(x)
-        for x in gtab.values():
-            as_unit(x)
-        if not is_nonexpansive_pair(self.rel, ftab, gtab):
-            raise StructureError("pair is not nonexpansive across the relation")
-
-    @staticmethod
-    def from_tables(rel: FuzzyRel, f: PredTable, g: PredTable) -> "NonexpansivePair":
-        return NonexpansivePair(
-            rel,
-            tuple((a, as_unit(f[a])) for a in rel.source.elements),
-            tuple((b, as_unit(g[b])) for b in rel.target.elements),
-        )
-
-    @staticmethod
-    def from_left(rel: FuzzyRel, f: PredTable) -> "NonexpansivePair":
-        """Complete f with its companion, the least valid right-hand table."""
-        return NonexpansivePair.from_tables(rel, f, companion(rel, f))
-
-    def f_table(self) -> dict:
-        return dict(self.f)
-
-    def g_table(self) -> dict:
-        return dict(self.g)

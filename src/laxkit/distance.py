@@ -105,7 +105,9 @@ class DistanceResult:
     gap_bound: Fraction | None = None
 
 
-def _check_setup(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra) -> None:
+def check_setup(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra) -> None:
+    """Refuse two systems of different functors, or a lifting that does not
+    fit their functor (see require_match), with a StructureError."""
     if sys_a.functor != sys_b.functor:
         raise StructureError("the two systems must share a functor")
     require_match(lifting, sys_a.functor)
@@ -222,7 +224,7 @@ def distance_chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
     """The first entries of the iteration chain, starting at the zero matrix."""
     if steps < 0:
         raise StructureError("steps must be nonnegative")
-    _check_setup(lifting, sys_a, sys_b)
+    check_setup(lifting, sys_a, sys_b)
     chain = [_zero(sys_a, sys_b)]
     for rows, _ in islice(_chain(lifting, sys_a, sys_b), steps):
         chain.append(_rel(sys_a, sys_b, rows))
@@ -246,7 +248,7 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
         raise StructureError("tolerance must be nonnegative")
     if max_iter < 1:
         raise StructureError("max_iter must be at least 1")
-    _check_setup(lifting, sys_a, sys_b)
+    check_setup(lifting, sys_a, sys_b)
     factor = lifting.contraction_factor()
     trace = [_zero(sys_a, sys_b)] if keep_trace else None
 
@@ -270,7 +272,7 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
 def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
                       cert: Certificate) -> CertificateVerdict:
     """Verify a simulation or bisimulation certificate, with per-pair slack."""
-    _check_setup(lifting, sys_a, sys_b)
+    check_setup(lifting, sys_a, sys_b)
     rel = cert.relation
     if rel.source != sys_a.carrier or rel.target != sys_b.carrier:
         raise StructureError("certificate carriers do not match the systems")

@@ -287,41 +287,67 @@ NOTHING = MaybeEl(None)
 
 
 # ---------------------------------------------------------------------------
-# Functor grammar
+# Grammar nodes
 
 
-class FunctorSpec:
-    """Base class of functor grammar nodes; each subclass is one functor kind.
+class GrammarNode:
+    """Base class of the three grammars' nodes: functors, liftings, formulas.
 
-    A subclass sets `kind`, the JSON tag it registers under in
-    FUNCTOR_KINDS; `child_fields`, the attributes holding its child
-    functors; `element_type`, the class of its elements; and `noun`, how
-    validation names such an element.  It defines the positional element
-    codec (`encode_element`, `decode_element`), the checks `_errors` on an
-    element already known to be of its element type, `random_element`,
-    and, where the kind has a standard reading, `_modalities`, the table of
-    named modalities over it (see laxkit.modalities); shapes without one,
-    such as nested sets, offer none and get theirs by derivation from a
-    lifting.  Children are reached by direct method calls.
+    A grammar's base class names its registry as a class keyword
+    (`class FunctorSpec(GrammarNode, kinds=FUNCTOR_KINDS)`) and keeps it as
+    `kinds`; each class below it that sets `kind`, its JSON tag, is
+    registered there under that tag.  `child_fields` names the attributes
+    holding a node's children in its own grammar, in field order; the
+    default JSON codec writes and reads exactly those, and a kind with
+    further fields extends it.
     """
 
     child_fields = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, kinds=None, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "kind" in vars(cls):
-            FUNCTOR_KINDS[cls.kind] = cls
+        if kinds is not None:
+            cls.kinds = kinds
+        elif "kind" in vars(cls):
+            cls.kinds[cls.kind] = cls
 
-    def to_json(self) -> dict:
+    def children(self) -> tuple:
+        """The child nodes, in the order of child_fields."""
+        return tuple(getattr(self, name) for name in self.child_fields)
+
+    def to_json(self, *context) -> dict:
+        """The JSON form; context (a formula's system functor) is passed on
+        to the children."""
         out = {"kind": self.kind}
         for name in self.child_fields:
-            out[name] = getattr(self, name).to_json()
+            out[name] = getattr(self, name).to_json(*context)
         return out
 
     @classmethod
-    def from_json(cls, node) -> FunctorSpec:
-        """Build from a JSON node reader (see laxkit.jsonio.decode_functor)."""
+    def from_json(cls, node):
+        """Build from a JSON node reader (see laxkit.jsonio)."""
         return cls(*[node.child(name) for name in cls.child_fields])
+
+
+# ---------------------------------------------------------------------------
+# Functor grammar
+
+
+class FunctorSpec(GrammarNode, kinds=FUNCTOR_KINDS):
+    """Base class of functor grammar nodes; each subclass is one functor kind.
+
+    A subclass sets `kind`, the JSON tag it registers under in
+    FUNCTOR_KINDS, and `child_fields`, the attributes holding its child
+    functors (see GrammarNode); `element_type`, the class of its elements;
+    and `noun`, how validation names such an element.  It defines the
+    positional element codec (`encode_element`, `decode_element`), the
+    checks `_errors` on an element already known to be of its element
+    type, `random_element`, and, where the kind has a standard reading,
+    `_modalities`, the table of named modalities over it (see
+    laxkit.modalities); shapes without one, such as nested sets, offer
+    none and get theirs by derivation from a lifting.  Children are reached
+    by direct method calls.
+    """
 
     def element_errors(self, element, leaf_ok: Callable, path: str = "") -> list:
         """Type-check an element against a grammar node.

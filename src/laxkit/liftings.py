@@ -62,6 +62,7 @@ from .functors import (
     DistEl,
     FunctorElement,
     FunctorSpec,
+    GrammarNode,
     Id,
     Maybe,
     PFin,
@@ -76,25 +77,20 @@ from .transport import min_cost_transport
 LIFTING_KINDS: dict = {}  # JSON kind -> lifting class, in definition order
 
 
-class LiftingSpec:
+class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
     """Base class of lifting grammar nodes; each subclass is one lifting kind.
 
     Its methods are all the toolkit knows about the kind; each subclass
     defines `lift`, the evaluation.  A subclass also sets `kind`, the JSON
-    tag it registers under in LIFTING_KINDS; `child_fields`,
-    the attributes holding its child liftings, each named like the functor
-    attribute it lifts along; and, unless it overrides `match` and
-    `default_functor`, the `functor_type` it lifts along and the `mismatch`
-    reported for any other functor.  Children are reached by direct method
-    calls, so evaluation costs one method call per node and no dispatch.
+    tag it registers under in LIFTING_KINDS, and `child_fields`, the
+    attributes holding its child liftings (see GrammarNode), each named
+    like the functor attribute it lifts along, so a node's children pair
+    up with those of the functor it fits; and, unless it overrides `match`
+    and `default_functor`, the `functor_type` it lifts along and the
+    `mismatch` reported for any other functor.  Children are reached by
+    direct method calls, so evaluation costs one method call per node and
+    no dispatch.
     """
-
-    child_fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "kind" in vars(cls):
-            LIFTING_KINDS[cls.kind] = cls
 
     def range_bound(self, functor: FunctorSpec) -> Fraction:
         """An upper bound for the values this lifting can produce."""
@@ -110,8 +106,7 @@ class LiftingSpec:
         nonexpansiveness.
         """
         # as Lipschitz as its worst child; a leaf promises nonexpansiveness only
-        return max((getattr(self, name).contraction_factor() for name in self.child_fields),
-                   default=ONE)
+        return max((child.contraction_factor() for child in self.children()), default=ONE)
 
     def match(self, functor: FunctorSpec, path: str = "") -> list:
         """Shape-check a lifting against a functor; returns (path, message) pairs.
@@ -124,35 +119,23 @@ class LiftingSpec:
         if not isinstance(functor, self.functor_type):
             return [(path or "<root>", self.mismatch)]
         out = []
-        for name in self.child_fields:
-            out += getattr(self, name).match(getattr(functor, name), f"{path}.{name}")
+        for name, child, sub in zip(self.child_fields, self.children(), functor.children()):
+            out += child.match(sub, f"{path}.{name}")
         return out
 
     def claims_converse(self, functor: FunctorSpec) -> bool:
         """Whether the lifting is expected to preserve relational converse."""
-        return all(getattr(self, name).claims_converse(getattr(functor, name))
-                   for name in self.child_fields)
+        return all(child.claims_converse(sub)
+                   for child, sub in zip(self.children(), functor.children()))
 
     def approximation_slack(self) -> Fraction:
         """Zero for exact liftings; the grid step wherever a grid oracle occurs."""
-        return max((getattr(self, name).approximation_slack() for name in self.child_fields),
-                   default=ZERO)
+        return max((child.approximation_slack() for child in self.children()), default=ZERO)
 
     def default_functor(self, path: str = "lifting") -> FunctorSpec:
         """The functor this lifting's shape implies; StructureError if none."""
-        return self.functor_type(*(getattr(self, name).default_functor(f"{path}.{name}")
-                                   for name in self.child_fields))
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for name in self.child_fields:
-            out[name] = getattr(self, name).to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, node) -> LiftingSpec:
-        """Build from a JSON node reader (see laxkit.jsonio.decode_lifting)."""
-        return cls(*[node.child(name) for name in cls.child_fields])
+        return self.functor_type(*(child.default_functor(f"{path}.{name}")
+                                   for name, child in zip(self.child_fields, self.children())))
 
 
 @dataclass(frozen=True)
@@ -408,6 +391,7 @@ class KantorovichGrid(LiftingSpec):
     kind = "kantorovich-grid"
 
     def __post_init__(self):
+        object.__setattr__(self, "modality_names", tuple(self.modality_names))
         if not isinstance(self.step, Fraction) or self.step.numerator != 1:
             raise StructureError("grid step must be 1/k for a positive integer k")
 
@@ -455,14 +439,16 @@ class KantorovichGrid(LiftingSpec):
         node.expect(isinstance(names, list) and names and all(isinstance(n, str) for n in names),
                     "kantorovich-grid needs a list of modality names")
         node.expect("step" in node.raw, "kantorovich-grid needs a 'step'")
-        return cls(tuple(names), node.unit(node.raw["step"], ".step"))
+        return cls(names, node.unit(node.raw["step"], ".step"))
 
 
 def require_match(lifting: LiftingSpec, functor: FunctorSpec) -> None:
+    """Refuse a lifting that does not fit the functor: one StructureError
+    lists every problem lifting.match finds."""
     problems = lifting.match(functor)
     if problems:
         lines = "; ".join(f"{p}: {m}" for p, m in problems)
-        raise StructureError(f"lifting does not fit the functor: {lines}")
+        raise StructureError(f"lifting does not fit the system functor: {lines}")
 
 
 def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
@@ -482,30 +468,23 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
                            t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Sup over modalities and grid-valued left tables, right = companion.
 
-    Left tables take grid values on base(t1) only and are 0 elsewhere.
-    This loses nothing.  A natural modality reads a table only on the
-    support of its element, so lam(t1, f) depends on f over base(t1)
-    alone.  The companion g(b) = sup_a f(a) (-) rel(a, b) is monotone in f,
-    so zeroing f off base(t1) can only lower g, and a monotone lam then
-    only lowers lam(t2, g): the value lam(t1, f) (-) lam(t2, g) cannot
-    drop.  Hence the value reads rel only on base(t1) x base(t2), and the
-    search costs |levels|^(arity * |base t1|) tables, to which the cap
-    applies, instead of |levels|^(arity * |source|).
+    The grid is 0, step, 2 * step, ..., 1 for a step of 1/k, the only
+    steps KantorovichGrid admits.  Left tables take grid values on
+    base(t1) only and are 0 elsewhere.  This loses nothing.  A natural
+    modality reads a table only on the support of its element, so
+    lam(t1, f) depends on f over base(t1) alone.  The companion
+    g(b) = sup_a f(a) (-) rel(a, b) is monotone in f, so zeroing f off
+    base(t1) can only lower g, and a monotone lam then only lowers
+    lam(t2, g): the value lam(t1, f) (-) lam(t2, g) cannot drop.  Hence
+    the value reads rel only on base(t1) x base(t2), and the search costs
+    |levels|^(arity * |base t1|) tables, to which the cap applies,
+    instead of |levels|^(arity * |source|).
 
     Returns a value in [true - step, true] when all modalities are
     nonexpansive (see grid_error_bound); exact whenever the optimum is
     attained on the grid.
     """
-    levels = []
-    k = 0
-    while True:
-        v = k * step
-        if v > 1:
-            break
-        levels.append(v)
-        k += 1
-    if levels[-1] != 1:
-        levels.append(ONE)
+    levels = [k * step for k in range(step.denominator + 1)]
     left, right = base(t1), base(t2)
     block = [[rel.at(a, b) for b in right] for a in left]
     width = len(left)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, LaxkitError, ONE, StructureError, as_unit, format_unit
 from .core import sat_add, sat_sub
-from .functors import Canonical, FunctorElement, base, canonical_key
+from .functors import Canonical, FunctorElement, FunctorSpec, GrammarNode, base, canonical_key
 from .liftings import LiftingSpec, lift_value
 from .modalities import dual_of, resolve_modality
 
@@ -46,60 +46,31 @@ NAME_PATTERN = r"[A-Za-z_](?:[A-Za-z0-9_.\-]|/(?!\\))*|<>|\[\]"
 _NAME = re.compile(NAME_PATTERN)
 
 
-class Formula(Canonical):
+class Formula(GrammarNode, Canonical, kinds=FORMULA_KINDS):
     """Base class of formula nodes; each subclass is one formula kind.
 
     A subclass sets `kind`, the JSON tag it registers under in
-    FORMULA_KINDS; `child_fields`, the attributes holding its subformulas;
-    and `valued`, whether a rational `value` (spelled `lexeme` in the text
-    it was parsed from) follows them.  Rank, canonical key and JSON codec
-    default to reading those.  It defines `push(go, neg, modalities)`, one
-    De Morgan step of push_negations (its children rewritten by
-    go(child, polarity), the node negated when neg holds), `table(ev)`, its
-    value table over the tables ev.table gives its children, and
-    `_text()`, its text form at precedence `level`, if it has one.  Kinds
-    that differ only in an operator share one class body and set the
-    operator, and the kind of their De Morgan dual, as class attributes.
+    FORMULA_KINDS, and `child_fields`, the attributes holding its
+    subformulas (see GrammarNode); rank, canonical key and JSON codec
+    default to reading those, and the JSON codec passes the system functor
+    down to the structural modalities.  It defines `push(go, neg,
+    modalities)`, one De Morgan step of push_negations (its children
+    rewritten by go(child, polarity), the node negated when neg holds),
+    `table(ev)`, its value table over the tables ev.table gives its
+    children, and `_text()`, its text form at precedence `level`, if it has
+    one.  Kinds that differ only in an operator share one class body and
+    set the operator, and the kind of their De Morgan dual, as class
+    attributes; kinds with a rational value derive from _Valued.
     """
 
-    child_fields = ()
-    valued = False
     level = ATOM
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "kind" in vars(cls):
-            FORMULA_KINDS[cls.kind] = cls
-
-    def __post_init__(self):
-        if self.valued:
-            object.__setattr__(self, "value", as_unit(self.value))
-
     def _key(self):
-        key = ("fm-" + self.kind,
-               *(getattr(self, name)._canonical_key() for name in self.child_fields))
-        return key + (canonical_key(self.value),) if self.valued else key
+        return ("fm-" + self.kind, *(child._canonical_key() for child in self.children()))
 
     def rank(self) -> int:
         """Modal nesting depth; constants have rank 0."""
-        return max((getattr(self, name).rank() for name in self.child_fields), default=0)
-
-    def to_json(self, functor=None) -> dict:
-        """The JSON form; structural modalities need the system functor."""
-        out = {"kind": self.kind}
-        for name in self.child_fields:
-            out[name] = getattr(self, name).to_json(functor)
-        if self.valued:
-            out["value"] = format_unit(self.value)
-        return out
-
-    @classmethod
-    def from_json(cls, node) -> Formula:
-        """Build from a JSON node reader (see laxkit.jsonio.decode_formula)."""
-        args = [node.child(name) for name in cls.child_fields]
-        if cls.valued:
-            args.append(node.unit(node.raw.get("value"), ".value"))
-        return cls(*args)
+        return max((child.rank() for child in self.children()), default=0)
 
     def text(self, floor: int = SHIFT) -> str:
         """The text form, parenthesized when it binds looser than floor."""
@@ -109,17 +80,35 @@ class Formula(Canonical):
     def _text(self) -> str:
         raise LaxkitError(f"{type(self).__name__} has no text form; use the JSON encoding")
 
+
+class _Valued(Formula):
+    """A formula kind whose rational `value`, spelled `lexeme` in the text
+    it was parsed from, follows its subformulas."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", as_unit(self.value))
+
+    def _key(self):
+        return super()._key() + (canonical_key(self.value),)
+
+    def to_json(self, functor=None):
+        return {**super().to_json(functor), "value": format_unit(self.value)}
+
+    @classmethod
+    def from_json(cls, node):
+        return cls(*[node.child(name) for name in cls.child_fields],
+                   node.unit(node.raw.get("value"), ".value"))
+
     def _value_text(self) -> str:
         return self.lexeme if self.lexeme is not None else format_unit(self.value)
 
 
 @dataclass(frozen=True)
-class Const(Formula):
+class Const(_Valued):
     value: Fraction
     lexeme: str | None = field(default=None, compare=False)
 
     kind = "const"
-    valued = True
 
     def push(self, go, neg, modalities):
         return Const(ONE - self.value) if neg else self
@@ -132,7 +121,7 @@ class Const(Formula):
 
 
 @dataclass(frozen=True)
-class _Shift(Formula):
+class _Shift(_Valued):
     """A truncated shift by a constant; MinusC and PlusC differ in `shift`."""
 
     sub: Formula
@@ -140,7 +129,6 @@ class _Shift(Formula):
     lexeme: str | None = field(default=None, compare=False)
 
     child_fields = ("sub",)
-    valued = True
     level = SHIFT
 
     def push(self, go, neg, modalities):
@@ -327,20 +315,15 @@ class Neg(Formula):
         return go(self.sub, not neg)
 
 
-def push_negations(formula: Formula, modalities: dict) -> Formula:
-    """Rewrite Neg away using De Morgan laws and modality duals.
+def push_negations(formula: Formula, functor: FunctorSpec) -> Formula:
+    """Rewrite Neg away using De Morgan laws and the duals of the named
+    modalities over functor.
 
-    Memoized per (node, polarity) so shared subformulas stay shared and
-    untouched subtrees are returned as the same objects.
+    The functor's modality table is read only when a named modality is
+    negated.  Memoized per (node, polarity) so shared subformulas stay
+    shared and untouched subtrees are returned as the same objects.
     """
-    return _push_negations(formula, lambda: modalities)
-
-
-def _push_negations(formula: Formula, modalities) -> Formula:
-    """push_negations with the modality table behind a thunk.
-
-    modalities() is called only when a named modality is negated.
-    """
+    modalities = functor.standard_modalities
     memo: dict = {}
 
     def go(f: Formula, neg: bool) -> Formula:
@@ -371,7 +354,7 @@ class _Evaluator:
         return self.system.functor.standard_modalities()
 
     def __call__(self, formula: Formula) -> dict:
-        return self.table(_push_negations(formula, self.modalities))
+        return self.table(push_negations(formula, self.system.functor))
 
     def table(self, f: Formula) -> dict:
         table = self._memo.get(f)

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .core import Carrier, FuzzyRel, StructureError, ZERO, companion, sat_sub
 from .functors import FunctorElement, FunctorSpec, base
-from .liftings import LiftingSpec, lift_value, require_match
+from .distance import check_setup
+from .liftings import LiftingSpec, lift_value
 from .logic import Const, Formula, MossDelta, _Evaluator
 from .systems import Coalgebra, disjoint_union
 
@@ -157,9 +158,7 @@ def logical_distance(sys_a: Coalgebra, sys_b: Coalgebra, lifting: LiftingSpec,
     lift per union state; synthesized formulas name no modality, so no
     modality table is built.
     """
-    if sys_a.functor != sys_b.functor:
-        raise StructureError("the two systems must share a functor")
-    require_match(lifting, sys_a.functor)
+    check_setup(lifting, sys_a, sys_b)
     union, inj1, inj2 = disjoint_union(sys_a, sys_b)
     formulas = synthesize_levels(union, rank_n)[rank_n]
     evaluator = _Evaluator(union, lifting)

@@ -2,6 +2,7 @@ import os
 import sys
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -20,6 +21,46 @@ def number_const(values):
     nums = {v: F(v) for v in values}
     metric = lk.FuzzyRel.from_function(labels, labels, lambda x, y: abs(nums[x] - nums[y]))
     return lk.Const(labels, metric)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.sampled_from(["0", "1", "1/2", "0.25", "3/2", "x", "dia", "at-0"])
+               | st.text(max_size=4))
+
+
+def json_values(keys, kinds):
+    """Any JSON value; its objects draw their keys from `keys` and, as
+    grammar nodes, their 'kind' from `kinds`."""
+    def extend(children):
+        fields = st.dictionaries(st.sampled_from(keys), children, max_size=3)
+        node = st.builds(lambda kind, rest: {"kind": kind, **rest}, st.sampled_from(kinds), fields)
+        return st.lists(children, max_size=3) | fields | node
+    return st.recursive(JSON_LEAVES, extend, max_leaves=12)
+
+
+def json_paths(value, at=()):
+    """The path (a tuple of keys and indices) of every value inside value."""
+    yield at
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from json_paths(child, at + (key,))
+
+
+def replaced(value, path, new):
+    """A copy of value with the value at path replaced by new."""
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = replaced(value[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def mutants(draw, valid, values):
+    """valid with one value inside it, drawn by path, replaced by one of values."""
+    path = draw(st.sampled_from(list(json_paths(valid))))
+    return replaced(valid, path, draw(values))
 
 
 def count_modality_tables(monkeypatch):

@@ -42,7 +42,7 @@ from laxkit.core import (
     sup,
     sup_distance,
 )
-from laxkit.distance import DistanceResult, _check_setup
+from laxkit.distance import DistanceResult, check_setup
 from laxkit.functors import DistEl, FunctorElement, FunctorSpec
 from laxkit.liftings import (
     Hausdorff,
@@ -50,7 +50,6 @@ from laxkit.liftings import (
     PairSum,
     _GRID_CAP,
     lift_value,
-    require_match,
 )
 from laxkit.logic import semantics
 from laxkit.moss import synthesize_levels
@@ -302,7 +301,7 @@ def full_recompute_chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     """
     if steps < 0:
         raise StructureError("steps must be nonnegative")
-    _check_setup(lifting, sys_a, sys_b)
+    check_setup(lifting, sys_a, sys_b)
     chain = [_zero(sys_a, sys_b)]
     for _ in range(steps):
         chain.append(_full_step(lifting, sys_a.functor, sys_a, sys_b, chain[-1]))
@@ -330,7 +329,7 @@ def full_recompute_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalg
         raise StructureError("tolerance must be nonnegative")
     if max_iter < 1:
         raise StructureError("max_iter must be at least 1")
-    _check_setup(lifting, sys_a, sys_b)
+    check_setup(lifting, sys_a, sys_b)
     factor = lifting.contraction_factor()
 
     def finish(matrix, n, residual, converged, trace):
@@ -441,9 +440,7 @@ def per_target_logical_distance(sys_a: Coalgebra, sys_b: Coalgebra,
     formula through one evaluator: each call starts from a fresh memo, so
     the lower-rank formulas the targets share are evaluated once per target.
     """
-    if sys_a.functor != sys_b.functor:
-        raise StructureError("the two systems must share a functor")
-    require_match(lifting, sys_a.functor)
+    check_setup(lifting, sys_a, sys_b)
     union, inj1, inj2 = disjoint_union(sys_a, sys_b)
     formulas = synthesize_levels(union, rank_n)[rank_n]
     tables = {

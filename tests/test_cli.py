@@ -1,15 +1,22 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from laxkit import cli, logic
 from laxkit.cli import main
 from laxkit.core import parse_unit
+from laxkit.functors import FUNCTOR_KINDS
 from laxkit.jsonio import MAX_NESTING
+from laxkit.liftings import LIFTING_KINDS
 from laxkit.moss import MAX_RANK
-from tests.conftest import count_modality_tables, fixture_path
+from tests.conftest import count_modality_tables, fixture_path, json_values, mutants
 
 
 def run_cli(capsys, *argv):
@@ -547,3 +554,158 @@ def test_no_parser_is_built_after_the_first_call(monkeypatch, capsys):
 def test_internal_errors_exit_3_after_an_earlier_call(capsys, monkeypatch):
     assert run_cli(capsys, "catalog")[0] == 0
     test_internal_errors_exit_3_with_a_traceback(capsys, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Validation warnings, table rendering and argument errors
+
+
+def _with_duplicate(tmp_path, name, state, entry):
+    """A copy of a fixture system whose `state` lists `entry` in place of its
+    successors; the copy means the same system as the fixture."""
+    raw = json.load(open(fixture_path(name)))
+    raw["alpha"][state] = entry
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, state, entry, lifting, warning", [
+    ("prob_deadlock.json", "u0", [["u1", "1/6"], ["u1", "1/6"], ["u2", "2/3"]],
+     "prob_lifting.json", "alpha[u0]: duplicate support entry at {path}.alpha[u0].just[1] merged"),
+    ("labelled_kripke_a.json", "a1", ["7/10", ["a2", "a3", "a2"]], "half_label_hausdorff.json",
+     "alpha[a1]: duplicate set member ['a2', 'a3', 'a2'] deduplicated"),
+], ids=["merged-support-entry", "deduplicated-set-member"])
+def test_validation_warnings_go_to_stderr(tmp_path, capsys, name, state, entry, lifting,
+                                          warning):
+    path = _with_duplicate(tmp_path, name, state, entry)
+    code, out, err = run_cli(capsys, "dist", "--system", path,
+                             "--lifting", fixture_path(lifting))
+    assert code == 0
+    assert err == f"warning: {path}: {warning.format(path=path)}\n"
+    _, clean, _ = run_cli(capsys, "dist", "--system", fixture_path(name),
+                          "--lifting", fixture_path(lifting))
+    assert json.loads(out)["matrix"] == json.loads(clean)["matrix"]
+
+
+def _section(lines, title):
+    """The indented lines that follow the line `title` in a table report."""
+    start = lines.index(title) + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i].startswith(" ")),
+               len(lines))
+    return lines[start:end]
+
+
+def test_table_format_renders_axioms_checks(capsys):
+    argv = ["axioms", "--trials", "40", "--lifting", fixture_path("hausdorff_left.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    checks = json.loads(out)["checks"]
+    assert code == 1 and not all(c["passed"] for c in checks)
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 1
+    expected, data = [], []  # the JSON report sorts each counterexample's data
+    for c in checks:
+        claim = "" if c["claimed"] else "  [not claimed]"
+        expected.append(f"  {c['name']:<11} {'pass' if c['passed'] else 'FAIL'}{claim}")
+        if c["counterexample"]:
+            cex = c["counterexample"]
+            expected.append(f"    trial {cex['trial']}: {cex['description']}")
+            data += [f"      {k} = {v}" for k, v in cex["data"].items()]
+    section = _section(out.splitlines(), "checks:")
+    assert [line for line in section if line not in data] == expected
+    assert sorted(line for line in section if line in data) == sorted(data)
+
+
+def test_table_format_renders_catalog_modalities(capsys):
+    argv = ["catalog", "--system", fixture_path("prob_deadlock.json")]
+    _, out, _ = run_cli(capsys, *argv)
+    modalities = json.loads(out)["modalities"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert _section(out.splitlines(), "modalities:") == [
+        f"  {m['name']}/{m['arity']} (monotone, nonexpansive, dual {m['dual']})"
+        for m in modalities]
+
+
+def test_table_format_renders_each_traced_step(capsys):
+    argv = ["dist", *weighted_loop_args(), "--tol", "1/64", "--trace"]
+    _, out, _ = run_cli(capsys, *argv)
+    trace = json.loads(out)["trace"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    for n, step in enumerate(trace):
+        header, *rows = _section(lines, f"step {n}:")
+        assert header.split() == step["target"]
+        assert [row.split() for row in rows] == [
+            [a, *values] for a, values in zip(step["source"], step["values"])]
+    assert f"step {len(trace)}:" not in lines
+
+
+def test_synth_over_one_system_given_twice_targets_its_copy(capsys):
+    system = fixture_path("labelled_kripke_a.json")
+    code, out, _ = run_cli(capsys, "synth", "--system", system, "--system", system,
+                           "--lifting", fixture_path("half_label_hausdorff.json"),
+                           "--target", "a1", "--rank", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["target"] == "a1'"
+    values = report["values"]
+    assert values["a1"] == values["a1'"] == "0"
+    assert all(values[s] == values[s + "'"] for s in ("a1", "a2", "a3"))
+
+
+def test_three_systems_are_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "dist", *frames_args(),
+                             "--system", fixture_path("labelled_kripke_a.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: --system: give one or two --system files\n"
+
+
+def test_a_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LAXKIT_SEED", "0x10")
+    code, out, err = run_cli(capsys, "dist", *frames_args())
+    assert (code, out) == (2, "")
+    assert err == "error: LAXKIT_SEED must be an integer, got '0x10'\n"
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on damaged input: a command whose JSON input is
+# changed at one place exits 0, 1 or 2, never 3 (an internal error).
+
+KRIPKE_FILES = ["--system", "labelled_kripke_a.json", "--system", "labelled_kripke_b.json",
+                "--lifting", "half_label_hausdorff.json"]
+DAMAGED_RUNS = [
+    ["dist", *KRIPKE_FILES],
+    ["check-cert", "--cert", "labelled_kripke_cert.json", *KRIPKE_FILES],
+    ["dist", "--system", "prob_deadlock.json", "--lifting", "prob_lifting.json"],
+    ["axioms", "--trials", "3", "--lifting", "half_label_hausdorff.json",
+     "--functor", "labelled_kripke_functor.json"],
+    ["logic", "eval", "--formula", "neg_modalities.json", "--state", "a1",
+     "--system", "labelled_kripke_a.json", "--lifting", "half_label_hausdorff.json"],
+    ["logic", "distance", "--rank", "2", *KRIPKE_FILES],
+    ["synth", "--target", "b1", "--rank", "2", *KRIPKE_FILES],
+    ["catalog", "--system", "prob_deadlock.json"],
+]
+DAMAGE = json_values(["sub", "left", "right", "labels", "metric", "variant", "weights",
+                      "factor", "modalities", "step", "source", "target", "values",
+                      "functor", "states", "alpha", "relation", "name", "args", "element"],
+                     [*FUNCTOR_KINDS, *LIFTING_KINDS, "modal", "neg", "and", "warp"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_inputs_never_exit_3(data):
+    argv = data.draw(st.sampled_from(DAMAGED_RUNS))
+    at = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a.endswith(".json")]))
+    damaged = data.draw(mutants(json.load(open(fixture_path(argv[at]))), DAMAGE))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, argv[at])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(damaged, handle)
+        args = [path if i == at else fixture_path(a) if a.endswith(".json") else a
+                for i, a in enumerate(argv)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2), err.getvalue()

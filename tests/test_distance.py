@@ -19,6 +19,7 @@ from laxkit import (
     sup_distance,
 )
 from laxkit.axioms import rand_rel
+from laxkit.distance import check_setup
 from laxkit.liftings import LiftingSpec
 from tests.conftest import rel_from
 from tests.oracles import full_recompute_distance
@@ -282,3 +283,19 @@ def test_one_sided_lifting_gives_hemimetric_only(weighted_loops):
     matrix = behavioural_distance(lifting, system, system, tol=F(1, 1000)).matrix
     assert lk.is_hemimetric(matrix)
     assert not lk.is_pseudometric(matrix)  # deadlock simulates the loop one way
+
+
+def test_check_setup_refuses_two_functors_and_a_misfit(labelled_frames, prob_deadlock):
+    sys_a, sys_b, _, lifting, _ = labelled_frames
+    deadlock, _, deadlock_lifting = prob_deadlock
+    check_setup(lifting, sys_a, sys_b)
+    # every entry point that takes two systems refuses through check_setup
+    for run in (check_setup, behavioural_distance,
+                lambda *args: lk.logical_distance(args[1], args[2], args[0], 1)):
+        with pytest.raises(StructureError) as err:
+            run(lifting, sys_a, deadlock)
+        assert str(err.value) == "the two systems must share a functor"
+        with pytest.raises(StructureError) as err:
+            run(deadlock_lifting, sys_a, sys_b)
+        assert str(err.value) == ("lifting does not fit the system functor: "
+                                  "<root>: MaybeLift needs an optional component")

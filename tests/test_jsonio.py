@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tempfile
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from laxkit.jsonio import (
     decode_system,
     dump_json,
     encode_certificate,
+    encode_element,
     encode_formula,
     encode_functor,
     encode_lifting,
@@ -27,8 +29,10 @@ from laxkit.jsonio import (
     load_json,
     load_text,
 )
+from laxkit.functors import FUNCTOR_KINDS
+from laxkit.liftings import LIFTING_KINDS
 from laxkit.logic import FORMULA_KINDS
-from tests.conftest import fixture_path, number_const
+from tests.conftest import JSON_LEAVES, fixture_path, json_values, mutants, number_const
 
 
 def test_rel_round_trip():
@@ -417,9 +421,6 @@ def test_formula_kind_example(labelled_frames, kind):
         assert lk.parse_formula(lk.print_formula(phi)) == phi
 
 
-_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
-                | st.sampled_from(["0", "1", "1/2", "0.25", "3/2", "x", "dia", "at-0"])
-                | st.text(max_size=4))
 _FORMULA_KEYS = st.sampled_from(["kind", "value", "sub", "left", "right", "name", "args",
                                  "element"])
 _KINDS = st.sampled_from([*FORMULA_KINDS, "warp"])
@@ -435,7 +436,7 @@ def _json_values(children):
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw=st.recursive(_JSON_LEAVES, _json_values, max_leaves=12),
+@given(raw=st.recursive(JSON_LEAVES, _json_values, max_leaves=12),
        functor=st.sampled_from([None, SET, DIST, lk.Pair(number_const(("0", "1")), SET)]))
 def test_decode_formula_decodes_or_reports_a_format_error(raw, functor):
     try:
@@ -443,3 +444,57 @@ def test_decode_formula_decodes_or_reports_a_format_error(raw, functor):
     except JsonFormatError:
         return
     assert isinstance(phi, lk.Formula)
+
+
+# Every decoder, given any JSON value, decodes it or raises JsonFormatError;
+# nothing else escapes, so the CLI's exit code 3 stays reserved for bugs.
+# Each draws either an arbitrary value or a valid encoding with one value
+# inside it replaced, so that the draws reach the deeper checks too.
+
+_GRAMMAR_JSON = json_values(
+    ["sub", "left", "right", "labels", "metric", "variant", "weights", "factor",
+     "modalities", "step", "source", "target", "values", "functor", "states", "alpha",
+     "relation"],
+    [*FUNCTOR_KINDS, *LIFTING_KINDS, "simulation", "bisimulation", "warp"])
+_SHAPES = [lk.Id(), number_const(("0", "1/2")), SET, DIST,
+           lk.Pair(number_const(("0", "1")), SET), lk.Maybe(DIST)]
+
+
+def _fixture(name):
+    return load_json(fixture_path(name))
+
+
+def _valid_elements(functor):
+    rng = random.Random(functor.kind)
+    carrier = lk.Carrier.of("s", "t")
+    return [encode_element(functor, functor.random_element(rng, carrier)) for _ in range(3)]
+
+
+_DECODERS = {
+    "rel": (decode_rel, [_fixture("labelled_kripke_cert.json")["relation"]]),
+    "functor": (decode_functor, [_fixture("labelled_kripke_functor.json"),
+                                 _fixture("prob_deadlock.json")["functor"]]),
+    "lifting": (decode_lifting, [
+        _fixture(name) for name in ("half_label_hausdorff.json", "kantorovich_discrete.json",
+                                    "prob_lifting.json", "weighted_step_lifting.json")]
+        + [{"kind": "kantorovich-grid", "modalities": ["dia"], "step": "1/4"}]),
+    "system": (decode_system, [_fixture(name) for name in (
+        "labelled_kripke_a.json", "prob_deadlock.json", "weighted_loop_a.json")]),
+    "certificate": (decode_certificate, [_fixture("labelled_kripke_cert.json")]),
+    **{f"element-{functor.kind}": (
+        lambda raw, functor=functor: decode_element(functor, raw, "el", []),
+        _valid_elements(functor)) for functor in _SHAPES},
+}
+
+
+@pytest.mark.parametrize("name", list(_DECODERS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_decoders_decode_or_report_a_format_error(name, data):
+    decode, valid = _DECODERS[name]
+    raw = data.draw(_GRAMMAR_JSON | st.sampled_from(valid).flatmap(
+        lambda seed: mutants(seed, _GRAMMAR_JSON)))
+    try:
+        decode(raw)
+    except JsonFormatError:
+        pass

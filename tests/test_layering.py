@@ -22,7 +22,9 @@ divides Fractions on purpose.  And it keeps
 the brute-force oracles in tests/oracles.py out of the package: no module
 under src/laxkit imports the tests package.
 
-Finally it keeps one spelling per grammar operation: outside an allowlist,
+The three grammars share one node base: each registry is the one its
+base class names, and no other class in the grammar modules hooks
+subclass creation.  Finally it keeps one spelling per grammar operation: outside an allowlist,
 no module-level function in src/laxkit only passes its parameters on to a
 method of one of them, so each contract lives on its node method.
 """
@@ -95,6 +97,18 @@ def test_concrete_class_set_is_complete():
                                     "axioms.py"])
 def test_module_names_no_concrete_grammar_class(module):
     assert concrete_names(os.path.join(SRC, module)) == []
+
+
+def test_one_base_registers_every_grammar_kind():
+    assert FunctorSpec.kinds is functors.FUNCTOR_KINDS
+    assert LiftingSpec.kinds is liftings.LIFTING_KINDS
+    assert Formula.kinds is logic.FORMULA_KINDS
+    hooks = {f"{module.__name__}.{name}" for module in (functors, liftings, logic)
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__ == module.__name__
+             and "__init_subclass__" in vars(obj)}
+    # Canonical's hook only keeps the cached hash on frozen dataclasses
+    assert hooks == {"laxkit.functors.GrammarNode", "laxkit.functors.Canonical"}
 
 
 def test_guard_sees_each_way_of_naming_a_class(tmp_path):

@@ -227,6 +227,12 @@ def test_match_lifting_shapes():
     assert problems and "weighted sum can reach" in problems[0][1]
     ok = lk.PairSum(F(1), F(1, 2), ConstLift(), IdLift())
     assert ok.match(functor) == []  # label range 1/4 <= 1 - 1/2
+    lk.require_match(ok, functor)
+    with pytest.raises(StructureError) as err:
+        lk.require_match(lk.PairSum(F(1), F(1), ConstLift(), H_SYM), lk.Pair(Id(), Id()))
+    assert str(err.value) == (
+        "lifting does not fit the system functor: .left: ConstLift needs a label component; "
+        ".right: Hausdorff needs a finite-set component")
 
 
 def test_range_bound_tracks_discounts():
@@ -245,6 +251,17 @@ def test_claims_converse():
     assert KantorovichD(IdLift()).claims_converse(DIST_FUNCTOR)
     assert KantorovichGrid(("dia", "box"), F(1, 4)).claims_converse(SET_FUNCTOR)
     assert not KantorovichGrid(("dia",), F(1, 4)).claims_converse(SET_FUNCTOR)
+    assert Discount(F(1, 2), H_SYM).claims_converse(SET_FUNCTOR)
+    assert not Discount(F(1, 2), H_LEFT).claims_converse(SET_FUNCTOR)
+
+
+def test_default_functor_follows_the_shape_through_discounts():
+    assert Discount(F(1, 2), H_SYM).default_functor() == SET_FUNCTOR
+    assert Discount(F(1, 2), MaybeLift(KantorovichD(IdLift()))).default_functor() == \
+        lk.Maybe(DIST_FUNCTOR)
+    with pytest.raises(StructureError) as err:
+        Discount(F(1, 2), lk.PairMax(ConstLift(), IdLift())).default_functor()
+    assert str(err.value) == "lifting.sub.left: a label component has no default label metric"
 
 
 def test_grid_converse_reads_modality_aliases():
@@ -305,6 +322,12 @@ def test_grid_step_must_be_a_unit_fraction():
     for step in (1, 0.25, F(0), F(2, 3), F(2)):
         with pytest.raises(StructureError, match="grid step must be 1/k"):
             KantorovichGrid(("dia",), step)
+
+
+def test_grid_node_from_a_list_of_names_is_hashable():
+    node = KantorovichGrid(["dia", "box"], F(1, 4))
+    assert node == KantorovichGrid(("dia", "box"), F(1, 4))
+    assert hash(node) == hash(KantorovichGrid(("dia", "box"), F(1, 4)))
 
 
 def test_grid_refuses_non_monotone():

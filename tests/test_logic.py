@@ -149,9 +149,8 @@ def test_negation_needs_duals(prob_deadlock, labelled_frames):
     metric = lk.FuzzyRel(asym_labels, asym_labels,
                          ((F(0), F(1, 2)), (F(0), F(0))))
     functor = lk.Const(asym_labels, metric)
-    mods = standard_modalities(functor)
     with pytest.raises(lk.StructureError):
-        push_negations(Neg(Modal("at-lo", ())), mods)
+        push_negations(Neg(Modal("at-lo", ())), functor)
 
 
 def test_negation_through_structural_modality(labelled_frames):
