@@ -471,11 +471,15 @@ class PFin(FunctorSpec):
 
     def decode_element(self, node):
         node.expect(isinstance(node.raw, list), "expected a list (finite set)")
-        members = [node.element(self.sub, item, f"[{i}]") for i, item in enumerate(node.raw)]
-        el = fset(members)
-        for _ in range(len(members) - len(el.members)):
-            node.note(f"duplicate set member {node.raw!r} deduplicated")
-        return el
+        members, seen = [], set()
+        for i, item in enumerate(node.raw):
+            member = node.element(self.sub, item, f"[{i}]")
+            key = member._canonical_key()
+            if key in seen:
+                node.note(f"duplicate set member {item!r} at {node.path}[{i}] deduplicated")
+            seen.add(key)
+            members.append(member)
+        return fset(members)
 
     def _errors(self, el, leaf_ok, path):
         out = []

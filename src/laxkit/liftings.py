@@ -484,11 +484,11 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
     nonexpansive (see grid_error_bound); exact whenever the optimum is
     attained on the grid.
     """
-    levels = [k * step for k in range(step.denominator + 1)]
     left, right = base(t1), base(t2)
-    block = [[rel.at(a, b) for b in right] for a in left]
     width = len(left)
-    best = ZERO
+    n_levels = step.denominator + 1
+    # refuse before any work: the level list alone grows with the step
+    searches = []  # (modality, table entries per combination)
     for lam in modalities:
         if not lam.monotone:
             raise StructureError(
@@ -496,11 +496,17 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
                 "restricted grid search"
             )
         dims = lam.arity * width
-        if len(levels) ** dims > _GRID_CAP:
+        if n_levels ** dims > _GRID_CAP:
             raise StructureError(
-                f"grid search over {len(levels)}^{dims} tables exceeds the cap; "
+                f"grid search over {n_levels}^{dims} tables exceeds the cap; "
                 "use a coarser step or smaller carriers"
             )
+        searches.append((lam, dims))
+    # a search over no entries has one empty combination and reads no level
+    levels = [k * step for k in range(n_levels)] if any(d for _, d in searches) else []
+    block = [[rel.at(a, b) for b in right] for a in left]
+    best = ZERO
+    for lam, dims in searches:
         for combo in product(levels, repeat=dims):
             tables = [combo[i * width:(i + 1) * width] for i in range(lam.arity)]
             fs = tuple(dict(zip(left, f)) for f in tables)

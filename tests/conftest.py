@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import laxkit as lk
+from laxkit.axioms import rand_element
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -21,6 +23,66 @@ def number_const(values):
     nums = {v: F(v) for v in values}
     metric = lk.FuzzyRel.from_function(labels, labels, lambda x, y: abs(nums[x] - nums[y]))
     return lk.Const(labels, metric)
+
+
+# One seeded case per lifting shape, shared by the differential tests of the
+# fixpoint (tests/test_incremental.py) and of certificates
+# (tests/test_distance.py); together they cover every entry of LIFTING_KINDS.
+LABELS = number_const(("0", "1/4", "3/5", "1"))
+SET, DIST = lk.PFin(lk.Id()), lk.DFin(lk.Id())
+H_SYM = lk.Hausdorff("sym", lk.IdLift())
+H_LEFT = lk.Hausdorff("left", lk.IdLift())
+KANT = lk.KantorovichD(lk.IdLift())
+
+LABELLED_SET, LABELLED_DIST = lk.Pair(LABELS, SET), lk.Pair(LABELS, DIST)
+
+
+def labelled(lifting):
+    return lk.PairSum(F(1, 2), F(1, 2), lk.ConstLift(), lifting)
+
+
+# name -> (lifting, functor, |A|, |B|)
+CASES = {
+    "id": (lk.IdLift(), lk.Id(), 4, 3),
+    "const": (lk.ConstLift(), LABELS, 4, 3),
+    "hausdorff-sym": (H_SYM, SET, 12, 5),
+    "hausdorff-left": (labelled(H_LEFT), LABELLED_SET, 5, 4),
+    "hausdorff-right": (labelled(lk.Hausdorff("right", lk.IdLift())), LABELLED_SET, 5, 11),
+    "kantorovich": (labelled(KANT), LABELLED_DIST, 4, 4),
+    "wasserstein": (lk.MaybeLift(lk.WassersteinD(lk.IdLift())), lk.Maybe(DIST), 3, 5),
+    "pair-sum": (labelled(H_SYM), LABELLED_SET, 11, 4),
+    "pair-max": (lk.PairMax(H_LEFT, KANT), lk.Pair(SET, DIST), 4, 3),
+    "pair-max-sym": (lk.PairMax(H_SYM, KANT), lk.Pair(SET, DIST), 4, 3),
+    "discount": (lk.Discount(F(1, 2), H_SYM), SET, 5, 5),
+    "maybe": (lk.MaybeLift(KANT), lk.Maybe(DIST), 4, 4),
+    # two transport nodes share one chain's warm starts
+    "two-transports": (labelled(lk.PairMax(KANT, lk.WassersteinD(lk.IdLift()))),
+                       lk.Pair(LABELS, lk.Pair(DIST, DIST)), 4, 4),
+    "hausdorff-kantorovich": (lk.Hausdorff("sym", KANT), lk.PFin(DIST), 4, 3),
+    "weighted-loops": (lk.Hausdorff("left", lk.PairSum(F(1), F(1, 2), lk.ConstLift(),
+                                                       lk.IdLift())),
+                       lk.PFin(lk.Pair(number_const(("0", "1/4")), lk.Id())), 4, 3),
+    "grid-set": (lk.KantorovichGrid(("dia", "box"), F(1, 2)), SET, 3, 3),
+    "grid-labelled": (lk.KantorovichGrid(("dia", "at-1/4"), F(1, 2)), LABELLED_SET, 3, 3),
+    "grid-dist": (lk.KantorovichGrid(("dia", "box"), F(1, 3)), lk.Maybe(DIST), 3, 2),
+}
+def rand_system(rng, functor, prefix, size):
+    carrier = lk.Carrier(tuple(f"{prefix}{i}" for i in range(size)))
+    return lk.Coalgebra.of(functor, carrier, {
+        s: rand_element(rng, functor, carrier) for s in carrier.elements
+    })
+
+
+def systems(name, seed):
+    lifting, functor, size_a, size_b = CASES[name]
+    rng = random.Random(f"{name}/{seed}")
+    return lifting, rand_system(rng, functor, "a", size_a), rand_system(rng, functor, "b", size_b)
+
+
+def kinds(lifting):
+    yield lifting.kind
+    for name in lifting.child_fields:
+        yield from kinds(getattr(lifting, name))
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)

@@ -9,7 +9,9 @@ laxkit.transport must match pivot for pivot; the Kleene loop that
 re-lifts every pair on every step, which laxkit.distance must match
 iterate for iterate; the grid search over left tables on the whole
 source, which laxkit.liftings' support-restricted search must match; the
-Hausdorff lifting that lifts each pair once per direction; and the
+Hausdorff lifting that lifts each pair once per direction; the
+certificate check that lifts a bisimulation's converse in a second pass,
+which laxkit.distance.check_certificate must match row for row; and the
 logical distance that evaluates each target formula on its own, which
 laxkit.moss.logical_distance must match entry for entry; and relation
 composition and the random hemimetric's triangle closure on Fractions,
@@ -42,7 +44,13 @@ from laxkit.core import (
     sup,
     sup_distance,
 )
-from laxkit.distance import DistanceResult, check_setup
+from laxkit.distance import (
+    Certificate,
+    CertificateVerdict,
+    DistanceResult,
+    SlackRow,
+    check_setup,
+)
 from laxkit.functors import DistEl, FunctorElement, FunctorSpec
 from laxkit.liftings import (
     Hausdorff,
@@ -355,6 +363,39 @@ def full_recompute_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalg
         if tol > 0 and residual <= tol:
             return finish(current, n, residual, True, trace)
     return finish(current, max_iter, residual, False, trace)
+
+
+def two_pass_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
+                         cert: Certificate) -> CertificateVerdict:
+    """Verify a certificate, lifting a bisimulation's converse in a second pass.
+
+    The check laxkit.distance.check_certificate ran before it read the
+    backward rows of a converse-preserving lifting off its forward lifts,
+    kept as the oracle it is diffed against: verdicts, rows and their
+    order included, must be equal.
+    """
+    check_setup(lifting, sys_a, sys_b)
+    rel = cert.relation
+    if rel.source != sys_a.carrier or rel.target != sys_b.carrier:
+        raise StructureError("certificate carriers do not match the systems")
+
+    def direction(r: FuzzyRel, left: Coalgebra, right: Coalgebra):
+        rows = []
+        for a in left.carrier.elements:
+            for b in right.carrier.elements:
+                claimed = r.at(a, b)
+                if claimed == ONE:
+                    continue  # vacuously satisfied
+                lifted = lift_value(lifting, left.functor, r, left.step(a), right.step(b))
+                rows.append(SlackRow((a, b), claimed, lifted))
+        return tuple(rows)
+
+    forward = direction(rel, sys_a, sys_b)
+    backward = None
+    if cert.kind == "bisimulation":
+        backward = direction(converse(rel), sys_b, sys_a)
+    ok = all(r.slack >= 0 for r in forward + (backward or ()))
+    return CertificateVerdict(ok, forward, backward)
 
 
 def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,

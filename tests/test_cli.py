@@ -574,7 +574,7 @@ def _with_duplicate(tmp_path, name, state, entry):
     ("prob_deadlock.json", "u0", [["u1", "1/6"], ["u1", "1/6"], ["u2", "2/3"]],
      "prob_lifting.json", "alpha[u0]: duplicate support entry at {path}.alpha[u0].just[1] merged"),
     ("labelled_kripke_a.json", "a1", ["7/10", ["a2", "a3", "a2"]], "half_label_hausdorff.json",
-     "alpha[a1]: duplicate set member ['a2', 'a3', 'a2'] deduplicated"),
+     "alpha[a1]: duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated"),
 ], ids=["merged-support-entry", "deduplicated-set-member"])
 def test_validation_warnings_go_to_stderr(tmp_path, capsys, name, state, entry, lifting,
                                           warning):

@@ -18,11 +18,12 @@ from laxkit import (
     lift_value,
     sup_distance,
 )
+from laxkit import distance, liftings
 from laxkit.axioms import rand_rel
 from laxkit.distance import check_setup
-from laxkit.liftings import LiftingSpec
-from tests.conftest import rel_from
-from tests.oracles import full_recompute_distance
+from laxkit.liftings import LIFTING_KINDS, LiftingSpec
+from tests.conftest import CASES, DIST, KANT, kinds, rand_system, rel_from, systems
+from tests.oracles import full_recompute_distance, two_pass_certificate
 
 # Full fixpoint matrix for the labelled-frame pair, worked out by hand:
 # rows a1..a3, columns b1..b3.
@@ -299,3 +300,126 @@ def test_check_setup_refuses_two_functors_and_a_misfit(labelled_frames, prob_dea
             run(deadlock_lifting, sys_a, sys_b)
         assert str(err.value) == ("lifting does not fit the system functor: "
                                   "<root>: MaybeLift needs an optional component")
+
+
+# ---------------------------------------------------------------------------
+# One pass for converse-preserving liftings: a bisimulation's backward rows
+# are its forward rows transposed, checked against the two-pass oracle
+
+
+def preserves_converse(lifting, functor):
+    """Whether a bisimulation check may read its backward rows off the
+    forward lifts: the lifting is exact and claims converse."""
+    return lifting.approximation_slack() == 0 and lifting.claims_converse(functor)
+
+
+def certificates(lifting, sys_a, sys_b, seed):
+    """The fixpoint reached within 25 steps (valid when it converged and the
+    lifting preserves converse) and two random relations (mostly violated;
+    about a third of their entries are 1, so vacuous pairs are skipped)."""
+    rng = random.Random(f"cert/{seed}")
+    fixpoint = behavioural_distance(lifting, sys_a, sys_b, max_iter=25).matrix
+    rels = [fixpoint] + [rand_rel(rng, sys_a.carrier, sys_b.carrier) for _ in range(2)]
+    return [Certificate(rel, kind) for rel in rels for kind in ("simulation", "bisimulation")]
+
+
+def counting(monkeypatch, module, name):
+    """The list of the arguments of every later call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certificate_equals_two_pass_check(monkeypatch, name):
+    calls = counting(monkeypatch, distance, "lift_value")
+    verdicts = set()
+    for seed in (0, 1, 2):
+        lifting, sys_a, sys_b = systems(name, seed)
+        for cert in certificates(lifting, sys_a, sys_b, seed):
+            want = two_pass_certificate(lifting, sys_a, sys_b, cert)
+            calls.clear()
+            got = check_certificate(lifting, sys_a, sys_b, cert)
+            assert got == want, (seed, cert)
+            one_pass = cert.kind == "bisimulation" and preserves_converse(lifting, sys_a.functor)
+            second = 0 if one_pass else len(got.backward or ())
+            assert len(calls) == len(got.forward) + second
+            verdicts.add((cert.kind, got.ok))
+    # each case meets a violated bisimulation, and most a valid one too
+    assert ("bisimulation", False) in verdicts
+
+
+def test_one_pass_covers_every_exact_converse_kind():
+    # the cases above that take one pass reach every kind that claims
+    # converse; the grid claims it too but approximates, so never does
+    covered, valid = set(), 0
+    for name in CASES:
+        lifting, sys_a, sys_b = systems(name, 0)
+        if preserves_converse(lifting, sys_a.functor):
+            covered |= set(kinds(lifting))
+            fixpoint = behavioural_distance(lifting, sys_a, sys_b, max_iter=25)
+            valid += fixpoint.converged and check_certificate(
+                lifting, sys_a, sys_b, Certificate(fixpoint.matrix, "bisimulation")).ok
+    assert covered == set(LIFTING_KINDS) - {"kantorovich-grid"}
+    assert valid >= 5
+
+
+def test_one_sided_bisimulation_takes_two_passes(monkeypatch):
+    # left Hausdorff does not preserve converse: its backward rows are not
+    # the forward rows transposed, so they are lifted over r° again
+    calls = counting(monkeypatch, distance, "lift_value")
+    differs = 0
+    for seed in (0, 1, 2):
+        lifting, sys_a, sys_b = systems("hausdorff-left", seed)
+        for cert in certificates(lifting, sys_a, sys_b, seed)[1::2]:
+            calls.clear()
+            got = check_certificate(lifting, sys_a, sys_b, cert)
+            assert got == two_pass_certificate(lifting, sys_a, sys_b, cert)
+            assert len(calls) == len(got.forward) + len(got.backward)
+            transposed = {row.pair[::-1]: row.lifted for row in got.forward}
+            differs += any(row.lifted != transposed[row.pair] for row in got.backward)
+    assert differs
+
+
+def test_a_directed_label_metric_takes_two_passes(monkeypatch):
+    # a const over a hemimetric that is not symmetric does not claim converse
+    labels = lk.Carrier(("lo", "hi"))
+    metric = lk.FuzzyRel.from_function(
+        labels, labels, lambda x, y: F(1, 2) if (x, y) == ("hi", "lo") else F(0))
+    functor = lk.Const(labels, metric)
+    lifting = lk.ConstLift()
+    sys_a = lk.Coalgebra.of(functor, lk.Carrier(("a0", "a1")),
+                            {"a0": lk.ConstEl("lo"), "a1": lk.ConstEl("hi")})
+    sys_b = lk.Coalgebra.of(functor, lk.Carrier(("b0", "b1")),
+                            {"b0": lk.ConstEl("lo"), "b1": lk.ConstEl("hi")})
+    rel = lk.FuzzyRel.from_function(
+        sys_a.carrier, sys_b.carrier,
+        lambda a, b: metric.at(sys_a.step(a).label, sys_b.step(b).label))
+    cert = Certificate(rel, "bisimulation")
+    calls = counting(monkeypatch, distance, "lift_value")
+    got = check_certificate(lifting, sys_a, sys_b, cert)
+    assert got == two_pass_certificate(lifting, sys_a, sys_b, cert)
+    assert len(calls) == 8 and not got.ok
+    assert [(r.pair, r.slack) for r in got.violations()] == [(("b1", "a0"), F(-1, 2))]
+
+
+def test_bisimulation_solves_each_transport_once(monkeypatch):
+    # under kantorovich a bisimulation costs the transport solves of a
+    # simulation of the same relation
+    solves = counting(monkeypatch, liftings, "min_cost_transport")
+    rng = random.Random("cert/transport")
+    sys_a, sys_b = (rand_system(rng, DIST, side, 5) for side in "ab")
+    rel = rand_rel(rng, sys_a.carrier, sys_b.carrier)
+    counts = {}
+    for kind in ("simulation", "bisimulation"):
+        solves.clear()
+        verdict = check_certificate(KANT, sys_a, sys_b, Certificate(rel, kind))
+        counts[kind] = len(solves)
+    assert counts["simulation"] == len(verdict.forward) > 0
+    assert counts["bisimulation"] == counts["simulation"]

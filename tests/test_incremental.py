@@ -4,10 +4,11 @@ their full-recompute oracles in tests/oracles.py.
 The fixpoint re-lifts a pair only when an entry it reads has changed, so
 its iterates must be those of the loop that re-lifts every pair: whole
 DistanceResults, traces included, and chains are compared for equality.
-Systems come from fixed seeds at sizes fixed in CASES, and the cases
-cover every entry of LIFTING_KINDS and two transport nodes sharing one
-chain's warm starts.  Carriers of more than ten states make index order
-differ from the string order of the state ids.
+Systems come from fixed seeds at the sizes fixed in CASES (see
+tests/conftest.py), and the cases cover every entry of LIFTING_KINDS and
+two transport nodes sharing one chain's warm starts.  Carriers of more
+than ten states make index order differ from the string order of the
+state ids.
 """
 
 import random
@@ -21,75 +22,31 @@ from laxkit.axioms import rand_carrier, rand_element, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
 from laxkit.modalities import standard_modalities
-from tests.conftest import count_modality_tables, number_const
+from tests.conftest import (
+    CASES,
+    DIST,
+    H_SYM,
+    KANT,
+    LABELLED_DIST,
+    SET,
+    count_modality_tables,
+    kinds,
+    labelled,
+    rand_system,
+    systems,
+)
 from tests.oracles import (
     full_recompute_chain,
     full_recompute_distance,
     unrestricted_grid_value,
 )
 
-LABELS = number_const(("0", "1/4", "3/5", "1"))
-SET, DIST = lk.PFin(lk.Id()), lk.DFin(lk.Id())
-H_SYM = lk.Hausdorff("sym", lk.IdLift())
-H_LEFT = lk.Hausdorff("left", lk.IdLift())
-KANT = lk.KantorovichD(lk.IdLift())
-
-LABELLED_SET, LABELLED_DIST = lk.Pair(LABELS, SET), lk.Pair(LABELS, DIST)
-
-
-def labelled(lifting):
-    return lk.PairSum(F(1, 2), F(1, 2), lk.ConstLift(), lifting)
-
-
-# name -> (lifting, functor, |A|, |B|)
-CASES = {
-    "id": (lk.IdLift(), lk.Id(), 4, 3),
-    "const": (lk.ConstLift(), LABELS, 4, 3),
-    "hausdorff-sym": (H_SYM, SET, 12, 5),
-    "hausdorff-left": (labelled(H_LEFT), LABELLED_SET, 5, 4),
-    "hausdorff-right": (labelled(lk.Hausdorff("right", lk.IdLift())), LABELLED_SET, 5, 11),
-    "kantorovich": (labelled(KANT), LABELLED_DIST, 4, 4),
-    "wasserstein": (lk.MaybeLift(lk.WassersteinD(lk.IdLift())), lk.Maybe(DIST), 3, 5),
-    "pair-sum": (labelled(H_SYM), LABELLED_SET, 11, 4),
-    "pair-max": (lk.PairMax(H_LEFT, KANT), lk.Pair(SET, DIST), 4, 3),
-    "discount": (lk.Discount(F(1, 2), H_SYM), SET, 5, 5),
-    "maybe": (lk.MaybeLift(KANT), lk.Maybe(DIST), 4, 4),
-    # two transport nodes share one chain's warm starts
-    "two-transports": (labelled(lk.PairMax(KANT, lk.WassersteinD(lk.IdLift()))),
-                       lk.Pair(LABELS, lk.Pair(DIST, DIST)), 4, 4),
-    "hausdorff-kantorovich": (lk.Hausdorff("sym", KANT), lk.PFin(DIST), 4, 3),
-    "weighted-loops": (lk.Hausdorff("left", lk.PairSum(F(1), F(1, 2), lk.ConstLift(),
-                                                       lk.IdLift())),
-                       lk.PFin(lk.Pair(number_const(("0", "1/4")), lk.Id())), 4, 3),
-    "grid-set": (lk.KantorovichGrid(("dia", "box"), F(1, 2)), SET, 3, 3),
-    "grid-labelled": (lk.KantorovichGrid(("dia", "at-1/4"), F(1, 2)), LABELLED_SET, 3, 3),
-    "grid-dist": (lk.KantorovichGrid(("dia", "box"), F(1, 3)), lk.Maybe(DIST), 3, 2),
-}
 SEEDS = (0, 1, 2)
 RUNS = (  # (tol, max_iter): exact stop, tolerance stop, cut-off
     (F(0), 25),
     (F(1, 64), 25),
     (F(0), 2),
 )
-
-
-def rand_system(rng, functor, prefix, size):
-    carrier = lk.Carrier(tuple(f"{prefix}{i}" for i in range(size)))
-    return lk.Coalgebra.of(functor, carrier, {
-        s: rand_element(rng, functor, carrier) for s in carrier.elements
-    })
-
-
-def systems(name, seed):
-    lifting, functor, size_a, size_b = CASES[name]
-    rng = random.Random(f"{name}/{seed}")
-    return lifting, rand_system(rng, functor, "a", size_a), rand_system(rng, functor, "b", size_b)
-
-
-def kinds(lifting):
-    yield lifting.kind
-    for name in lifting.child_fields:
-        yield from kinds(getattr(lifting, name))
 
 
 def test_cases_cover_every_lifting_kind():

@@ -314,8 +314,19 @@ def test_element_ingestion_notes():
     el = decode_element(lk.Pair(SET, DIST), [["s", "s"], [["s", "1/2"], ["s", "1/2"]]],
                         "alpha[s]", notes=notes)
     assert el == lk.PairEl(lk.fset([lk.IdEl("s")]), lk.fdist([(lk.IdEl("s"), 1)]))
-    assert notes == ["duplicate set member ['s', 's'] deduplicated",
+    assert notes == ["duplicate set member 's' at alpha[s][0][1] deduplicated",
                      "duplicate support entry at alpha[s][1][1] merged"]
+
+
+def test_each_dropped_set_member_is_named_once():
+    # one note per dropped member, naming it and its index; a set member
+    # is dropped when it decodes equal to an earlier one, whatever its order
+    notes = []
+    el = decode_element(lk.PFin(SET), [["a", "b"], ["c"], ["b", "a"], ["c"], ["a"]],
+                        "alpha[s]", notes=notes)
+    assert len(el.members) == 3
+    assert notes == ["duplicate set member ['b', 'a'] at alpha[s][2] deduplicated",
+                     "duplicate set member ['c'] at alpha[s][3] deduplicated"]
 
 
 # ---------------------------------------------------------------------------

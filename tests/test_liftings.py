@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -322,6 +323,38 @@ def test_grid_step_must_be_a_unit_fraction():
     for step in (1, 0.25, F(0), F(2, 3), F(2)):
         with pytest.raises(StructureError, match="grid step must be 1/k"):
             KantorovichGrid(("dia",), step)
+
+
+def peak_bytes(run):
+    """run() and the peak memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_cap_refuses_before_building_levels():
+    # the cap is checked on the number of levels, before any level exists;
+    # a list of k + 1 levels would take about 100 bytes per level
+    a, b = two_carriers()
+    rel = FuzzyRel.constant(a, b, F(1, 2))
+    t1, t2 = fset([IdEl("x1"), IdEl("x2")]), fset([IdEl("y1")])
+    dia = standard_modalities(SET_FUNCTOR)["dia"]
+    for k in (300_000, 100_000_000):
+        def refused():
+            with pytest.raises(StructureError) as err:
+                grid_kantorovich_value([dia], F(1, k), rel, t1, t2)
+            return str(err.value)
+        message, peak = peak_bytes(refused)
+        assert message == (f"grid search over {k + 1}^2 tables exceeds the cap; "
+                           "use a coarser step or smaller carriers")
+        assert peak < 100_000
+    # a left element with no members searches one empty table and needs no level
+    value, peak = peak_bytes(
+        lambda: grid_kantorovich_value([dia], F(1, 100_000_000), rel, fset([]), t2))
+    assert value == 0 and peak < 100_000
 
 
 def test_grid_node_from_a_list_of_names_is_hashable():

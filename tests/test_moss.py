@@ -26,9 +26,9 @@ from laxkit import logic
 from laxkit.axioms import rand_carrier, rand_element, rand_rel, rand_unit
 from laxkit.logic import semantics
 from laxkit.systems import disjoint_union
-from tests.conftest import number_const
+from tests.conftest import CASES, number_const, systems
 from tests.oracles import per_target_logical_distance
-from tests.test_incremental import CASES, SEEDS, systems
+from tests.test_incremental import SEEDS
 
 SET_FUNCTOR = lk.PFin(lk.Id())
 H_SYM = lk.Hausdorff("sym", lk.IdLift())
