@@ -14,6 +14,7 @@ from .core import (
     Carrier,
     FuzzyRel,
     LaxkitError,
+    RelView,
     StructureError,
     companion,
     compose,

@@ -245,7 +245,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     converse_claimed = lifting.claims_converse(functor)
 
     def value(rel, t1, t2):
-        return lift_value(lifting, functor, rel, t1, t2)
+        return lift_value(lifting, functor, rel.view(), t1, t2)
 
     def le(x, y):
         return x <= y + slack

@@ -138,12 +138,12 @@ def _render_table(report: dict) -> str:
 
 def _load_system(digests: dict, path: str):
     """Decode and validate a system file; each validation warning, such as
-    a merged support entry, goes to stderr as one line, and any error is
-    a format error at the file's path."""
+    a merged support entry, goes to stderr as one line naming its JSON
+    path, and any error is a format error at the file's path."""
     system, notes = decode_system(load_json(path, digests), path)
     report = validate(system, notes)
-    for _, at, message in report.warnings():
-        print(f"warning: {path}: {at}: {message}", file=sys.stderr)
+    for _, _, message in report.warnings():
+        print(f"warning: {message}", file=sys.stderr)
     if not report.ok:
         lines = "; ".join(f"{p}: {m}" for _, p, m in report.errors())
         raise JsonFormatError(f"system does not validate: {lines}", path)
@@ -151,12 +151,11 @@ def _load_system(digests: dict, path: str):
 
 
 def _load_two_systems(digests: dict, paths) -> tuple:
-    if len(paths) == 1:
-        system = _load_system(digests, paths[0])
-        return system, system
-    if len(paths) != 2:
+    if len(paths) not in (1, 2):
         raise JsonFormatError("give one or two --system files", "--system")
-    return _load_system(digests, paths[0]), _load_system(digests, paths[1])
+    # one path, or one path given twice, loads one system
+    systems = [_load_system(digests, path) for path in dict.fromkeys(paths)]
+    return systems[0], systems[-1]
 
 
 def _load_lifting(digests: dict, path: str, functor):

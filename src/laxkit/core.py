@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 from typing import Callable, Hashable, Iterable, Mapping
@@ -182,6 +183,16 @@ class FuzzyRel:
     def at(self, a, b) -> Fraction:
         return self.values[self.source.index(a)][self.target.index(b)]
 
+    @cached_property
+    def _rows_by_id(self) -> dict:
+        return {a: dict(zip(self.target.elements, row))
+                for a, row in zip(self.source.elements, self.values)}
+
+    def view(self) -> "RelView":
+        """This relation as lifts read it, by element ids: the rows are built
+        once per relation, and each view gets a fresh, empty warm-start dict."""
+        return RelView(self.source, self.target, self._rows_by_id, {})
+
     def is_square(self) -> bool:
         return self.source == self.target
 
@@ -197,6 +208,19 @@ class FuzzyRel:
             self.source, self.target,
             tuple(tuple(fn(v) for v in row) for row in self.values),
         )
+
+
+@dataclass(eq=False, slots=True)
+class RelView:
+    """A relation as every lift reads it: values[x][y] at the leaf values x
+    and y of two lifted elements, carrier indices or element ids (see
+    FuzzyRel.view); transport_starts is one chain's warm starts, or a fresh
+    dict per check, so its solves stay cold (see KantorovichD.lift)."""
+
+    source: Carrier
+    target: Carrier
+    values: object
+    transport_starts: dict
 
 
 def _require_same_carriers(r: FuzzyRel, s: FuzzyRel) -> None:

@@ -10,10 +10,10 @@ non-convergence within max_iter is reported honestly rather than rounded
 away.
 
 Both behavioural_distance and distance_chain take their iterates from one
-routine, _chain.  It renames every successor element to state indices
-once (mapping it with the carrier index), keeps the iterate as lists of
-rows, and lets the lifting read it through an index-addressed view whose
-at(i, j) is rows[i][j].  It re-lifts only what moved, by a dependency
+routine, _chain.  It keeps the iterate as lists of rows and lifts each
+system's indexed_steps (states renamed to carrier indices) across a
+RelView of them, which reads rows[i][j]; certificate checks read their
+rows the same way.  The chain re-lifts only what moved, by a dependency
 rule: pair (i, j) reads the iterate only at base(alpha(i)) x base(beta(j)),
 the states its two successor elements mention, so if none of those
 entries changed in the last step, its next value equals its current one
@@ -32,15 +32,15 @@ numerators and denominators, which tells unchanged, grown and decreased
 apart, and keeps the residual as an integer numerator and denominator
 until the step ends, so it builds one residual Fraction per step.
 
-The chain keeps one dict of transport warm starts for all its steps, on
-its index view (transport_starts).  A transport node keeps in it, per
-pair of distribution elements, the last solve's TransportResult: its
-masses, their scale and its optimal basis.  Along the chain the masses
-stay put and only the costs move, so the next step's solve for that pair
-resumes from that basis instead of the northwest corner (see
-laxkit.transport).  Optimal values are unique, so the iterates do not
-change.  Relations without the dict, such as certificates, are solved
-cold.
+Every view carries an explicit dict of transport warm starts.  A
+transport node keeps in it, per pair of distribution elements, the last
+solve's TransportResult: its masses, their scale and its optimal basis.
+The chain passes one dict to the views of all its steps: along the chain
+the masses stay put and only the costs move, so the next step's solve for
+that pair resumes from that basis instead of the northwest corner (see
+laxkit.transport), and the iterates do not change, as optimal values are
+unique.  A certificate check lifts each pair once in a fresh dict per
+direction, so its solves stay cold: no earlier solve shares its masses.
 
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to
@@ -58,8 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, converse, sup_distance,
-                   unit_over)
+from .core import (Carrier, FuzzyRel, ONE, RelView, StructureError, ZERO, converse,
+                   sup_distance, unit_over)
 from .functors import base
 from .liftings import LiftingSpec, lift_value, require_match
 from .systems import Coalgebra
@@ -125,31 +125,6 @@ def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: list) -> FuzzyRel:
     return FuzzyRel(sys_a.carrier, sys_b.carrier, tuple(map(tuple, rows)))
 
 
-class _IndexRel:
-    """The iterate as lifts read it: states are their carrier indices.
-
-    transport_starts is the chain's one dict of transport results, each
-    the next solve's warm start, shared by the views of all its steps
-    (see KantorovichD.lift).
-    """
-
-    __slots__ = ("source", "target", "values", "transport_starts")
-
-    def __init__(self, source: Carrier, target: Carrier, values: list,
-                 transport_starts: dict):
-        self.source, self.target, self.values = source, target, values
-        self.transport_starts = transport_starts
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.values[i][j]
-
-
-def _indexed(system: Coalgebra) -> list:
-    """Each state's successor element, with states renamed to indices."""
-    index = system.carrier.index
-    return [system.step(s).map(index) for s in system.carrier.elements]
-
-
 def _bits(mask: int):
     """Positions of the set bits of mask, ascending."""
     while mask:
@@ -166,9 +141,8 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     residual is the sup-norm of the step.
     """
     functor = sys_a.functor
-    steps_a, steps_b = _indexed(sys_a), _indexed(sys_b)
+    steps_a, steps_b = sys_a.indexed_steps, sys_b.indexed_steps
     n_a, n_b = len(steps_a), len(steps_b)
-    view_source, view_target = Carrier(tuple(range(n_a))), Carrier(tuple(range(n_b)))
     # readers_a[k]: the rows whose successor element mentions state k of A;
     # readers_b[l]: bitmask of the columns whose successor mentions l of B
     readers_a = [[] for _ in range(n_a)]
@@ -183,7 +157,7 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
     starts = {}  # transport warm starts, kept across the steps
     while True:
-        view = _IndexRel(view_source, view_target, rows, starts)
+        view = RelView(sys_a.carrier, sys_b.carrier, rows, starts)
         nxt = list(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den
@@ -299,13 +273,13 @@ def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
         raise StructureError("certificate carriers do not match the systems")
 
     def direction(r: FuzzyRel, left: Coalgebra, right: Coalgebra):
+        view = RelView(r.source, r.target, r.values, {})
         rows = []
-        for a in left.carrier.elements:
-            for b in right.carrier.elements:
-                claimed = r.at(a, b)
+        for a, t1, row in zip(left.carrier.elements, left.indexed_steps, r.values):
+            for b, t2, claimed in zip(right.carrier.elements, right.indexed_steps, row):
                 if claimed == ONE:
                     continue  # vacuously satisfied
-                lifted = lift_value(lifting, left.functor, r, left.step(a), right.step(b))
+                lifted = lift_value(lifting, left.functor, view, t1, t2)
                 rows.append(SlackRow((a, b), claimed, lifted))
         return tuple(rows)
 

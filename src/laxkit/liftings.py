@@ -5,7 +5,7 @@ carriers is extended to a distance between functor elements.  Each lifting
 kind is one class (see LiftingSpec), so adding a kind means adding one
 class here and exporting it.
 
-  * IdLift reads the relation itself,
+  * IdLift reads the relation itself, at the leaf values it lifts,
   * ConstLift reads the label hemimetric,
   * Hausdorff (symmetric or one-sided) handles finite sets; it lifts each
     pair of members once and takes inf and sup on the block's integers
@@ -15,11 +15,9 @@ class here and exporting it.
     JSON kind, which is sound because the sup-over-nonexpansive-pairs and
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
-    enumeration.  A relation that carries a `transport_starts` dict (the
-    Kleene chain's index view does) gets warm solves: the node keeps the
-    last TransportResult in it per pair of elements, and each solve
-    resumes from that result's optimal basis; any other relation is
-    solved cold,
+    enumeration.  The node keeps each pair of elements' last
+    TransportResult in the view's `transport_starts` dict, and the next
+    solve of that pair resumes from its optimal basis (see RelView),
   * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
     forms w_l * x + w_r * y as one integer numerator over the product of
     the four denominators); no
@@ -33,8 +31,8 @@ class here and exporting it.
     modalities, and its value is within one grid step below the true
     supremum when all modalities are nonexpansive.
 
-Whatever arithmetic a kind runs inside, every `lift` returns a Fraction
-in the unit interval.
+Every `lift` reads its relation through one RelView (laxkit.core) and,
+whatever arithmetic it runs inside, returns a Fraction in the unit interval.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ from fractions import Fraction
 from itertools import product
 
 from .core import (
-    FuzzyRel,
     ONE,
+    RelView,
     StructureError,
     ZERO,
     as_unit,
@@ -145,7 +143,7 @@ class IdLift(LiftingSpec):
     mismatch = "IdLift needs the identity functor"
 
     def lift(self, functor, rel, t1, t2):
-        return rel.at(t1.value, t2.value)
+        return rel.values[t1.value][t2.value]
 
 
 @dataclass(frozen=True)
@@ -231,14 +229,10 @@ class KantorovichD(LiftingSpec):
         mu = [p for _, p in t1.pairs]
         nu = [p for _, p in t2.pairs]
         cost = [[sub.lift(sub_functor, rel, a, b) for b, _ in t2.pairs] for a, _ in t1.pairs]
-        starts = getattr(rel, "transport_starts", None)
-        if starts is None:
-            return min_cost_transport(mu, nu, cost).value
-        # One result per node and pair of elements, each the next solve's
-        # warm start.  The ids are stable while the relation's owner keeps
-        # the elements alive, and a result whose masses differ is ignored
-        # by the solver anyway.
-        key = (id(self), id(t1), id(t2))
+        # One result per node and pair of elements, the next solve's warm
+        # start; the ids are stable while the view's owner keeps the elements
+        # alive, and the solver ignores a result whose masses differ.
+        starts, key = rel.transport_starts, (id(self), id(t1), id(t2))
         result = starts[key] = min_cost_transport(mu, nu, cost, starts.get(key))
         return result.value
 
@@ -451,12 +445,13 @@ def require_match(lifting: LiftingSpec, functor: FunctorSpec) -> None:
         raise StructureError(f"lifting does not fit the system functor: {lines}")
 
 
-def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
+def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: RelView,
                t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Distance between two functor elements across a lifted relation.
 
-    t1 lives over rel.source, t2 over rel.target; the lifting must fit the
-    functor shape (see require_match).
+    rel is read as rel.values[x][y] at the leaf values x of t1 and y of t2,
+    and its transport_starts dict is one chain's warm starts or a fresh one
+    per check (see RelView); the lifting must fit the functor shape.
     """
     return lifting.lift(functor, rel, t1, t2)
 
@@ -464,7 +459,7 @@ def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
 _GRID_CAP = 2_000_000
 
 
-def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
+def grid_kantorovich_value(modalities, step: Fraction, rel: RelView,
                            t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Sup over modalities and grid-valued left tables, right = companion.
 
@@ -504,7 +499,7 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: FuzzyRel,
         searches.append((lam, dims))
     # a search over no entries has one empty combination and reads no level
     levels = [k * step for k in range(n_levels)] if any(d for _, d in searches) else []
-    block = [[rel.at(a, b) for b in right] for a in left]
+    block = [[rel.values[a][b] for b in right] for a in left]
     best = ZERO
     for lam, dims in searches:
         for combo in product(levels, repeat=dims):

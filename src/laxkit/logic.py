@@ -6,8 +6,9 @@ whose argument is a functor element over formulas.  The structural
 modality is evaluated through a finite membership matrix: the formulas
 occurring in the argument become the target carrier, each entry is the
 value of that formula at a state, and the backing lifting is applied to
-this matrix.  Its De Morgan dual is evaluated the same way on the
-complemented matrix.
+this matrix, read by index: the system's indexed_steps on the left, the
+argument with each formula renamed to its position on the right.  Its De
+Morgan dual is evaluated the same way on the complemented matrix.
 
 Each formula kind is one class (see Formula), registered in FORMULA_KINDS
 under its JSON kind: the JSON codec, the text printer, rank, negation and
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Carrier, FuzzyRel, LaxkitError, ONE, StructureError, as_unit, format_unit
+from .core import Carrier, LaxkitError, ONE, RelView, StructureError, as_unit, format_unit
 from .core import sat_add, sat_sub
 from .functors import Canonical, FunctorElement, FunctorSpec, GrammarNode, base, canonical_key
 from .liftings import LiftingSpec, lift_value
@@ -265,15 +266,13 @@ class _Structural(Formula):
         system, flip = ev.system, self.flip
         formulas = base(self.element)
         sub_tables = [ev.table(g) for g in formulas]
-        rows = tuple(
-            tuple((ONE - sub[x]) if flip else sub[x] for sub in sub_tables)
-            for x in ev.states
-        )
-        membership = FuzzyRel(system.carrier, Carrier(formulas), rows)
+        rows = [[(ONE - sub[x]) if flip else sub[x] for sub in sub_tables] for x in ev.states]
+        membership = RelView(system.carrier, Carrier(formulas), rows, {})
+        position = {g: k for k, g in enumerate(formulas)}
+        element = self.element.map(position.__getitem__)
         out = {}
-        for x in ev.states:
-            value = lift_value(ev.lifting, system.functor, membership,
-                               system.step(x), self.element)
+        for x, step in zip(ev.states, system.indexed_steps):
+            value = lift_value(ev.lifting, system.functor, membership, step, element)
             out[x] = (ONE - value) if flip else value
         return out
 

@@ -72,12 +72,12 @@ def moss_eval(modality: MossModality, carrier: Carrier, args, t: FunctorElement)
         raise StructureError(
             f"derived modality takes {modality.arity} arguments, got {len(args)}"
         )
-    index_carrier = modality.index_carrier()
     rows = tuple(
         tuple(args[i][x] for i in range(modality.arity)) for x in carrier.elements
     )
-    membership = FuzzyRel(carrier, index_carrier, rows)
-    return lift_value(modality.lifting, modality.functor, membership, t, modality.indexed)
+    membership = FuzzyRel(carrier, modality.index_carrier(), rows)
+    return lift_value(modality.lifting, modality.functor, membership.view(), t,
+                      modality.indexed)
 
 
 def separation_witness(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,

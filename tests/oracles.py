@@ -32,6 +32,7 @@ from laxkit.core import (
     Carrier,
     FuzzyRel,
     ONE,
+    RelView,
     StructureError,
     ZERO,
     as_unit,
@@ -292,7 +293,7 @@ def _zero(sys_a: Coalgebra, sys_b: Coalgebra) -> FuzzyRel:
 def _full_step(lifting, functor, sys_a, sys_b, current: FuzzyRel) -> FuzzyRel:
     rows = tuple(
         tuple(
-            lift_value(lifting, functor, current, sys_a.step(a), sys_b.step(b))
+            lift_value(lifting, functor, current.view(), sys_a.step(a), sys_b.step(b))
             for b in sys_b.carrier.elements
         )
         for a in sys_a.carrier.elements
@@ -386,7 +387,7 @@ def two_pass_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
                 claimed = r.at(a, b)
                 if claimed == ONE:
                     continue  # vacuously satisfied
-                lifted = lift_value(lifting, left.functor, r, left.step(a), right.step(b))
+                lifted = lift_value(lifting, left.functor, r.view(), left.step(a), right.step(b))
                 rows.append(SlackRow((a, b), claimed, lifted))
         return tuple(rows)
 
@@ -445,7 +446,7 @@ def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
     return best
 
 
-def two_pass_hausdorff(lifting: Hausdorff, functor: FunctorSpec, rel: FuzzyRel,
+def two_pass_hausdorff(lifting: Hausdorff, functor: FunctorSpec, rel: RelView,
                        t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """The Hausdorff lifting with each one-sided distance lifting its own pairs.
 
@@ -464,7 +465,7 @@ def two_pass_hausdorff(lifting: Hausdorff, functor: FunctorSpec, rel: FuzzyRel,
     return max(left(), right())
 
 
-def fraction_pair_sum(lifting: PairSum, functor: FunctorSpec, rel: FuzzyRel,
+def fraction_pair_sum(lifting: PairSum, functor: FunctorSpec, rel: RelView,
                       t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """w_l * x + w_r * y on Fractions, checked into the unit interval."""
     return as_unit(

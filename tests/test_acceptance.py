@@ -172,8 +172,8 @@ def test_criterion_4_transport_duality(capsys):
             rel = rand_rel(rng, a, b)
             t1 = rand_element(rng, DIST_FUNCTOR, a)
             t2 = rand_element(rng, DIST_FUNCTOR, b)
-            k = lift_value(kant, DIST_FUNCTOR, rel, t1, t2)
-            w = lift_value(wass, DIST_FUNCTOR, rel, t1, t2)
+            k = lift_value(kant, DIST_FUNCTOR, rel.view(), t1, t2)
+            w = lift_value(wass, DIST_FUNCTOR, rel.view(), t1, t2)
             mu = [p for _, p in t1.pairs]
             nu = [p for _, p in t2.pairs]
             cost = [[rel.at(x.value, y.value) for y, _ in t2.pairs]
@@ -195,7 +195,7 @@ def test_criterion_5_set_couplings_and_grid(capsys):
             v = sorted(rng.sample(b.elements, rng.randint(0, 4)))
             t1 = fset(IdEl(x) for x in u)
             t2 = fset(IdEl(y) for y in v)
-            direct = lift_value(H_SYM, SET_FUNCTOR, rel, t1, t2)
+            direct = lift_value(H_SYM, SET_FUNCTOR, rel.view(), t1, t2)
             coupled = min_sup_over_set_couplings(
                 len(u), len(v), lambda i, j: rel.at(u[i], v[j])
             )
@@ -211,8 +211,8 @@ def test_criterion_5_set_couplings_and_grid(capsys):
             rel = rand_rel(rng, a, b)
             t1 = rand_element(rng, SET_FUNCTOR, a)
             t2 = rand_element(rng, SET_FUNCTOR, b)
-            closed = lift_value(H_LEFT, SET_FUNCTOR, rel, t1, t2)
-            approx = lift_value(grid, SET_FUNCTOR, rel, t1, t2)
+            closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
+            approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
             assert abs(closed - approx) <= step
 
 
@@ -230,7 +230,7 @@ def test_criterion_6_derived_modalities_recover_the_lifting(capsys):
             rel = rand_rel(rng, a, b)
             t1 = rand_element(rng, functor, a)
             t2 = rand_element(rng, functor, b)
-            direct = lift_value(lifting, functor, rel, t1, t2)
+            direct = lift_value(lifting, functor, rel.view(), t1, t2)
             assert witness_value(lifting, functor, rel, t1, t2) == direct
             for _ in range(10):  # 1000 random witness pairs in total
                 shape = rand_element(rng, functor, rand_carrier(rng, "i", 3))

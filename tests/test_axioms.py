@@ -145,7 +145,7 @@ class SpikeAtZero(lk.LiftingSpec):
     functor_type, mismatch = lk.Id, "needs the identity functor"
 
     def lift(self, functor, rel, t1, t2):
-        return F(1) if rel.at(t1.value, t2.value) == 0 else F(0)
+        return F(1) if rel.values[t1.value][t2.value] == 0 else F(0)
 
 
 class Squared(lk.LiftingSpec):
@@ -154,7 +154,7 @@ class Squared(lk.LiftingSpec):
     functor_type, mismatch = lk.Id, "needs the identity functor"
 
     def lift(self, functor, rel, t1, t2):
-        return rel.at(t1.value, t2.value) ** 2
+        return rel.values[t1.value][t2.value] ** 2
 
 
 class CountMembers(lk.LiftingSpec):
@@ -190,7 +190,8 @@ def test_l1_report_is_a_monotonicity_counterexample_after_shrinking(seed):
     t1, t2 = lk.IdEl(cex.data["t1"]), lk.IdEl(cex.data["t2"])
     # shrinking keeps the law's premise: the smaller relation stays below
     assert smaller.entrywise_le(larger)
-    assert lifting.lift(functor, smaller, t1, t2) > lifting.lift(functor, larger, t1, t2)
+    assert (lifting.lift(functor, smaller.view(), t1, t2)
+            > lifting.lift(functor, larger.view(), t1, t2))
     # every entry went to 0, and the push to 1 leaves zeros alone
     assert all(x == 0 for row in smaller.values for x in row)
 
@@ -235,8 +236,9 @@ def test_l2_report_is_recomputed_at_the_shrunk_relation():
     r = reported_rel(cex.data["r"], "a", "b")
     s = reported_rel(cex.data["s"], "b", "c")
     t1, t2, t3 = (lk.IdEl(cex.data[k]) for k in ("t1", "t2", "t3"))
-    lhs = lifting.lift(functor, lk.compose(r, s), t1, t3)
-    rhs = lk.sat_add(lifting.lift(functor, r, t1, t2), lifting.lift(functor, s, t2, t3))
+    lhs = lifting.lift(functor, lk.compose(r, s).view(), t1, t3)
+    rhs = lk.sat_add(lifting.lift(functor, r.view(), t1, t2),
+                     lifting.lift(functor, s.view(), t2, t3))
     assert lhs > rhs
     # rows other than t1's are never read, so the shrinker settled them at 0
     assert all(x == 0 for a, row in zip(r.source.elements, r.values) if a != t1.value
@@ -250,10 +252,10 @@ def test_l4_reports_the_value_at_the_shrunk_element():
     assert cex is not None and cex.description == "epsilon-diagonal lifted above epsilon"
     eps, t = F(cex.data["eps"]), reported_set(cex.data["t"])
     carrier = lk.Carrier(tuple(m.value for m in t.members))
-    got = lifting.lift(functor, lk.diagonal(carrier, eps), t, t)
+    got = lifting.lift(functor, lk.diagonal(carrier, eps).view(), t, t)
     assert F(cex.data["got"]) == got
     assert got > eps
     # shrunk: dropping any one member no longer breaks the law
     for i in range(len(t.members)):
         smaller = lk.SetEl(t.members[:i] + t.members[i + 1:])
-        assert lifting.lift(functor, lk.diagonal(carrier, eps), smaller, smaller) <= eps
+        assert lifting.lift(functor, lk.diagonal(carrier, eps).view(), smaller, smaller) <= eps

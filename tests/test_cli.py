@@ -572,9 +572,9 @@ def _with_duplicate(tmp_path, name, state, entry):
 
 @pytest.mark.parametrize("name, state, entry, lifting, warning", [
     ("prob_deadlock.json", "u0", [["u1", "1/6"], ["u1", "1/6"], ["u2", "2/3"]],
-     "prob_lifting.json", "alpha[u0]: duplicate support entry at {path}.alpha[u0].just[1] merged"),
+     "prob_lifting.json", "duplicate support entry at {path}.alpha[u0].just[1] merged"),
     ("labelled_kripke_a.json", "a1", ["7/10", ["a2", "a3", "a2"]], "half_label_hausdorff.json",
-     "alpha[a1]: duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated"),
+     "duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated"),
 ], ids=["merged-support-entry", "deduplicated-set-member"])
 def test_validation_warnings_go_to_stderr(tmp_path, capsys, name, state, entry, lifting,
                                           warning):
@@ -582,10 +582,25 @@ def test_validation_warnings_go_to_stderr(tmp_path, capsys, name, state, entry, 
     code, out, err = run_cli(capsys, "dist", "--system", path,
                              "--lifting", fixture_path(lifting))
     assert code == 0
-    assert err == f"warning: {path}: {warning.format(path=path)}\n"
+    assert err == f"warning: {warning.format(path=path)}\n"
     _, clean, _ = run_cli(capsys, "dist", "--system", fixture_path(name),
                           "--lifting", fixture_path(lifting))
     assert json.loads(out)["matrix"] == json.loads(clean)["matrix"]
+
+
+def test_a_system_given_twice_warns_once_per_note(tmp_path, capsys):
+    path = _with_duplicate(tmp_path, "labelled_kripke_a.json", "a1",
+                           ["7/10", ["a2", "a3", "a2", "a3"]])
+    code, out, err = run_cli(capsys, "dist", "--system", path, "--system", path,
+                             "--lifting", fixture_path("half_label_hausdorff.json"))
+    assert code == 0
+    assert err.splitlines() == [
+        f"warning: duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated",
+        f"warning: duplicate set member 'a3' at {path}.alpha[a1][1][3] deduplicated",
+    ]
+    _, once, _ = run_cli(capsys, "dist", "--system", path,
+                         "--lifting", fixture_path("half_label_hausdorff.json"))
+    assert json.loads(out)["matrix"] == json.loads(once)["matrix"]
 
 
 def _section(lines, title):

@@ -196,7 +196,7 @@ class _Antitone(LiftingSpec):
     mismatch = "needs the identity functor"
 
     def lift(self, functor, rel, t1, t2):
-        return F(2, 3) * (1 - rel.at(t1.value, t2.value))
+        return F(2, 3) * (1 - rel.values[t1.value][t2.value])
 
 
 def test_a_decreasing_chain_is_refused():
@@ -258,7 +258,7 @@ def test_fixpoint_is_a_fixpoint(labelled_frames):
     for a in sys_a.carrier.elements:
         for b in sys_b.carrier.elements:
             image = lift_value(
-                lifting, functor, result.matrix, sys_a.step(a), sys_b.step(b)
+                lifting, functor, result.matrix.view(), sys_a.step(a), sys_b.step(b)
             )
             assert image == result.matrix.at(a, b)
 

@@ -24,9 +24,12 @@ under src/laxkit imports the tests package.
 
 The three grammars share one node base: each registry is the one its
 base class names, and no other class in the grammar modules hooks
-subclass creation.  Finally it keeps one spelling per grammar operation: outside an allowlist,
+subclass creation.  It keeps one spelling per grammar operation: outside an allowlist,
 no module-level function in src/laxkit only passes its parameters on to a
 method of one of them, so each contract lives on its node method.
+Finally it keeps one relation view for every lift: no `lift` method and
+no grid_kantorovich_value probes its relation with getattr or reads it
+through FuzzyRel.at; each reads the RelView's values and warm-start dict.
 """
 
 import ast
@@ -216,7 +219,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
 
 @pytest.mark.parametrize("module, function", [
     ("liftings.py", "Hausdorff.lift"), ("liftings.py", "PairSum.lift"),
-    ("liftings.py", "KantorovichD.lift"), ("distance.py", "_IndexRel.__init__"),
+    ("liftings.py", "KantorovichD.lift"), ("core.py", "RelView"),
     ("distance.py", "_chain"), ("core.py", "scaled_rows"), ("core.py", "unit_over"),
     ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
     ("core.py", "is_pseudometric"),
@@ -364,3 +367,54 @@ def test_delegation_guard_sees_each_form(tmp_path):
         "        return x.method()\n"
     )
     assert delegations(str(probe)) == ["documented", "second", "keyword"]
+
+
+def relation_probes(path: str) -> list:
+    """getattr(rel, ...) and rel.at(...) calls in every `lift` method and in
+    grid_kantorovich_value, rel being the relation parameter (the third,
+    counting self)."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name in ("lift", "grid_kantorovich_value") and len(node.args.args) > 2):
+            continue
+        rel = node.args.args[2].arg
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == "getattr" and call.args
+                    and isinstance(call.args[0], ast.Name) and call.args[0].id == rel):
+                found.append((call.lineno, f"{node.name} calls getattr on {rel}"))
+            elif (isinstance(func, ast.Attribute) and func.attr == "at"
+                  and isinstance(func.value, ast.Name) and func.value.id == rel):
+                found.append((call.lineno, f"{node.name} calls {rel}.at"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_every_lift_reads_one_relation_view():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    assert {m: relation_probes(os.path.join(SRC, m)) for m in modules} == {m: [] for m in modules}
+
+
+def test_relation_view_guard_sees_each_probe(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Probing:\n"
+        "    def lift(self, functor, rel, t1, t2):\n"
+        "        starts = getattr(rel, 'transport_starts', None)\n"
+        "        return rel.at(t1.value, t2.value)\n"
+        "class Reading:\n"
+        "    def lift(self, functor, r, t1, t2):\n"
+        "        return functor.metric.at(t1.label, t2.label), getattr(functor, 'x')\n"
+        "    def other(self, functor, rel, t1, t2):\n"
+        "        return rel.at(t1, t2)\n"
+        "def grid_kantorovich_value(modalities, step, rel, t1, t2):\n"
+        "    return [rel.at(a, b) for a in t1 for b in t2]\n"
+    )
+    assert relation_probes(str(probe)) == [
+        "line 3: lift calls getattr on rel", "line 4: lift calls rel.at",
+        "line 11: grid_kantorovich_value calls rel.at",
+    ]

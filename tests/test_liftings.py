@@ -6,7 +6,9 @@ import pytest
 
 import laxkit as lk
 from laxkit import (
+    AxiomConfig,
     Carrier,
+    Certificate,
     ConstLift,
     DFin,
     Discount,
@@ -21,19 +23,25 @@ from laxkit import (
     NOTHING,
     PFin,
     StructureError,
+    RelView,
     WassersteinD,
+    behavioural_distance,
+    check_axioms,
+    check_certificate,
     fdist,
     fset,
     grid_error_bound,
     grid_kantorovich_value,
     just,
     lift_value,
+    liftings,
+    logical_distance,
     sup_distance,
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
 from tests.oracles import fraction_pair_sum, min_sup_over_set_couplings, two_pass_hausdorff
-from tests.conftest import number_const, rel_from
+from tests.conftest import CASES, kinds, number_const, rand_system, rel_from
 
 SET_FUNCTOR = PFin(Id())
 DIST_FUNCTOR = DFin(Id())
@@ -60,9 +68,9 @@ def mixed_rel(rng, source, target):
 def test_worked_example_values(labelled_frames):
     sys_a, sys_b, functor, lifting, cert = labelled_frames
     rel = cert.relation
-    assert lift_value(lifting, functor, rel, sys_a.step("a1"), sys_b.step("b1")) == F(1, 5)
-    assert lift_value(lifting, functor, rel, sys_a.step("a2"), sys_b.step("b3")) == F(1, 10)
-    assert lift_value(lifting, functor, rel, sys_a.step("a3"), sys_b.step("b2")) == F(1, 20)
+    assert lift_value(lifting, functor, rel.view(), sys_a.step("a1"), sys_b.step("b1")) == F(1, 5)
+    assert lift_value(lifting, functor, rel.view(), sys_a.step("a2"), sys_b.step("b3")) == F(1, 10)
+    assert lift_value(lifting, functor, rel.view(), sys_a.step("a3"), sys_b.step("b2")) == F(1, 20)
 
 
 def test_hausdorff_empty_set_conventions():
@@ -71,11 +79,11 @@ def test_hausdorff_empty_set_conventions():
     singleton_a = fset([IdEl("x1")])
     singleton_b = fset([IdEl("y1")])
     empty = fset([])
-    assert lift_value(H_SYM, SET_FUNCTOR, rel, singleton_a, singleton_b) == F(1, 3)
-    assert lift_value(H_SYM, SET_FUNCTOR, rel, empty, empty) == 0
-    assert lift_value(H_SYM, SET_FUNCTOR, rel, singleton_a, empty) == 1
-    assert lift_value(H_LEFT, SET_FUNCTOR, rel, empty, singleton_b) == 0
-    assert lift_value(H_RIGHT, SET_FUNCTOR, rel, empty, singleton_b) == 1
+    assert lift_value(H_SYM, SET_FUNCTOR, rel.view(), singleton_a, singleton_b) == F(1, 3)
+    assert lift_value(H_SYM, SET_FUNCTOR, rel.view(), empty, empty) == 0
+    assert lift_value(H_SYM, SET_FUNCTOR, rel.view(), singleton_a, empty) == 1
+    assert lift_value(H_LEFT, SET_FUNCTOR, rel.view(), empty, singleton_b) == 0
+    assert lift_value(H_RIGHT, SET_FUNCTOR, rel.view(), empty, singleton_b) == 1
 
 
 def test_hausdorff_one_sided_split():
@@ -83,9 +91,9 @@ def test_hausdorff_one_sided_split():
     rel = rel_from(a, b, {("x1", "y1"): F(0), ("x2", "y1"): F(1)})
     u = fset([IdEl("x1"), IdEl("x2")])
     v = fset([IdEl("y1")])
-    assert lift_value(H_LEFT, SET_FUNCTOR, rel, u, v) == 1
-    assert lift_value(H_RIGHT, SET_FUNCTOR, rel, u, v) == 0
-    assert lift_value(H_SYM, SET_FUNCTOR, rel, u, v) == 1
+    assert lift_value(H_LEFT, SET_FUNCTOR, rel.view(), u, v) == 1
+    assert lift_value(H_RIGHT, SET_FUNCTOR, rel.view(), u, v) == 0
+    assert lift_value(H_SYM, SET_FUNCTOR, rel.view(), u, v) == 1
 
 
 def test_hausdorff_lifts_each_pair_once(monkeypatch):
@@ -106,9 +114,9 @@ def test_hausdorff_lifts_each_pair_once(monkeypatch):
         t1, t2 = rand_set(a), rand_set(b)
         for s1, s2 in ((t1, t2), (empty, t2), (t1, empty), (empty, empty)):
             for lifting in (H_SYM, H_LEFT, H_RIGHT):
-                want = two_pass_hausdorff(lifting, SET_FUNCTOR, rel, s1, s2)
+                want = two_pass_hausdorff(lifting, SET_FUNCTOR, rel.view(), s1, s2)
                 calls.clear()
-                assert lifting.lift(SET_FUNCTOR, rel, s1, s2) == want
+                assert lifting.lift(SET_FUNCTOR, rel.view(), s1, s2) == want
                 assert len(calls) == len(s1.members) * len(s2.members)
 
 
@@ -125,12 +133,12 @@ def test_pair_sum_matches_the_fraction_oracle():
         t1 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, a))
         t2 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, b))
         try:
-            want = fraction_pair_sum(lifting, functor, rel, t1, t2)
+            want = fraction_pair_sum(lifting, functor, rel.view(), t1, t2)
         except StructureError as exc:
             with pytest.raises(StructureError, match=f"^{exc}$"):
-                lifting.lift(functor, rel, t1, t2)
+                lifting.lift(functor, rel.view(), t1, t2)
         else:
-            assert lifting.lift(functor, rel, t1, t2) == want
+            assert lifting.lift(functor, rel.view(), t1, t2) == want
     # a lift past 1 directly, without the weight check of LiftingSpec.match
     metric = FuzzyRel(labels, labels, ((F(0), F(1, 2)), (F(1, 2), F(0))))
     functor = lk.Pair(lk.Const(labels, metric), SET_FUNCTOR)
@@ -140,7 +148,7 @@ def test_pair_sum_matches_the_fraction_oracle():
     t2 = lk.PairEl(lk.ConstEl("q"), fset([IdEl("y1")]))
     for lift in (heavy.lift, lambda *args: fraction_pair_sum(heavy, *args)):
         with pytest.raises(StructureError) as exc:
-            lift(functor, rel, t1, t2)
+            lift(functor, rel.view(), t1, t2)
         assert str(exc.value) == "value 3/2 outside the unit interval"
 
 
@@ -149,14 +157,14 @@ def test_transport_lifting_point_masses():
     rel = rel_from(a, b, {("x1", "y1"): F(2, 5)})
     for lifting in (KantorovichD(IdLift()), WassersteinD(IdLift())):
         assert lift_value(
-            lifting, DIST_FUNCTOR, rel,
+            lifting, DIST_FUNCTOR, rel.view(),
             fdist([(IdEl("x1"), F(1))]), fdist([(IdEl("y1"), F(1))]),
         ) == F(2, 5)
         # unique coupling: split source against a point target
         split = fdist([(IdEl("x1"), F(1, 2)), (IdEl("x2"), F(1, 2))])
         point = fdist([(IdEl("y1"), F(1))])
         expected = F(1, 2) * rel.at("x1", "y1") + F(1, 2) * rel.at("x2", "y1")
-        assert lift_value(lifting, DIST_FUNCTOR, rel, split, point) == expected
+        assert lift_value(lifting, DIST_FUNCTOR, rel.view(), split, point) == expected
 
 
 def test_kantorovich_equals_wasserstein_by_shared_solver():
@@ -167,8 +175,8 @@ def test_kantorovich_equals_wasserstein_by_shared_solver():
         rel = rand_rel(rng, a, b)
         t1 = rand_element(rng, DIST_FUNCTOR, a)
         t2 = rand_element(rng, DIST_FUNCTOR, b)
-        k = lift_value(KantorovichD(IdLift()), DIST_FUNCTOR, rel, t1, t2)
-        w = lift_value(WassersteinD(IdLift()), DIST_FUNCTOR, rel, t1, t2)
+        k = lift_value(KantorovichD(IdLift()), DIST_FUNCTOR, rel.view(), t1, t2)
+        w = lift_value(WassersteinD(IdLift()), DIST_FUNCTOR, rel.view(), t1, t2)
         assert k == w
 
 
@@ -185,7 +193,7 @@ def test_hausdorff_is_min_over_set_couplings():
         coupled = min_sup_over_set_couplings(
             len(m1), len(m2), lambda i, j: rel.at(m1[i], m2[j])
         )
-        assert lift_value(H_SYM, SET_FUNCTOR, rel, t1, t2) == coupled
+        assert lift_value(H_SYM, SET_FUNCTOR, rel.view(), t1, t2) == coupled
 
 
 def test_pair_and_discount_combinators(labelled_frames):
@@ -197,11 +205,11 @@ def test_pair_and_discount_combinators(labelled_frames):
     t1 = lk.PairEl(lk.ConstEl("7/10"), fset([lk.IdEl("p")]))
     t2 = lk.PairEl(lk.ConstEl("2/5"), fset([lk.IdEl("q")]))
     # weighted sum: 1/2 * 3/10 + 1/2 * 1
-    assert lift_value(lifting, functor, rel, t1, t2) == F(13, 20)
+    assert lift_value(lifting, functor, rel.view(), t1, t2) == F(13, 20)
     pmax = lk.PairMax(ConstLift(), Hausdorff("sym", IdLift()))
-    assert lift_value(pmax, functor, rel, t1, t2) == F(1)
+    assert lift_value(pmax, functor, rel.view(), t1, t2) == F(1)
     half = Discount(F(1, 2), lifting)
-    assert lift_value(half, functor, rel, t1, t2) == F(13, 40)
+    assert lift_value(half, functor, rel.view(), t1, t2) == F(13, 40)
 
 
 def test_maybe_lift_deadlock_conventions():
@@ -211,10 +219,10 @@ def test_maybe_lift_deadlock_conventions():
     rel = rel_from(a, b, {("x1", "y1"): F(1, 4)})
     dist_a = just(fdist([(IdEl("x1"), F(1))]))
     dist_b = just(fdist([(IdEl("y1"), F(1))]))
-    assert lift_value(lifting, functor, rel, NOTHING, NOTHING) == 0
-    assert lift_value(lifting, functor, rel, NOTHING, dist_b) == 1
-    assert lift_value(lifting, functor, rel, dist_a, NOTHING) == 1
-    assert lift_value(lifting, functor, rel, dist_a, dist_b) == F(1, 4)
+    assert lift_value(lifting, functor, rel.view(), NOTHING, NOTHING) == 0
+    assert lift_value(lifting, functor, rel.view(), NOTHING, dist_b) == 1
+    assert lift_value(lifting, functor, rel.view(), dist_a, NOTHING) == 1
+    assert lift_value(lifting, functor, rel.view(), dist_a, dist_b) == F(1, 4)
 
 
 def test_match_lifting_shapes():
@@ -281,8 +289,8 @@ def test_grid_matches_one_sided_hausdorff_within_step():
         rel = rand_rel(rng, a, b)
         t1 = rand_element(rng, SET_FUNCTOR, a)
         t2 = rand_element(rng, SET_FUNCTOR, b)
-        closed = lift_value(H_LEFT, SET_FUNCTOR, rel, t1, t2)
-        approx = lift_value(grid, SET_FUNCTOR, rel, t1, t2)
+        closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
+        approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
         assert approx <= closed <= approx + step
 
 
@@ -293,8 +301,8 @@ def test_grid_exact_on_single_state_carriers():
     for value in (F(0), F(2, 5), F(1)):
         rel = rel_from(a, b, {("x", "y"): value})
         t1, t2 = fset([IdEl("x")]), fset([IdEl("y")])
-        closed = lift_value(H_LEFT, SET_FUNCTOR, rel, t1, t2)
-        approx = lift_value(grid, SET_FUNCTOR, rel, t1, t2)
+        closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
+        approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
         assert approx <= closed <= approx + step
 
 
@@ -305,8 +313,8 @@ def test_grid_on_all_one_relation():
     rel = FuzzyRel.constant(a, b, F(1))
     t1 = fset([IdEl("x1"), IdEl("x2")])
     t2 = fset([IdEl("y1")])
-    closed = lift_value(H_LEFT, SET_FUNCTOR, rel, t1, t2)
-    approx = lift_value(grid, SET_FUNCTOR, rel, t1, t2)
+    closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
+    approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
     assert approx <= closed <= approx + step
 
 
@@ -345,7 +353,7 @@ def test_grid_cap_refuses_before_building_levels():
     for k in (300_000, 100_000_000):
         def refused():
             with pytest.raises(StructureError) as err:
-                grid_kantorovich_value([dia], F(1, k), rel, t1, t2)
+                grid_kantorovich_value([dia], F(1, k), rel.view(), t1, t2)
             return str(err.value)
         message, peak = peak_bytes(refused)
         assert message == (f"grid search over {k + 1}^2 tables exceeds the cap; "
@@ -353,7 +361,7 @@ def test_grid_cap_refuses_before_building_levels():
         assert peak < 100_000
     # a left element with no members searches one empty table and needs no level
     value, peak = peak_bytes(
-        lambda: grid_kantorovich_value([dia], F(1, 100_000_000), rel, fset([]), t2))
+        lambda: grid_kantorovich_value([dia], F(1, 100_000_000), rel.view(), fset([]), t2))
     assert value == 0 and peak < 100_000
 
 
@@ -371,7 +379,7 @@ def test_grid_refuses_non_monotone():
         lambda el, args: F(1) - max((args[0][m.value] for m in el.members), default=F(1)),
     )
     with pytest.raises(StructureError):
-        grid_kantorovich_value([flip], F(1, 2), rel, fset([IdEl("x1")]), fset([IdEl("y1")]))
+        grid_kantorovich_value([flip], F(1, 2), rel.view(), fset([IdEl("x1")]), fset([IdEl("y1")]))
 
 
 def test_nonexpansive_in_the_relation():
@@ -397,8 +405,8 @@ def test_nonexpansive_in_the_relation():
             t1 = rand_element(rng, functor, a)
             t2 = rand_element(rng, functor, b)
             gap = abs(
-                lift_value(lifting, functor, r1, t1, t2)
-                - lift_value(lifting, functor, r2, t1, t2)
+                lift_value(lifting, functor, r1.view(), t1, t2)
+                - lift_value(lifting, functor, r2.view(), t1, t2)
             )
             assert gap <= sup_distance(r1, r2)
 
@@ -411,11 +419,11 @@ def test_lifted_hemimetric_stays_hemimetric():
             d = rand_hemimetric(rng, a, symmetric=False)
             ts = [rand_element(rng, functor, a) for _ in range(3)]
             for t in ts:
-                assert lift_value(lifting, functor, d, t, t) == 0
-            lhs = lift_value(lifting, functor, d, ts[0], ts[2])
+                assert lift_value(lifting, functor, d.view(), t, t) == 0
+            lhs = lift_value(lifting, functor, d.view(), ts[0], ts[2])
             rhs = lk.sat_add(
-                lift_value(lifting, functor, d, ts[0], ts[1]),
-                lift_value(lifting, functor, d, ts[1], ts[2]),
+                lift_value(lifting, functor, d.view(), ts[0], ts[1]),
+                lift_value(lifting, functor, d.view(), ts[1], ts[2]),
             )
             assert lhs <= rhs
 
@@ -427,5 +435,77 @@ def test_lifted_pseudometric_stays_symmetric():
         d = rand_hemimetric(rng, a, symmetric=True)
         t1 = rand_element(rng, SET_FUNCTOR, a)
         t2 = rand_element(rng, SET_FUNCTOR, a)
-        assert lift_value(H_SYM, SET_FUNCTOR, d, t1, t2) == \
-            lift_value(H_SYM, SET_FUNCTOR, d, t2, t1)
+        assert lift_value(H_SYM, SET_FUNCTOR, d.view(), t1, t2) == \
+            lift_value(H_SYM, SET_FUNCTOR, d.view(), t2, t1)
+
+
+# ---------------------------------------------------------------------------
+# One relation view, two addressings
+
+
+def _has_collection(functor):
+    return isinstance(functor, (PFin, DFin)) or any(
+        _has_collection(child) for child in functor.children())
+
+
+def test_the_two_addressings_cover_every_lifting_kind():
+    assert {kind for lifting, *_ in CASES.values() for kind in kinds(lifting)} == set(
+        liftings.LIFTING_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_index_rows_lift_as_the_named_relation(name):
+    # carriers of 20 and 13 states: "a10".."a19" sort before "a2" but their
+    # indices after 2, so mapping an element to indices reorders its members
+    lifting, functor, _, _ = CASES[name]
+    rng = random.Random(f"two-addressings/{name}")
+    sys_a, sys_b = rand_system(rng, functor, "a", 20), rand_system(rng, functor, "b", 13)
+    rel = (rand_rel, mixed_rel)[len(name) % 2](rng, sys_a.carrier, sys_b.carrier)
+    rows = RelView(sys_a.carrier, sys_b.carrier, rel.values, {})
+    index_a, index_b = sys_a.carrier.index, sys_b.carrier.index
+    reordered = False
+    for a in sys_a.carrier.elements:
+        t1 = sys_a.step(a)
+        mapped = t1.map(index_a)
+        reordered |= list(mapped.leaves()) != [index_a(x) for x in t1.leaves()]
+        for b in sys_b.carrier.elements:
+            t2 = sys_b.step(b)
+            named = lift_value(lifting, functor, rel.view(), t1, t2)
+            assert lift_value(lifting, functor, rows, mapped, t2.map(index_b)) == named
+    assert reordered == _has_collection(functor)
+
+
+@pytest.fixture
+def warm_starts_seen(monkeypatch):
+    """The warm start each transport solve of a lift was given, in order."""
+    seen = []
+    real = liftings.min_cost_transport
+
+    def solve(mu, nu, cost, warm=None):
+        seen.append(warm)
+        return real(mu, nu, cost, warm)
+
+    monkeypatch.setattr(liftings, "min_cost_transport", solve)
+    return seen
+
+
+TRANSPORT_CASES = ["kantorovich", "wasserstein", "pair-max", "maybe", "two-transports",
+                   "hausdorff-kantorovich"]
+
+
+@pytest.mark.parametrize("name", TRANSPORT_CASES)
+def test_only_the_chain_resumes_transport_solves(name, warm_starts_seen):
+    lifting, functor, _, _ = CASES[name]
+    rng = random.Random(f"cold-solves/{name}")
+    sys_a, sys_b = rand_system(rng, functor, "a", 4), rand_system(rng, functor, "b", 4)
+    # a certificate check, in both directions, also of a system against itself
+    for left, right in ((sys_a, sys_b), (sys_a, sys_a)):
+        rel = rand_rel(rng, left.carrier, right.carrier)
+        check_certificate(lifting, left, right, Certificate(rel, "bisimulation"))
+    # the logic's structural tables, and the law suite's trials
+    logical_distance(sys_a, sys_b, lifting, 2)
+    check_axioms(lifting, functor, AxiomConfig(trials=6, max_size=3, seed=1))
+    assert warm_starts_seen and all(warm is None for warm in warm_starts_seen)
+    # the fixpoint chain resumes its solves, so the probe sees warm starts
+    behavioural_distance(lifting, sys_a, sys_b, max_iter=4)
+    assert any(warm is not None for warm in warm_starts_seen)

@@ -98,7 +98,7 @@ def test_moss_eval_against_direct_hausdorff():
             carrier, mod.index_carrier(),
             tuple(tuple(args[i][x] for i in range(3)) for x in carrier.elements),
         )
-        assert got == lift_value(H_SYM, SET_FUNCTOR, membership, t, mod.indexed)
+        assert got == lift_value(H_SYM, SET_FUNCTOR, membership.view(), t, mod.indexed)
 
 
 def test_moss_eval_degenerate_singleton_presentation():
@@ -168,7 +168,7 @@ def test_separation_witness_achieves_lift():
             rel = rand_rel(rng, a, b)
             t1 = rand_element(rng, fun, a)
             t2 = rand_element(rng, fun, b)
-            direct = lift_value(lif, fun, rel, t1, t2)
+            direct = lift_value(lif, fun, rel.view(), t1, t2)
             assert witness_value(lif, fun, rel, t1, t2) == direct
 
 
@@ -192,7 +192,7 @@ def test_random_witnesses_never_exceed_lift():
             value = lk.sat_sub(
                 moss_eval(mod, a, left, t1), moss_eval(mod, b, right, t2)
             )
-            assert value <= lift_value(lif, fun, rel, t1, t2)
+            assert value <= lift_value(lif, fun, rel.view(), t1, t2)
 
 
 def test_synthesis_base_cases(labelled_frames):

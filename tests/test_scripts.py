@@ -9,7 +9,10 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction as F
 
+import laxkit as lk
 from tests.conftest import FIXTURES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -68,3 +71,44 @@ def test_bench_pair_digests_the_measured_code(tmp_path):
     assert tree_digest(str(two)) == digest
     (two / "src" / "laxkit" / "core.py").write_bytes(b"x = 2\n")
     assert tree_digest(str(two)) != digest
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reads_a_relation_view():
+    # the tracer counts grid tables off a grid call's relation argument,
+    # len(args[2].source), and counts every lift_value call
+    spans = load_spans()
+    a, b = lk.Carrier.of("x1", "x2", "x3"), lk.Carrier.of("y1", "y2")
+    rel = lk.FuzzyRel.constant(a, b, F(1, 2))
+    set_functor = lk.PFin(lk.Id())
+    dia = lk.standard_modalities(set_functor)["dia"]
+    grid = lk.KantorovichGrid(("dia",), F(1, 2))
+    t1, t2 = lk.fset([lk.IdEl("x1"), lk.IdEl("x3")]), lk.fset([lk.IdEl("y2")])
+    index_rows = lk.RelView(a, b, rel.values, {})
+    counts = Counter()
+    for view, u, v in ((rel.view(), t1, t2), (index_rows, t1.map(a.index), t2.map(b.index))):
+        args = ([dia], F(1, 2), view, u, v)
+        value = lk.grid_kantorovich_value(*args)
+        assert spans._grid_tables(args) == 3 ** 3
+        spans._on_return("liftings.grid", args, value, counts)
+        lifted = lk.lift_value(grid, set_functor, view, u, v)
+        spans._on_return("liftings.lift", (grid, set_functor, view, u, v), lifted, counts)
+        assert lifted == value
+    assert counts == {"liftings.grid_calls": 2, "liftings.grid_tables": 2 * 3 ** 3,
+                      "liftings.lift_calls": 2}
+    # installed, the tracer wraps lift_value around a law-suite run
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        lk.check_axioms(lk.KantorovichGrid(("dia", "box"), F(1, 2)), set_functor,
+                        lk.AxiomConfig(trials=3, max_size=2))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["liftings.lift_calls"] > 0 and tracer.counts["liftings.grid_calls"] > 0
