@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import add
 from typing import Callable, Hashable, Iterable, Mapping
@@ -183,15 +182,9 @@ class FuzzyRel:
     def at(self, a, b) -> Fraction:
         return self.values[self.source.index(a)][self.target.index(b)]
 
-    @cached_property
-    def _rows_by_id(self) -> dict:
-        return {a: dict(zip(self.target.elements, row))
-                for a, row in zip(self.source.elements, self.values)}
-
     def view(self) -> "RelView":
-        """This relation as lifts read it, by element ids: the rows are built
-        once per relation, and each view gets a fresh, empty warm-start dict."""
-        return RelView(self.source, self.target, self._rows_by_id, {})
+        """This relation as lifts read it, by element ids, with no warm starts."""
+        return RelView(self.source, self.target, _RowsById(self), {})
 
     def is_square(self) -> bool:
         return self.source == self.target
@@ -210,12 +203,25 @@ class FuzzyRel:
         )
 
 
+class _RowsById(dict):
+    """FuzzyRel.view's rows by id, each built on its first read: lifts read few."""
+
+    __slots__ = ("rel",)
+
+    def __init__(self, rel: FuzzyRel):
+        self.rel = rel
+
+    def __missing__(self, a):
+        rel = self.rel
+        row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
+        return row
+
+
 @dataclass(eq=False, slots=True)
 class RelView:
-    """A relation as every lift reads it: values[x][y] at the leaf values x
-    and y of two lifted elements, carrier indices or element ids (see
-    FuzzyRel.view); transport_starts is one chain's warm starts, or a fresh
-    dict per check, so its solves stay cold (see KantorovichD.lift)."""
+    """A relation as every lift reads it: values[x][y] at the leaf values x, y
+    of the lifted elements (carrier indices, or ids for FuzzyRel.view), and
+    the transport warm starts of one chain or one check (see KantorovichD.lift)."""
 
     source: Carrier
     target: Carrier

@@ -32,15 +32,14 @@ numerators and denominators, which tells unchanged, grown and decreased
 apart, and keeps the residual as an integer numerator and denominator
 until the step ends, so it builds one residual Fraction per step.
 
-Every view carries an explicit dict of transport warm starts.  A
-transport node keeps in it, per pair of distribution elements, the last
-solve's TransportResult: its masses, their scale and its optimal basis.
-The chain passes one dict to the views of all its steps: along the chain
-the masses stay put and only the costs move, so the next step's solve for
-that pair resumes from that basis instead of the northwest corner (see
-laxkit.transport), and the iterates do not change, as optimal values are
-unique.  A certificate check lifts each pair once in a fresh dict per
-direction, so its solves stay cold: no earlier solve shares its masses.
+Every view carries an explicit dict of transport warm starts, where a
+transport node keeps, per pair of distribution elements, the last solve's
+TransportResult: its masses, their scale and its optimal basis.  The
+chain shares one dict across its steps: its masses stay put and only the
+costs move, so each solve resumes from the previous step's basis instead
+of the northwest corner (see laxkit.transport), and unique optimal values
+leave the iterates unchanged.  A certificate check lifts each pair once
+in a fresh dict per direction, so its solves stay cold.
 
 A certificate is a fuzzy relation claimed to simulate one system by
 another; checking it means verifying that the lifted relation applied to

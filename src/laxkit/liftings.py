@@ -229,9 +229,8 @@ class KantorovichD(LiftingSpec):
         mu = [p for _, p in t1.pairs]
         nu = [p for _, p in t2.pairs]
         cost = [[sub.lift(sub_functor, rel, a, b) for b, _ in t2.pairs] for a, _ in t1.pairs]
-        # One result per node and pair of elements, the next solve's warm
-        # start; the ids are stable while the view's owner keeps the elements
-        # alive, and the solver ignores a result whose masses differ.
+        # one result per node and pair of elements, the next solve's warm start;
+        # the ids hold while the view's owner keeps the elements alive
         starts, key = rel.transport_starts, (id(self), id(t1), id(t2))
         result = starts[key] = min_cost_transport(mu, nu, cost, starts.get(key))
         return result.value
@@ -449,9 +448,9 @@ def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: RelView,
                t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Distance between two functor elements across a lifted relation.
 
-    rel is read as rel.values[x][y] at the leaf values x of t1 and y of t2,
-    and its transport_starts dict is one chain's warm starts or a fresh one
-    per check (see RelView); the lifting must fit the functor shape.
+    rel.values[x][y] is read at the leaf values x of t1 and y of t2, and
+    rel.transport_starts holds one chain's or one check's warm starts; the
+    lifting must fit the functor shape (see require_match).
     """
     return lifting.lift(functor, rel, t1, t2)
 

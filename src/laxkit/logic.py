@@ -6,9 +6,8 @@ whose argument is a functor element over formulas.  The structural
 modality is evaluated through a finite membership matrix: the formulas
 occurring in the argument become the target carrier, each entry is the
 value of that formula at a state, and the backing lifting is applied to
-this matrix, read by index: the system's indexed_steps on the left, the
-argument with each formula renamed to its position on the right.  Its De
-Morgan dual is evaluated the same way on the complemented matrix.
+this matrix, read by carrier index.  Its De Morgan dual is evaluated the
+same way on the complemented matrix.
 
 Each formula kind is one class (see Formula), registered in FORMULA_KINDS
 under its JSON kind: the JSON codec, the text printer, rank, negation and
@@ -264,12 +263,11 @@ class _Structural(Formula):
         if ev.lifting is None:
             raise StructureError("evaluating a structural modality needs a lifting")
         system, flip = ev.system, self.flip
-        formulas = base(self.element)
+        formulas = Carrier(base(self.element))
         sub_tables = [ev.table(g) for g in formulas]
         rows = [[(ONE - sub[x]) if flip else sub[x] for sub in sub_tables] for x in ev.states]
-        membership = RelView(system.carrier, Carrier(formulas), rows, {})
-        position = {g: k for k, g in enumerate(formulas)}
-        element = self.element.map(position.__getitem__)
+        membership = RelView(system.carrier, formulas, rows, {})
+        element = self.element.map(formulas.index)
         out = {}
         for x, step in zip(ev.states, system.indexed_steps):
             value = lift_value(ev.lifting, system.functor, membership, step, element)

@@ -76,8 +76,7 @@ def moss_eval(modality: MossModality, carrier: Carrier, args, t: FunctorElement)
         tuple(args[i][x] for i in range(modality.arity)) for x in carrier.elements
     )
     membership = FuzzyRel(carrier, modality.index_carrier(), rows)
-    return lift_value(modality.lifting, modality.functor, membership.view(), t,
-                      modality.indexed)
+    return lift_value(modality.lifting, modality.functor, membership.view(), t, modality.indexed)
 
 
 def separation_witness(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,

@@ -42,8 +42,7 @@ class Coalgebra:
 
     @cached_property
     def indexed_steps(self) -> tuple:
-        """Each state's successor element with states renamed to carrier
-        indices, in carrier order, as index-row RelViews are lifted on."""
+        """The successor elements, states renamed to carrier indices, in carrier order."""
         index = self.carrier.index
         return tuple(element.map(index) for _, element in self.alpha)
 
