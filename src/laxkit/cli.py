@@ -153,9 +153,13 @@ def _load_system(digests: dict, path: str):
 def _load_two_systems(digests: dict, paths) -> tuple:
     if len(paths) not in (1, 2):
         raise JsonFormatError("give one or two --system files", "--system")
-    # one path, or one path given twice, loads one system
-    systems = [_load_system(digests, path) for path in dict.fromkeys(paths)]
-    return systems[0], systems[-1]
+    # a file given twice, under any spelling, loads once; each spelling keeps its digest
+    first, last = paths[0], paths[-1]
+    system = _load_system(digests, first)
+    if os.path.realpath(first) != os.path.realpath(last):
+        return system, _load_system(digests, last)
+    digests[last] = digests[first]
+    return system, system
 
 
 def _load_lifting(digests: dict, path: str, functor):

@@ -220,8 +220,8 @@ class _RowsById(dict):
 @dataclass(eq=False, slots=True)
 class RelView:
     """A relation as every lift reads it: values[x][y] at the leaf values x, y
-    of the lifted elements (carrier indices, or ids for FuzzyRel.view), and
-    the transport warm starts of one chain or one check (see KantorovichD.lift)."""
+    of the lifted elements, and the transport warm starts of one chain or one
+    check (see KantorovichD.lift)."""
 
     source: Carrier
     target: Carrier

@@ -10,17 +10,18 @@ non-convergence within max_iter is reported honestly rather than rounded
 away.
 
 Both behavioural_distance and distance_chain take their iterates from one
-routine, _chain.  It keeps the iterate as lists of rows and lifts each
-system's indexed_steps (states renamed to carrier indices) across a
-RelView of them, which reads rows[i][j]; certificate checks read their
-rows the same way.  The chain re-lifts only what moved, by a dependency
-rule: pair (i, j) reads the iterate only at base(alpha(i)) x base(beta(j)),
-the states its two successor elements mention, so if none of those
-entries changed in the last step, its next value equals its current one
-and is copied forward.  The first step lifts every pair; reverse lists
-(which rows read state k of the left system, which columns read state l
-of the right one) turn each step's changed entries into the next step's
-pairs to re-lift.  The iterates are exactly those of a full recompute.
+routine, _chain.  It keeps the iterate as one row per left state, a dict
+keyed by the right states, and lifts the transition elements as they are
+across a RelView of the rows; certificate checks lift them across the
+certificate's FuzzyRel.view().  The chain re-lifts only what moved, by a
+dependency rule: pair (i, j) reads the iterate only at base(alpha(i)) x
+base(beta(j)), the states its two successor elements mention, so if none
+of those entries changed in the last step, its next value equals its
+current one and is copied forward.  The first step lifts every pair;
+reverse lists over carrier indices (which rows read state k of the left
+system, which columns read state l of the right one) turn each step's
+changed entries into the next step's pairs to re-lift, so the iterates
+are exactly those of a full recompute.
 Every re-lifted value passes the monotonicity check, which keeps it at or
 above its old entry.  Its upper bound is the lifting's: every `lift`
 returns a Fraction in the unit interval, by construction in each kind but
@@ -93,7 +94,7 @@ class CertificateVerdict:
 
     def violations(self) -> list:
         rows = list(self.forward) + list(self.backward or ())
-        return [r for r in rows if r.slack < 0]
+        return [r for r in rows if r.claimed < r.lifted]
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,10 @@ def _zero(sys_a: Coalgebra, sys_b: Coalgebra) -> FuzzyRel:
     return FuzzyRel.constant(sys_a.carrier, sys_b.carrier, ZERO)
 
 
-def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: list) -> FuzzyRel:
-    return FuzzyRel(sys_a.carrier, sys_b.carrier, tuple(map(tuple, rows)))
+def _rel(sys_a: Coalgebra, sys_b: Coalgebra, rows: dict) -> FuzzyRel:
+    # rows and each row keep their keys in the order they were built in: carrier order
+    return FuzzyRel(sys_a.carrier, sys_b.carrier,
+                    tuple(tuple(row.values()) for row in rows.values()))
 
 
 def _bits(mask: int):
@@ -135,39 +138,40 @@ def _bits(mask: int):
 def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     """Iterates 1, 2, ... of the chain from zero, as (rows, residual) pairs.
 
-    rows is a list of row lists and is never changed once yielded; a row
-    in which nothing moved is shared with the previous iterate.  The
-    residual is the sup-norm of the step.
+    rows maps each state of A to its row, a dict over the states of B; it
+    is never changed once yielded, and a row in which nothing moved is
+    shared with the previous iterate.  The residual is the step's sup-norm.
     """
-    functor = sys_a.functor
-    steps_a, steps_b = sys_a.indexed_steps, sys_b.indexed_steps
-    n_a, n_b = len(steps_a), len(steps_b)
+    functor, alpha_a, alpha_b = sys_a.functor, sys_a.alpha, sys_b.alpha
+    n_a, n_b = len(alpha_a), len(alpha_b)
     # readers_a[k]: the rows whose successor element mentions state k of A;
     # readers_b[l]: bitmask of the columns whose successor mentions l of B
     readers_a = [[] for _ in range(n_a)]
-    for i, t1 in enumerate(steps_a):
+    for i, (_, t1) in enumerate(alpha_a):
         for k in base(t1):
-            readers_a[k].append(i)
+            readers_a[sys_a.carrier.index(k)].append(i)
     readers_b = [0] * n_b
-    for j, t2 in enumerate(steps_b):
+    for j, (_, t2) in enumerate(alpha_b):
         for l in base(t2):
-            readers_b[l] |= 1 << j
-    rows = [[ZERO] * n_b for _ in range(n_a)]
+            readers_b[sys_b.carrier.index(l)] |= 1 << j
+    rows = {a: dict.fromkeys(sys_b.carrier.elements, ZERO) for a, _ in alpha_a}
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
     starts = {}  # transport warm starts, kept across the steps
     while True:
         view = RelView(sys_a.carrier, sys_b.carrier, rows, starts)
-        nxt = list(rows)
+        nxt = dict(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den
         for i, mask in enumerate(dirty):
             if not mask:
                 continue
-            old, new, t1, changed = rows[i], None, steps_a[i], 0
+            a, t1 = alpha_a[i]
+            old, new, changed = rows[a], None, 0
             for j in _bits(mask):
-                value = lift_value(lifting, functor, view, t1, steps_b[j])
-                # value - old[j] = (up - down) / den, compared on integers
-                prev = old[j]
+                b, t2 = alpha_b[j]
+                value = lift_value(lifting, functor, view, t1, t2)
+                # value - old[b] = (up - down) / den, compared on integers
+                prev = old[b]
                 up, down = value.numerator * prev.denominator, prev.numerator * value.denominator
                 if up == down:
                     continue
@@ -176,8 +180,8 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
                         "iteration chain decreased; the lifting violates monotonicity"
                     )
                 if new is None:
-                    new = nxt[i] = list(old)
-                new[j] = value
+                    new = nxt[a] = dict(old)
+                new[b] = value
                 changed |= 1 << j
                 den = value.denominator * prev.denominator
                 if (up - down) * top_den > top * den:
@@ -272,10 +276,10 @@ def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
         raise StructureError("certificate carriers do not match the systems")
 
     def direction(r: FuzzyRel, left: Coalgebra, right: Coalgebra):
-        view = RelView(r.source, r.target, r.values, {})
+        view = r.view()
         rows = []
-        for a, t1, row in zip(left.carrier.elements, left.indexed_steps, r.values):
-            for b, t2, claimed in zip(right.carrier.elements, right.indexed_steps, row):
+        for (a, t1), row in zip(left.alpha, r.values):
+            for (b, t2), claimed in zip(right.alpha, row):
                 if claimed == ONE:
                     continue  # vacuously satisfied
                 lifted = lift_value(lifting, left.functor, view, t1, t2)
@@ -283,14 +287,14 @@ def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
         return tuple(rows)
 
     forward = direction(rel, sys_a, sys_b)
-    ok = all(r.slack >= 0 for r in forward)
+    ok = all(r.claimed >= r.lifted for r in forward)
     backward = None
     if cert.kind == "bisimulation":
         if lifting.approximation_slack() == 0 and lifting.claims_converse(sys_a.functor):
             backward = _transposed(forward, sys_b.carrier)
         else:
             backward = direction(converse(rel), sys_b, sys_a)
-            ok = ok and all(r.slack >= 0 for r in backward)
+            ok = ok and all(r.claimed >= r.lifted for r in backward)
     return CertificateVerdict(ok, forward, backward)
 
 

@@ -6,8 +6,8 @@ whose argument is a functor element over formulas.  The structural
 modality is evaluated through a finite membership matrix: the formulas
 occurring in the argument become the target carrier, each entry is the
 value of that formula at a state, and the backing lifting is applied to
-this matrix, read by carrier index.  Its De Morgan dual is evaluated the
-same way on the complemented matrix.
+this matrix, read at the states and formulas the lifted elements carry.
+Its De Morgan dual is evaluated the same way on the complemented matrix.
 
 Each formula kind is one class (see Formula), registered in FORMULA_KINDS
 under its JSON kind: the JSON codec, the text printer, rank, negation and
@@ -254,23 +254,22 @@ class _Structural(Formula):
         return 1 + max((f.rank() for f in base(self.element)), default=0)
 
     def push(self, go, neg, modalities):
+        if not neg and all(go(g, False) is g for g in base(self.element)):
+            return self
         element = self.element.map(lambda g: go(g, neg))
-        if neg:
-            return FORMULA_KINDS[self.dual_kind](element)
-        return self if element == self.element else type(self)(element)
+        return FORMULA_KINDS[self.dual_kind](element) if neg else type(self)(element)
 
     def table(self, ev):
         if ev.lifting is None:
             raise StructureError("evaluating a structural modality needs a lifting")
         system, flip = ev.system, self.flip
         formulas = Carrier(base(self.element))
-        sub_tables = [ev.table(g) for g in formulas]
-        rows = [[(ONE - sub[x]) if flip else sub[x] for sub in sub_tables] for x in ev.states]
+        subs = [(g, ev.table(g)) for g in formulas]
+        rows = {x: {g: (ONE - sub[x]) if flip else sub[x] for g, sub in subs} for x in ev.states}
         membership = RelView(system.carrier, formulas, rows, {})
-        element = self.element.map(formulas.index)
         out = {}
-        for x, step in zip(ev.states, system.indexed_steps):
-            value = lift_value(ev.lifting, system.functor, membership, step, element)
+        for x, step in system.alpha:
+            value = lift_value(ev.lifting, system.functor, membership, step, self.element)
             out[x] = (ONE - value) if flip else value
         return out
 

@@ -8,7 +8,6 @@ show everything wrong with a system file at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Carrier, StructureError
 from .functors import FunctorElement, FunctorSpec
@@ -39,12 +38,6 @@ class Coalgebra:
             return self._alpha_map[state]
         except KeyError:
             raise StructureError(f"state {state!r} is not in the system") from None
-
-    @cached_property
-    def indexed_steps(self) -> tuple:
-        """The successor elements, states renamed to carrier indices, in carrier order."""
-        index = self.carrier.index
-        return tuple(element.map(index) for _, element in self.alpha)
 
     def states(self) -> tuple:
         return self.carrier.elements

@@ -588,19 +588,24 @@ def test_validation_warnings_go_to_stderr(tmp_path, capsys, name, state, entry, 
     assert json.loads(out)["matrix"] == json.loads(clean)["matrix"]
 
 
-def test_a_system_given_twice_warns_once_per_note(tmp_path, capsys):
+def test_a_system_given_twice_warns_once_per_note(tmp_path, capsys, monkeypatch):
     path = _with_duplicate(tmp_path, "labelled_kripke_a.json", "a1",
                            ["7/10", ["a2", "a3", "a2", "a3"]])
-    code, out, err = run_cli(capsys, "dist", "--system", path, "--system", path,
-                             "--lifting", fixture_path("half_label_hausdorff.json"))
-    assert code == 0
-    assert err.splitlines() == [
-        f"warning: duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated",
-        f"warning: duplicate set member 'a3' at {path}.alpha[a1][1][3] deduplicated",
-    ]
     _, once, _ = run_cli(capsys, "dist", "--system", path,
                          "--lifting", fixture_path("half_label_hausdorff.json"))
-    assert json.loads(out)["matrix"] == json.loads(once)["matrix"]
+    monkeypatch.chdir(tmp_path)
+    # the same spelling twice, then a second spelling of the same file
+    for again in (path, "./labelled_kripke_a.json"):
+        code, out, err = run_cli(capsys, "dist", "--system", path, "--system", again,
+                                 "--lifting", fixture_path("half_label_hausdorff.json"))
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: duplicate set member 'a2' at {path}.alpha[a1][1][2] deduplicated",
+            f"warning: duplicate set member 'a3' at {path}.alpha[a1][1][3] deduplicated",
+        ]
+        report = json.loads(out)
+        assert report["matrix"] == json.loads(once)["matrix"]
+        assert report["inputs"][again] == report["inputs"][path]
 
 
 def _section(lines, title):

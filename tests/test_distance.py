@@ -18,11 +18,13 @@ from laxkit import (
     lift_value,
     sup_distance,
 )
-from laxkit import distance, liftings
+from laxkit import distance, functors, liftings
 from laxkit.axioms import rand_rel
 from laxkit.distance import check_setup
+from laxkit.jsonio import decode_certificate, decode_lifting, decode_system, load_json
 from laxkit.liftings import LIFTING_KINDS, LiftingSpec
-from tests.conftest import CASES, DIST, KANT, kinds, rand_system, rel_from, systems
+from tests.conftest import (CASES, DIST, KANT, fixture_path, kinds, rand_system, rel_from,
+                            systems)
 from tests.oracles import full_recompute_distance, two_pass_certificate
 
 # Full fixpoint matrix for the labelled-frame pair, worked out by hand:
@@ -423,3 +425,54 @@ def test_bisimulation_solves_each_transport_once(monkeypatch):
         counts[kind] = len(solves)
     assert counts["simulation"] == len(verdict.forward) > 0
     assert counts["bisimulation"] == counts["simulation"]
+
+
+# (systems, lifting, certificate) fixture files; a missing certificate is
+# the diagonal of the left system, a simulation of it by itself
+FIXTURE_CASES = {
+    "labelled_kripke": (("labelled_kripke_a.json", "labelled_kripke_b.json"),
+                        "half_label_hausdorff.json", "labelled_kripke_cert.json"),
+    "prob_deadlock": (("prob_deadlock.json", "prob_deadlock.json"), "prob_lifting.json", None),
+}
+
+
+def _decoded(name):
+    """Fresh systems, lifting and certificate decoded from the case's files."""
+    (path_a, path_b), lifting_path, cert_path = FIXTURE_CASES[name]
+    sys_a, sys_b = (decode_system(load_json(fixture_path(p)))[0] for p in (path_a, path_b))
+    lifting = decode_lifting(load_json(fixture_path(lifting_path)))
+    if cert_path is None:
+        cert = Certificate(diagonal(sys_a.carrier), "simulation")
+    else:
+        cert = decode_certificate(load_json(fixture_path(cert_path)))
+    return lifting, sys_a, sys_b, cert
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_lifts_read_elements_as_the_systems_carry_them(monkeypatch, name):
+    """The chain, a certificate check and the structural modality lift the
+    transition elements as they are: after decoding and synthesis, none of
+    them builds a set or a distribution element."""
+    built = []
+    for factory in ("fset", "fdist"):
+        real = getattr(functors, factory)
+
+        def counted(items, real=real):
+            built.append(real.__name__)
+            return real(items)
+
+        monkeypatch.setattr(functors, factory, counted)
+    dist_case, cert_case, (lifting, sys_a, sys_b, _) = (_decoded(name) for _ in range(3))
+    union = lk.disjoint_union(sys_a, sys_b)[0]
+    formula = lk.synthesize(union, union.carrier.elements[0], 3)
+    calls = {
+        "distance": lambda: behavioural_distance(*dist_case[:3]),
+        "certificate": lambda: check_certificate(*cert_case),
+        "semantics": lambda: lk.semantics(formula, union, lifting),
+    }
+    counts = {}
+    for call, run in calls.items():
+        del built[:]
+        run()
+        counts[call] = len(built)
+    assert counts == dict.fromkeys(calls, 0)
