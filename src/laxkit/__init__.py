@@ -95,10 +95,8 @@ from .logic import (
 )
 from .formparse import FormulaSyntaxError, parse_formula, print_formula
 from .moss import (
-    MossModality,
     logical_distance,
-    moss_eval,
-    presentation_of,
+    moss_modality,
     separation_witness,
     synthesize,
     synthesize_levels,

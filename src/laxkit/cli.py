@@ -424,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run="cmd_synth")
 
     p = subs.add_parser("catalog", help="list supported grammar nodes and modalities")
-    p.add_argument("--functor")
-    p.add_argument("--system")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--functor")
+    source.add_argument("--system")
     common(p)
     p.set_defaults(run="cmd_catalog")
 

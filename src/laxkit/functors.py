@@ -19,9 +19,11 @@ depend on Python's per-process string hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .core import (Carrier, FuzzyRel, ONE, StructureError, ZERO, format_unit, inf,
@@ -57,11 +59,12 @@ def canonical_key(value):
 
 
 class Canonical:
-    """Base of immutable tree nodes hashed by a canonical sort key.
+    """Base of immutable dataclass tree nodes with a canonical sort key.
 
     A subclass builds its key in `_key`; the key and the hash are computed
     once per node and cached on it.  Equality stays the dataclass's
-    field-wise one.
+    field-wise one, and so does the hash, over child nodes' cached hashes:
+    a key's hash walks its unfolded tree, exponential in a shared formula.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -80,9 +83,15 @@ class Canonical:
     def __hash__(self):
         h = getattr(self, "_hashval", None)
         if h is None:
-            h = hash(self._canonical_key())
+            h = hash((type(self), _compared(type(self))(self)))
             object.__setattr__(self, "_hashval", h)
         return h
+
+
+@cache
+def _compared(cls):
+    """A getter of the fields a Canonical class's equality compares."""
+    return attrgetter(*[f.name for f in fields(cls) if f.compare])
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +256,24 @@ class MaybeEl(FunctorElement):
 
 
 def fset(members: Iterable[FunctorElement]) -> SetEl:
-    """Build a set element: deduplicate and sort by canonical key."""
-    by_key = {m._canonical_key(): m for m in members}
-    return SetEl(tuple(by_key[k] for k in sorted(by_key)))
+    """Build a set element: sort by canonical key and keep the last of
+    each run of members with equal keys."""
+    out, last = [], None
+    for key, m in sorted([(m._canonical_key(), m) for m in members], key=itemgetter(0)):
+        if key == last:
+            out[-1] = m
+        else:
+            out.append(m)
+        last = key
+    return SetEl(tuple(out))
 
 
 def fdist(pairs: Iterable[tuple]) -> DistEl:
     """Build a distribution: merge duplicate support, check mass exactly 1.
 
-    Merging and the mass check run on integers over the lcm D of the
-    denominators; a probability seen once is kept as given, and a merged
-    one becomes a Fraction over D.
+    Support is sorted by canonical key and merged in runs, on integers over
+    the lcm D of the denominators, as is the mass check; a probability seen
+    once is kept as given, and a merged one becomes a Fraction over D.
     """
     entries = []
     for el, p in pairs:
@@ -267,16 +283,17 @@ def fdist(pairs: Iterable[tuple]) -> DistEl:
             raise StructureError("distribution probabilities must be positive")
         entries.append((el._canonical_key(), el, p))
     den = lcm(*{p.denominator for _, _, p in entries})
-    mass: dict = {}
-    merged: dict = {}  # key -> (element, probability, or None once merged)
-    for key, el, p in entries:
-        mass[key] = mass.get(key, 0) + p.numerator * (den // p.denominator)
-        merged[key] = (el, None if key in merged else p)
-    total = sum(mass.values())
+    merged = []  # (key, last element, probability or None once merged, mass * den)
+    for key, el, p in sorted(entries, key=itemgetter(0)):
+        mass = p.numerator * (den // p.denominator)
+        if merged and merged[-1][0] == key:
+            merged[-1] = (key, el, None, merged[-1][3] + mass)
+        else:
+            merged.append((key, el, p, mass))
+    total = sum(mass for *_, mass in merged)
     if total != den:
         raise StructureError(f"distribution mass {Fraction(total, den)} is not 1")
-    return DistEl(tuple((el, p or unit_over(mass[k], den))
-                        for k, (el, p) in sorted(merged.items())))
+    return DistEl(tuple((el, p or unit_over(mass, den)) for _, el, p, mass in merged))
 
 
 def just(el: FunctorElement) -> MaybeEl:

@@ -3,10 +3,10 @@
 Formulas are rational constants, truncated constant shifts, lattice
 connectives, named modalities, and the structural "next-step" modality
 whose argument is a functor element over formulas.  The structural
-modality is evaluated through a finite membership matrix: the formulas
-occurring in the argument become the target carrier, each entry is the
-value of that formula at a state, and the backing lifting is applied to
-this matrix, read at the states and formulas the lifted elements carry.
+modality is evaluated through the membership matrix every Moss modality
+reads (`membership`): the formulas in the argument are its columns, each
+entry is the value of that formula at a state, and the backing lifting is
+applied to it, read at the states and formulas the lifted elements carry.
 Its De Morgan dual is evaluated the same way on the complemented matrix.
 
 Each formula kind is one class (see Formula), registered in FORMULA_KINDS
@@ -239,6 +239,16 @@ class Modal(Formula):
         return self.name + "(" + ", ".join(a.text() for a in self.args) + ")"
 
 
+def membership(states: Carrier, leaves: Carrier, tables, flip: bool = False) -> RelView:
+    """The membership view E(x, y) = f_y(x), or 1 - f_y(x) when flip holds,
+    at every state x, of one predicate table f_y per leaf y, in order: a
+    Moss modality lifts it between an element over the states and one over
+    the leaves."""
+    pairs = tuple(zip(leaves, tables))
+    rows = {x: {y: (ONE - f[x]) if flip else f[x] for y, f in pairs} for x in states}
+    return RelView(states, leaves, rows, {})
+
+
 @dataclass(frozen=True)
 class _Structural(Formula):
     """The structural modality over a functor element with formulas at its
@@ -264,12 +274,10 @@ class _Structural(Formula):
             raise StructureError("evaluating a structural modality needs a lifting")
         system, flip = ev.system, self.flip
         formulas = Carrier(base(self.element))
-        subs = [(g, ev.table(g)) for g in formulas]
-        rows = {x: {g: (ONE - sub[x]) if flip else sub[x] for g, sub in subs} for x in ev.states}
-        membership = RelView(system.carrier, formulas, rows, {})
+        view = membership(system.carrier, formulas, [ev.table(g) for g in formulas], flip)
         out = {}
         for x, step in system.alpha:
-            value = lift_value(ev.lifting, system.functor, membership, step, self.element)
+            value = lift_value(ev.lifting, system.functor, view, step, self.element)
             out[x] = (ONE - value) if flip else value
         return out
 

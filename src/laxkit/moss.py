@@ -1,13 +1,13 @@
 """Modalities derived from a lifting, and the logic they generate.
 
-Any functor element t with base y_1..y_n has a canonical indexed form t0
-over {1..n} with t0.map(i -> y_i) = t.  Pairing an indexed form
-with a lifting yields a derived n-ary modality: feed it predicate tables
-f_1..f_n on X, build the membership matrix E(x, i) = f_i(x), and read off
-the lifted value between a given element over X and t0.  These modalities
-are monotone, inherit nonexpansiveness from the lifting, and are jointly
-separating: the lifted distance of any relation is attained by feeding
-the relation's own columns on the left and their companions on the right.
+Pairing a functor element t with a lifting yields its Moss modality, a
+predicate lifting over t's own Id-leaf values y_1..y_n: fed tables
+f_1..f_n, it lifts the membership view E(x, y_i) = f_i(x)
+(laxkit.logic.membership) between a given element over the states and t
+itself.  These modalities are monotone, inherit nonexpansiveness from the
+lifting, and are jointly separating: the lifted distance of any relation
+is attained by feeding the relation's own columns on the left and their
+companions on the right.
 
 That separation is also what makes distinguishing-formula synthesis
 exact: replacing the successors in a state's transition structure by
@@ -20,14 +20,14 @@ modality table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Carrier, FuzzyRel, StructureError, ZERO, companion, sat_sub
+from .core import Carrier, FuzzyRel, StructureError, ZERO, as_unit, companion, sat_sub
 from .functors import FunctorElement, FunctorSpec, base
 from .distance import check_setup
 from .liftings import LiftingSpec, lift_value
-from .logic import Const, Formula, MossDelta, _Evaluator
+from .logic import Const, Formula, MossDelta, _Evaluator, membership
+from .modalities import PredicateLifting
 from .systems import Coalgebra, disjoint_union
 
 # The highest rank synthesis builds.  Rewriting, evaluating and encoding a
@@ -36,58 +36,37 @@ from .systems import Coalgebra, disjoint_union
 # the interpreter's recursion limit.
 MAX_RANK = 64
 
-@dataclass(frozen=True, eq=False)
-class MossModality:
-    """A derived modality: an indexed element plus its backing lifting."""
 
-    indexed: FunctorElement  # element over Carrier(1..arity)
-    arity: int
-    lifting: LiftingSpec
-    functor: FunctorSpec
+def moss_modality(element: FunctorElement, lifting: LiftingSpec,
+                  functor: FunctorSpec) -> PredicateLifting:
+    """The Moss modality of an element under a lifting.
 
-    def index_carrier(self) -> Carrier:
-        return Carrier(tuple(range(1, self.arity + 1)))
-
-
-def presentation_of(element: FunctorElement, lifting: LiftingSpec,
-                    functor: FunctorSpec):
-    """Canonical indexed form of an element.
-
-    Returns (modality, placeholders) where placeholders lists the base in
-    index order; indexed.map(i -> placeholders[i-1]) rebuilds the
-    element exactly.
+    Its placeholders are base(element), and it takes one predicate table
+    per placeholder, in that order.  At an element t over the states it
+    lifts the tables' membership view between t and the element itself.
     """
-    placeholders = base(element)
-    position = {y: i + 1 for i, y in enumerate(placeholders)}
-    indexed = element.map(lambda y: position[y])
-    return MossModality(indexed, len(placeholders), lifting, functor), placeholders
+    placeholders = Carrier(base(element))
+    arity = len(placeholders)
 
+    def evaluate(t: FunctorElement, args) -> Fraction:
+        if len(args) != arity:
+            raise StructureError(f"derived modality takes {arity} arguments, got {len(args)}")
+        tables = [{x: as_unit(v) for x, v in f.items()} for f in args]
+        view = membership(Carrier(base(t)), placeholders, tables)
+        return lift_value(lifting, functor, view, t, element)
 
-def moss_eval(modality: MossModality, carrier: Carrier, args, t: FunctorElement) -> Fraction:
-    """Apply a derived modality to predicate tables on a carrier.
-
-    args is a sequence of tables carrier-element -> value, one per index.
-    """
-    if len(args) != modality.arity:
-        raise StructureError(
-            f"derived modality takes {modality.arity} arguments, got {len(args)}"
-        )
-    rows = tuple(
-        tuple(args[i][x] for i in range(modality.arity)) for x in carrier.elements
-    )
-    membership = FuzzyRel(carrier, modality.index_carrier(), rows)
-    return lift_value(modality.lifting, modality.functor, membership.view(), t, modality.indexed)
+    return PredicateLifting("moss", arity, True, True, evaluate)
 
 
 def separation_witness(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
                        t2: FunctorElement):
     """The modality and argument tables that attain a lifted value exactly.
 
-    Returns (modality, left_args, right_args): the left tables are the
-    relation's columns as picked out by t2's structure, the right tables
-    their companions.  For any t1 over rel.source,
+    Returns (modality, left_args, right_args): the Moss modality of t2 with
+    its leaves replaced by their columns of rel, those columns, and their
+    companions.  For any t1 over rel.source,
 
-        moss_eval(mod, src, left, t1) (-) moss_eval(mod, tgt, right, t2)
+        modality.evaluator(t1, left) (-) modality.evaluator(t2, right)
 
     equals the lifted value of rel between t1 and t2.
     """
@@ -97,20 +76,16 @@ def separation_witness(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel
         return tuple(rel.at(a, b) for a in source)
 
     mapped = t2.map(column)
-    modality, placeholders = presentation_of(mapped, lifting, functor)
-    left = tuple(dict(zip(source, col)) for col in placeholders)
+    left = tuple(dict(zip(source, col)) for col in base(mapped))
     right = tuple(companion(rel, f) for f in left)
-    return modality, left, right
+    return moss_modality(mapped, lifting, functor), left, right
 
 
 def witness_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
                   t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """The lifted value recovered through the separation witness."""
     modality, left, right = separation_witness(lifting, functor, rel, t2)
-    return sat_sub(
-        moss_eval(modality, rel.source, left, t1),
-        moss_eval(modality, rel.target, right, t2),
-    )
+    return sat_sub(modality.evaluator(t1, left), modality.evaluator(t2, right))
 
 
 # ---------------------------------------------------------------------------

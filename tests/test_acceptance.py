@@ -24,8 +24,7 @@ from laxkit import (
     fset,
     lift_value,
     logical_distance,
-    moss_eval,
-    presentation_of,
+    moss_modality,
     sup_distance,
     synthesize_levels,
     witness_value,
@@ -234,15 +233,13 @@ def test_criterion_6_derived_modalities_recover_the_lifting(capsys):
             assert witness_value(lifting, functor, rel, t1, t2) == direct
             for _ in range(10):  # 1000 random witness pairs in total
                 shape = rand_element(rng, functor, rand_carrier(rng, "i", 3))
-                mod, _ = presentation_of(shape, lifting, functor)
+                mod = moss_modality(shape, lifting, functor)
                 left = tuple(
                     {x: rand_unit(rng) for x in a.elements}
                     for _ in range(mod.arity)
                 )
                 right = tuple(companion(rel, f) for f in left)
-                value = lk.sat_sub(
-                    moss_eval(mod, a, left, t1), moss_eval(mod, b, right, t2)
-                )
+                value = lk.sat_sub(mod.evaluator(t1, left), mod.evaluator(t2, right))
                 assert value <= direct
 
 

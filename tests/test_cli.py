@@ -318,6 +318,20 @@ def test_catalog_refuses_an_invalid_system(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: system does not validate: ")
 
 
+def test_catalog_takes_a_functor_or_a_system_not_both(capsys):
+    functor = fixture_path("labelled_kripke_functor.json")
+    system = fixture_path("labelled_kripke_a.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--functor", functor, "--system", system])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --system: not allowed with argument --functor" in out.err
+    for flag, path in (("--functor", functor), ("--system", system)):
+        code, out, _ = run_cli(capsys, "catalog", flag, path)
+        assert code == 0 and list(json.loads(out)["inputs"]) == [path]
+
+
 def test_internal_errors_exit_3_with_a_traceback(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("kaput")

@@ -440,7 +440,7 @@ def test_lifted_pseudometric_stays_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# One relation view, two addressings
+# Lifting commutes with renaming states to carrier indices
 
 
 def _has_collection(functor):
@@ -448,14 +448,16 @@ def _has_collection(functor):
         _has_collection(child) for child in functor.children())
 
 
-def test_the_two_addressings_cover_every_lifting_kind():
+def test_the_renaming_cases_cover_every_lifting_kind():
     assert {kind for lifting, *_ in CASES.values() for kind in kinds(lifting)} == set(
         liftings.LIFTING_KINDS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_index_rows_lift_as_the_named_relation(name):
-    # carriers of 20 and 13 states: "a10".."a19" sort before "a2" but their
+    # renaming both elements' states to their carrier indices, and reading
+    # the relation's rows by index, gives the lift of the relation by name.
+    # Carriers of 20 and 13 states: "a10".."a19" sort before "a2" but their
     # indices after 2, so mapping an element to indices reorders its members
     lifting, functor, _, _ = CASES[name]
     rng = random.Random(f"two-addressings/{name}")

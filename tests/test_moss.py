@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,8 +19,8 @@ from laxkit import (
     fset,
     lift_value,
     logical_distance,
-    moss_eval,
-    presentation_of,
+    moss_modality,
+    separation_witness,
     synthesize,
     synthesize_levels,
     witness_value,
@@ -54,107 +57,91 @@ def rand_labelled_system(rng, functor, size):
     return lk.Coalgebra.of(functor, carrier, alpha)
 
 
+def identity_tables(carrier):
+    """The crisp identity relation as predicate tables, one per state y:
+    f_y(x) = 0 where x = y and 1 elsewhere."""
+    return tuple({x: F(int(x != y)) for x in carrier.elements} for y in carrier.elements)
+
+
 def test_presentation_round_trip_examples():
+    # an element presents its Moss modality over its own leaves, unrenamed;
+    # fed the identity relation's tables, the modality reads the lifted
+    # discrete distance to the element, 0 at the element itself
+    carrier = Carrier.of("a1", "a2", "a3")
     t = fset([IdEl("a2"), IdEl("a3")])
-    mod, placeholders = presentation_of(t, H_SYM, SET_FUNCTOR)
-    assert placeholders == ("a2", "a3")
-    assert mod.indexed == fset([IdEl(1), IdEl(2)])
-    rebuilt = mod.indexed.map(lambda i: placeholders[i - 1])
-    assert rebuilt == t
+    mod = moss_modality(t, H_SYM, SET_FUNCTOR)
+    assert isinstance(mod, lk.PredicateLifting)
+    assert (mod.arity, mod.monotone, mod.nonexpansive, mod.dual_name) == (2, True, True, None)
+    identity = tuple(identity_tables(carrier)[1:])
+    assert mod.evaluator(t, identity) == 0
+    assert mod.evaluator(fset([IdEl("a1"), IdEl("a2")]), identity) == 1
 
     functor, lifting = labelled_functor_and_lifting()
-    labelled = lk.PairEl(lk.ConstEl("7/10"), fset([IdEl("a2"), IdEl("a3")]))
-    mod, placeholders = presentation_of(labelled, lifting, functor)
-    assert mod.indexed == lk.PairEl(lk.ConstEl("7/10"), fset([IdEl(1), IdEl(2)]))
-    assert mod.indexed.map(lambda i: placeholders[i - 1]) == labelled
+    labelled = lk.PairEl(lk.ConstEl("7/10"), t)
+    mod = moss_modality(labelled, lifting, functor)
+    assert mod.arity == 2 and mod.evaluator(labelled, identity) == 0
+    relabelled = lk.PairEl(lk.ConstEl("1/5"), t)
+    assert mod.evaluator(relabelled, identity) == F(1, 2) * F(1, 2)
 
 
 def test_presentation_round_trip_random():
     rng = random.Random("present")
-    zoo = [SET_FUNCTOR, lk.DFin(lk.Id()), lk.Pair(lk.PFin(lk.Id()), lk.DFin(lk.Id()))]
-    for functor in zoo:
+    zoo = [(SET_FUNCTOR, H_SYM), (lk.DFin(lk.Id()), lk.KantorovichD(lk.IdLift())),
+           (lk.Pair(lk.PFin(lk.Id()), lk.DFin(lk.Id())),
+            lk.PairMax(H_SYM, lk.KantorovichD(lk.IdLift())))]
+    for functor, lifting in zoo:
         for _ in range(25):
             carrier = rand_carrier(rng, "a", 4)
             t = rand_element(rng, functor, carrier)
-            mod, placeholders = presentation_of(t, H_SYM, functor)
-            assert set(base(mod.indexed)) <= set(range(1, mod.arity + 1))
-            assert mod.indexed.map(lambda i: placeholders[i - 1]) == t
+            mod = moss_modality(t, lifting, functor)
+            assert mod.arity == len(base(t))
+            identity = {x: table for x, table in zip(carrier.elements, identity_tables(carrier))}
+            assert mod.evaluator(t, tuple(identity[y] for y in base(t))) == 0
 
 
 def test_moss_eval_against_direct_hausdorff():
     rng = random.Random("moss-direct")
     for _ in range(40):
         carrier = rand_carrier(rng, "x", 4)
-        t0_members = sorted(rng.sample(range(1, 4), rng.randint(1, 3)))
-        mod = lk.MossModality(
-            fset(IdEl(i) for i in t0_members), 3, H_SYM, SET_FUNCTOR
-        )
+        t0 = fset(IdEl(y) for y in rng.sample(("y1", "y2", "y3"), rng.randint(1, 3)))
+        mod = moss_modality(t0, H_SYM, SET_FUNCTOR)
         args = tuple(
-            {x: rand_unit(rng) for x in carrier.elements} for _ in range(3)
+            {x: rand_unit(rng) for x in carrier.elements} for _ in range(mod.arity)
         )
         t = rand_element(rng, SET_FUNCTOR, carrier)
-        got = moss_eval(mod, carrier, args, t)
         membership = FuzzyRel(
-            carrier, mod.index_carrier(),
-            tuple(tuple(args[i][x] for i in range(3)) for x in carrier.elements),
+            carrier, Carrier(base(t0)),
+            tuple(tuple(f[x] for f in args) for x in carrier.elements),
         )
-        assert got == lift_value(H_SYM, SET_FUNCTOR, membership.view(), t, mod.indexed)
+        assert mod.evaluator(t, args) == lift_value(H_SYM, SET_FUNCTOR, membership.view(), t, t0)
 
 
 def test_moss_eval_degenerate_singleton_presentation():
-    carrier = Carrier.of("x", "y")
-    mod = lk.MossModality(fset([IdEl(1)]), 1, H_SYM, SET_FUNCTOR)
+    mod = moss_modality(fset([IdEl("y")]), H_SYM, SET_FUNCTOR)
     f = {"x": F(1, 3), "y": F(3, 4)}
     t = fset([IdEl("x"), IdEl("y")])
     # one-column membership relation: sup-inf collapses to max into the column
-    assert moss_eval(mod, carrier, (f,), t) == F(3, 4)
+    assert mod.evaluator(t, (f,)) == F(3, 4)
 
 
 def test_moss_eval_transport_hand_case():
     functor = lk.DFin(lk.Id())
     lifting = lk.KantorovichD(lk.IdLift())
-    carrier = Carrier.of("x")
-    mod = lk.MossModality(
-        fdist([(IdEl(1), F(1, 2)), (IdEl(2), F(1, 2))]), 2, lifting, functor
-    )
+    mod = moss_modality(fdist([(IdEl("y1"), F(1, 2)), (IdEl("y2"), F(1, 2))]), lifting, functor)
     f1 = {"x": F(1, 4)}
     f2 = {"x": F(3, 4)}
     t = fdist([(IdEl("x"), F(1))])
-    # the point mass must split between the two index targets
-    assert moss_eval(mod, carrier, (f1, f2), t) == F(1, 2) * F(1, 4) + F(1, 2) * F(3, 4)
+    # the point mass must split between the two placeholders
+    assert mod.evaluator(t, (f1, f2)) == F(1, 2) * F(1, 4) + F(1, 2) * F(3, 4)
 
 
-def test_moss_modalities_monotone():
-    rng = random.Random("moss-mono")
-    for _ in range(40):
-        a = rand_carrier(rng, "a", 4)
-        t2_carrier = rand_carrier(rng, "b", 3)
-        t2 = rand_element(rng, SET_FUNCTOR, t2_carrier)
-        mod, _ = presentation_of(t2, H_SYM, SET_FUNCTOR)
-        lo = tuple({x: rand_unit(rng) for x in a.elements} for _ in range(mod.arity))
-        hi = tuple(
-            {x: min(F(1), lo[i][x] + rand_unit(rng)) for x in a.elements}
-            for i in range(mod.arity)
-        )
-        t = rand_element(rng, SET_FUNCTOR, a)
-        assert moss_eval(mod, a, lo, t) <= moss_eval(mod, a, hi, t)
-
-
-def test_moss_modalities_nonexpansive():
-    rng = random.Random("moss-nonexp")
-    for _ in range(40):
-        a = rand_carrier(rng, "a", 4)
-        t2_carrier = rand_carrier(rng, "b", 3)
-        t2 = rand_element(rng, SET_FUNCTOR, t2_carrier)
-        mod, _ = presentation_of(t2, H_SYM, SET_FUNCTOR)
-        f = tuple({x: rand_unit(rng) for x in a.elements} for _ in range(mod.arity))
-        g = tuple({x: rand_unit(rng) for x in a.elements} for _ in range(mod.arity))
-        spread = max(
-            (abs(f[i][x] - g[i][x]) for i in range(mod.arity) for x in a.elements),
-            default=F(0),
-        )
-        t = rand_element(rng, SET_FUNCTOR, a)
-        assert abs(moss_eval(mod, a, f, t) - moss_eval(mod, a, g, t)) <= spread
+def test_moss_eval_refuses_bad_tables():
+    mod = moss_modality(fset([IdEl("y1"), IdEl("y2")]), H_SYM, SET_FUNCTOR)
+    t = fset([IdEl("x")])
+    with pytest.raises(lk.StructureError, match="derived modality takes 2 arguments, got 1"):
+        mod.evaluator(t, ({"x": F(0)},))
+    with pytest.raises(lk.StructureError, match="outside the unit interval"):
+        mod.evaluator(t, ({"x": F(0)}, {"x": F(3, 2)}))
 
 
 def test_separation_witness_achieves_lift():
@@ -184,15 +171,33 @@ def test_random_witnesses_never_exceed_lift():
             t2 = rand_element(rng, fun, b)
             idx_carrier = rand_carrier(rng, "i", 3)
             shape = rand_element(rng, fun, idx_carrier)
-            mod, _ = presentation_of(shape, lif, fun)
+            mod = moss_modality(shape, lif, fun)
             left = tuple(
                 {x: rand_unit(rng) for x in a.elements} for _ in range(mod.arity)
             )
             right = tuple(companion(rel, f) for f in left)
-            value = lk.sat_sub(
-                moss_eval(mod, a, left, t1), moss_eval(mod, b, right, t2)
-            )
+            value = lk.sat_sub(mod.evaluator(t1, left), mod.evaluator(t2, right))
             assert value <= lift_value(lif, fun, rel.view(), t1, t2)
+
+
+def test_grid_oracle_over_the_witness_modality_brackets_every_exact_lift():
+    # the Kantorovich extension for the Moss modalities: the generic grid
+    # oracle, given only the separation witness's modality, lands within
+    # one grid step below the lifted value
+    rng = random.Random("grid-witness")
+    step = F(1, 2)
+    exact = sorted(name for name, (lifting, *_) in CASES.items()
+                   if lifting.approximation_slack() == 0)
+    for name in exact:
+        lifting, functor, _, _ = CASES[name]
+        for _ in range(10):
+            a, b = rand_carrier(rng, "a", 2), rand_carrier(rng, "b", 2)
+            rel = rand_rel(rng, a, b)
+            t1, t2 = rand_element(rng, functor, a), rand_element(rng, functor, b)
+            direct = lift_value(lifting, functor, rel.view(), t1, t2)
+            mod, _, _ = separation_witness(lifting, functor, rel, t2)
+            value = lk.grid_kantorovich_value([mod], step, rel.view(), t1, t2)
+            assert direct - step <= value <= direct, (name, t1, t2)
 
 
 def test_synthesis_base_cases(labelled_frames):
@@ -378,3 +383,51 @@ def test_logical_distance_on_integer_ids():
         by_int = logical_distance(system(edges_a, int), system(edges_b, int), lifting, rank_n)
         by_str = logical_distance(system(edges_a, str), system(edges_b, str), lifting, rank_n)
         assert by_int.values == by_str.values
+
+
+# Two 8-state Kripke frames with branching up to 3, as perfbench's generator
+# draws them, and two 8-state Markov chains with a deadlock and supports of
+# 3.  Synthesized formulas share their subformulas, so their trees unfold
+# exponentially in the rank; a hash or a set that walked the unfolded tree
+# took 0.25 s on the frames at rank 20, growing about 1.7 times per rank,
+# and a distribution that did took 3.7 s on the chains at rank 14.
+RANK_64_PROGRAM = """
+import random, time
+from fractions import Fraction as F
+import laxkit as lk
+rng = random.Random(5)
+def frame(prefix):
+    states = [f"{prefix}{i}" for i in range(8)]
+    stuck = rng.choice(states)
+    succs = {s: [] if s == stuck else sorted(rng.sample(states, rng.randint(1, 3)))
+             for s in states}
+    return lk.Coalgebra.of(lk.PFin(lk.Id()), lk.Carrier(tuple(states)), {
+        s: lk.fset(lk.IdEl(t) for t in succs[s]) for s in states})
+def chain(prefix):
+    states = [f"{prefix}{i}" for i in range(8)]
+    stuck = rng.choice(states)
+    def step():
+        cuts = sorted(rng.sample(range(1, 12), 2))
+        weights = [b - a for a, b in zip([0] + cuts, cuts + [12])]
+        return lk.just(lk.fdist((lk.IdEl(t), F(w, 12))
+                                for t, w in zip(rng.sample(states, 3), weights)))
+    return lk.Coalgebra.of(lk.Maybe(lk.DFin(lk.Id())), lk.Carrier(tuple(states)), {
+        s: lk.NOTHING if s == stuck else step() for s in states})
+cases = [(frame("a"), frame("b"), lk.Hausdorff("sym", lk.IdLift())),
+         (chain("a"), chain("b"), lk.MaybeLift(lk.KantorovichD(lk.IdLift())))]
+for sys_a, sys_b, lifting in cases:
+    started = time.perf_counter()
+    chain_64 = lk.distance_chain(lifting, sys_a, sys_b, 64)[64]
+    assert lk.logical_distance(sys_a, sys_b, lifting, 64) == chain_64
+    print(time.perf_counter() - started)
+"""
+
+
+def test_rank_64_logical_distance_on_branching_systems_stays_fast():
+    # run in a child process, so that an exponential walk inside one C-level
+    # hash call meets the timeout instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    done = subprocess.run([sys.executable, "-c", RANK_64_PROGRAM], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert all(float(seconds) < 10 for seconds in done.stdout.split())
