@@ -72,7 +72,7 @@ def test_presentation_round_trip_examples():
     mod = moss_modality(t, H_SYM, SET_FUNCTOR)
     assert isinstance(mod, lk.PredicateLifting)
     assert (mod.arity, mod.monotone, mod.nonexpansive, mod.dual_name) == (2, True, True, None)
-    identity = tuple(identity_tables(carrier)[1:])
+    identity = identity_tables(carrier)[1:]  # the tables of a2 and a3
     assert mod.evaluator(t, identity) == 0
     assert mod.evaluator(fset([IdEl("a1"), IdEl("a2")]), identity) == 1
 
@@ -95,7 +95,7 @@ def test_presentation_round_trip_random():
             t = rand_element(rng, functor, carrier)
             mod = moss_modality(t, lifting, functor)
             assert mod.arity == len(base(t))
-            identity = {x: table for x, table in zip(carrier.elements, identity_tables(carrier))}
+            identity = dict(zip(carrier.elements, identity_tables(carrier)))
             assert mod.evaluator(t, tuple(identity[y] for y in base(t))) == 0
 
 
