@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 import traceback
+from math import gcd
 
 from . import __version__
 from .axioms import AxiomConfig, check_axioms
-from .core import LaxkitError, StructureError, format_unit, parse_unit
+from .core import LaxkitError, StructureError, format_ratio, format_unit, parse_unit
 from .distance import behavioural_distance, check_certificate
 from .formparse import parse_formula
 from .functors import FUNCTOR_KINDS
@@ -123,9 +125,7 @@ def _render_table(report: dict) -> str:
             flags = [name for name in ("monotone", "nonexpansive") if lam[name]]
             lines.append(f"  {lam['name']}/{lam['arity']} ({', '.join(flags)}{dual})")
     if "formula" in report:
-        import json as _json
-
-        lines.append("formula: " + _json.dumps(report["formula"], sort_keys=True))
+        lines.append("formula: " + json.dumps(report["formula"], sort_keys=True))
     if "matrix" in report:
         lines.append("matrix:")
         lines.extend(_matrix_lines(report["matrix"]))
@@ -198,31 +198,47 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
+def certificate_rows(verdict) -> tuple:
+    """The forward and backward (or None) report rows of a verdict.  Each
+    row's claimed, lifted and slack (claimed - lifted, as str(Fraction)
+    renders it) are formatted from numerators and denominators, once per
+    distinct (claimed, lifted) of the call, so the rows of a transposed
+    bisimulation carry the very strings of their forward twins."""
+    cells = {}
+
+    def rows(direction):
+        out = []
+        for row in direction:
+            claimed, lifted = row.claimed, row.lifted
+            key = (claimed.numerator, claimed.denominator, lifted.numerator, lifted.denominator)
+            strings = cells.get(key)
+            if strings is None:
+                cn, cd, ln, ld = key
+                sn, sd = cn * ld - ln * cd, cd * ld
+                g = gcd(sn, sd)
+                strings = cells[key] = (format_ratio(cn, cd), format_ratio(ln, ld),
+                                        format_ratio(sn // g, sd // g))
+            out.append({"pair": list(row.pair), "claimed": strings[0],
+                        "lifted": strings[1], "slack": strings[2]})
+        return out
+
+    return rows(verdict.forward), None if verdict.backward is None else rows(verdict.backward)
+
+
 def cmd_check_cert(args) -> int:
     digests = {}
     sys_a, sys_b = _load_two_systems(digests, args.system)
     lifting = _load_lifting(digests, args.lifting, sys_a.functor)
     cert = decode_certificate(load_json(args.cert, digests), args.cert)
     verdict = check_certificate(lifting, sys_a, sys_b, cert)
-
-    def rows(direction):
-        return [
-            {
-                "pair": list(row.pair),
-                "claimed": format_unit(row.claimed),
-                "lifted": format_unit(row.lifted),
-                "slack": str(row.slack),
-            }
-            for row in direction
-        ]
-
+    forward, backward = certificate_rows(verdict)
     body = {
         "verdict": "ok" if verdict.ok else "violation",
         "kind": cert.kind,
-        "forward": rows(verdict.forward),
+        "forward": forward,
     }
-    if verdict.backward is not None:
-        body["backward"] = rows(verdict.backward)
+    if backward is not None:
+        body["backward"] = backward
     _emit(args, _envelope(args, digests, body))
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 

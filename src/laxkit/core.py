@@ -60,11 +60,15 @@ def parse_unit(text: str) -> Fraction:
     return as_unit(x)
 
 
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Render a reduced ratio (denominator > 0) as 'p/q', or 'p' when the
+    denominator is 1: the text of str(Fraction(numerator, denominator))."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def format_unit(x: Fraction) -> str:
     """Render as 'p/q', or 'p' for integral values."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def unit_over(numerator: int, den: int) -> Fraction:

@@ -336,8 +336,68 @@ def write_text(text: str, path: str) -> None:
         raise LaxkitError(f"{path}: {exc}") from None
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C string quoter of json.dumps
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit value's JSON text; newline is a line break plus the indentation
+    of the line value starts on.  Strings inside a container are quoted in
+    the loop, without a call per string."""
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if type(item) is str:
+                emit(f"{sep}{_quote(key)}: {_quote(item)}")
+            else:
+                emit(f"{sep}{_quote(key)}: ")
+                _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                emit(sep + _quote(item))
+            else:
+                emit(sep)
+                _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The report text, written to path when one is given: keys sorted,
+    two-space indentation and a final newline, byte-identical to
+    json.dumps(data, indent=2, sort_keys=True) + "\\n".  Values are dicts
+    with str keys, lists, tuples, str, int, bool and None; any other value
+    raises TypeError (reports carry rationals as strings)."""
+    parts = []
+    _write(data, "\n", parts.append)
+    parts.append("\n")
+    text = "".join(parts)
     if path:
         write_text(text, path)
     return text

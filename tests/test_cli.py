@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 
 from laxkit import cli, logic
 from laxkit.cli import main
-from laxkit.core import parse_unit
+from laxkit.core import FuzzyRel, format_unit, parse_unit
+from laxkit.distance import Certificate, CertificateVerdict, SlackRow, check_certificate
 from laxkit.functors import FUNCTOR_KINDS
 from laxkit.jsonio import MAX_NESTING
 from laxkit.liftings import LIFTING_KINDS
@@ -45,6 +48,39 @@ def test_check_cert_ok(capsys):
     assert all(row["slack"] == "0" for row in report["forward"])
     assert report["tool"] == "laxkit" and "version" in report
     assert len(report["inputs"]) == 4
+
+
+UNITS = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(UNITS, UNITS), min_size=1, max_size=8))
+def test_certificate_rows_format_claimed_lifted_and_slack(values):
+    forward = tuple(SlackRow((f"a{i}", f"b{i}"), c, lifted)
+                    for i, (c, lifted) in enumerate(values))
+    rows, backward = cli.certificate_rows(CertificateVerdict(True, forward, None))
+    assert backward is None
+    assert rows == [
+        {"pair": [f"a{i}", f"b{i}"], "claimed": format_unit(c), "lifted": format_unit(lifted),
+         "slack": str(c - lifted)}
+        for i, (c, lifted) in enumerate(values)
+    ]
+
+
+def test_transposed_backward_rows_carry_their_forward_twins_strings(labelled_frames):
+    sys_a, sys_b, _, lifting, _ = labelled_frames
+    rng = random.Random(5)
+    grades = [F(0), F(1, 5), F(1, 4), F(1, 2), F(17, 20), F(1)]
+    for _ in range(20):
+        rel = FuzzyRel.from_function(sys_a.carrier, sys_b.carrier,
+                                     lambda a, b: rng.choice(grades))
+        verdict = check_certificate(lifting, sys_a, sys_b, Certificate(rel, "bisimulation"))
+        forward, backward = cli.certificate_rows(verdict)
+        twins = {tuple(row["pair"]): row for row in forward}
+        assert len(backward) == len(forward)
+        for row in backward:
+            twin = twins[tuple(reversed(row["pair"]))]
+            assert all(row[key] is twin[key] for key in ("claimed", "lifted", "slack"))
 
 
 def test_dist_report(capsys):

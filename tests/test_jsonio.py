@@ -211,6 +211,44 @@ def test_dump_json_is_deterministic(tmp_path):
     assert first == second == '{\n  "a": [\n    1,\n    2,\n    3\n  ],\n  "b": 1\n}\n'
 
 
+# str values and keys: ASCII, non-ASCII (BMP and astral), every control
+# character and lone surrogates, which the writer must escape as json does.
+JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", "\\", '"', "/", "\u2028", "\ud800", "\udfff", "é", "\U0001f600"]),
+    max_size=6)
+JSON_INTS = st.integers() | st.sampled_from([0, 1, -1, 2**64, -(2**100)])
+STORABLE = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=20)
+
+
+def stdlib_dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(STORABLE)
+def test_dump_json_writes_what_json_dumps_writes(value):
+    assert dump_json(value) == stdlib_dump(value)
+
+
+def test_dump_json_writes_deep_nesting():
+    # deeper than the JSON a rank-64 formula encodes to
+    value = "leaf"
+    for depth in range(300):
+        value = {"sub": value, "depth": depth} if depth % 2 else [value, depth]
+    assert dump_json(value) == stdlib_dump(value)
+
+
+@pytest.mark.parametrize("leaf", [F(1, 2), 0.5, {"a"}], ids=["Fraction", "float", "set"])
+def test_dump_json_refuses_values_json_cannot_store(leaf):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dump_json({"rows": [{"value": leaf}]})
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet="ab\r\n\ufeffé", max_size=12))
 def test_load_text_reads_as_text_mode_open_does(text):

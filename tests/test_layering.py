@@ -27,9 +27,12 @@ base class names, and no other class in the grammar modules hooks
 subclass creation.  It keeps one spelling per grammar operation: outside an allowlist,
 no module-level function in src/laxkit only passes its parameters on to a
 method of one of them, so each contract lives on its node method.
-Finally it keeps one relation view for every lift: no `lift` method and
+It keeps one relation view for every lift: no `lift` method and
 no grid_kantorovich_value probes its relation with getattr or reads it
 through FuzzyRel.at; each reads the RelView's values and warm-start dict.
+Finally it keeps one JSON writer: reports and formula files are written by
+jsonio.dump_json, and no module calls json.dump or json.dumps outside one
+stated exception.
 """
 
 import ast
@@ -417,4 +420,73 @@ def test_relation_view_guard_sees_each_probe(tmp_path):
     assert relation_probes(str(probe)) == [
         "line 3: lift calls getattr on rel", "line 4: lift calls rel.at",
         "line 11: grid_kantorovich_value calls rel.at",
+    ]
+
+
+def json_writes(path: str) -> list:
+    """(line, scope, call) for each call of json.dump or json.dumps, under
+    any import spelling; scope is the enclosing 'f' or 'Class.method', or
+    '<module>'."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    modules, writers = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "json" for alias in node.names
+                        if alias.name == "json" or (alias.name.startswith("json.")
+                                                    and not alias.asname)}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and node.level == 0:
+            writers |= {alias.asname or alias.name: alias.name for alias in node.names
+                        if alias.name in ("dump", "dumps")}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                        and isinstance(func.value, ast.Name) and func.value.id in modules):
+                    found.append((child.lineno, scope, f"json.{func.attr}"))
+                elif isinstance(func, ast.Name) and func.id in writers:
+                    found.append((child.lineno, scope, f"json.{writers[func.id]}"))
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+# The one stated exception: the text table prints a synthesized formula as
+# one compact JSON line, a format dump_json, which indents, does not write.
+ALLOWED_JSON_WRITES = {"cli._render_table"}
+
+
+def test_reports_have_one_json_writer():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    found = {f"{m[:-3]}.{scope}" for m in modules
+             for _, scope, _ in json_writes(os.path.join(SRC, m))}
+    assert found == ALLOWED_JSON_WRITES
+
+
+def test_json_writer_guard_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "import json as j\n"
+        "import json.encoder\n"
+        "from json import dumps, dump as put, loads\n"
+        "text = json.dumps({})\n"
+        "def report(data, handle):\n"
+        "    j.dump(data, handle)\n"
+        "    return dumps(data), json.loads('1'), loads('2')\n"
+        "class Writer:\n"
+        "    def write(self, data, handle):\n"
+        "        put(data, handle)\n"
+        "        return self.dumps(data)\n"
+    )
+    assert json_writes(str(probe)) == [
+        (5, "<module>", "json.dumps"), (7, "report", "json.dump"),
+        (8, "report", "json.dumps"), (11, "Writer.write", "json.dump"),
     ]
