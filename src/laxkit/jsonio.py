@@ -352,8 +352,6 @@ def _write(value, newline: str, emit) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             item = value[key]
             if type(item) is str:
                 emit(f"{sep}{_quote(key)}: {_quote(item)}")

@@ -211,8 +211,8 @@ def test_dump_json_is_deterministic(tmp_path):
     assert first == second == '{\n  "a": [\n    1,\n    2,\n    3\n  ],\n  "b": 1\n}\n'
 
 
-# str values and keys: ASCII, non-ASCII (BMP and astral), every control
-# character and lone surrogates, which the writer must escape as json does.
+# str values and keys: ASCII, non-ASCII (BMP and astral), control
+# characters and lone surrogates, which the writer must escape as json does.
 JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
     ["\x00", "\x1f", "\x7f", "\\", '"', "/", "\u2028", "\ud800", "\udfff", "é", "\U0001f600"]),
     max_size=6)
