@@ -22,7 +22,7 @@ denominator and build no relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -85,6 +85,14 @@ def scaled_rows(*blocks) -> tuple:
     den = lcm(*{x.denominator for block in blocks for row in block for x in row})
     return den, [[[x.numerator * (den // x.denominator) for x in row] for row in block]
                  for block in blocks]
+
+
+class IntBlock(tuple):
+    """(den, rows), made as IntBlock((den, rows)): a block of rationals as
+    integer rows over one positive denominator, entry [i][j] being
+    rows[i][j] / den.  A bare tuple subclass, so making one costs no call."""
+
+    __slots__ = ()
 
 
 def sat_add(x: Fraction, y: Fraction) -> Fraction:
@@ -188,7 +196,7 @@ class FuzzyRel:
 
     def view(self) -> "RelView":
         """This relation as lifts read it, by element ids, with no warm starts."""
-        return RelView(self.source, self.target, _RowsById(self), {})
+        return RelView(self.source, self.target, _RowsById(self), {}, _RowsById.scaled)
 
     def is_square(self) -> bool:
         return self.source == self.target
@@ -220,17 +228,62 @@ class _RowsById(dict):
         row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
         return row
 
+    def scaled(self) -> tuple:
+        """The relation's integer form by id (see RelView), read off its rows."""
+        rel = self.rel
+        den, (ints,) = scaled_rows(rel.values)
+        ys = rel.target.elements
+        return den, {a: dict(zip(ys, row)) for a, row in zip(rel.source.elements, ints)}
+
+
+def scaled_entries(values) -> tuple:
+    """(den, ints) for a relation given as rows, a dict or a sequence of
+    rows, each a dict or a sequence of Fractions: den is the lcm of every
+    entry's denominator, and ints[x][y] = values[x][y] * den, keyed as
+    values and its rows are (by position for sequences)."""
+    rows = [(x, row.items() if isinstance(row, dict) else tuple(enumerate(row)))
+            for x, row in (values.items() if isinstance(values, dict) else enumerate(values))]
+    den = lcm(*{v.denominator for _, row in rows for _, v in row})
+    return den, {x: {y: v.numerator * (den // v.denominator) for y, v in row} for x, row in rows}
+
 
 @dataclass(eq=False, slots=True)
 class RelView:
     """A relation as every lift reads it: values[x][y] at the leaf values x, y
     of the lifted elements, and the transport warm starts of one chain or one
-    check (see KantorovichD.lift)."""
+    check (see KantorovichD.lift).
+
+    It also carries its entries as integers over one common denominator,
+    `scaled` = (den, ints) with ints[x][y] = values[x][y] * den, which
+    lifts read in blocks (see LiftingSpec.lift_block).  `scale(values)`
+    builds that form (scaled_entries, unless the view's maker has a quicker
+    way), once: on the view's second block read, the first being scaled on
+    its own, so a view that a single lift reads, as a law trial's, never
+    pays for the whole relation.
+    """
 
     source: Carrier
     target: Carrier
     values: object
     transport_starts: dict
+    scale: Callable = scaled_entries
+    scaled: tuple | None = field(default=None, init=False, repr=False)
+    read: bool = field(default=False, init=False, repr=False)  # a block was read
+
+    def block(self, xs, ys) -> IntBlock:
+        """The entries at xs x ys as integers over one denominator: the
+        view's, or for the first block read, the lcm of the block's own."""
+        scaled = self.scaled
+        if scaled is None:
+            if not self.read:
+                self.read = True
+                block = [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)]
+                den = lcm(*{v.denominator for row in block for v in row})
+                return IntBlock((den, [[v.numerator * (den // v.denominator) for v in row]
+                                       for row in block]))
+            scaled = self.scaled = self.scale(self.values)
+        den, ints = scaled
+        return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
 
 
 def _require_same_carriers(r: FuzzyRel, s: FuzzyRel) -> None:

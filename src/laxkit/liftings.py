@@ -7,17 +7,18 @@ class here and exporting it.
 
   * IdLift reads the relation itself, at the leaf values it lifts,
   * ConstLift reads the label hemimetric,
-  * Hausdorff (symmetric or one-sided) handles finite sets; it lifts each
-    pair of members once and takes inf and sup on the block's integers
-    over the lcm of its denominators,
+  * Hausdorff (symmetric or one-sided) handles finite sets; it reads the
+    lifts of all pairs of members as one integer block (lift_block) and
+    takes inf and sup on it,
   * KantorovichD handles finite distributions through the exact
     transportation program; WassersteinD is the same class under its own
     JSON kind, which is sound because the sup-over-nonexpansive-pairs and
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
-    enumeration.  The node keeps each pair of elements' last
-    TransportResult in the view's `transport_starts` dict, and the next
-    solve of that pair resumes from its optimal basis (see RelView),
+    enumeration.  Its costs are its child's integer block (lift_block).
+    The node keeps each pair of elements' last TransportResult in the
+    view's `transport_starts` dict, and the next solve of that pair resumes
+    from its optimal basis (see RelView),
   * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
     forms w_l * x + w_r * y as one integer numerator over the product of
     the four denominators); no
@@ -33,6 +34,9 @@ class here and exporting it.
 
 Every `lift` reads its relation through one RelView (laxkit.core) and,
 whatever arithmetic it runs inside, returns a Fraction in the unit interval.
+A node reads a block of its child's lifts through the child's lift_block,
+as integer rows over one denominator: IdLift reads them off the view's
+integers, and every other kind scales its own lifts.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from fractions import Fraction
 from itertools import product
 
 from .core import (
+    IntBlock,
     ONE,
     RelView,
     StructureError,
@@ -135,6 +140,17 @@ class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
         return self.functor_type(*(child.default_functor(f"{path}.{name}")
                                    for name, child in zip(self.child_fields, self.children())))
 
+    def lift_block(self, functor: FunctorSpec, rel: RelView, xs, ys) -> IntBlock:
+        """The lifts of every pair of xs x ys, as integer rows over one
+        denominator: rows[i][j] / den == lift(functor, rel, xs[i], ys[j]).
+
+        This default lifts each pair and scales the block by the lcm of its
+        denominators; a kind that can read its values off the view's
+        integers overrides it.
+        """
+        den, (rows,) = scaled_rows([[self.lift(functor, rel, a, b) for b in ys] for a in xs])
+        return IntBlock((den, rows))
+
 
 @dataclass(frozen=True)
 class IdLift(LiftingSpec):
@@ -144,6 +160,10 @@ class IdLift(LiftingSpec):
 
     def lift(self, functor, rel, t1, t2):
         return rel.values[t1.value][t2.value]
+
+    def lift_block(self, functor, rel, xs, ys):
+        # the view's own integer rows, over its common denominator
+        return rel.block([a.value for a in xs], [b.value for b in ys])
 
 
 @dataclass(frozen=True)
@@ -188,11 +208,9 @@ class Hausdorff(LiftingSpec):
     def lift(self, functor, rel, t1, t2):
         if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
             raise StructureError("Hausdorff lifting expects set elements")
-        sub, sub_functor = self.sub, functor.sub
         # every variant reads each (a, b) pair, so lift each pair once, then
         # take inf and sup on the block's integers over its common denominator
-        den, (d,) = scaled_rows(
-            [[sub.lift(sub_functor, rel, a, b) for b in t2.members] for a in t1.members])
+        den, d = self.sub.lift_block(functor.sub, rel, t1.members, t2.members)
         value = 0  # sup over nothing; an inf over nothing is den
         if self.variant != "right":
             value = max((min(row, default=den) for row in d), default=0)
@@ -225,10 +243,9 @@ class KantorovichD(LiftingSpec):
     def lift(self, functor, rel, t1, t2):
         if not isinstance(t1, DistEl) or not isinstance(t2, DistEl):
             raise StructureError("transport liftings expect distribution elements")
-        sub, sub_functor = self.sub, functor.sub
-        mu = [p for _, p in t1.pairs]
-        nu = [p for _, p in t2.pairs]
-        cost = [[sub.lift(sub_functor, rel, a, b) for b, _ in t2.pairs] for a, _ in t1.pairs]
+        xs, mu = [a for a, _ in t1.pairs], [p for _, p in t1.pairs]
+        ys, nu = [b for b, _ in t2.pairs], [q for _, q in t2.pairs]
+        cost = self.sub.lift_block(functor.sub, rel, xs, ys)
         # one result per node and pair of elements, the next solve's warm start;
         # the ids hold while the view's owner keeps the elements alive
         starts, key = rel.transport_starts, (id(self), id(t1), id(t2))
@@ -414,6 +431,9 @@ class KantorovichGrid(LiftingSpec):
         return is_dual_closed({lam.name: lam for lam in self._modalities(functor)})
 
     def approximation_slack(self):
+        # Snapping a left table down to the grid moves it by less than one
+        # step; companions follow suit, and nonexpansive modalities turn both
+        # movements into at most one step of value lost (see grid_error_bound)
         return self.step
 
     def default_functor(self, path="lifting"):
@@ -514,12 +534,10 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: RelView,
 
 
 def grid_error_bound(modalities, step: Fraction) -> Fraction:
-    """The guaranteed gap of the grid oracle below the true supremum.
-
-    Snapping a left table down to the grid moves it by less than one step;
-    companions follow suit, and nonexpansive modalities translate both
-    movements into at most one step of value loss.  Refuses modalities
-    without the nonexpansiveness flag, for which no bound is claimed.
+    """The guaranteed gap of the grid oracle below the true supremum: the
+    approximation_slack of the KantorovichGrid over these modalities at
+    this step, for modalities that carry the nonexpansiveness flag.
+    Refuses any other modality, for which no bound is claimed.
     """
     for lam in modalities:
         if not lam.nonexpansive:
@@ -527,4 +545,4 @@ def grid_error_bound(modalities, step: Fraction) -> Fraction:
                 f"modality {lam.name} is not flagged nonexpansive; the grid "
                 "oracle carries no error bound for it"
             )
-    return step
+    return KantorovichGrid(tuple(lam.name for lam in modalities), step).approximation_slack()

@@ -243,7 +243,8 @@ def membership(states: Carrier, leaves: Carrier, tables, flip: bool = False) -> 
     """The membership view E(x, y) = f_y(x), or 1 - f_y(x) when flip holds,
     at every state x, of one predicate table f_y per leaf y, in order: a
     Moss modality lifts it between an element over the states and one over
-    the leaves."""
+    the leaves.  Its integer form (see RelView) is built once, when a
+    second block of it is read."""
     pairs = tuple(zip(leaves, tables))
     rows = {x: {y: (ONE - f[x]) if flip else f[x] for y, f in pairs} for x in states}
     return RelView(states, leaves, rows, {})

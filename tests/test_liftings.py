@@ -19,6 +19,7 @@ from laxkit import (
     IdLift,
     KantorovichD,
     KantorovichGrid,
+    LiftingSpec,
     MaybeLift,
     NOTHING,
     PFin,
@@ -40,7 +41,14 @@ from laxkit import (
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
-from tests.oracles import fraction_pair_sum, min_sup_over_set_couplings, two_pass_hausdorff
+from laxkit import core, distance
+from laxkit.logic import membership
+from tests.oracles import (
+    fraction_pair_sum,
+    min_sup_over_set_couplings,
+    rational_transport_simplex,
+    two_pass_hausdorff,
+)
 from tests.conftest import CASES, kinds, number_const, rand_system, rel_from
 
 SET_FUNCTOR = PFin(Id())
@@ -98,10 +106,14 @@ def test_hausdorff_one_sided_split():
 
 def test_hausdorff_lifts_each_pair_once(monkeypatch):
     # all three variants equal the definition that lifts each direction's
-    # pairs on its own, and lift every (a, b) exactly once
-    calls = []
-    real = IdLift.lift
+    # pairs on its own, and read every (a, b) exactly once: under id as one
+    # block of the relation's integers, with no lift per pair; under a sub-
+    # lifting that reads no block (the default lift_block), by one lift each
+    calls, blocks = [], []
+    real, real_block = IdLift.lift, IdLift.lift_block
     monkeypatch.setattr(IdLift, "lift", lambda self, *args: calls.append(args) or real(self, *args))
+    monkeypatch.setattr(IdLift, "lift_block", lambda self, functor, rel, xs, ys: (
+        blocks.append((xs, ys)) or real_block(self, functor, rel, xs, ys)))
     rng = random.Random("hausdorff-one-pass")
 
     def rand_set(carrier):
@@ -116,7 +128,12 @@ def test_hausdorff_lifts_each_pair_once(monkeypatch):
             for lifting in (H_SYM, H_LEFT, H_RIGHT):
                 want = two_pass_hausdorff(lifting, SET_FUNCTOR, rel.view(), s1, s2)
                 calls.clear()
+                blocks.clear()
                 assert lifting.lift(SET_FUNCTOR, rel.view(), s1, s2) == want
+                assert calls == [] and blocks == [(s1.members, s2.members)]
+                with monkeypatch.context() as by_pairs:
+                    by_pairs.setattr(IdLift, "lift_block", LiftingSpec.lift_block)
+                    assert lifting.lift(SET_FUNCTOR, rel.view(), s1, s2) == want
                 assert len(calls) == len(s1.members) * len(s2.members)
 
 
@@ -511,3 +528,95 @@ def test_only_the_chain_resumes_transport_solves(name, warm_starts_seen):
     # the fixpoint chain resumes its solves, so the probe sees warm starts
     behavioural_distance(lifting, sys_a, sys_b, max_iter=4)
     assert any(warm is not None for warm in warm_starts_seen)
+
+
+# ---------------------------------------------------------------------------
+# Lifts read off a view's integers equal the Fraction definitions
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+          79, 83, 89, 97)
+
+
+def coprime_rel(rng, source, target):
+    """Entries k/p with a different prime p for every entry."""
+    primes = iter(rng.sample(PRIMES, len(source) * len(target)))
+    return FuzzyRel(source, target, tuple(
+        tuple(F(rng.randint(0, p), p) for p in (next(primes) for _ in target)) for _ in source))
+
+
+def integer_views(rng, rel):
+    """rel as each maker of integer rows views it: two steps of a chain
+    (the second sharing some rows, and the warm starts, with the first),
+    FuzzyRel.view and a membership view, plain and complemented."""
+    a, b = rel.source, rel.target
+    rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
+    scale, starts = distance._row_scaler(), {}
+    yield RelView(a, b, rows, starts, scale), rel
+    moved = rand_rel(rng, a, b)
+    later = {x: row if rng.random() < 0.5 else dict(zip(b, new))
+             for (x, row), new in zip(rows.items(), moved.values)}
+    yield (RelView(a, b, later, starts, scale),
+           FuzzyRel(a, b, tuple(tuple(row.values()) for row in later.values())))
+    yield rel.view(), rel
+    columns = list(zip(*rel.values)) or [()] * len(b)
+    yield membership(a, b, [dict(zip(a, col)) for col in columns]), rel
+    yield membership(a, b, [{x: 1 - v for x, v in zip(a, col)} for col in columns], True), rel
+
+
+def test_lifts_on_integer_views_equal_the_fraction_definitions():
+    rng = random.Random("integer-views")
+    transports = (KantorovichD(IdLift()), WassersteinD(IdLift()))
+
+    def subsets(carrier):
+        return [fset([])] + [fset(IdEl(x) for x in carrier if rng.random() < 0.6)
+                             for _ in range(3)]
+
+    def dists(carrier):
+        out = []
+        for _ in range(3):
+            support = rng.sample(carrier.elements, rng.randint(1, len(carrier)))
+            weights = [rng.randint(1, 7) for _ in support]
+            out.append(fdist((IdEl(x), F(w, sum(weights))) for x, w in zip(support, weights)))
+        return out
+
+    built = 0
+    for trial in range(16):
+        a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
+        sets_a, sets_b, dists_a, dists_b = subsets(a), subsets(b), dists(a), dists(b)
+        for make in (rand_rel, mixed_rel, coprime_rel):
+            for view, rel in integer_views(rng, make(rng, a, b)):
+                fractions = rel.view()
+                for s1 in sets_a:
+                    for s2 in sets_b:
+                        for lifting in (H_SYM, H_LEFT, H_RIGHT):
+                            assert lifting.lift(SET_FUNCTOR, view, s1, s2) == \
+                                two_pass_hausdorff(lifting, SET_FUNCTOR, fractions, s1, s2)
+                for d1 in dists_a:
+                    for d2 in dists_b:
+                        mu, nu = [p for _, p in d1.pairs], [q for _, q in d2.pairs]
+                        cost = [[rel.at(x.value, y.value) for y, _ in d2.pairs] for x, _ in d1.pairs]
+                        want, _ = rational_transport_simplex(mu, nu, cost)
+                        for lifting in transports:
+                            assert lifting.lift(DIST_FUNCTOR, view, d1, d2) == want
+                # every block after the first was read off the view's integers
+                built += view.scaled is not None
+    assert built == 16 * 3 * 5
+
+
+def test_a_view_builds_its_integer_rows_once(monkeypatch):
+    # the first block read is scaled on its own, the second builds the
+    # view's integer rows, and every later one reads them
+    rng = random.Random("integer-rows-once")
+    a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
+    rel = coprime_rel(rng, a, b)
+    calls = []
+    real = core._RowsById.scaled
+    monkeypatch.setattr(core._RowsById, "scaled", lambda rows: calls.append(rows) or real(rows))
+    view = rel.view()
+    t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
+    for reads in range(1, 6):
+        assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == \
+            two_pass_hausdorff(H_SYM, SET_FUNCTOR, rel.view(), t1, t2)
+        assert len(calls) == (reads > 1)
+    den, ints = view.scaled
+    assert ints == {x: {y: v * den for y, v in zip(b, row)} for x, row in zip(a, rel.values)}

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from laxkit import StructureError, transport
+from laxkit.core import IntBlock
 from laxkit.transport import min_cost_transport
 from tests.oracles import (
     min_sup_over_set_couplings,
@@ -199,6 +201,17 @@ def test_int_inputs_match_equal_fractions():
         assert got == rational_transport_simplex(*as_fractions)
 
 
+def test_an_integer_block_solves_as_its_fractions():
+    # costs given as integer rows over a denominator, any common multiple
+    # of the entries' denominators, solve as the Fractions they stand for
+    rng = random.Random("integer-block")
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        den = lcm(*(c.denominator for row in cost for c in row)) * rng.randint(1, 30)
+        block = IntBlock((den, [[c.numerator * (den // c.denominator) for c in row]
+                                for row in cost]))
+        assert solved(min_cost_transport(mu, nu, block)) == solved(min_cost_transport(mu, nu, cost))
+
+
 def test_set_couplings_empty_conventions():
     assert min_sup_over_set_couplings(0, 0, lambda i, j: F(0)) == 0
     assert min_sup_over_set_couplings(2, 0, lambda i, j: F(0)) == 1
@@ -279,6 +292,40 @@ def test_a_solve_builds_one_fraction(monkeypatch):
         assert len(built) == 1
         min_cost_transport(mu, nu, second_cost(rng, cost), first)
         assert len(built) == 2
+
+
+def count_tree_walks(monkeypatch) -> list:
+    walks = []
+    real = transport._hang
+    monkeypatch.setattr(transport, "_hang", lambda *args: walks.append(args) or real(*args))
+    return walks
+
+
+def test_a_warm_solve_whose_basis_stays_optimal_walks_no_tree(monkeypatch):
+    # Raising every cost by one constant keeps every reduced cost, so the
+    # warm basis stays optimal: the solve reads the stored tree once, walks
+    # none, and still returns a basis of its own.  Under other costs a warm
+    # solve walks a tree exactly when it pivots, that is when its basis moves.
+    walks = count_tree_walks(monkeypatch)
+    rng = random.Random("warm-no-tree")
+    pivoted = kept = 0
+    for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
+        first = min_cost_transport(mu, nu, cost)
+        shift = F(rng.randint(0, 5), rng.choice([1, 3, 8]))
+        walks.clear()
+        warm = min_cost_transport(mu, nu, [[c + shift for c in row] for row in cost], first)
+        assert walks == []
+        assert warm.value == first.value + shift * sum(mu)
+        assert warm.basis == first.basis and warm.basis is not first.basis
+        assert warm.tree == first.tree
+        other = second_cost(rng, cost)
+        walks.clear()
+        moved = min_cost_transport(mu, nu, other, first)
+        assert moved.value == rational_transport_simplex(mu, nu, other)[0]
+        assert bool(walks) == (moved.basis.keys() != first.basis.keys())
+        pivoted += bool(walks)
+        kept += not walks
+    assert pivoted > 100 and kept > 100
 
 
 def test_a_warm_solve_changes_nothing_it_is_given():
