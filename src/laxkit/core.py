@@ -259,7 +259,8 @@ class RelView:
     builds that form (scaled_entries, unless the view's maker has a quicker
     way), once: on the view's second block read, the first being scaled on
     its own, so a view that a single lift reads, as a law trial's, never
-    pays for the whole relation.
+    pays for the whole relation.  Until then `scaled` is None, or False
+    once the first block was read.
     """
 
     source: Carrier
@@ -267,20 +268,21 @@ class RelView:
     values: object
     transport_starts: dict
     scale: Callable = scaled_entries
-    scaled: tuple | None = field(default=None, init=False, repr=False)
-    read: bool = field(default=False, init=False, repr=False)  # a block was read
+    scaled: tuple | bool | None = field(default=None, init=False, repr=False)
 
     def block(self, xs, ys) -> IntBlock:
-        """The entries at xs x ys as integers over one denominator: the
-        view's, or for the first block read, the lcm of the block's own."""
+        """The entries at xs x ys (ys a list) as integers over one
+        denominator: the view's, or for the first block read, the lcm of the
+        block's own.  An empty block reads nothing."""
         scaled = self.scaled
-        if scaled is None:
-            if not self.read:
-                self.read = True
-                block = [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)]
-                den = lcm(*{v.denominator for row in block for v in row})
-                return IntBlock((den, [[v.numerator * (den // v.denominator) for v in row]
-                                       for row in block]))
+        if not scaled:
+            if not ys:
+                return IntBlock((1, [[] for _ in xs]))
+            if scaled is None:
+                self.scaled = False
+                den, (rows,) = scaled_rows(
+                    [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)])
+                return IntBlock((den, rows))
             scaled = self.scaled = self.scale(self.values)
         den, ints = scaled
         return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 
 from .core import (
     IntBlock,
@@ -78,6 +79,8 @@ from .transport import min_cost_transport
 
 
 LIFTING_KINDS: dict = {}  # JSON kind -> lifting class, in definition order
+
+_value = attrgetter("value")  # the leaf value of an Id element
 
 
 class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
@@ -162,8 +165,8 @@ class IdLift(LiftingSpec):
         return rel.values[t1.value][t2.value]
 
     def lift_block(self, functor, rel, xs, ys):
-        # the view's own integer rows, over its common denominator
-        return rel.block([a.value for a in xs], [b.value for b in ys])
+        # the relation's own entries, read off the view (see RelView.block)
+        return rel.block(map(_value, xs), list(map(_value, ys)))
 
 
 @dataclass(frozen=True)
@@ -243,8 +246,8 @@ class KantorovichD(LiftingSpec):
     def lift(self, functor, rel, t1, t2):
         if not isinstance(t1, DistEl) or not isinstance(t2, DistEl):
             raise StructureError("transport liftings expect distribution elements")
-        xs, mu = [a for a, _ in t1.pairs], [p for _, p in t1.pairs]
-        ys, nu = [b for b, _ in t2.pairs], [q for _, q in t2.pairs]
+        xs, mu = zip(*t1.pairs) if t1.pairs else ((), ())
+        ys, nu = zip(*t2.pairs) if t2.pairs else ((), ())
         cost = self.sub.lift_block(functor.sub, rel, xs, ys)
         # one result per node and pair of elements, the next solve's warm start;
         # the ids hold while the view's owner keeps the elements alive

@@ -26,14 +26,13 @@ another optimal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import IntBlock, StructureError, scaled_rows
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(NamedTuple):
     """One solve: its optimal value, the masses as given, their scale dm,
     its optimal basis {(i, j): mass * dm}, m+n-1 cells over integers, and
     that basis's tree hung from row 0 as (order, parents): the nodes other
@@ -107,6 +106,19 @@ def _hang(m, adj, cost) -> tuple:
     return (order, parents), pot, depth
 
 
+def _entering(m, cost, pot):
+    """The first cell in row-major order whose reduced cost c_ij - u_i - v_j
+    is negative, or None.  Basis cells have reduced cost exactly 0, so
+    they never enter."""
+    columns = pot[m:]
+    for i, row in enumerate(cost):
+        u = pot[i]
+        for j, c in enumerate(row):
+            if c - columns[j] < u:
+                return i, j
+    return None
+
+
 def _simplex(m, n, flow, tree, cost):
     """Pivot the basis flow {(i, j): mass}, in place, to an optimal one, and
     return its tree.
@@ -128,13 +140,7 @@ def _simplex(m, n, flow, tree, cost):
         pot[node] = (cost[node][up - m] if node < m else cost[up][node - m]) - pot[up]
     adj = None
     while True:
-        # Basis cells have reduced cost exactly 0, so they never enter; a
-        # row holds an entering cell iff its least c_ij - v_j is below u_i.
-        entering = next(
-            ((i, j) for i in range(m) for j in range(n)
-             if cost[i][j] - pot[i] - pot[m + j] < 0),
-            None,
-        )
+        entering = _entering(m, cost, pot)
         if entering is None:
             return tree
         ei, ej = entering
@@ -212,5 +218,7 @@ def min_cost_transport(mu, nu, cost, warm: TransportResult | None = None) -> Tra
         flow, tree = _northwest_corner(m, n, supply, demand)
 
     tree = _simplex(m, n, flow, tree, cost)
-    total = sum(q * cost[i][j] for (i, j), q in flow.items())
+    total = 0
+    for (i, j), q in flow.items():
+        total += q * cost[i][j]
     return TransportResult(Fraction(total, dm * dc), mu, nu, dm, flow, tree)
