@@ -90,7 +90,8 @@ def scaled_rows(*blocks) -> tuple:
 class IntBlock(tuple):
     """(den, rows), made as IntBlock((den, rows)): a block of rationals as
     integer rows over one positive denominator, entry [i][j] being
-    rows[i][j] / den.  A bare tuple subclass, so making one costs no call."""
+    rows[i][j] / den.  A bare tuple subclass, so making one runs no Python
+    code."""
 
     __slots__ = ()
 
