@@ -217,24 +217,31 @@ class FuzzyRel:
 
 
 class _RowsById(dict):
-    """FuzzyRel.view's rows by id, each built on its first read: lifts read few."""
+    """FuzzyRel.view's rows by id, each built on its first read: lifts read
+    few.  With a den, the rows hold the integers entry * den (see
+    RelView), so both forms refuse an id outside the source alike."""
 
-    __slots__ = ("rel",)
+    __slots__ = ("rel", "den")
 
-    def __init__(self, rel: FuzzyRel):
+    def __init__(self, rel: FuzzyRel, den: int | None = None):
         self.rel = rel
+        self.den = den
 
     def __missing__(self, a):
-        rel = self.rel
-        row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
+        rel, den = self.rel, self.den
+        row = rel.values[rel.source.index(a)]
+        if den is not None:
+            row = [x.numerator * (den // x.denominator) for x in row]
+        row = self[a] = dict(zip(rel.target.elements, row))
         return row
 
     def scaled(self) -> tuple:
-        """The relation's integer form by id (see RelView), read off its rows."""
+        """The relation's integer form by id (see RelView): den is the lcm
+        of every entry's denominator, and each integer row is built on its
+        first read."""
         rel = self.rel
-        den, (ints,) = scaled_rows(rel.values)
-        ys = rel.target.elements
-        return den, {a: dict(zip(ys, row)) for a, row in zip(rel.source.elements, ints)}
+        den = lcm(*{x.denominator for row in rel.values for x in row})
+        return den, _RowsById(rel, den)
 
 
 def scaled_entries(values) -> tuple:
@@ -257,10 +264,10 @@ class RelView:
     It also carries its entries as integers over one common denominator,
     `scaled` = (den, ints) with ints[x][y] = values[x][y] * den, which
     lifts read in blocks (see LiftingSpec.lift_block).  `scale(values)`
-    builds that form (scaled_entries, unless the view's maker has a quicker
-    way), once: on the view's second block read, the first being scaled on
-    its own, so a view that a single lift reads, as a law trial's, never
-    pays for the whole relation.  Until then `scaled` is None, or False
+    builds that form (scaled_entries, which reads every row; FuzzyRel.view,
+    whose rows are built on read, passes its own), once: on the view's
+    second block read, the first being scaled on its own, so a view that a
+    single lift reads, as a law trial's, never pays for the whole relation.  Until then `scaled` is None, or False
     once the first block was read.
     """
 

@@ -35,10 +35,8 @@ until the step ends, so it builds one residual Fraction per step.
 
 Each step's view also carries the iterate as integers over one common
 denominator, which Hausdorff and transport nodes read their blocks off
-(see RelView and LiftingSpec.lift_block).  The chain's row builder,
-_row_scaler, makes that form once per step, on the step's second block
-read, and scales only the rows that moved since the step before: an
-unmoved row is the same object as before, and its integers are kept.
+(see RelView and LiftingSpec.lift_block).  A step's view makes that form
+once, with core.scaled_entries, on the step's second block read.
 
 Every view carries an explicit dict of transport warm starts, where a
 transport node keeps, per pair of distribution elements, the last solve's
@@ -66,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 
 from .core import (Carrier, FuzzyRel, ONE, RelView, StructureError, ZERO, converse,
                    sup_distance, unit_over)
@@ -145,33 +142,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _row_scaler():
-    """The chain's integer-row builder, one per chain: rows -> (den, ints),
-    den the lcm of every entry's denominator and ints[a][b] = rows[a][b] * den.
-
-    It keeps each row's integers over the row's own lcm for as long as the
-    chain keeps the row object, which it shares with the step before when
-    nothing in it moved, so a step scales only the rows that moved and
-    rescales the others by an integer factor when the common lcm moved.
-    """
-    kept = {}  # state -> (row, its lcm, its integers over that lcm)
-
-    def scale(rows: dict) -> tuple:
-        entries = []
-        for a, row in rows.items():
-            entry = kept.get(a)
-            if entry is None or entry[0] is not row:
-                d = lcm(*{v.denominator for v in row.values()})
-                entry = kept[a] = (row, d, {b: v.numerator * (d // v.denominator)
-                                            for b, v in row.items()})
-            entries.append((a, entry[1], entry[2]))
-        den = lcm(*{d for _, d, _ in entries})
-        return den, {a: ints if d == den else {b: x * (den // d) for b, x in ints.items()}
-                     for a, d, ints in entries}
-
-    return scale
-
-
 def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     """Iterates 1, 2, ... of the chain from zero, as (rows, residual) pairs.
 
@@ -194,10 +164,9 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     rows = {a: dict.fromkeys(sys_b.carrier.elements, ZERO) for a, _ in alpha_a}
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
     starts = {}  # transport warm starts, kept across the steps
-    scale = _row_scaler()
     while True:
         # its integer rows are built once, on the step's second block read
-        view = RelView(sys_a.carrier, sys_b.carrier, rows, starts, scale)
+        view = RelView(sys_a.carrier, sys_b.carrier, rows, starts)
         nxt = dict(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den

@@ -540,7 +540,8 @@ def grid_error_bound(modalities, step: Fraction) -> Fraction:
     """The guaranteed gap of the grid oracle below the true supremum: the
     approximation_slack of the KantorovichGrid over these modalities at
     this step, for modalities that carry the nonexpansiveness flag.
-    Refuses any other modality, for which no bound is claimed.
+    Refuses any other modality, for which no bound is claimed, and, as
+    KantorovichGrid does, any step that is not 1/k: no grid has it.
     """
     for lam in modalities:
         if not lam.nonexpansive:

@@ -226,7 +226,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     ("distance.py", "_chain"), ("core.py", "scaled_rows"), ("core.py", "unit_over"),
     ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
     ("core.py", "is_pseudometric"), ("liftings.py", "LiftingSpec.lift_block"),
-    ("liftings.py", "IdLift.lift_block"), ("distance.py", "_row_scaler"),
+    ("liftings.py", "IdLift.lift_block"), ("core.py", "_RowsById"),
     ("logic.py", "membership"), ("core.py", "RelView.block"), ("core.py", "scaled_entries"),
     ("core.py", "_RowsById.scaled"), ("transport.py", "min_cost_transport"),
     ("transport.py", "_simplex"), ("transport.py", "_hang"), ("transport.py", "_northwest_corner"),

@@ -41,7 +41,7 @@ from laxkit import (
 )
 from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
 from laxkit.modalities import PredicateLifting, standard_modalities
-from laxkit import core, distance
+from laxkit import core
 from laxkit.logic import membership
 from tests.oracles import (
     fraction_pair_sum,
@@ -341,6 +341,10 @@ def test_grid_error_bound_contract():
     clamped = PredicateLifting("jump", 1, True, False, mods["dia"].evaluator)
     with pytest.raises(StructureError):
         grid_error_bound([clamped], F(1, 16))
+    # a step no grid has carries no bound either, as KantorovichGrid refuses it
+    for step in (F(2, 5), 1, F(0)):
+        with pytest.raises(StructureError, match="grid step must be 1/k"):
+            grid_error_bound([mods["dia"]], step)
 
 
 def test_grid_step_must_be_a_unit_fraction():
@@ -550,12 +554,12 @@ def integer_views(rng, rel):
     FuzzyRel.view and a membership view, plain and complemented."""
     a, b = rel.source, rel.target
     rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
-    scale, starts = distance._row_scaler(), {}
-    yield RelView(a, b, rows, starts, scale), rel
+    starts = {}
+    yield RelView(a, b, rows, starts), rel
     moved = rand_rel(rng, a, b)
     later = {x: row if rng.random() < 0.5 else dict(zip(b, new))
              for (x, row), new in zip(rows.items(), moved.values)}
-    yield (RelView(a, b, later, starts, scale),
+    yield (RelView(a, b, later, starts),
            FuzzyRel(a, b, tuple(tuple(row.values()) for row in later.values())))
     yield rel.view(), rel
     columns = list(zip(*rel.values)) or [()] * len(b)
@@ -620,3 +624,20 @@ def test_a_view_builds_its_integer_rows_once(monkeypatch):
         assert len(calls) == (reads > 1)
     den, ints = view.scaled
     assert ints == {x: {y: v * den for y, v in zip(b, row)} for x, row in zip(a, rel.values)}
+
+
+def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_rows():
+    # the same bad left leaf fails alike on a fresh view and on one that
+    # has read two blocks, and so built its integer rows
+    rng = random.Random("foreign-leaf")
+    a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
+    rel = coprime_rel(rng, a, b)
+    t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
+    bad = fset([IdEl("nowhere")])
+    read = rel.view()
+    for _ in range(2):
+        H_SYM.lift(SET_FUNCTOR, read, t1, t2)
+    assert read.scaled
+    for view in (rel.view(), read):
+        with pytest.raises(StructureError, match="nowhere"):
+            H_SYM.lift(SET_FUNCTOR, view, bad, t2)
