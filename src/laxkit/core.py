@@ -217,31 +217,28 @@ class FuzzyRel:
 
 
 class _RowsById(dict):
-    """FuzzyRel.view's rows by id, each built on its first read: lifts read
-    few.  With a den, the rows hold the integers entry * den (see
-    RelView), so both forms refuse an id outside the source alike."""
+    """FuzzyRel.view's rows by id, each built on its first read: lifts read few."""
 
-    __slots__ = ("rel", "den")
+    __slots__ = ("rel",)
 
-    def __init__(self, rel: FuzzyRel, den: int | None = None):
+    def __init__(self, rel: FuzzyRel):
         self.rel = rel
-        self.den = den
 
     def __missing__(self, a):
-        rel, den = self.rel, self.den
-        row = rel.values[rel.source.index(a)]
-        if den is not None:
-            row = [x.numerator * (den // x.denominator) for x in row]
-        row = self[a] = dict(zip(rel.target.elements, row))
+        rel = self.rel
+        row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
         return row
 
     def scaled(self) -> tuple:
-        """The relation's integer form by id (see RelView): den is the lcm
-        of every entry's denominator, and each integer row is built on its
-        first read."""
+        """The relation's integer form by id (see RelView), read off its
+        tuples.  The integer rows, all built at once, sit in a _RowsById too,
+        so an id outside the source is refused as the Fraction rows refuse it."""
         rel = self.rel
-        den = lcm(*{x.denominator for row in rel.values for x in row})
-        return den, _RowsById(rel, den)
+        den, (ints,) = scaled_rows(rel.values)
+        ys = rel.target.elements
+        rows = _RowsById(rel)
+        rows.update(zip(rel.source.elements, [dict(zip(ys, row)) for row in ints]))
+        return den, rows
 
 
 def scaled_entries(values) -> tuple:
@@ -267,8 +264,8 @@ class RelView:
     builds that form (scaled_entries, which reads every row; FuzzyRel.view,
     whose rows are built on read, passes its own), once: on the view's
     second block read, the first being scaled on its own, so a view that a
-    single lift reads, as a law trial's, never pays for the whole relation.  Until then `scaled` is None, or False
-    once the first block was read.
+    single lift reads, as a law trial's, never pays for the whole relation.
+    Until then `scaled` is None, or False once the first block was read.
     """
 
     source: Carrier
