@@ -22,7 +22,6 @@ from .core import (
     diagonal,
     graph,
     is_hemimetric,
-    is_nonexpansive_pair,
     is_pseudometric,
     sat_add,
     sat_sub,

@@ -15,9 +15,18 @@ Each lifting instance is probed on small random carriers and elements:
                   claims converse preservation
 
 Random unit values are drawn as integers over _SCALE, the lcm of the
-draw denominators.  A random hemimetric is symmetrized and triangle-closed
-(Floyd-Warshall) on those integers, where truncated addition never
-saturates, and only the closed matrix becomes Fractions.
+draw denominators, by indexing tables: per denominator, the tuple of its
+numerators scaled to _SCALE, and one tuple of the _SCALE + 1 Fractions
+k/_SCALE that a drawn integer indexes.  In CPython's random module
+`rng.choice(seq)` is `seq[rng._randbelow(len(seq))]` and
+`rng.randint(a, b)` is `a + rng._randbelow(b - a + 1)`, so a table draw
+consumes the rng exactly as the randint draw it replaces: the stream, and
+so every report, is unchanged.  A random hemimetric is symmetrized and
+triangle-closed (Floyd-Warshall) on those integers, where truncated
+addition never saturates, and L1's smaller relation is max(x - y, 0) on
+them; only the finished matrices index the Fractions.  Random carriers
+are shared, one per prefix and size, and relations built from the tables
+skip FuzzyRel's entry check.
 
 Comparisons are exact for exact liftings; if a grid oracle occurs in the
 lifting, inequalities get the documented approximation slack instead of
@@ -35,9 +44,11 @@ string seeds, so reports are reproducible across processes.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .core import (
@@ -51,7 +62,6 @@ from .core import (
     diagonal,
     graph,
     sat_add,
-    sat_sub,
     unit_over,
 )
 from .functors import FunctorElement, FunctorSpec
@@ -59,6 +69,11 @@ from .liftings import LiftingSpec, lift_value, require_match
 
 _DENOMS = (1, 2, 3, 4, 5, 6, 8, 10)
 _SCALE = lcm(*_DENOMS)  # every rand_unit draw is an integer over this
+_UNITS = tuple(unit_over(k, _SCALE) for k in range(_SCALE + 1))  # k/_SCALE at k
+# per denominator in _DENOMS, the numerators 0..den scaled to _SCALE
+_SCALED = tuple(tuple(range(0, _SCALE + 1, _SCALE // den)) for den in _DENOMS)
+# per denominator in _DENOMS[1:], L4's epsilons 1/den..den/den
+_EPSILONS = tuple(tuple(_UNITS[k] for k in scaled[1:]) for scaled in _SCALED[1:])
 
 
 @dataclass(frozen=True)
@@ -108,12 +123,6 @@ class AxiomReport:
         """No counterexample against anything the lifting claims."""
         return all(c.passed for c in self.checks if c.claimed)
 
-    def by_name(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Random generators
@@ -130,27 +139,36 @@ def _rand_scaled(rng: random.Random) -> int:
         return 0
     if roll < 0.3:
         return _SCALE
-    den = rng.choice(_DENOMS)
-    return rng.randint(0, den) * (_SCALE // den)
+    return rng.choice(rng.choice(_SCALED))
 
 
 def rand_unit(rng: random.Random) -> Fraction:
-    return unit_over(_rand_scaled(rng), _SCALE)
+    return _UNITS[_rand_scaled(rng)]
 
 
-def rand_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
-    size = rng.randint(1, max_size)
+@lru_cache(maxsize=256)
+def _carrier(prefix: str, size: int) -> Carrier:
+    """The carrier prefix0, ..., prefix{size-1}, shared by every draw of it."""
     return Carrier(tuple(f"{prefix}{i}" for i in range(size)))
 
 
+def rand_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
+    return _carrier(prefix, rng.randrange(1, max_size + 1))
+
+
+def _rand_scaled_rows(rng: random.Random, source: Carrier, target: Carrier) -> list:
+    """A random relation's entries, as numerators over _SCALE."""
+    return [[_rand_scaled(rng) for _ in target.elements] for _ in source.elements]
+
+
+def _rel_over_scale(source: Carrier, target: Carrier, rows) -> FuzzyRel:
+    """The relation whose entries are rows' numerators over _SCALE."""
+    units = _UNITS.__getitem__
+    return FuzzyRel._of_units(source, target, tuple(tuple(map(units, row)) for row in rows))
+
+
 def rand_rel(rng: random.Random, source: Carrier, target: Carrier) -> FuzzyRel:
-    return FuzzyRel(
-        source,
-        target,
-        tuple(
-            tuple(rand_unit(rng) for _ in target.elements) for _ in source.elements
-        ),
-    )
+    return _rel_over_scale(source, target, _rand_scaled_rows(rng, source, target))
 
 
 def rand_function(rng: random.Random, source: Carrier, target: Carrier) -> dict:
@@ -169,7 +187,7 @@ def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> Fu
     d[i][j] is at most _SCALE.
     """
     n = len(carrier)
-    d = [[_rand_scaled(rng) for _ in range(n)] for _ in range(n)]
+    d = _rand_scaled_rows(rng, carrier, carrier)
     for i in range(n):
         d[i][i] = 0
     if symmetric:
@@ -183,8 +201,7 @@ def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> Fu
                 via = to_k + row_k[j]
                 if via < row[j]:
                     row[j] = via
-    rows = tuple(tuple(unit_over(x, _SCALE) for x in row) for row in d)
-    return FuzzyRel(carrier, carrier, rows)
+    return _rel_over_scale(carrier, carrier, d)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +261,21 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     slack = lifting.approximation_slack()
     converse_claimed = lifting.claims_converse(functor)
 
+    # One fresh view per lift.  Reusing one view per relation per trial was
+    # measured slower (median per-call ratio 1.04 on the axioms calls of all
+    # three benchmark workloads): a view scales the whole relation on its
+    # second block read, where each lift reads one small block.
     def value(rel, t1, t2):
         return lift_value(lifting, functor, rel.view(), t1, t2)
 
-    def le(x, y):
-        return x <= y + slack
+    if slack:
+        def le(x, y):
+            return x <= y + slack
 
-    def eq(x, y):
-        return abs(x - y) <= 2 * slack if slack else x == y
+        def eq(x, y):
+            return abs(x - y) <= 2 * slack
+    else:
+        le, eq = operator.le, operator.eq
 
     def carriers(rng, prefixes):  # one carrier per prefix letter, in draw order
         return [rand_carrier(rng, p, cfg.max_size) for p in prefixes]
@@ -264,10 +288,11 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
 
     def draw_l1(rng):
         a, b = carriers(rng, "ab")
-        larger = rand_rel(rng, a, b)
-        smaller = larger.map_entries(lambda v: sat_sub(v, rand_unit(rng)))
+        larger = _rand_scaled_rows(rng, a, b)
+        smaller = [[max(x - _rand_scaled(rng), 0) for x in row] for row in larger]
         t1, t2 = elements(rng, a, b)
-        return dict(smaller=smaller, larger=larger, t1=t1, t2=t2)
+        return dict(smaller=_rel_over_scale(a, b, smaller),
+                    larger=_rel_over_scale(a, b, larger), t1=t1, t2=t2)
 
     def test_l1(smaller, larger, t1, t2):
         # a shrink step may push an entry of smaller above larger, voiding the premise
@@ -303,8 +328,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
 
     def draw_l4(rng):
         a = rand_carrier(rng, "a", cfg.max_size)
-        den = rng.choice(_DENOMS[1:])
-        eps = Fraction(rng.randint(1, den), den)
+        eps = rng.choice(rng.choice(_EPSILONS))
         return dict(a=a, eps=eps, t=rand_element(rng, functor, a))
 
     def test_l4(a, eps, t):

@@ -157,6 +157,11 @@ class FuzzyRel:
     values[i][j] relates source.elements[i] to target.elements[j].  Every
     entry is stored as the Fraction `as_unit` returns for it; a row whose
     entries all are Fractions already is kept as given.
+
+    Builders whose rows are unit Fractions of the right shape by
+    construction skip that check (see `_of_units`): `compose`, `converse`,
+    `graph` and `diagonal` here, and the law suite's random relations.
+    Every other `FuzzyRel(...)` is checked entry by entry.
     """
 
     source: Carrier
@@ -178,6 +183,16 @@ class FuzzyRel:
                     break
         if rows is not None:
             object.__setattr__(self, "values", tuple(rows))
+
+    @classmethod
+    def _of_units(cls, source: Carrier, target: Carrier, values: tuple) -> "FuzzyRel":
+        """A relation on rows that are unit Fractions, len(source) rows of
+        len(target) each, by construction: stored as given, with no check."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "source", source)
+        object.__setattr__(rel, "target", target)
+        object.__setattr__(rel, "values", values)
+        return rel
 
     @staticmethod
     def from_function(source: Carrier, target: Carrier, fn: Callable) -> "FuzzyRel":
@@ -207,12 +222,6 @@ class FuzzyRel:
         return all(
             x <= y for row_x, row_y in zip(self.values, other.values)
             for x, y in zip(row_x, row_y)
-        )
-
-    def map_entries(self, fn: Callable[[Fraction], Fraction]) -> "FuzzyRel":
-        return FuzzyRel(
-            self.source, self.target,
-            tuple(tuple(fn(v) for v in row) for row in self.values),
         )
 
 
@@ -316,7 +325,7 @@ def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
         )
         for row in left
     )
-    return FuzzyRel(r.source, s.target, rows)
+    return FuzzyRel._of_units(r.source, s.target, rows)
 
 
 def converse(r: FuzzyRel) -> FuzzyRel:
@@ -324,7 +333,7 @@ def converse(r: FuzzyRel) -> FuzzyRel:
         tuple(r.values[i][j] for i in range(len(r.source)))
         for j in range(len(r.target))
     )
-    return FuzzyRel(r.target, r.source, rows)
+    return FuzzyRel._of_units(r.target, r.source, rows)
 
 
 def graph(fn: Mapping, source: Carrier, target: Carrier, eps=ZERO) -> FuzzyRel:
@@ -338,7 +347,7 @@ def graph(fn: Mapping, source: Carrier, target: Carrier, eps=ZERO) -> FuzzyRel:
         if fa not in target:
             raise StructureError(f"function maps {a!r} outside the target carrier")
         rows.append(tuple(e if fa == b else ONE for b in target.elements))
-    return FuzzyRel(source, target, tuple(rows))
+    return FuzzyRel._of_units(source, target, tuple(rows))
 
 
 def diagonal(carrier: Carrier, eps=ZERO) -> FuzzyRel:
@@ -401,12 +410,3 @@ def companion(r: FuzzyRel, f: PredTable) -> dict:
             for i, a in enumerate(r.source.elements)
         )
     return out
-
-
-def is_nonexpansive_pair(r: FuzzyRel, f: PredTable, g: PredTable) -> bool:
-    """f(a) - g(b) <= r(a,b) for all a, b."""
-    return all(
-        f[a] - g[b] <= r.values[i][j]
-        for i, a in enumerate(r.source.elements)
-        for j, b in enumerate(r.target.elements)
-    )

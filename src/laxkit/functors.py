@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional
@@ -406,7 +406,13 @@ class Id(FunctorSpec):
         return [("error", path or "<root>", f"state {el.value!r} is not in the carrier")]
 
     def random_element(self, rng, carrier):
-        return IdEl(rng.choice(carrier.elements))
+        return rng.choice(_id_elements(carrier))
+
+
+@lru_cache(maxsize=256)
+def _id_elements(carrier: Carrier) -> tuple:
+    """One IdEl per carrier element, shared by the draws over that carrier."""
+    return tuple(map(IdEl, carrier.elements))
 
 
 @dataclass(frozen=True)
@@ -505,7 +511,7 @@ class PFin(FunctorSpec):
         return out
 
     def random_element(self, rng, carrier):
-        size = rng.randint(0, min(3, len(carrier)))
+        size = rng.randrange(min(3, len(carrier)) + 1)
         return fset(self.sub.random_element(rng, carrier) for _ in range(size))
 
     def _modalities(self):
@@ -517,6 +523,12 @@ class PFin(FunctorSpec):
                              lambda el, args: pick(args[0][m.value] for m in el.members))
 
         return dia_box(over_members("dia", sup), over_members("box", inf))
+
+
+@cache
+def _share(weight: int, total: int) -> Fraction:
+    """weight / total, built once per pair: DFin's draws repeat few pairs."""
+    return Fraction(weight, total)
 
 
 @dataclass(frozen=True)
@@ -566,11 +578,11 @@ class DFin(FunctorSpec):
         return out
 
     def random_element(self, rng, carrier):
-        size = rng.randint(1, min(3, len(carrier)))
+        size = rng.randrange(1, min(3, len(carrier)) + 1)
         members = [self.sub.random_element(rng, carrier) for _ in range(size)]
-        weights = [rng.randint(1, 6) for _ in members]
+        weights = [rng.randrange(1, 7) for _ in members]
         total = sum(weights)
-        return fdist((m, Fraction(w, total)) for m, w in zip(members, weights))
+        return fdist((m, _share(w, total)) for m, w in zip(members, weights))
 
     def _modalities(self):
         if not isinstance(self.sub, Id):

@@ -18,6 +18,11 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def named_check(report, name):
+    """The CheckResult of an AxiomReport's law called name."""
+    return {c.name: c for c in report.checks}[name]
+
+
 def number_const(values):
     labels = lk.Carrier(tuple(values))
     nums = {v: F(v) for v in values}
@@ -35,6 +40,15 @@ H_LEFT = lk.Hausdorff("left", lk.IdLift())
 KANT = lk.KantorovichD(lk.IdLift())
 
 LABELLED_SET, LABELLED_DIST = lk.Pair(LABELS, SET), lk.Pair(LABELS, DIST)
+
+# One functor per element shape: sets, distributions, optional values and
+# labelled pairs; together their random elements reach every draw.
+ZOO = [
+    lk.PFin(lk.Id()),
+    lk.DFin(lk.Id()),
+    lk.Maybe(lk.DFin(lk.Id())),
+    lk.Pair(number_const(("0", "1/2")), lk.PFin(lk.Id())),
+]
 
 
 def labelled(lifting):

@@ -20,14 +20,16 @@ their integers; and the distribution factory summing Fractions, which
 laxkit.functors.fdist must match on its integers; and the weighted pair
 sum and the hemimetric and pseudometric checks on Fractions, which
 laxkit.liftings.PairSum and laxkit.core.is_hemimetric and is_pseudometric
-must match on their integers.
+must match on their integers.  Also the law suite's random draws on
+randint, building a Fraction and a Carrier per draw, which laxkit.axioms'
+and the functors' table draws must match value for value and rng state
+for rng state; and the nonexpansive-pair check of a companion.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from laxkit.axioms import rand_unit
 from laxkit.core import (
     Carrier,
     FuzzyRel,
@@ -52,7 +54,24 @@ from laxkit.distance import (
     SlackRow,
     check_setup,
 )
-from laxkit.functors import DistEl, FunctorElement, FunctorSpec
+from laxkit.functors import (
+    Const,
+    ConstEl,
+    DFin,
+    DistEl,
+    FunctorElement,
+    FunctorSpec,
+    Id,
+    IdEl,
+    Maybe,
+    NOTHING,
+    PFin,
+    Pair,
+    PairEl,
+    fdist,
+    fset,
+    just,
+)
 from laxkit.liftings import (
     Hausdorff,
     LiftingSpec,
@@ -514,11 +533,62 @@ def fraction_compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
     return FuzzyRel(r.source, s.target, rows)
 
 
+_DRAW_DENOMS = (1, 2, 3, 4, 5, 6, 8, 10)
+
+
+def randint_unit(rng: random.Random) -> Fraction:
+    """A random unit value: 0 or 1 with probability 0.15 each, else k/den
+    for a den drawn from _DRAW_DENOMS and k drawn from 0..den."""
+    roll = rng.random()
+    if roll < 0.15:
+        return ZERO
+    if roll < 0.3:
+        return ONE
+    den = rng.choice(_DRAW_DENOMS)
+    return Fraction(rng.randint(0, den), den)
+
+
+def randint_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
+    size = rng.randint(1, max_size)
+    return Carrier(tuple(f"{prefix}{i}" for i in range(size)))
+
+
+def randint_rel(rng: random.Random, source: Carrier, target: Carrier) -> FuzzyRel:
+    return FuzzyRel(source, target, tuple(
+        tuple(randint_unit(rng) for _ in target.elements) for _ in source.elements))
+
+
+def randint_element(rng: random.Random, functor: FunctorSpec, carrier: Carrier):
+    """A random element of functor over carrier, one grammar node at a time."""
+    if isinstance(functor, Id):
+        return IdEl(rng.choice(carrier.elements))
+    if isinstance(functor, Const):
+        return ConstEl(rng.choice(functor.labels.elements))
+    if isinstance(functor, PFin):
+        size = rng.randint(0, min(3, len(carrier)))
+        return fset(randint_element(rng, functor.sub, carrier) for _ in range(size))
+    if isinstance(functor, DFin):
+        size = rng.randint(1, min(3, len(carrier)))
+        members = [randint_element(rng, functor.sub, carrier) for _ in range(size)]
+        weights = [rng.randint(1, 6) for _ in members]
+        total = sum(weights)
+        return fdist((m, Fraction(w, total)) for m, w in zip(members, weights))
+    if isinstance(functor, Pair):
+        return PairEl(randint_element(rng, functor.left, carrier),
+                      randint_element(rng, functor.right, carrier))
+    if isinstance(functor, Maybe):
+        if rng.random() < 0.25:
+            return NOTHING
+        return just(randint_element(rng, functor.sub, carrier))
+    raise TypeError(f"no draw for {functor!r}")
+
+
 def fraction_rand_hemimetric(rng: random.Random, carrier: Carrier,
                              symmetric: bool) -> FuzzyRel:
-    """rand_hemimetric's draws, symmetrized and closed with Fraction sat_add."""
+    """rand_hemimetric's draws (randint_unit), symmetrized and closed with
+    Fraction sat_add."""
     n = len(carrier)
-    d = [[rand_unit(rng) for _ in range(n)] for _ in range(n)]
+    d = [[randint_unit(rng) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         d[i][i] = ZERO
     if symmetric:
@@ -564,3 +634,12 @@ def fraction_is_hemimetric(d: FuzzyRel) -> bool:
 def fraction_is_pseudometric(d: FuzzyRel) -> bool:
     """fraction_is_hemimetric and equal to its converse."""
     return fraction_is_hemimetric(d) and converse(d) == d
+
+
+def is_nonexpansive_pair(r: FuzzyRel, f, g) -> bool:
+    """f(a) - g(b) <= r(a,b) for all a, b."""
+    return all(
+        f[a] - g[b] <= r.values[i][j]
+        for i, a in enumerate(r.source.elements)
+        for j, b in enumerate(r.target.elements)
+    )

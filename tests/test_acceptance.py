@@ -37,7 +37,7 @@ from tests.oracles import (
     min_sup_over_set_couplings,
     transport_value_by_vertex_enumeration,
 )
-from tests.conftest import fixture_path, number_const
+from tests.conftest import fixture_path, named_check, number_const
 from tests.test_logic import plain_ts, random_formula
 
 SET_FUNCTOR = lk.PFin(lk.Id())
@@ -148,11 +148,11 @@ def test_criterion_3_axiom_suites(capsys):
         for name, lifting, functor, expect_l0 in suites:
             report = check_axioms(lifting, functor, cfg)
             for check in ("L1", "L2", "L3", "L4", "naturality", "hemimetric"):
-                assert report.by_name(check).passed, (name, check)
+                assert named_check(report, check).passed, (name, check)
             if expect_l0:
-                assert report.by_name("L0").passed, name
+                assert named_check(report, "L0").passed, name
         left_report = check_axioms(H_LEFT, SET_FUNCTOR, cfg)
-        cex = left_report.by_name("L0").counterexample
+        cex = named_check(left_report, "L0").counterexample
         assert cex is not None and cex.data
         elapsed = time.monotonic() - started
         assert elapsed <= 60, f"took {elapsed:.1f}s"

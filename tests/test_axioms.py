@@ -4,11 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 import laxkit as lk
-from laxkit import AxiomConfig, axioms, check_axioms
-from laxkit.axioms import rand_hemimetric
+from laxkit import AxiomConfig, axioms, check_axioms, core, liftings, logic, moss
+from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel, rand_unit
 
-from tests.conftest import number_const
-from tests.oracles import fraction_rand_hemimetric
+from tests.conftest import ZOO, named_check, number_const
+from tests.oracles import (
+    fraction_rand_hemimetric,
+    randint_carrier,
+    randint_element,
+    randint_rel,
+    randint_unit,
+)
 
 FAST = AxiomConfig(trials=120, max_size=4, seed=11)
 
@@ -21,7 +27,7 @@ def test_hausdorff_sym_passes_everything():
     report = check_axioms(lk.Hausdorff("sym", lk.IdLift()), lk.PFin(lk.Id()), FAST)
     assert report.ok
     assert all(names(report).values())
-    assert report.by_name("L0").claimed
+    assert named_check(report, "L0").claimed
 
 
 def test_hausdorff_left_fails_only_converse():
@@ -33,7 +39,7 @@ def test_hausdorff_left_fails_only_converse():
         "L1": True, "L2": True, "L3": True, "L4": True,
         "naturality": True, "hemimetric": True, "L0": False,
     }
-    cex = report.by_name("L0").counterexample
+    cex = named_check(report, "L0").counterexample
     assert cex.check == "L0"
     assert "r" in cex.data and "t1" in cex.data
 
@@ -86,8 +92,8 @@ def test_reports_are_reproducible():
     lifting = lk.Hausdorff("left", lk.IdLift())
     first = check_axioms(lifting, lk.PFin(lk.Id()), cfg)
     second = check_axioms(lifting, lk.PFin(lk.Id()), cfg)
-    a = first.by_name("L0").counterexample
-    b = second.by_name("L0").counterexample
+    a = named_check(first, "L0").counterexample
+    b = named_check(second, "L0").counterexample
     assert (a.trial, a.data) == (b.trial, b.data)
 
 
@@ -130,6 +136,88 @@ def test_law_suite_builds_few_fractions(lifting, functor, bound, monkeypatch):
     check_axioms(lifting, functor, AxiomConfig(trials=25, max_size=5, seed=0))
     monkeypatch.undo()
     assert len(built) <= 0.6 * bound
+
+
+@pytest.mark.parametrize("functor", ZOO, ids=["pfin", "dfin", "maybe-dfin", "labelled-pfin"])
+def test_table_draws_match_the_randint_oracle(functor):
+    """Every draw from the tables equals the randint oracle's draw and leaves
+    the rng in the same state, so the law suite's stream is the randint one."""
+    for seed in range(250):
+        rng, oracle = random.Random(seed), random.Random(seed)
+
+        def same(got, want):
+            assert got == want, seed
+            assert rng.getstate() == oracle.getstate(), seed
+            return got
+
+        a = same(rand_carrier(rng, "a", 5), randint_carrier(oracle, "a", 5))
+        b = same(rand_carrier(rng, "b", 3), randint_carrier(oracle, "b", 3))
+        same(rand_unit(rng), randint_unit(oracle))
+        same(rand_rel(rng, a, b), randint_rel(oracle, a, b))
+        symmetric = seed % 2 == 0
+        same(rand_hemimetric(rng, a, symmetric), fraction_rand_hemimetric(oracle, a, symmetric))
+        for carrier in (a, b, a):
+            same(rand_element(rng, functor, carrier), randint_element(oracle, functor, carrier))
+
+
+SHIPPED_SUITES = [
+    (lk.Hausdorff("sym", lk.IdLift()), lk.PFin(lk.Id())),
+    (lk.Hausdorff("left", lk.IdLift()), lk.PFin(lk.Id())),
+    (lk.KantorovichD(lk.IdLift()), lk.DFin(lk.Id())),
+    (lk.MaybeLift(lk.WassersteinD(lk.IdLift())), lk.Maybe(lk.DFin(lk.Id()))),
+    (lk.Hausdorff("left", lk.PairSum(F(1), F(1, 2), lk.ConstLift(), lk.IdLift())),
+     lk.PFin(lk.Pair(number_const(("0", "1/4")), lk.Id()))),
+]
+
+
+def test_unchecked_relations_of_a_law_suite_pass_the_check(monkeypatch):
+    """Each relation a law suite builds without FuzzyRel's entry check (its
+    draws, compose, converse, graph and diagonal) holds Fractions in [0, 1]
+    and is what the checked constructor builds from the same rows."""
+    real = lk.FuzzyRel._of_units.__func__
+    built = []
+
+    def checked(cls, source, target, values):
+        rel = real(cls, source, target, values)
+        assert all(type(x) is F for row in values for x in row)
+        assert lk.FuzzyRel(source, target, values) == rel
+        built.append(rel)
+        return rel
+
+    monkeypatch.setattr(lk.FuzzyRel, "_of_units", classmethod(checked))
+    for lifting, functor in SHIPPED_SUITES:
+        check_axioms(lifting, functor, AxiomConfig(trials=20, max_size=4, seed=2))
+    assert len(built) > 1000
+
+
+@pytest.mark.parametrize("lifting, functor, fractions", [
+    (lk.Hausdorff("sym", lk.IdLift()), lk.PFin(lk.Id()), 212),
+    (lk.KantorovichD(lk.IdLift()), lk.DFin(lk.Id()), 698),
+], ids=["hausdorff-sym", "kantorovich"])
+def test_law_suite_draws_build_and_check_no_fractions(lifting, functor, fractions,
+                                                      monkeypatch):
+    """With the draws indexing tables, one law-suite run builds at most 212
+    (hausdorff-sym) and 698 (kantorovich) Fractions, where a Fraction built
+    per draw made 1263 and 2312, and runs at most 280 unit checks, where
+    re-checking every drawn relation made 3189."""
+    real_new, real_as_unit = F.__new__, core.as_unit
+    built, checks = [], []
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return real_new(cls, *args, **kwargs)
+
+    def counted_as_unit(value):
+        checks.append(None)
+        return real_as_unit(value)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    for module in (core, liftings, logic, moss):
+        monkeypatch.setattr(module, "as_unit", counted_as_unit)
+    check_axioms(lifting, functor, AxiomConfig(trials=25, max_size=5, seed=0))
+    monkeypatch.undo()
+    assert len(built) <= fractions
+    assert len(checks) <= 280
 
 
 # Lawless liftings, test-only (no JSON kind, so none registers in
@@ -183,7 +271,7 @@ def reported_set(text):
 def test_l1_report_is_a_monotonicity_counterexample_after_shrinking(seed):
     lifting, functor = SpikeAtZero(), lk.Id()
     cfg = AxiomConfig(trials=120, max_size=4, seed=seed)
-    cex = check_axioms(lifting, functor, cfg).by_name("L1").counterexample
+    cex = named_check(check_axioms(lifting, functor, cfg), "L1").counterexample
     assert cex is not None and cex.description == "smaller relation lifted to a larger value"
     smaller = reported_rel(cex.data["smaller"], "a", "b")
     larger = reported_rel(cex.data["larger"], "a", "b")
@@ -230,7 +318,7 @@ def test_shrinker_keeps_zeroed_entries_at_zero(monkeypatch):
 
 def test_l2_report_is_recomputed_at_the_shrunk_relation():
     lifting, functor = Squared(), lk.Id()
-    cex = check_axioms(lifting, functor, FAST).by_name("L2").counterexample
+    cex = named_check(check_axioms(lifting, functor, FAST), "L2").counterexample
     assert cex is not None and cex.description == (
         "composite relation lifted above the composed bound")
     r = reported_rel(cex.data["r"], "a", "b")
@@ -248,7 +336,7 @@ def test_l2_report_is_recomputed_at_the_shrunk_relation():
 def test_l4_reports_the_value_at_the_shrunk_element():
     lifting, functor = CountMembers(), lk.PFin(lk.Id())
     cfg = AxiomConfig(trials=200, max_size=5, seed=11)
-    cex = check_axioms(lifting, functor, cfg).by_name("L4").counterexample
+    cex = named_check(check_axioms(lifting, functor, cfg), "L4").counterexample
     assert cex is not None and cex.description == "epsilon-diagonal lifted above epsilon"
     eps, t = F(cex.data["eps"]), reported_set(cex.data["t"])
     carrier = lk.Carrier(tuple(m.value for m in t.members))

@@ -15,13 +15,18 @@ from laxkit import (
     diagonal,
     graph,
     is_hemimetric,
-    is_nonexpansive_pair,
     is_pseudometric,
     sup_distance,
 )
+from laxkit.axioms import rand_hemimetric, rand_rel
 from laxkit.core import as_unit, parse_unit, sat_add, sat_sub
 
-from tests.oracles import fraction_compose, fraction_is_hemimetric, fraction_is_pseudometric
+from tests.oracles import (
+    fraction_compose,
+    fraction_is_hemimetric,
+    fraction_is_pseudometric,
+    is_nonexpansive_pair,
+)
 
 
 @st.composite
@@ -166,6 +171,45 @@ def test_relation_entries_are_stored_as_checked_fractions():
     # rows that hold Fractions only are kept as given
     rows = ((F(1, 2), F(1)), (F(0), F(1, 3)))
     assert FuzzyRel(c, c, rows).values is rows
+
+
+def test_public_constructor_checks_shapes_and_entries():
+    """FuzzyRel(...) checks every caller's rows; only builders whose rows are
+    unit Fractions by construction skip the check."""
+    a, b = Carrier.of("x", "y"), Carrier.of("u")
+    coerced = FuzzyRel(a, b, ((0,), (1,)))
+    assert coerced.values == ((F(0),), (F(1),))
+    assert all(type(x) is F for row in coerced.values for x in row)
+    for bad, text in ((F(3, 2), "value 3/2 outside the unit interval"),
+                      (F(-1, 2), "value -1/2 outside the unit interval")):
+        with pytest.raises(StructureError) as exc:
+            FuzzyRel(a, b, ((F(0),), (bad,)))
+        assert str(exc.value) == text
+    with pytest.raises(StructureError) as exc:
+        FuzzyRel(a, b, ((F(0),),))
+    assert str(exc.value) == "row count does not match source carrier"
+    with pytest.raises(StructureError) as exc:
+        FuzzyRel(a, b, ((F(0),), (F(0), F(1))))
+    assert str(exc.value) == "column count does not match target carrier"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_unchecked_builders_yield_what_the_check_admits(data, seed):
+    """compose, converse, graph, diagonal and the law suite's draws skip the
+    entry check: each yields Fractions in [0, 1] on rows of the carriers'
+    shape, so the checked constructor rebuilds it unchanged."""
+    a, c = data.draw(carrier("a", min_size=0)), data.draw(carrier("c", min_size=0))
+    b = data.draw(carrier("b"))
+    r, s = data.draw(rel_any_denominators(a, b)), data.draw(rel_any_denominators(b, c))
+    f = data.draw(function_between(a, b))
+    eps = data.draw(st.one_of(unit_fraction(), st.sampled_from([0, 1])))
+    rng = random.Random(seed)
+    for built in (compose(r, s), converse(r), graph(f, a, b, eps), diagonal(a, eps),
+                  rand_rel(rng, a, b), rand_hemimetric(rng, a, True),
+                  rand_hemimetric(rng, b, False)):
+        assert all(type(x) is F and 0 <= x <= 1 for row in built.values for x in row)
+        assert FuzzyRel(built.source, built.target, built.values) == built
 
 
 def test_compose_carrier_mismatch():

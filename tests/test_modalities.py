@@ -12,14 +12,8 @@ from laxkit.modalities import (
     resolve_modality,
     standard_modalities,
 )
-from tests.conftest import H_SYM, KANT, number_const
+from tests.conftest import H_SYM, KANT, ZOO
 
-ZOO = [
-    lk.PFin(lk.Id()),
-    lk.DFin(lk.Id()),
-    lk.Maybe(lk.DFin(lk.Id())),
-    lk.Pair(number_const(("0", "1/2")), lk.PFin(lk.Id())),
-]
 # one lifting per ZOO functor, in order, for the Moss modalities
 ZOO_LIFTINGS = [
     H_SYM,
