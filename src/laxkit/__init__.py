@@ -25,7 +25,6 @@ from .core import (
     is_pseudometric,
     sat_add,
     sat_sub,
-    sup_distance,
 )
 from .functors import (
     Const,
@@ -66,7 +65,7 @@ from .liftings import (
     lift_value,
     require_match,
 )
-from .modalities import PredicateLifting, standard_modalities
+from .modalities import PredicateLifting
 from .axioms import AxiomConfig, AxiomReport, check_axioms
 from .distance import (
     Certificate,
@@ -75,7 +74,6 @@ from .distance import (
     behavioural_distance,
     check_certificate,
     distance_chain,
-    least_certificate_gap,
 )
 from .logic import (
     And,

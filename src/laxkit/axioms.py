@@ -75,6 +75,11 @@ _SCALED = tuple(tuple(range(0, _SCALE + 1, _SCALE // den)) for den in _DENOMS)
 # per denominator in _DENOMS[1:], L4's epsilons 1/den..den/den
 _EPSILONS = tuple(tuple(_UNITS[k] for k in scaled[1:]) for scaled in _SCALED[1:])
 
+# The largest carrier a trial may draw.  A law's lifts grow steeply with
+# the carriers: at the default 500 trials the hausdorff_left fixture's suite
+# took 1.0 s at 16 and 14.1 s at 64 (2-CPU Intel Xeon, Python 3.11.7).
+MAX_SIZE = 64
+
 
 @dataclass(frozen=True)
 class AxiomConfig:
@@ -87,6 +92,8 @@ class AxiomConfig:
             raise StructureError(f"trials must be at least 1, got {self.trials}")
         if self.max_size < 1:
             raise StructureError(f"max_size must be at least 1, got {self.max_size}")
+        if self.max_size > MAX_SIZE:
+            raise StructureError(f"max_size must be at most {MAX_SIZE}, got {self.max_size}")
 
 
 @dataclass(frozen=True)
@@ -173,10 +180,6 @@ def rand_rel(rng: random.Random, source: Carrier, target: Carrier) -> FuzzyRel:
 
 def rand_function(rng: random.Random, source: Carrier, target: Carrier) -> dict:
     return {a: rng.choice(target.elements) for a in source.elements}
-
-
-def rand_element(rng: random.Random, functor: FunctorSpec, carrier: Carrier):
-    return functor.random_element(rng, carrier)
 
 
 def rand_hemimetric(rng: random.Random, carrier: Carrier, symmetric: bool) -> FuzzyRel:
@@ -281,7 +284,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
         return [rand_carrier(rng, p, cfg.max_size) for p in prefixes]
 
     def elements(rng, *over):
-        return [rand_element(rng, functor, c) for c in over]
+        return [functor.random_element(rng, c) for c in over]
 
     # Each law is a draw, building a trial's case from its rng, and a test
     # of the case's fields: None where the law holds, else (description, data).
@@ -316,7 +319,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     def draw_l3(rng):
         a, b = carriers(rng, "ab")
         f = rand_function(rng, a, b)
-        return dict(a=a, b=b, f=f, t1=rand_element(rng, functor, a))
+        return dict(a=a, b=b, f=f, t1=functor.random_element(rng, a))
 
     def test_l3(a, b, f, t1):
         mapped = t1.map(lambda x: f[x])
@@ -329,7 +332,7 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     def draw_l4(rng):
         a = rand_carrier(rng, "a", cfg.max_size)
         eps = rng.choice(rng.choice(_EPSILONS))
-        return dict(a=a, eps=eps, t=rand_element(rng, functor, a))
+        return dict(a=a, eps=eps, t=functor.random_element(rng, a))
 
     def test_l4(a, eps, t):
         got = value(diagonal(a, eps), t, t)

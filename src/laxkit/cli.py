@@ -318,8 +318,9 @@ def cmd_synth(args) -> int:
     else:
         sys_a, sys_b = _load_two_systems(digests, args.system)
         system, _, inj2 = disjoint_union(sys_a, sys_b)
-        if args.target in inj2 and inj2[args.target] != args.target:
-            args.target = inj2[args.target]
+        if args.target not in inj2:
+            raise StructureError(f"state {args.target!r} is not in the second system")
+        args.target = inj2[args.target]
     lifting = _load_lifting(digests, args.lifting, system.functor)
     formula = synthesize(system, args.target, args.rank)
     encoded = encode_formula(formula, system.functor)

@@ -212,13 +212,14 @@ class FuzzyRel:
 
     def view(self) -> "RelView":
         """This relation as lifts read it, by element ids, with no warm starts."""
-        return RelView(self.source, self.target, _RowsById(self), {}, _RowsById.scaled)
+        return RelView(self.source, _RowsById(self), {}, _RowsById.scaled)
 
     def is_square(self) -> bool:
         return self.source == self.target
 
     def entrywise_le(self, other: "FuzzyRel") -> bool:
-        _require_same_carriers(self, other)
+        if self.source != other.source or self.target != other.target:
+            raise StructureError("relations live between different carriers")
         return all(
             x <= y for row_x, row_y in zip(self.values, other.values)
             for x, y in zip(row_x, row_y)
@@ -275,10 +276,12 @@ class RelView:
     second block read, the first being scaled on its own, so a view that a
     single lift reads, as a law trial's, never pays for the whole relation.
     Until then `scaled` is None, or False once the first block was read.
+
+    `source` is the sized sequence of left ids its maker holds; no lift
+    reads it, only the benchmark tracer (perfbench/spans.py) its length.
     """
 
-    source: Carrier
-    target: Carrier
+    source: object
     values: object
     transport_starts: dict
     scale: Callable = scaled_entries
@@ -300,11 +303,6 @@ class RelView:
             scaled = self.scaled = self.scale(self.values)
         den, ints = scaled
         return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
-
-
-def _require_same_carriers(r: FuzzyRel, s: FuzzyRel) -> None:
-    if r.source != s.source or r.target != s.target:
-        raise StructureError("relations live between different carriers")
 
 
 def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
@@ -383,16 +381,6 @@ def is_pseudometric(d: FuzzyRel) -> bool:
     """A symmetric hemimetric."""
     ints = _hemimetric_ints(d)
     return ints is not None and list(map(list, zip(*ints))) == ints
-
-
-def sup_distance(r: FuzzyRel, s: FuzzyRel) -> Fraction:
-    """Largest entrywise absolute difference (exact)."""
-    _require_same_carriers(r, s)
-    return sup(
-        abs(x - y)
-        for row_x, row_y in zip(r.values, s.values)
-        for x, y in zip(row_x, row_y)
-    )
 
 
 PredTable = Mapping[Hashable, Fraction]

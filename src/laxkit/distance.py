@@ -65,8 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .core import (Carrier, FuzzyRel, ONE, RelView, StructureError, ZERO, converse,
-                   sup_distance, unit_over)
+from .core import Carrier, FuzzyRel, ONE, RelView, StructureError, ZERO, converse, unit_over
 from .functors import base
 from .liftings import LiftingSpec, lift_value, require_match
 from .systems import Coalgebra
@@ -88,20 +87,12 @@ class SlackRow:
     claimed: Fraction
     lifted: Fraction
 
-    @property
-    def slack(self) -> Fraction:
-        return self.claimed - self.lifted
-
 
 @dataclass(frozen=True)
 class CertificateVerdict:
     ok: bool
     forward: tuple  # SlackRow per non-vacuous pair
     backward: tuple | None  # converse direction, for bisimulation certificates
-
-    def violations(self) -> list:
-        rows = list(self.forward) + list(self.backward or ())
-        return [r for r in rows if r.claimed < r.lifted]
 
 
 @dataclass(frozen=True)
@@ -166,7 +157,7 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     starts = {}  # transport warm starts, kept across the steps
     while True:
         # its integer rows are built once, on the step's second block read
-        view = RelView(sys_a.carrier, sys_b.carrier, rows, starts)
+        view = RelView(sys_a.carrier, rows, starts)
         nxt = dict(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den
@@ -315,18 +306,3 @@ def _transposed(forward: tuple, target: Carrier) -> tuple:
         a, b = row.pair
         columns[b].append(SlackRow((b, a), row.claimed, row.lifted))
     return tuple(row for column in columns.values() for row in column)
-
-
-def least_certificate_gap(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
-                          cert: Certificate, tol: Fraction = ZERO,
-                          max_iter: int = 100) -> Fraction:
-    """Sup-norm between a valid certificate and the computed distance matrix.
-
-    Valid certificates bound the distance from above pointwise, so the gap
-    is nonnegative; it measures how much slack the certificate wastes.
-    """
-    verdict = check_certificate(lifting, sys_a, sys_b, cert)
-    if not verdict.ok:
-        raise StructureError("certificate does not hold; gap is undefined")
-    result = behavioural_distance(lifting, sys_a, sys_b, tol=tol, max_iter=max_iter)
-    return sup_distance(cert.relation, result.matrix)

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Carrier, LaxkitError, ONE, RelView, StructureError, as_unit, format_unit
+from .core import LaxkitError, ONE, RelView, StructureError, as_unit, format_unit
 from .core import sat_add, sat_sub
 from .functors import Canonical, FunctorElement, FunctorSpec, GrammarNode, base, canonical_key
 from .liftings import LiftingSpec, lift_value
@@ -239,7 +239,7 @@ class Modal(Formula):
         return self.name + "(" + ", ".join(a.text() for a in self.args) + ")"
 
 
-def membership(states: Carrier, leaves: Carrier, tables, flip: bool = False) -> RelView:
+def membership(states: tuple, leaves: tuple, tables, flip: bool = False) -> RelView:
     """The membership view E(x, y) = f_y(x), or 1 - f_y(x) when flip holds,
     at every state x, of one predicate table f_y per leaf y, in order: a
     Moss modality lifts it between an element over the states and one over
@@ -247,7 +247,7 @@ def membership(states: Carrier, leaves: Carrier, tables, flip: bool = False) -> 
     second block of it is read."""
     pairs = tuple(zip(leaves, tables))
     rows = {x: {y: (ONE - f[x]) if flip else f[x] for y, f in pairs} for x in states}
-    return RelView(states, leaves, rows, {})
+    return RelView(states, rows, {})
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,8 @@ class _Structural(Formula):
         if ev.lifting is None:
             raise StructureError("evaluating a structural modality needs a lifting")
         system, flip = ev.system, self.flip
-        formulas = Carrier(base(self.element))
-        view = membership(system.carrier, formulas, [ev.table(g) for g in formulas], flip)
+        formulas = base(self.element)
+        view = membership(ev.states, formulas, [ev.table(g) for g in formulas], flip)
         out = {}
         for x, step in system.alpha:
             value = lift_value(ev.lifting, system.functor, view, step, self.element)

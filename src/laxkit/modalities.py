@@ -54,11 +54,6 @@ def dia_box(dia: Callable, box: Callable) -> dict:
 DIA_ALIASES = {"<>": "dia", "[]": "box"}
 
 
-def standard_modalities(functor) -> dict:
-    """The shipped named modalities for a functor node (see FunctorSpec)."""
-    return functor.standard_modalities()
-
-
 def resolve_modality(modalities: dict, name: str) -> PredicateLifting:
     canonical = DIA_ALIASES.get(name, name)
     if canonical not in modalities:

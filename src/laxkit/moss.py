@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Carrier, FuzzyRel, StructureError, ZERO, as_unit, companion, sat_sub
+from .core import FuzzyRel, StructureError, ZERO, as_unit, companion, sat_sub
 from .functors import FunctorElement, FunctorSpec, base
 from .distance import check_setup
 from .liftings import LiftingSpec, lift_value
@@ -45,14 +45,14 @@ def moss_modality(element: FunctorElement, lifting: LiftingSpec,
     per placeholder, in that order.  At an element t over the states it
     lifts the tables' membership view between t and the element itself.
     """
-    placeholders = Carrier(base(element))
+    placeholders = base(element)
     arity = len(placeholders)
 
     def evaluate(t: FunctorElement, args) -> Fraction:
         if len(args) != arity:
             raise StructureError(f"derived modality takes {arity} arguments, got {len(args)}")
         tables = [{x: as_unit(v) for x, v in f.items()} for f in args]
-        view = membership(Carrier(base(t)), placeholders, tables)
+        view = membership(base(t), placeholders, tables)
         return lift_value(lifting, functor, view, t, element)
 
     return PredicateLifting("moss", arity, True, True, evaluate)

@@ -39,9 +39,6 @@ class Coalgebra:
         except KeyError:
             raise StructureError(f"state {state!r} is not in the system") from None
 
-    def states(self) -> tuple:
-        return self.carrier.elements
-
 
 @dataclass(frozen=True)
 class ValidationReport:

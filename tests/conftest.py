@@ -9,7 +9,6 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import laxkit as lk
-from laxkit.axioms import rand_element
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -83,7 +82,7 @@ CASES = {
 def rand_system(rng, functor, prefix, size):
     carrier = lk.Carrier(tuple(f"{prefix}{i}" for i in range(size)))
     return lk.Coalgebra.of(functor, carrier, {
-        s: rand_element(rng, functor, carrier) for s in carrier.elements
+        s: functor.random_element(rng, carrier) for s in carrier.elements
     })
 
 

@@ -23,7 +23,9 @@ laxkit.liftings.PairSum and laxkit.core.is_hemimetric and is_pseudometric
 must match on their integers.  Also the law suite's random draws on
 randint, building a Fraction and a Carrier per draw, which laxkit.axioms'
 and the functors' table draws must match value for value and rng state
-for rng state; and the nonexpansive-pair check of a companion.
+for rng state; and the nonexpansive-pair check of a companion, the
+sup-norm between two relations, and the gap between a valid certificate
+and the distance matrix.
 """
 
 import random
@@ -45,13 +47,14 @@ from laxkit.core import (
     sat_add,
     sat_sub,
     sup,
-    sup_distance,
 )
 from laxkit.distance import (
     Certificate,
     CertificateVerdict,
     DistanceResult,
     SlackRow,
+    behavioural_distance,
+    check_certificate,
     check_setup,
 )
 from laxkit.functors import (
@@ -414,7 +417,7 @@ def two_pass_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     backward = None
     if cert.kind == "bisimulation":
         backward = direction(converse(rel), sys_b, sys_a)
-    ok = all(r.slack >= 0 for r in forward + (backward or ()))
+    ok = all(r.claimed >= r.lifted for r in forward + (backward or ()))
     return CertificateVerdict(ok, forward, backward)
 
 
@@ -634,6 +637,32 @@ def fraction_is_hemimetric(d: FuzzyRel) -> bool:
 def fraction_is_pseudometric(d: FuzzyRel) -> bool:
     """fraction_is_hemimetric and equal to its converse."""
     return fraction_is_hemimetric(d) and converse(d) == d
+
+
+def sup_distance(r: FuzzyRel, s: FuzzyRel) -> Fraction:
+    """Largest entrywise absolute difference (exact)."""
+    if r.source != s.source or r.target != s.target:
+        raise StructureError("relations live between different carriers")
+    return sup(
+        abs(x - y)
+        for row_x, row_y in zip(r.values, s.values)
+        for x, y in zip(row_x, row_y)
+    )
+
+
+def least_certificate_gap(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
+                          cert: Certificate, tol: Fraction = ZERO,
+                          max_iter: int = 100) -> Fraction:
+    """Sup-norm between a valid certificate and the computed distance matrix.
+
+    Valid certificates bound the distance from above pointwise, so the gap
+    is nonnegative; it measures how much slack the certificate wastes.
+    """
+    verdict = check_certificate(lifting, sys_a, sys_b, cert)
+    if not verdict.ok:
+        raise StructureError("certificate does not hold; gap is undefined")
+    result = behavioural_distance(lifting, sys_a, sys_b, tol=tol, max_iter=max_iter)
+    return sup_distance(cert.relation, result.matrix)
 
 
 def is_nonexpansive_pair(r: FuzzyRel, f, g) -> bool:

@@ -25,16 +25,16 @@ from laxkit import (
     lift_value,
     logical_distance,
     moss_modality,
-    sup_distance,
     synthesize_levels,
     witness_value,
 )
-from laxkit.axioms import rand_carrier, rand_element, rand_rel, rand_unit
+from laxkit.axioms import rand_carrier, rand_rel, rand_unit
 from laxkit.cli import main
 from laxkit.logic import Neg, semantics
 from laxkit.systems import disjoint_union
 from tests.oracles import (
     min_sup_over_set_couplings,
+    sup_distance,
     transport_value_by_vertex_enumeration,
 )
 from tests.conftest import fixture_path, named_check, number_const
@@ -169,8 +169,8 @@ def test_criterion_4_transport_duality(capsys):
             a = rand_carrier(rng, "a", 3)
             b = rand_carrier(rng, "b", 3)
             rel = rand_rel(rng, a, b)
-            t1 = rand_element(rng, DIST_FUNCTOR, a)
-            t2 = rand_element(rng, DIST_FUNCTOR, b)
+            t1 = DIST_FUNCTOR.random_element(rng, a)
+            t2 = DIST_FUNCTOR.random_element(rng, b)
             k = lift_value(kant, DIST_FUNCTOR, rel.view(), t1, t2)
             w = lift_value(wass, DIST_FUNCTOR, rel.view(), t1, t2)
             mu = [p for _, p in t1.pairs]
@@ -202,14 +202,14 @@ def test_criterion_5_set_couplings_and_grid(capsys):
         step = F(1, 16)
         grid = lk.KantorovichGrid(("dia",), step)
         assert lk.grid_error_bound(
-            [lk.standard_modalities(SET_FUNCTOR)["dia"]], step
+            [SET_FUNCTOR.standard_modalities()["dia"]], step
         ) == step
         for _ in range(100):
             a = rand_carrier(rng, "a", 3)
             b = rand_carrier(rng, "b", 3)
             rel = rand_rel(rng, a, b)
-            t1 = rand_element(rng, SET_FUNCTOR, a)
-            t2 = rand_element(rng, SET_FUNCTOR, b)
+            t1 = SET_FUNCTOR.random_element(rng, a)
+            t2 = SET_FUNCTOR.random_element(rng, b)
             closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
             approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
             assert abs(closed - approx) <= step
@@ -227,12 +227,12 @@ def test_criterion_6_derived_modalities_recover_the_lifting(capsys):
             a = rand_carrier(rng, "a", 4)
             b = rand_carrier(rng, "b", 4)
             rel = rand_rel(rng, a, b)
-            t1 = rand_element(rng, functor, a)
-            t2 = rand_element(rng, functor, b)
+            t1 = functor.random_element(rng, a)
+            t2 = functor.random_element(rng, b)
             direct = lift_value(lifting, functor, rel.view(), t1, t2)
             assert witness_value(lifting, functor, rel, t1, t2) == direct
             for _ in range(10):  # 1000 random witness pairs in total
-                shape = rand_element(rng, functor, rand_carrier(rng, "i", 3))
+                shape = functor.random_element(rng, rand_carrier(rng, "i", 3))
                 mod = moss_modality(shape, lifting, functor)
                 left = tuple(
                     {x: rand_unit(rng) for x in a.elements}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from laxkit import cli, logic
+from laxkit.axioms import MAX_SIZE
 from laxkit.cli import main
 from laxkit.core import FuzzyRel, format_unit, parse_unit
 from laxkit.distance import Certificate, CertificateVerdict, SlackRow, check_certificate
@@ -220,6 +221,19 @@ def test_axioms_bounds_are_usage_errors(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "axioms", "--lifting", fixture_path("hausdorff_sym.json"),
                              flag, value)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_axioms_max_size_has_an_upper_bound(tmp_path, capsys):
+    lifting = fixture_path("hausdorff_sym.json")
+    code, out, _ = run_cli(capsys, "axioms", "--lifting", lifting, "--trials", "2",
+                           "--max-size", str(MAX_SIZE))
+    assert code == 0 and json.loads(out)["consistent"]
+    # refused before any file is read: a missing lifting file is not reported
+    for path in (lifting, str(tmp_path / "missing.json")):
+        code, out, err = run_cli(capsys, "axioms", "--lifting", path, "--trials", "2",
+                                 "--max-size", str(MAX_SIZE + 1))
+        assert (code, out, err) == (
+            2, "", f"error: max_size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n")
 
 
 @pytest.mark.parametrize("flag", ["--output", "--out"])
@@ -723,6 +737,19 @@ def test_synth_over_one_system_given_twice_targets_its_copy(capsys):
     values = report["values"]
     assert values["a1"] == values["a1'"] == "0"
     assert all(values[s] == values[s + "'"] for s in ("a1", "a2", "a3"))
+
+
+@pytest.mark.parametrize("second, target", [("labelled_kripke_b.json", "a1"),
+                                            ("labelled_kripke_a.json", "a1'")])
+def test_synth_target_must_be_in_the_second_system(capsys, second, target):
+    # a1 is a state of the first system only; a1' is the union's name for
+    # the second copy of a1, not a state of the second system
+    code, out, err = run_cli(capsys, "synth", "--system", fixture_path("labelled_kripke_a.json"),
+                             "--system", fixture_path(second),
+                             "--lifting", fixture_path("half_label_hausdorff.json"),
+                             "--target", target, "--rank", "1")
+    assert (code, out, err) == (
+        2, "", f"error: state {target!r} is not in the second system\n")
 
 
 def test_three_systems_are_a_usage_error(capsys):

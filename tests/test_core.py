@@ -16,7 +16,6 @@ from laxkit import (
     graph,
     is_hemimetric,
     is_pseudometric,
-    sup_distance,
 )
 from laxkit.axioms import rand_hemimetric, rand_rel
 from laxkit.core import as_unit, parse_unit, sat_add, sat_sub
@@ -26,6 +25,7 @@ from tests.oracles import (
     fraction_is_hemimetric,
     fraction_is_pseudometric,
     is_nonexpansive_pair,
+    sup_distance,
 )
 
 

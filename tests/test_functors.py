@@ -25,7 +25,6 @@ from laxkit import (
     fset,
     just,
 )
-from laxkit.axioms import rand_element
 from laxkit.functors import FUNCTOR_KINDS, canonical_key
 from laxkit.jsonio import decode_element, decode_functor, encode_element, encode_functor
 from tests.conftest import number_const
@@ -97,7 +96,7 @@ def test_apply_map_identity():
     rng = random.Random("id-law")
     for functor in FUNCTOR_ZOO:
         for _ in range(20):
-            el = rand_element(rng, functor, x)
+            el = functor.random_element(rng, x)
             assert el.map(lambda v: v) == el
 
 
@@ -112,7 +111,7 @@ def test_apply_map_composition_law():
     rng = random.Random("comp-law")
     for functor in FUNCTOR_ZOO:
         for _ in range(20):
-            el = rand_element(rng, functor, x)
+            el = functor.random_element(rng, x)
             f = {v: rng.choice(targets.elements) for v in x.elements}
             g = {v: rng.choice(x.elements) for v in targets.elements}
             composed = el.map(lambda v: g[f[v]])
@@ -132,7 +131,7 @@ def test_base_of_mapped_element_within_image():
     rng = random.Random("base-law")
     for functor in FUNCTOR_ZOO:
         for _ in range(20):
-            el = rand_element(rng, functor, x)
+            el = functor.random_element(rng, x)
             f = {v: rng.choice(("p", "q")) for v in x.elements}
             mapped = el.map(lambda v: f[v])
             assert set(base(mapped)) <= {f[v] for v in base(el)}
@@ -193,7 +192,7 @@ def test_every_functor_kind_samples_validates_and_round_trips(name):
     x, _ = carriers()
     rng = random.Random(f"kinds:{name}")
     for _ in range(40):
-        el = rand_element(rng, functor, x)
+        el = functor.random_element(rng, x)
         assert isinstance(el, functor.element_type)
         assert functor.element_errors(el, lambda v: v in x) == []
         raw = json.loads(json.dumps(encode_element(functor, el)))

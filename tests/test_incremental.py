@@ -18,10 +18,9 @@ import pytest
 
 import laxkit as lk
 from laxkit import distance, liftings, transport
-from laxkit.axioms import rand_carrier, rand_element, rand_rel
+from laxkit.axioms import rand_carrier, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
-from laxkit.modalities import standard_modalities
 from tests.conftest import (
     CASES,
     DIST,
@@ -93,12 +92,12 @@ GRID_FUNCTORS = {
 @pytest.mark.parametrize("step", [F(1, 2), F(1, 3), F(1, 4)])
 def test_grid_equals_unrestricted_search(functor_name, step):
     functor, names = GRID_FUNCTORS[functor_name]
-    modalities = [standard_modalities(functor)[n] for n in names]
+    modalities = [functor.standard_modalities()[n] for n in names]
     rng = random.Random(f"grid/{functor_name}/{step}")
     for _ in range(34):
         a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
         rel = rand_rel(rng, a, b)
-        t1, t2 = rand_element(rng, functor, a), rand_element(rng, functor, b)
+        t1, t2 = functor.random_element(rng, a), functor.random_element(rng, b)
         value = grid_kantorovich_value(modalities, step, rel.view(), t1, t2)
         assert value == unrestricted_grid_value(modalities, step, rel, t1, t2)
         # the dependency rule: entries off base(t1) x base(t2) do not matter

@@ -333,14 +333,12 @@ def delegations(path: str) -> list:
 
 
 # Each kept for a stated reason: lift_value is the seam the benchmark's tracer
-# wraps to count lift calls; standard_modalities and rand_element are imported
-# by the acceptance tests; the encoders are half of the JSON codec beside
+# wraps to count lift calls; the encoders are half of the JSON codec beside
 # their decode_* functions, and print_formula the text codec's printer beside
 # parse_formula.
 ALLOWED_DELEGATIONS = {
-    "liftings.lift_value", "modalities.standard_modalities", "axioms.rand_element",
-    "jsonio.encode_functor", "jsonio.encode_lifting", "jsonio.encode_formula",
-    "formparse.print_formula",
+    "liftings.lift_value", "jsonio.encode_functor", "jsonio.encode_lifting",
+    "jsonio.encode_formula", "formparse.print_formula",
 }
 
 

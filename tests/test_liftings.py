@@ -37,16 +37,16 @@ from laxkit import (
     lift_value,
     liftings,
     logical_distance,
-    sup_distance,
 )
-from laxkit.axioms import rand_carrier, rand_element, rand_hemimetric, rand_rel
-from laxkit.modalities import PredicateLifting, standard_modalities
+from laxkit.axioms import rand_carrier, rand_hemimetric, rand_rel
+from laxkit.modalities import PredicateLifting
 from laxkit import core
 from laxkit.logic import membership
 from tests.oracles import (
     fraction_pair_sum,
     min_sup_over_set_couplings,
     rational_transport_simplex,
+    sup_distance,
     two_pass_hausdorff,
 )
 from tests.conftest import CASES, kinds, number_const, rand_system, rel_from
@@ -147,8 +147,8 @@ def test_pair_sum_matches_the_fraction_oracle():
         functor = lk.Pair(lk.Const(labels, metric), SET_FUNCTOR)
         lifting = lk.PairSum(rand_unit_mixed(rng), rand_unit_mixed(rng), ConstLift(), H_SYM)
         rel = mixed_rel(rng, a, b)
-        t1 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, a))
-        t2 = lk.PairEl(lk.ConstEl(rng.choice("pq")), rand_element(rng, SET_FUNCTOR, b))
+        t1 = lk.PairEl(lk.ConstEl(rng.choice("pq")), SET_FUNCTOR.random_element(rng, a))
+        t2 = lk.PairEl(lk.ConstEl(rng.choice("pq")), SET_FUNCTOR.random_element(rng, b))
         try:
             want = fraction_pair_sum(lifting, functor, rel.view(), t1, t2)
         except StructureError as exc:
@@ -190,8 +190,8 @@ def test_kantorovich_equals_wasserstein_by_shared_solver():
         a = rand_carrier(rng, "a", 4)
         b = rand_carrier(rng, "b", 4)
         rel = rand_rel(rng, a, b)
-        t1 = rand_element(rng, DIST_FUNCTOR, a)
-        t2 = rand_element(rng, DIST_FUNCTOR, b)
+        t1 = DIST_FUNCTOR.random_element(rng, a)
+        t2 = DIST_FUNCTOR.random_element(rng, b)
         k = lift_value(KantorovichD(IdLift()), DIST_FUNCTOR, rel.view(), t1, t2)
         w = lift_value(WassersteinD(IdLift()), DIST_FUNCTOR, rel.view(), t1, t2)
         assert k == w
@@ -203,8 +203,8 @@ def test_hausdorff_is_min_over_set_couplings():
         a = rand_carrier(rng, "a", 4)
         b = rand_carrier(rng, "b", 4)
         rel = rand_rel(rng, a, b)
-        t1 = rand_element(rng, SET_FUNCTOR, a)
-        t2 = rand_element(rng, SET_FUNCTOR, b)
+        t1 = SET_FUNCTOR.random_element(rng, a)
+        t2 = SET_FUNCTOR.random_element(rng, b)
         m1 = [m.value for m in t1.members]
         m2 = [m.value for m in t2.members]
         coupled = min_sup_over_set_couplings(
@@ -304,8 +304,8 @@ def test_grid_matches_one_sided_hausdorff_within_step():
         a = rand_carrier(rng, "a", 3)
         b = rand_carrier(rng, "b", 3)
         rel = rand_rel(rng, a, b)
-        t1 = rand_element(rng, SET_FUNCTOR, a)
-        t2 = rand_element(rng, SET_FUNCTOR, b)
+        t1 = SET_FUNCTOR.random_element(rng, a)
+        t2 = SET_FUNCTOR.random_element(rng, b)
         closed = lift_value(H_LEFT, SET_FUNCTOR, rel.view(), t1, t2)
         approx = lift_value(grid, SET_FUNCTOR, rel.view(), t1, t2)
         assert approx <= closed <= approx + step
@@ -336,7 +336,7 @@ def test_grid_on_all_one_relation():
 
 
 def test_grid_error_bound_contract():
-    mods = standard_modalities(SET_FUNCTOR)
+    mods = SET_FUNCTOR.standard_modalities()
     assert grid_error_bound([mods["dia"]], F(1, 16)) == F(1, 16)
     clamped = PredicateLifting("jump", 1, True, False, mods["dia"].evaluator)
     with pytest.raises(StructureError):
@@ -370,7 +370,7 @@ def test_grid_cap_refuses_before_building_levels():
     a, b = two_carriers()
     rel = FuzzyRel.constant(a, b, F(1, 2))
     t1, t2 = fset([IdEl("x1"), IdEl("x2")]), fset([IdEl("y1")])
-    dia = standard_modalities(SET_FUNCTOR)["dia"]
+    dia = SET_FUNCTOR.standard_modalities()["dia"]
     for k in (300_000, 100_000_000):
         def refused():
             with pytest.raises(StructureError) as err:
@@ -423,8 +423,8 @@ def test_nonexpansive_in_the_relation():
             b = rand_carrier(rng, "b", 4)
             r1 = rand_rel(rng, a, b)
             r2 = rand_rel(rng, a, b)
-            t1 = rand_element(rng, functor, a)
-            t2 = rand_element(rng, functor, b)
+            t1 = functor.random_element(rng, a)
+            t2 = functor.random_element(rng, b)
             gap = abs(
                 lift_value(lifting, functor, r1.view(), t1, t2)
                 - lift_value(lifting, functor, r2.view(), t1, t2)
@@ -438,7 +438,7 @@ def test_lifted_hemimetric_stays_hemimetric():
         for _ in range(25):
             a = rand_carrier(rng, "a", 4)
             d = rand_hemimetric(rng, a, symmetric=False)
-            ts = [rand_element(rng, functor, a) for _ in range(3)]
+            ts = [functor.random_element(rng, a) for _ in range(3)]
             for t in ts:
                 assert lift_value(lifting, functor, d.view(), t, t) == 0
             lhs = lift_value(lifting, functor, d.view(), ts[0], ts[2])
@@ -454,8 +454,8 @@ def test_lifted_pseudometric_stays_symmetric():
     for _ in range(25):
         a = rand_carrier(rng, "a", 4)
         d = rand_hemimetric(rng, a, symmetric=True)
-        t1 = rand_element(rng, SET_FUNCTOR, a)
-        t2 = rand_element(rng, SET_FUNCTOR, a)
+        t1 = SET_FUNCTOR.random_element(rng, a)
+        t2 = SET_FUNCTOR.random_element(rng, a)
         assert lift_value(H_SYM, SET_FUNCTOR, d.view(), t1, t2) == \
             lift_value(H_SYM, SET_FUNCTOR, d.view(), t2, t1)
 
@@ -484,7 +484,7 @@ def test_index_rows_lift_as_the_named_relation(name):
     rng = random.Random(f"two-addressings/{name}")
     sys_a, sys_b = rand_system(rng, functor, "a", 20), rand_system(rng, functor, "b", 13)
     rel = (rand_rel, mixed_rel)[len(name) % 2](rng, sys_a.carrier, sys_b.carrier)
-    rows = RelView(sys_a.carrier, sys_b.carrier, rel.values, {})
+    rows = RelView(sys_a.carrier, rel.values, {})
     index_a, index_b = sys_a.carrier.index, sys_b.carrier.index
     reordered = False
     for a in sys_a.carrier.elements:
@@ -555,11 +555,11 @@ def integer_views(rng, rel):
     a, b = rel.source, rel.target
     rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
     starts = {}
-    yield RelView(a, b, rows, starts), rel
+    yield RelView(a, rows, starts), rel
     moved = rand_rel(rng, a, b)
     later = {x: row if rng.random() < 0.5 else dict(zip(b, new))
              for (x, row), new in zip(rows.items(), moved.values)}
-    yield (RelView(a, b, later, starts),
+    yield (RelView(a, later, starts),
            FuzzyRel(a, b, tuple(tuple(row.values()) for row in later.values())))
     yield rel.view(), rel
     columns = list(zip(*rel.values)) or [()] * len(b)

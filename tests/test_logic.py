@@ -22,7 +22,6 @@ from laxkit import (
     semantics,
 )
 from laxkit.jsonio import decode_functor
-from laxkit.modalities import standard_modalities
 from tests.conftest import fixture_path
 
 
@@ -107,7 +106,7 @@ def test_probabilistic_modalities(prob_deadlock):
 
 def test_label_readout_modalities(labelled_frames):
     sys_a, _, functor, _, _ = labelled_frames
-    mods = standard_modalities(functor)
+    mods = functor.standard_modalities()
     assert "at-7/10" in mods and "dia" in mods
     # readout of the state's own label is 1; distance shrinks it elsewhere
     assert evaluate(Modal("at-7/10", ()), sys_a, "a1") == 1
@@ -224,7 +223,7 @@ def test_structural_modality_has_no_text_form(labelled_frames):
 
 def test_every_labelled_modality_prints_and_reparses():
     functor = decode_functor(json.load(open(fixture_path("labelled_kripke_functor.json"))))
-    mods = standard_modalities(functor)
+    mods = functor.standard_modalities()
     assert {"at-1/5", "far-7/10"} <= set(mods)
     for name, lam in mods.items():
         phi = Modal(name, tuple(FormulaConst(F(1, 2)) for _ in range(lam.arity)))

@@ -5,13 +5,8 @@ import pytest
 
 import laxkit as lk
 from laxkit import Carrier
-from laxkit.axioms import rand_carrier, rand_element, rand_function, rand_unit
-from laxkit.modalities import (
-    dual_of,
-    is_dual_closed,
-    resolve_modality,
-    standard_modalities,
-)
+from laxkit.axioms import rand_carrier, rand_function, rand_unit
+from laxkit.modalities import dual_of, is_dual_closed, resolve_modality
 from tests.conftest import H_SYM, KANT, ZOO
 
 # one lifting per ZOO functor, in order, for the Moss modalities
@@ -31,26 +26,26 @@ def modalities_under_test():
     """(functor, modality) for every standard modality of every ZOO functor,
     then for the Moss modalities of three random elements of each."""
     for functor in ZOO:
-        for lam in standard_modalities(functor).values():
+        for lam in functor.standard_modalities().values():
             yield functor, lam
     rng = random.Random("moss-shapes")
     for functor, lifting in zip(ZOO, ZOO_LIFTINGS):
         for _ in range(3):
-            shape = rand_element(rng, functor, rand_carrier(rng, "y", 3))
+            shape = functor.random_element(rng, rand_carrier(rng, "y", 3))
             yield functor, lk.moss_modality(shape, lifting, functor)
 
 
 def test_registry_contents():
-    assert set(standard_modalities(lk.PFin(lk.Id()))) == {"dia", "box"}
-    assert set(standard_modalities(lk.DFin(lk.Id()))) == {"E"}
-    assert set(standard_modalities(lk.Maybe(lk.DFin(lk.Id())))) == {"dia", "box"}
-    labelled = standard_modalities(ZOO[3])
+    assert set(lk.PFin(lk.Id()).standard_modalities()) == {"dia", "box"}
+    assert set(lk.DFin(lk.Id()).standard_modalities()) == {"E"}
+    assert set(lk.Maybe(lk.DFin(lk.Id())).standard_modalities()) == {"dia", "box"}
+    labelled = ZOO[3].standard_modalities()
     assert {"at-0", "far-0", "dia", "box"} <= set(labelled)
-    assert standard_modalities(lk.PFin(lk.PFin(lk.Id()))) == {}
+    assert lk.PFin(lk.PFin(lk.Id())).standard_modalities() == {}
 
 
 def test_aliases_resolve():
-    mods = standard_modalities(lk.PFin(lk.Id()))
+    mods = lk.PFin(lk.Id()).standard_modalities()
     assert resolve_modality(mods, "<>") is mods["dia"]
     assert resolve_modality(mods, "[]") is mods["box"]
     with pytest.raises(lk.StructureError):
@@ -58,12 +53,12 @@ def test_aliases_resolve():
 
 
 def test_dual_closure():
-    assert is_dual_closed(standard_modalities(lk.PFin(lk.Id())))
-    assert is_dual_closed(standard_modalities(lk.DFin(lk.Id())))
-    assert is_dual_closed(standard_modalities(ZOO[3]))  # symmetric label metric
+    assert is_dual_closed(lk.PFin(lk.Id()).standard_modalities())
+    assert is_dual_closed(lk.DFin(lk.Id()).standard_modalities())
+    assert is_dual_closed(ZOO[3].standard_modalities())  # symmetric label metric
     asym = Carrier.of("lo", "hi")
     metric = lk.FuzzyRel(asym, asym, ((F(0), F(1, 2)), (F(0), F(0))))
-    assert not is_dual_closed(standard_modalities(lk.Const(asym, metric)))
+    assert not is_dual_closed(lk.Const(asym, metric).standard_modalities())
 
 
 def test_naturality():
@@ -73,7 +68,7 @@ def test_naturality():
             x = rand_carrier(rng, "x", 4)
             y = rand_carrier(rng, "y", 4)
             f = rand_function(rng, x, y)
-            t = rand_element(rng, functor, x)
+            t = functor.random_element(rng, x)
             tables_y = rand_tables(rng, y, lam.arity)
             composed = tuple(
                 {a: g[f[a]] for a in x.elements} for g in tables_y
@@ -88,7 +83,7 @@ def test_monotone_and_nonexpansive_flags_hold():
         assert lam.monotone and lam.nonexpansive
         for _ in range(30):
             x = rand_carrier(rng, "x", 4)
-            t = rand_element(rng, functor, x)
+            t = functor.random_element(rng, x)
             lo = rand_tables(rng, x, lam.arity)
             bump = rand_tables(rng, x, lam.arity)
             hi = tuple(
@@ -108,14 +103,14 @@ def test_monotone_and_nonexpansive_flags_hold():
 def test_dual_equations_hold():
     rng = random.Random("dual-mod")
     for functor in ZOO:
-        mods = standard_modalities(functor)
+        mods = functor.standard_modalities()
         if not is_dual_closed(mods):
             continue
         for name, lam in mods.items():
             dual = dual_of(mods, name)
             for _ in range(30):
                 x = rand_carrier(rng, "x", 4)
-                t = rand_element(rng, functor, x)
+                t = functor.random_element(rng, x)
                 tables = rand_tables(rng, x, lam.arity)
                 flipped = tuple(
                     {a: F(1) - tab[a] for a in x.elements} for tab in tables
@@ -124,5 +119,5 @@ def test_dual_equations_hold():
 
 
 def test_expectation_is_self_dual():
-    mods = standard_modalities(lk.DFin(lk.Id()))
+    mods = lk.DFin(lk.Id()).standard_modalities()
     assert mods["E"].dual_name == "E"

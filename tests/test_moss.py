@@ -26,7 +26,7 @@ from laxkit import (
     witness_value,
 )
 from laxkit import logic
-from laxkit.axioms import rand_carrier, rand_element, rand_rel, rand_unit
+from laxkit.axioms import rand_carrier, rand_rel, rand_unit
 from laxkit.logic import semantics
 from laxkit.systems import disjoint_union
 from tests.conftest import CASES, number_const, systems
@@ -92,7 +92,7 @@ def test_presentation_round_trip_random():
     for functor, lifting in zoo:
         for _ in range(25):
             carrier = rand_carrier(rng, "a", 4)
-            t = rand_element(rng, functor, carrier)
+            t = functor.random_element(rng, carrier)
             mod = moss_modality(t, lifting, functor)
             assert mod.arity == len(base(t))
             identity = dict(zip(carrier.elements, identity_tables(carrier)))
@@ -108,7 +108,7 @@ def test_moss_eval_against_direct_hausdorff():
         args = tuple(
             {x: rand_unit(rng) for x in carrier.elements} for _ in range(mod.arity)
         )
-        t = rand_element(rng, SET_FUNCTOR, carrier)
+        t = SET_FUNCTOR.random_element(rng, carrier)
         membership = FuzzyRel(
             carrier, Carrier(base(t0)),
             tuple(tuple(f[x] for f in args) for x in carrier.elements),
@@ -153,8 +153,8 @@ def test_separation_witness_achieves_lift():
             a = rand_carrier(rng, "a", 4)
             b = rand_carrier(rng, "b", 4)
             rel = rand_rel(rng, a, b)
-            t1 = rand_element(rng, fun, a)
-            t2 = rand_element(rng, fun, b)
+            t1 = fun.random_element(rng, a)
+            t2 = fun.random_element(rng, b)
             direct = lift_value(lif, fun, rel.view(), t1, t2)
             assert witness_value(lif, fun, rel, t1, t2) == direct
 
@@ -167,10 +167,10 @@ def test_random_witnesses_never_exceed_lift():
             a = rand_carrier(rng, "a", 4)
             b = rand_carrier(rng, "b", 4)
             rel = rand_rel(rng, a, b)
-            t1 = rand_element(rng, fun, a)
-            t2 = rand_element(rng, fun, b)
+            t1 = fun.random_element(rng, a)
+            t2 = fun.random_element(rng, b)
             idx_carrier = rand_carrier(rng, "i", 3)
-            shape = rand_element(rng, fun, idx_carrier)
+            shape = fun.random_element(rng, idx_carrier)
             mod = moss_modality(shape, lif, fun)
             left = tuple(
                 {x: rand_unit(rng) for x in a.elements} for _ in range(mod.arity)
@@ -193,7 +193,7 @@ def test_grid_oracle_over_the_witness_modality_brackets_every_exact_lift():
         for _ in range(10):
             a, b = rand_carrier(rng, "a", 2), rand_carrier(rng, "b", 2)
             rel = rand_rel(rng, a, b)
-            t1, t2 = rand_element(rng, functor, a), rand_element(rng, functor, b)
+            t1, t2 = functor.random_element(rng, a), functor.random_element(rng, b)
             direct = lift_value(lifting, functor, rel.view(), t1, t2)
             mod, _, _ = separation_witness(lifting, functor, rel, t2)
             value = lk.grid_kantorovich_value([mod], step, rel.view(), t1, t2)
@@ -315,7 +315,7 @@ def random_structural_formula(rng, functor, carrier, depth):
     if roll == 3:
         return lk.MinusC(random_structural_formula(rng, functor, carrier, depth - 1),
                          F(rng.randint(0, 4), 4))
-    shape = rand_element(rng, functor, carrier)
+    shape = functor.random_element(rng, carrier)
     subs = {
         x: random_structural_formula(rng, functor, carrier, depth - 1)
         for x in carrier.elements

@@ -88,10 +88,10 @@ def test_benchmark_tracer_reads_a_relation_view():
     a, b = lk.Carrier.of("x1", "x2", "x3"), lk.Carrier.of("y1", "y2")
     rel = lk.FuzzyRel.constant(a, b, F(1, 2))
     set_functor = lk.PFin(lk.Id())
-    dia = lk.standard_modalities(set_functor)["dia"]
+    dia = set_functor.standard_modalities()["dia"]
     grid = lk.KantorovichGrid(("dia",), F(1, 2))
     t1, t2 = lk.fset([lk.IdEl("x1"), lk.IdEl("x3")]), lk.fset([lk.IdEl("y2")])
-    index_rows = lk.RelView(a, b, rel.values, {})
+    index_rows = lk.RelView(a, rel.values, {})
     counts = Counter()
     for view, u, v in ((rel.view(), t1, t2), (index_rows, t1.map(a.index), t2.map(b.index))):
         args = ([dia], F(1, 2), view, u, v)

@@ -68,7 +68,7 @@ def test_disjoint_union_with_empty_system():
     empty = Coalgebra.of(PFin(Id()), Carrier(()), {})
     union, inj1, _ = disjoint_union(system, empty)
     assert union.carrier == system.carrier
-    assert all(union.step(inj1[s]) == system.step(s) for s in system.states())
+    assert all(union.step(inj1[s]) == system.step(s) for s in system.carrier.elements)
 
 
 def test_self_union_renames():
@@ -88,15 +88,15 @@ def test_union_requires_same_functor(prob_deadlock):
 
 def test_union_of_validating_systems_validates():
     import random
-    from laxkit.axioms import rand_carrier, rand_element
+    from laxkit.axioms import rand_carrier
 
     rng = random.Random("union-prop")
     functor = lk.Pair(lk.PFin(Id()), lk.DFin(Id()))
     for _ in range(20):
         c1 = rand_carrier(rng, "a", 4)
         c2 = rand_carrier(rng, "a", 4)  # same prefix forces renaming
-        s1 = Coalgebra.of(functor, c1, {s: rand_element(rng, functor, c1) for s in c1})
-        s2 = Coalgebra.of(functor, c2, {s: rand_element(rng, functor, c2) for s in c2})
+        s1 = Coalgebra.of(functor, c1, {s: functor.random_element(rng, c1) for s in c1})
+        s2 = Coalgebra.of(functor, c2, {s: functor.random_element(rng, c2) for s in c2})
         assert validate(s1).ok and validate(s2).ok
         union, _, _ = disjoint_union(s1, s2)
         assert validate(union).ok
