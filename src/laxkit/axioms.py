@@ -79,6 +79,8 @@ _EPSILONS = tuple(tuple(_UNITS[k] for k in scaled[1:]) for scaled in _SCALED[1:]
 # the carriers: at the default 500 trials the hausdorff_left fixture's suite
 # took 1.0 s at 16 and 14.1 s at 64 (2-CPU Intel Xeon, Python 3.11.7).
 MAX_SIZE = 64
+# The most trials a suite may run; its time is linear in them.
+MAX_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,8 @@ class AxiomConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise StructureError(f"trials must be at least 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise StructureError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.max_size < 1:
             raise StructureError(f"max_size must be at least 1, got {self.max_size}")
         if self.max_size > MAX_SIZE:

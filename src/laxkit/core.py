@@ -212,7 +212,7 @@ class FuzzyRel:
 
     def view(self) -> "RelView":
         """This relation as lifts read it, by element ids, with no warm starts."""
-        return RelView(self.source, _RowsById(self), {}, _RowsById.scaled)
+        return RelView(self.source, _RowsById(self), {})
 
     def is_square(self) -> bool:
         return self.source == self.target
@@ -239,27 +239,14 @@ class _RowsById(dict):
         row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
         return row
 
-    def scaled(self) -> tuple:
-        """The relation's integer form by id (see RelView), read off its
-        tuples.  The integer rows, all built at once, sit in a _RowsById too,
-        so an id outside the source is refused as the Fraction rows refuse it."""
-        rel = self.rel
-        den, (ints,) = scaled_rows(rel.values)
-        ys = rel.target.elements
-        rows = _RowsById(rel)
-        rows.update(zip(rel.source.elements, [dict(zip(ys, row)) for row in ints]))
-        return den, rows
 
-
-def scaled_entries(values) -> tuple:
-    """(den, ints) for a relation given as rows, a dict or a sequence of
-    rows, each a dict or a sequence of Fractions: den is the lcm of every
-    entry's denominator, and ints[x][y] = values[x][y] * den, keyed as
-    values and its rows are (by position for sequences)."""
-    rows = [(x, row.items() if isinstance(row, dict) else tuple(enumerate(row)))
-            for x, row in (values.items() if isinstance(values, dict) else enumerate(values))]
-    den = lcm(*{v.denominator for _, row in rows for _, v in row})
-    return den, {x: {y: v.numerator * (den // v.denominator) for y, v in row} for x, row in rows}
+def scaled_entries(source, values) -> tuple:
+    """(den, ints) for the dict rows values[x], x in source: den is the lcm
+    of every entry's denominator, and ints[x][y] = values[x][y] * den."""
+    rows = [(x, values[x]) for x in source]
+    den = lcm(*{v.denominator for _, row in rows for v in row.values()})
+    return den, {x: {y: v.numerator * (den // v.denominator) for y, v in row.items()}
+                 for x, row in rows}
 
 
 @dataclass(eq=False, slots=True)
@@ -268,41 +255,40 @@ class RelView:
     of the lifted elements, and the transport warm starts of one chain or one
     check (see KantorovichD.lift).
 
-    It also carries its entries as integers over one common denominator,
-    `scaled` = (den, ints) with ints[x][y] = values[x][y] * den, which
-    lifts read in blocks (see LiftingSpec.lift_block).  `scale(values)`
-    builds that form (scaled_entries, which reads every row; FuzzyRel.view,
-    whose rows are built on read, passes its own), once: on the view's
-    second block read, the first being scaled on its own, so a view that a
-    single lift reads, as a law trial's, never pays for the whole relation.
-    Until then `scaled` is None, or False once the first block was read.
-
-    `source` is the sized sequence of left ids its maker holds; no lift
-    reads it, only the benchmark tracer (perfbench/spans.py) its length.
+    `source` holds the left ids whose rows, dicts keyed by the right ids,
+    make up the relation.  The view also carries its entries as integers
+    over one common denominator, `scaled` = (den, ints) with ints[x][y] =
+    values[x][y] * den, which lifts read in blocks (see
+    LiftingSpec.lift_block).  scaled_entries builds that form off the rows
+    at `source`, once: on the view's second block read, the first being
+    scaled on its own, so a view that a single lift reads, as a law
+    trial's, never pays for the whole relation.  Until then `scaled` is
+    None, or False once the first block was read.
     """
 
     source: object
     values: object
     transport_starts: dict
-    scale: Callable = scaled_entries
     scaled: tuple | bool | None = field(default=None, init=False, repr=False)
 
     def block(self, xs, ys) -> IntBlock:
         """The entries at xs x ys (ys a list) as integers over one
         denominator: the view's, or for the first block read, the lcm of the
-        block's own.  An empty block reads nothing."""
+        block's own.  An empty block scales nothing.  An id outside the view
+        is refused, whichever form the block is read from."""
         scaled = self.scaled
-        if not scaled:
-            if not ys:
-                return IntBlock((1, [[] for _ in xs]))
-            if scaled is None:
-                self.scaled = False
-                den, (rows,) = scaled_rows(
-                    [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)])
-                return IntBlock((den, rows))
-            scaled = self.scaled = self.scale(self.values)
-        den, ints = scaled
-        return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
+        try:
+            if not scaled and ys:
+                if scaled is None:
+                    self.scaled = False
+                    den, (rows,) = scaled_rows(
+                        [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)])
+                    return IntBlock((den, rows))
+                scaled = self.scaled = scaled_entries(self.source, self.values)
+            den, ints = scaled or (1, self.values)
+            return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
+        except KeyError as exc:
+            raise StructureError(f"{exc.args[0]!r} is not in the relation") from None
 
 
 def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:

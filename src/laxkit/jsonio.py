@@ -310,7 +310,7 @@ def load_json(path: str, digests: dict | None = None):
     blob = _read(path, digests)
     try:
         data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad syntax, or an over-long integer
         raise JsonFormatError(f"invalid JSON: {exc}", path) from None
     except RecursionError:
         raise JsonFormatError(_TOO_DEEP, path) from None

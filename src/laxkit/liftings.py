@@ -36,7 +36,7 @@ Every `lift` reads its relation through one RelView (laxkit.core) and,
 whatever arithmetic it runs inside, returns a Fraction in the unit interval.
 A node reads a block of its child's lifts through the child's lift_block,
 as integer rows over one denominator: IdLift reads them off the view's
-integers, and every other kind scales its own lifts.
+integers (RelView.block), and every other kind scales its own lifts.
 """
 
 from __future__ import annotations

@@ -243,8 +243,8 @@ def membership(states: tuple, leaves: tuple, tables, flip: bool = False) -> RelV
     """The membership view E(x, y) = f_y(x), or 1 - f_y(x) when flip holds,
     at every state x, of one predicate table f_y per leaf y, in order: a
     Moss modality lifts it between an element over the states and one over
-    the leaves.  Its integer form (see RelView) is built once, when a
-    second block of it is read."""
+    the leaves.  Its integer form (see RelView) is built once, off the rows
+    of every state, when a second block of it is read."""
     pairs = tuple(zip(leaves, tables))
     rows = {x: {y: (ONE - f[x]) if flip else f[x] for y, f in pairs} for x in states}
     return RelView(states, rows, {})

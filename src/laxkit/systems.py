@@ -58,9 +58,9 @@ class ValidationReport:
 def validate(system: Coalgebra, raw_alpha: dict | None = None) -> ValidationReport:
     """Check every transition against the functor grammar.
 
-    raw_alpha optionally carries the pre-canonicalization element lists as
-    parsed from a file, so duplicate set members (deduplicated on
-    construction) can still be reported as warnings.
+    raw_alpha optionally maps states to the notes their elements' decoding
+    recorded (see jsonio.decode_system), such as duplicate set members that
+    construction deduplicated, which are reported as warnings.
     """
     issues = []
     carrier = system.carrier

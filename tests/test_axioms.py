@@ -254,6 +254,26 @@ class CountMembers(lk.LiftingSpec):
         return min(F(1), F(len(t1.members), 4))
 
 
+class FarSizes(lk.LiftingSpec):
+    """Breaks the hemimetric law's triangle inequality: 1 between sets whose
+    sizes differ by two or more, else 0, whatever the relation."""
+
+    functor_type, mismatch = lk.PFin, "needs a finite-set component"
+
+    def lift(self, functor, rel, t1, t2):
+        return F(int(abs(len(t1.members) - len(t2.members)) >= 2))
+
+
+class LeftClaimingSymmetry(lk.LiftingSpec):
+    """Breaks the hemimetric law's symmetry: left Hausdorff, which keeps
+    hemimetrics but not symmetry, claiming converse as a leaf kind does."""
+
+    functor_type, mismatch = lk.PFin, "needs a finite-set component"
+
+    def lift(self, functor, rel, t1, t2):
+        return lk.Hausdorff("left", lk.IdLift()).lift(functor, rel, t1, t2)
+
+
 def reported_rel(rows, source, target):
     """A rendered relation back as a FuzzyRel over the suite's carrier names."""
     return lk.FuzzyRel(lk.Carrier(tuple(f"{source}{i}" for i in range(len(rows)))),
@@ -347,3 +367,22 @@ def test_l4_reports_the_value_at_the_shrunk_element():
     for i in range(len(t.members)):
         smaller = lk.SetEl(t.members[:i] + t.members[i + 1:])
         assert lifting.lift(functor, lk.diagonal(carrier, eps).view(), smaller, smaller) <= eps
+
+
+def test_hemimetric_reports_a_lost_triangle_and_a_lost_symmetry():
+    lifting, functor = FarSizes(), lk.PFin(lk.Id())
+    cex = named_check(check_axioms(lifting, functor, FAST), "hemimetric").counterexample
+    assert cex.description == "lifted hemimetric lost the triangle inequality"
+    d = reported_rel(cex.data["d"], "a", "a")
+    t1, t2, t3 = (reported_set(cex.data[k]) for k in ("t1", "t2", "t3"))
+    lhs = lifting.lift(functor, d.view(), t1, t3)
+    assert (F(cex.data["lhs"]), F(cex.data["rhs"])) == (lhs, lk.sat_add(
+        lifting.lift(functor, d.view(), t1, t2), lifting.lift(functor, d.view(), t2, t3)))
+    assert lhs > F(cex.data["rhs"])
+    lifting = LeftClaimingSymmetry()
+    assert lifting.claims_converse(functor)
+    cex = named_check(check_axioms(lifting, functor, FAST), "hemimetric").counterexample
+    assert cex.description == "lifted pseudometric lost symmetry"
+    d = reported_rel(cex.data["d"], "a", "a")
+    t1, t2 = reported_set(cex.data["t1"]), reported_set(cex.data["t2"])
+    assert lifting.lift(functor, d.view(), t1, t2) != lifting.lift(functor, d.view(), t2, t1)

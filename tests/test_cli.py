@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 
 from laxkit import cli, logic
-from laxkit.axioms import MAX_SIZE
+from laxkit.axioms import MAX_SIZE, MAX_TRIALS
 from laxkit.cli import main
 from laxkit.core import FuzzyRel, format_unit, parse_unit
-from laxkit.distance import Certificate, CertificateVerdict, SlackRow, check_certificate
+from laxkit.distance import (
+    MAX_ITER, Certificate, CertificateVerdict, SlackRow, check_certificate)
 from laxkit.functors import FUNCTOR_KINDS
 from laxkit.jsonio import MAX_NESTING
 from laxkit.liftings import LIFTING_KINDS
@@ -216,6 +217,8 @@ def test_non_string_ids_are_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-size", "0", "max_size must be at least 1, got 0"),
     ("--trials", "-3", "trials must be at least 1, got -3"),
+    ("--trials", str(MAX_TRIALS + 1),
+     f"trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
 ])
 def test_axioms_bounds_are_usage_errors(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "axioms", "--lifting", fixture_path("hausdorff_sym.json"),
@@ -234,6 +237,58 @@ def test_axioms_max_size_has_an_upper_bound(tmp_path, capsys):
                                  "--max-size", str(MAX_SIZE + 1))
         assert (code, out, err) == (
             2, "", f"error: max_size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n")
+
+
+def test_dist_max_iter_has_an_upper_bound(capsys):
+    code, out, _ = run_cli(capsys, "dist", *frames_args(), "--max-iter", str(MAX_ITER))
+    assert code == 0 and json.loads(out)["converged"]
+    code, out, err = run_cli(capsys, "dist", *frames_args(), "--max-iter", str(MAX_ITER + 1))
+    assert (code, out, err) == (
+        2, "", f"error: max_iter must be at most {MAX_ITER}, got {MAX_ITER + 1}\n")
+
+
+def test_an_over_long_json_integer_is_invalid_json(tmp_path, capsys):
+    # Python refuses to convert an integer literal of more than 4300 digits
+    lifting = tmp_path / "long.json"
+    lifting.write_text('{"kind": "discount", "factor": ' + "7" * 5000
+                       + ', "sub": {"kind": "id"}}')
+    code, out, err = run_cli(capsys, "axioms", "--lifting", str(lifting))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {lifting}: invalid JSON: Exceeds the limit (4300 digits) for "
+                   "integer string conversion: value has 5000 digits; use "
+                   "sys.set_int_max_str_digits() to increase the limit\n")
+
+
+def test_systems_outside_their_functor_are_usage_errors(tmp_path, capsys):
+    with open(fixture_path("labelled_kripke_a.json")) as handle:
+        labelled = json.load(handle)
+    labelled["alpha"]["a2"][0] = "9/10"
+    with open(fixture_path("prob_deadlock.json")) as handle:
+        prob = json.load(handle)
+    prob["alpha"]["u0"] = [["u1", "0"], ["u2", "1"]]
+    path = tmp_path / "system.json"
+    for raw, other, lifting, issue in (
+            (labelled, "labelled_kripke_b.json", "half_label_hausdorff.json",
+             "alpha[a2].fst: label '9/10' is not in the label set"),
+            (prob, "prob_deadlock.json", "prob_lifting.json",
+             "alpha[u0].just.dist[0]: probability 0 is not positive")):
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "dist", "--system", str(path), "--system",
+                                 fixture_path(other), "--lifting", fixture_path(lifting))
+        assert (code, out, err) == (2, "", f"error: {path}: system does not validate: {issue}\n")
+
+
+def test_a_grid_modality_the_functor_lacks_is_a_usage_error(tmp_path, capsys):
+    system, grid = tmp_path / "kripke.json", tmp_path / "grid.json"
+    system.write_text(json.dumps({"states": ["s", "t"], "functor": {
+        "kind": "pfin", "sub": {"kind": "id"}}, "alpha": {"s": ["t"], "t": []}}))
+    grid.write_text(json.dumps({"kind": "kantorovich-grid", "modalities": ["E"],
+                                "step": "1/2"}))
+    code, out, err = run_cli(capsys, "dist", "--system", str(system), "--system", str(system),
+                             "--lifting", str(grid))
+    assert (code, out, err) == (
+        2, "", f"error: {grid}: lifting does not fit the system functor: <root>: "
+        "unknown modality 'E'; available: box, dia\n")
 
 
 @pytest.mark.parametrize("flag", ["--output", "--out"])

@@ -228,7 +228,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     ("core.py", "is_pseudometric"), ("liftings.py", "LiftingSpec.lift_block"),
     ("liftings.py", "IdLift.lift_block"), ("core.py", "_RowsById"),
     ("logic.py", "membership"), ("core.py", "RelView.block"), ("core.py", "scaled_entries"),
-    ("core.py", "_RowsById.scaled"), ("transport.py", "min_cost_transport"),
+    ("transport.py", "min_cost_transport"),
     ("transport.py", "_simplex"), ("transport.py", "_hang"), ("transport.py", "_northwest_corner"),
 ])
 def test_integer_kernel_stays_in_exact_arithmetic(module, function):

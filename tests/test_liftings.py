@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -484,7 +485,8 @@ def test_index_rows_lift_as_the_named_relation(name):
     rng = random.Random(f"two-addressings/{name}")
     sys_a, sys_b = rand_system(rng, functor, "a", 20), rand_system(rng, functor, "b", 13)
     rel = (rand_rel, mixed_rel)[len(name) % 2](rng, sys_a.carrier, sys_b.carrier)
-    rows = RelView(sys_a.carrier, rel.values, {})
+    rows = RelView(range(len(rel.values)),
+                   {i: dict(enumerate(row)) for i, row in enumerate(rel.values)}, {})
     index_a, index_b = sys_a.carrier.index, sys_b.carrier.index
     reordered = False
     for a in sys_a.carrier.elements:
@@ -614,8 +616,9 @@ def test_a_view_builds_its_integer_rows_once(monkeypatch):
     a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
     rel = coprime_rel(rng, a, b)
     calls = []
-    real = core._RowsById.scaled
-    monkeypatch.setattr(core._RowsById, "scaled", lambda rows: calls.append(rows) or real(rows))
+    real = core.scaled_entries
+    monkeypatch.setattr(core, "scaled_entries",
+                        lambda source, values: calls.append(values) or real(source, values))
     view = rel.view()
     t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
     for reads in range(1, 6):
@@ -627,17 +630,18 @@ def test_a_view_builds_its_integer_rows_once(monkeypatch):
 
 
 def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_rows():
-    # the same bad left leaf fails alike on a fresh view and on one that
-    # has read two blocks, and so built its integer rows
+    # a bad left or right leaf fails alike on every maker's view, fresh and
+    # after two block reads, which built its integer rows
     rng = random.Random("foreign-leaf")
     a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
-    rel = coprime_rel(rng, a, b)
     t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
     bad = fset([IdEl("nowhere")])
-    read = rel.view()
-    for _ in range(2):
-        H_SYM.lift(SET_FUNCTOR, read, t1, t2)
-    assert read.scaled
-    for view in (rel.view(), read):
-        with pytest.raises(StructureError, match="nowhere"):
-            H_SYM.lift(SET_FUNCTOR, view, bad, t2)
+    for read, _ in integer_views(rng, coprime_rel(rng, a, b)):
+        fresh = dataclasses.replace(read)
+        for _ in range(2):
+            H_SYM.lift(SET_FUNCTOR, read, t1, t2)
+        assert read.scaled and fresh.scaled is None
+        for view in (fresh, read):
+            for u, v in ((bad, t2), (t1, bad)):
+                with pytest.raises(StructureError, match="nowhere"):
+                    H_SYM.lift(SET_FUNCTOR, view, u, v)

@@ -176,6 +176,12 @@ def test_parse_worked_example():
     )
 
 
+def test_a_modality_of_two_arguments_parses_and_prints():
+    phi = parse_formula("f(1, 0)")
+    assert phi == Modal("f", (FormulaConst(F(1)), FormulaConst(F(0))))
+    assert print_formula(phi) == "f(1, 0)"
+
+
 def test_parse_exact_decimals():
     assert parse_formula("0.2") == FormulaConst(F(1, 5))
     assert parse_formula("0.2").value == F(1, 5)
