@@ -5,9 +5,9 @@ catalog.  Reports come as JSON (default) or an aligned text table, both
 carrying the tool version, the effective seed, and sha256 digests of all
 input files; identical inputs and seed produce byte-identical output.
 Exit codes: 0 on success or a holding verdict, 1 when a verdict fails
-(certificate violation, law counterexample), 2 on usage, file-format or
-file-access errors, 3 on an internal error (a bug; the traceback goes to
-stderr).
+(certificate violation or undecided rows, law counterexample), 2 on
+usage, file-format or file-access errors, 3 on an internal error (a bug;
+the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -232,13 +232,21 @@ def cmd_check_cert(args) -> int:
     cert = decode_certificate(load_json(args.cert, digests), args.cert)
     verdict = check_certificate(lifting, sys_a, sys_b, cert)
     forward, backward = certificate_rows(verdict)
+    outcome = "ok" if verdict.ok else "violation"
+    if verdict.undecided and all(r.claimed >= r.lifted
+                                 for r in verdict.forward + (verdict.backward or ())):
+        outcome = "undecided"
     body = {
-        "verdict": "ok" if verdict.ok else "violation",
+        "verdict": outcome,
         "kind": cert.kind,
         "forward": forward,
     }
     if backward is not None:
         body["backward"] = backward
+    if verdict.slack:
+        # an approximate lifting: rows within its slack above the lifted value are undecided
+        body["approximation-slack"] = format_unit(verdict.slack)
+        body["undecided"] = verdict.undecided
     _emit(args, _envelope(args, digests, body))
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 

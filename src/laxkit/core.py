@@ -22,6 +22,7 @@ denominator and build no relation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -62,8 +63,28 @@ def parse_unit(text: str) -> Fraction:
 
 def format_ratio(numerator: int, denominator: int) -> str:
     """Render a reduced ratio (denominator > 0) as 'p/q', or 'p' when the
-    denominator is 1: the text of str(Fraction(numerator, denominator))."""
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    denominator is 1: the text of str(Fraction(numerator, denominator)).
+
+    An integer longer than the interpreter's limit on integer text
+    (sys.get_int_max_str_digits) is a StructureError naming its length:
+    parse_unit could not read such a value back either.
+    """
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        digits = max(_digits(numerator), _digits(denominator))
+        raise StructureError(
+            f"a value with a {digits}-digit integer exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer text") from None
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of abs(n), for n != 0, without its text."""
+    n = abs(n)
+    count = n.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2): a lower bound
+    while n >= 10 ** count:
+        count += 1
+    return count
 
 
 def format_unit(x: Fraction) -> str:

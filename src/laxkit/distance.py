@@ -93,6 +93,10 @@ class CertificateVerdict:
     ok: bool
     forward: tuple  # SlackRow per non-vacuous pair
     backward: tuple | None  # converse direction, for bisimulation certificates
+    # the lifting's certified slack s, and the rows it leaves undecided:
+    # lifted <= claimed < lifted + s (none when s is 0)
+    slack: Fraction = ZERO
+    undecided: int = 0
 
 
 @dataclass(frozen=True)
@@ -276,8 +280,16 @@ def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
     left or right Hausdorff, a const over a label metric that is not a
     pseudometric or any kantorovich-grid node, r° is lifted in a second
     pass.  A simulation certificate has no backward rows.
+
+    An approximate lifting with certified slack s > 0 (a kantorovich-grid
+    node, whose value G is at most s below the lifting L it approximates)
+    accepts a row only when claimed >= lifted + s, which implies
+    claimed >= L.  A row with lifted <= claimed < lifted + s is undecided:
+    it fails the verdict and is counted on its own.  A grid over
+    modalities not flagged nonexpansive has no such bound and is refused.
     """
     check_setup(lifting, sys_a, sys_b)
+    slack = lifting.certified_slack(sys_a.functor)
     rel = cert.relation
     if rel.source != sys_a.carrier or rel.target != sys_b.carrier:
         raise StructureError("certificate carriers do not match the systems")
@@ -297,12 +309,15 @@ def check_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra,
     ok = all(r.claimed >= r.lifted for r in forward)
     backward = None
     if cert.kind == "bisimulation":
-        if lifting.approximation_slack() == 0 and lifting.claims_converse(sys_a.functor):
+        if slack == 0 and lifting.claims_converse(sys_a.functor):
             backward = _transposed(forward, sys_b.carrier)
         else:
             backward = direction(converse(rel), sys_b, sys_a)
             ok = ok and all(r.claimed >= r.lifted for r in backward)
-    return CertificateVerdict(ok, forward, backward)
+    if not slack:
+        return CertificateVerdict(ok, forward, backward)
+    undecided = sum(r.lifted <= r.claimed < r.lifted + slack for r in forward + (backward or ()))
+    return CertificateVerdict(ok and not undecided, forward, backward, slack, undecided)
 
 
 def _transposed(forward: tuple, target: Carrier) -> tuple:

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import attrgetter
 
 from .core import (
@@ -55,7 +56,6 @@ from .core import (
     as_unit,
     format_unit,
     is_pseudometric,
-    sat_sub,
     scaled_rows,
     sup,
     unit_over,
@@ -137,6 +137,14 @@ class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
     def approximation_slack(self) -> Fraction:
         """Zero for exact liftings; the grid step wherever a grid oracle occurs."""
         return max((child.approximation_slack() for child in self.children()), default=ZERO)
+
+    def certified_slack(self, functor: FunctorSpec) -> Fraction:
+        """approximation_slack, as a bound: the exact lifting a grid node
+        approximates lies at most this far above its value.  StructureError
+        where a grid node's modalities on the functor are not all flagged
+        nonexpansive, for which no bound holds (see grid_error_bound)."""
+        return max((child.certified_slack(sub)
+                    for child, sub in zip(self.children(), functor.children())), default=ZERO)
 
     def default_functor(self, path: str = "lifting") -> FunctorSpec:
         """The functor this lifting's shape implies; StructureError if none."""
@@ -364,6 +372,9 @@ class Discount(LiftingSpec):
     def contraction_factor(self):
         return self.factor * self.sub.contraction_factor()
 
+    def certified_slack(self, functor):
+        return self.sub.certified_slack(functor)
+
     def default_functor(self, path="lifting"):
         return self.sub.default_functor(f"{path}.sub")
 
@@ -439,6 +450,9 @@ class KantorovichGrid(LiftingSpec):
         # movements into at most one step of value lost (see grid_error_bound)
         return self.step
 
+    def certified_slack(self, functor):
+        return grid_error_bound(self._modalities(functor), self.step)
+
     def default_functor(self, path="lifting"):
         raise StructureError(f"{path}: cannot derive the functor under a grid node")
 
@@ -479,6 +493,42 @@ def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: RelView,
 
 
 _GRID_CAP = 2_000_000
+# The right-hand values one grid call keeps per modality: enough for the
+# companions that recur across a search, few enough that a fine step cannot
+# fill memory with them.
+_GRID_MEMO = 1024
+
+
+class _Over(dict):
+    """numerator -> unit_over(numerator, den), each built on its first read."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, numerator):
+        value = self[numerator] = unit_over(numerator, self.den)
+        return value
+
+
+def _left_tables(left, levels, drops, zero):
+    """Each grid-valued table on left, once, with its companion's integers.
+
+    Yields (table, companion): the table maps left[i] to levels[k_i], and
+    companion[j] = max_i drops[i][k_i][j]; the companion over no left
+    states is zero.
+    """
+    if not left:
+        yield {}, zero
+    elif len(left) == 1:
+        (a,), (row,) = left, drops
+        for level, drop in zip(levels, row):
+            yield {a: level}, drop
+    else:
+        for ks in product(range(len(levels)), repeat=len(left)):
+            yield (dict(zip(left, map(levels.__getitem__, ks))),
+                   tuple(map(max, *map(list.__getitem__, drops, ks))))
 
 
 def grid_kantorovich_value(modalities, step: Fraction, rel: RelView,
@@ -497,15 +547,30 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: RelView,
     |levels|^(arity * |base t1|) tables, to which the cap applies,
     instead of |levels|^(arity * |source|).
 
+    The search runs on integers over D = lcm(den, k), den being the
+    denominator of the block rel.block reads: level j is j * D/k, and the
+    drops max(level - rel(a, b), 0) over base(t2) are built once per left
+    state a and level, so a companion entry is an integer max.  Each left
+    table is visited once, and every modality of arity 1 is evaluated on
+    it and on its one companion; modalities of arity 2 or more combine the
+    tables of a list, which the cap keeps at |levels|^|base t1| <= sqrt(cap)
+    entries.  Evaluators read Fraction tables, built through one
+    numerator -> Fraction dict per call.  A right-hand value is needed only
+    when the left-hand one beats the best so far; each modality keeps them
+    on the companion's integers in a memo of at most _GRID_MEMO entries.
+    The best value is kept as an integer numerator and denominator until
+    the end.
+
     Returns a value in [true - step, true] when all modalities are
     nonexpansive (see grid_error_bound); exact whenever the optimum is
     attained on the grid.
     """
-    left, right = base(t1), base(t2)
+    left, right = base(t1), list(base(t2))
     width = len(left)
-    n_levels = step.denominator + 1
+    n = step.denominator
+    n_levels = n + 1
     # refuse before any work: the level list alone grows with the step
-    searches = []  # (modality, table entries per combination)
+    by_arity = {}  # arity -> the modalities of that arity, in order
     for lam in modalities:
         if not lam.monotone:
             raise StructureError(
@@ -518,22 +583,58 @@ def grid_kantorovich_value(modalities, step: Fraction, rel: RelView,
                 f"grid search over {n_levels}^{dims} tables exceeds the cap; "
                 "use a coarser step or smaller carriers"
             )
-        searches.append((lam, dims))
-    # a search over no entries has one empty combination and reads no level
-    levels = [k * step for k in range(n_levels)] if any(d for _, d in searches) else []
-    block = [[rel.values[a][b] for b in right] for a in left]
-    best = ZERO
-    for lam, dims in searches:
-        for combo in product(levels, repeat=dims):
-            tables = [combo[i * width:(i + 1) * width] for i in range(lam.arity)]
-            fs = tuple(dict(zip(left, f)) for f in tables)
-            # the companion of each left table, on base(t2) only
-            gs = tuple({b: sup(sat_sub(x, row[jb]) for x, row in zip(f, block))
-                        for jb, b in enumerate(right)} for f in tables)
-            value = sat_sub(lam.evaluator(t1, fs), lam.evaluator(t2, gs))
-            if value > best:
-                best = value
-    return best
+        by_arity.setdefault(lam.arity, []).append(lam)
+    den, block = rel.block(left, right)
+    big = lcm(den, n)
+    over = _Over(big)
+    # a search over no entries has one table, the empty one, and reads no level
+    levels, drops = [], []
+    if width and any(arity > 0 for arity in by_arity):
+        unit, scale = big // n, big // den
+        levels = [over[k * unit] for k in range(n_levels)]
+        drops = [[tuple(max(k * unit - r * scale, 0) for r in row) for k in range(n_levels)]
+                 for row in block]
+
+    def companion(g):  # a companion's integers as the Fraction table evaluators read
+        return dict(zip(right, map(over.__getitem__, g)))
+
+    visits = _left_tables(left, levels, drops, (0,) * len(right))
+    tables = None
+    if any(arity > 1 for arity in by_arity):
+        # combinations of tables: each table and its companion once, in a
+        # list of |levels|^|base t1| <= sqrt(cap) entries
+        tables = [(f, g, companion(g)) for f, g in visits]
+    best_num, best_den = 0, 1
+    for arity, lams in by_arity.items():
+        # (left tables, companion integers, companions or None until needed)
+        if tables is not None:
+            combos = (tuple(zip(*c)) or ((), (), ()) for c in product(tables, repeat=arity))
+        elif arity:  # arity 1, the one pass over visits
+            combos = (((f,), g, None) for f, g in visits)
+        else:
+            combos = [((), (), ())]
+        memos = [{} for _ in lams]
+        for fs, key, gs in combos:
+            for lam, memo in zip(lams, memos):
+                x = lam.evaluator(t1, fs)
+                xn, xd = x.numerator, x.denominator
+                # x (-) y <= x: only a left value above the best can beat it
+                if xn * best_den <= best_num * xd:
+                    continue
+                y = memo.get(key)
+                if y is None:
+                    if gs is None:
+                        gs = (companion(key),)
+                    y = lam.evaluator(t2, gs)
+                    y = y.numerator, y.denominator
+                    if len(memo) < _GRID_MEMO:
+                        memo[key] = y
+                # x (-) y against the best, on numerators and denominators
+                yn, yd = y
+                num = xn * yd - yn * xd
+                if num * best_den > best_num * xd * yd:
+                    best_num, best_den = num, xd * yd
+    return Fraction(best_num, best_den) if best_num else ZERO
 
 
 def grid_error_bound(modalities, step: Fraction) -> Fraction:

@@ -8,8 +8,8 @@ Fractions (Bland's rule on both cells), which the integer kernel of
 laxkit.transport must match pivot for pivot; the Kleene loop that
 re-lifts every pair on every step, which laxkit.distance must match
 iterate for iterate; the grid search over left tables on the whole
-source, which laxkit.liftings' support-restricted search must match; the
-Hausdorff lifting that lifts each pair once per direction; the
+source, and the support-restricted one on Fractions, which
+laxkit.liftings' search on integers must match; the Hausdorff lifting that lifts each pair once per direction; the
 certificate check that lifts a bisimulation's converse in a second pass,
 which laxkit.distance.check_certificate must match row for row; and the
 logical distance that evaluates each target formula on its own, which
@@ -71,6 +71,7 @@ from laxkit.functors import (
     PFin,
     Pair,
     PairEl,
+    base,
     fdist,
     fset,
     just,
@@ -395,7 +396,8 @@ def two_pass_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     The check laxkit.distance.check_certificate ran before it read the
     backward rows of a converse-preserving lifting off its forward lifts,
     kept as the oracle it is diffed against: verdicts, rows and their
-    order included, must be equal.
+    order included, must be equal.  Under an approximate lifting, rows
+    within its slack above the lifted value are undecided and fail it.
     """
     check_setup(lifting, sys_a, sys_b)
     rel = cert.relation
@@ -417,8 +419,12 @@ def two_pass_certificate(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     backward = None
     if cert.kind == "bisimulation":
         backward = direction(converse(rel), sys_b, sys_a)
-    ok = all(r.claimed >= r.lifted for r in forward + (backward or ()))
-    return CertificateVerdict(ok, forward, backward)
+    rows = forward + (backward or ())
+    # an approximate lifting accepts a row only above its slack
+    slack = lifting.approximation_slack()
+    undecided = sum(r.lifted <= r.claimed < r.lifted + slack for r in rows)
+    ok = all(r.claimed >= r.lifted for r in rows) and not undecided
+    return CertificateVerdict(ok, forward, backward, slack, undecided)
 
 
 def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
@@ -462,6 +468,50 @@ def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
                 for i in range(lam.arity)
             )
             gs = tuple(companion(rel, f) for f in fs)
+            value = sat_sub(lam.evaluator(t1, fs), lam.evaluator(t2, gs))
+            if value > best:
+                best = value
+    return best
+
+
+def fraction_grid_value(modalities, step: Fraction, rel: RelView,
+                        t1: FunctorElement, t2: FunctorElement) -> Fraction:
+    """The support-restricted grid search on Fractions, once per modality.
+
+    The search laxkit.liftings.grid_kantorovich_value ran before it moved
+    to integers: for each modality and each combination of grid-valued
+    left tables on base(t1), it builds the companions on base(t2) with
+    Fraction sat_sub and compares Fraction values.
+    """
+    left, right = base(t1), base(t2)
+    width = len(left)
+    n_levels = step.denominator + 1
+    # refuse before any work: the level list alone grows with the step
+    searches = []  # (modality, table entries per combination)
+    for lam in modalities:
+        if not lam.monotone:
+            raise StructureError(
+                f"modality {lam.name} is not monotone; refusing the companion-"
+                "restricted grid search"
+            )
+        dims = lam.arity * width
+        if n_levels ** dims > _GRID_CAP:
+            raise StructureError(
+                f"grid search over {n_levels}^{dims} tables exceeds the cap; "
+                "use a coarser step or smaller carriers"
+            )
+        searches.append((lam, dims))
+    # a search over no entries has one empty combination and reads no level
+    levels = [k * step for k in range(n_levels)] if any(d for _, d in searches) else []
+    block = [[rel.values[a][b] for b in right] for a in left]
+    best = ZERO
+    for lam, dims in searches:
+        for combo in product(levels, repeat=dims):
+            tables = [combo[i * width:(i + 1) * width] for i in range(lam.arity)]
+            fs = tuple(dict(zip(left, f)) for f in tables)
+            # the companion of each left table, on base(t2) only
+            gs = tuple({b: sup(sat_sub(x, row[jb]) for x, row in zip(f, block))
+                        for jb, b in enumerate(right)} for f in tables)
             value = sat_sub(lam.evaluator(t1, fs), lam.evaluator(t2, gs))
             if value > best:
                 best = value

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from laxkit.cli import main
 from laxkit.core import FuzzyRel, format_unit, parse_unit
 from laxkit.distance import (
     MAX_ITER, Certificate, CertificateVerdict, SlackRow, check_certificate)
-from laxkit.functors import FUNCTOR_KINDS
+from laxkit.functors import DFin, FUNCTOR_KINDS
 from laxkit.jsonio import MAX_NESTING
 from laxkit.liftings import LIFTING_KINDS
 from laxkit.moss import MAX_RANK
@@ -257,6 +258,72 @@ def test_an_over_long_json_integer_is_invalid_json(tmp_path, capsys):
     assert err == (f"error: {lifting}: invalid JSON: Exceeds the limit (4300 digits) for "
                    "integer string conversion: value has 5000 digits; use "
                    "sys.set_int_max_str_digits() to increase the limit\n")
+
+
+def test_a_report_value_past_the_integer_text_limit_is_a_usage_error(monkeypatch, capsys):
+    # no reader could parse such a value back, so it is refused, not a crash
+    real = cli.behavioural_distance
+
+    def long_residual(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), residual=F(1, 3 ** 9100))
+
+    monkeypatch.setattr(cli, "behavioural_distance", long_residual)
+    code, out, err = run_cli(capsys, "dist", "--system", fixture_path("prob_deadlock.json"),
+                             "--lifting", fixture_path("prob_lifting.json"))
+    assert (code, out) == (2, "")
+    assert err == ("error: a value with a 4342-digit integer exceeds the limit of 4300 digits "
+                   "for integer text\n")
+
+
+def item_two_files(tmp_path):
+    """s -> 1/2 a1 + 1/2 a2 against t -> b (a1, a2 and b loop), and the
+    simulation certificate with rows s: 1/12, a1: 1/3, a2: 0."""
+    dfin = {"kind": "dfin", "sub": {"kind": "id"}}
+    files = {
+        "a.json": {"functor": dfin, "states": ["s", "a1", "a2"],
+                   "alpha": {"s": [["a1", "1/2"], ["a2", "1/2"]], "a1": [["a1", "1"]],
+                             "a2": [["a2", "1"]]}},
+        "b.json": {"functor": dfin, "states": ["t", "b"],
+                   "alpha": {"t": [["b", "1"]], "b": [["b", "1"]]}},
+        "cert.json": {"kind": "simulation", "relation": {
+            "source": ["s", "a1", "a2"], "target": ["t", "b"],
+            "values": [["1/12", "1/12"], ["1/3", "1/3"], ["0", "0"]]}},
+        "grid.json": {"kind": "kantorovich-grid", "modalities": ["E"], "step": "1/2"},
+        "kantorovich.json": {"kind": "kantorovich", "sub": {"kind": "id"}},
+    }
+    for name, body in files.items():
+        (tmp_path / name).write_text(json.dumps(body))
+    return lambda lifting: ["check-cert", "--system", str(tmp_path / "a.json"),
+                            "--system", str(tmp_path / "b.json"),
+                            "--cert", str(tmp_path / "cert.json"),
+                            "--lifting", str(tmp_path / lifting)]
+
+
+def test_a_grid_certificate_within_the_slack_is_undecided(tmp_path, capsys):
+    args = item_two_files(tmp_path)
+    code, out, _ = run_cli(capsys, *args("kantorovich.json"))
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (1, "violation")
+    assert report["forward"][0] == {"pair": ["s", "t"], "claimed": "1/12", "lifted": "1/6",
+                                    "slack": "-1/12"}
+    assert "undecided" not in report and "approximation-slack" not in report
+    code, out, _ = run_cli(capsys, *args("grid.json"))
+    report = json.loads(out)
+    assert (code, report["verdict"], report["undecided"]) == (1, "undecided", 6)
+    assert report["approximation-slack"] == "1/2"
+    assert report["forward"][0] == {"pair": ["s", "t"], "claimed": "1/12", "lifted": "1/12",
+                                    "slack": "0"}
+
+
+def test_a_grid_certificate_without_an_error_bound_is_a_usage_error(tmp_path, capsys,
+                                                                    monkeypatch):
+    real = DFin._modalities
+    monkeypatch.setattr(DFin, "_modalities", lambda self: {
+        name: dataclasses.replace(lam, nonexpansive=False) for name, lam in real(self).items()})
+    code, out, err = run_cli(capsys, *item_two_files(tmp_path)("grid.json"))
+    assert (code, out) == (2, "")
+    assert err == ("error: modality E is not flagged nonexpansive; the grid oracle carries "
+                   "no error bound for it\n")
 
 
 def test_systems_outside_their_functor_are_usage_errors(tmp_path, capsys):

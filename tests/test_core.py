@@ -18,7 +18,7 @@ from laxkit import (
     is_pseudometric,
 )
 from laxkit.axioms import rand_hemimetric, rand_rel
-from laxkit.core import as_unit, parse_unit, sat_add, sat_sub
+from laxkit.core import as_unit, format_ratio, format_unit, parse_unit, sat_add, sat_sub
 
 from tests.oracles import (
     fraction_compose,
@@ -83,6 +83,18 @@ def test_parse_unit_exact_decimals():
         parse_unit("3/2")
     with pytest.raises(StructureError):
         parse_unit("zebra")
+
+
+def test_a_value_past_the_integer_text_limit_is_a_structure_error():
+    assert format_unit(F(2, 3 ** 9000)) == f"2/{3 ** 9000}"  # 4295 digits
+    with pytest.raises(StructureError) as exc:
+        format_unit(F(1, 3 ** 9100))
+    assert str(exc.value) == ("a value with a 4342-digit integer exceeds the limit of 4300 "
+                              "digits for integer text")
+    with pytest.raises(StructureError, match="a 4301-digit integer"):
+        format_ratio(10 ** 4300, 1)
+    with pytest.raises(StructureError, match="a 4301-digit integer"):
+        format_ratio(-(10 ** 4300), 7)
 
 
 def test_compose_diagonal_is_unit():

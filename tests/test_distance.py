@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import laxkit as lk
 from laxkit import (
@@ -477,3 +480,81 @@ def test_lifts_read_elements_as_the_systems_carry_them(monkeypatch, name):
         run()
         counts[call] = len(built)
     assert counts == dict.fromkeys(calls, 0)
+
+
+# ---------------------------------------------------------------------------
+# Certificates under an approximate lifting: a row is accepted only when its
+# claim clears the lifted value by the grid's slack
+
+
+def item_two_systems():
+    """s -> 1/2 a1 + 1/2 a2 with a1, a2 looping, against t -> b looping, and
+    the simulation certificate with rows s: 1/12, a1: 1/3, a2: 0."""
+    point = lambda x: lk.fdist([(lk.IdEl(x), F(1))])
+    sys_a = lk.Coalgebra.of(DIST, lk.Carrier.of("s", "a1", "a2"), {
+        "s": lk.fdist([(lk.IdEl("a1"), F(1, 2)), (lk.IdEl("a2"), F(1, 2))]),
+        "a1": point("a1"), "a2": point("a2")})
+    sys_b = lk.Coalgebra.of(DIST, lk.Carrier.of("t", "b"), {"t": point("b"), "b": point("b")})
+    claims = {"s": F(1, 12), "a1": F(1, 3), "a2": F(0)}
+    rel = lk.FuzzyRel.from_function(sys_a.carrier, sys_b.carrier, lambda a, b: claims[a])
+    return sys_a, sys_b, Certificate(rel, "simulation")
+
+
+def test_a_grid_leaves_a_certificate_within_its_slack_undecided():
+    sys_a, sys_b, cert = item_two_systems()
+    exact = check_certificate(KANT, sys_a, sys_b, cert)
+    assert not exact.ok and (exact.slack, exact.undecided) == (0, 0)
+    assert exact.forward[0] == distance.SlackRow(("s", "t"), F(1, 12), F(1, 6))
+    grid = lk.KantorovichGrid(("E",), F(1, 2))
+    verdict = check_certificate(grid, sys_a, sys_b, cert)
+    # the grid lifts (s, t) to 1/12, its claim: "ok" would certify a row
+    # the exact lifting violates
+    assert verdict.forward[0] == distance.SlackRow(("s", "t"), F(1, 12), F(1, 12))
+    assert all(r.lifted <= r.claimed < r.lifted + F(1, 2) for r in verdict.forward)
+    assert (verdict.ok, verdict.slack, verdict.undecided) == (False, F(1, 2), 6)
+
+
+def test_a_grid_without_an_error_bound_is_refused(monkeypatch):
+    real = functors.DFin._modalities
+
+    def unflagged(self):
+        return {name: dataclasses.replace(lam, nonexpansive=False)
+                for name, lam in real(self).items()}
+
+    monkeypatch.setattr(functors.DFin, "_modalities", unflagged)
+    functor = lk.DFin(lk.Id())
+    sys_a, sys_b, cert = item_two_systems()
+    sys_a, sys_b = (lk.Coalgebra(functor, s.carrier, s.alpha) for s in (sys_a, sys_b))
+    with pytest.raises(StructureError) as err:
+        check_certificate(lk.KantorovichGrid(("E",), F(1, 2)), sys_a, sys_b, cert)
+    assert str(err.value) == ("modality E is not flagged nonexpansive; the grid oracle "
+                              "carries no error bound for it")
+
+
+GRID_AND_EXACT = {  # functor, grid modality, the exact lifting it approximates
+    "dfin": (DIST, "E", KANT),
+    "pfin": (lk.PFin(lk.Id()), "dia", lk.Hausdorff("left", lk.IdLift())),
+}
+CLAIMS = [F(k, 12) for k in range(13)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(GRID_AND_EXACT)), step=st.sampled_from([F(1, 2), F(1, 3)]),
+       seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["simulation", "bisimulation"]),
+       claims=st.lists(st.sampled_from(CLAIMS), min_size=9, max_size=9))
+def test_a_row_the_grid_accepts_the_exact_lifting_accepts(name, step, seed, kind, claims):
+    functor, modality, exact = GRID_AND_EXACT[name]
+    rng = random.Random(seed)
+    sys_a, sys_b = (rand_system(rng, functor, prefix, 3) for prefix in "ab")
+    rel = lk.FuzzyRel(sys_a.carrier, sys_b.carrier,
+                      tuple(tuple(claims[3 * i:3 * i + 3]) for i in range(3)))
+    cert = Certificate(rel, kind)
+    grid = check_certificate(lk.KantorovichGrid((modality,), step), sys_a, sys_b, cert)
+    truth = check_certificate(exact, sys_a, sys_b, cert)
+    rows = list(zip(grid.forward + (grid.backward or ()), truth.forward + (truth.backward or ())))
+    assert all(g.pair == t.pair and g.claimed == t.claimed for g, t in rows)
+    for g, t in rows:
+        if g.claimed >= g.lifted + step:
+            assert t.claimed >= t.lifted, (g, t)
+    if grid.ok:
+        assert truth.ok

@@ -1,5 +1,6 @@
 """The incremental fixpoint and the support-restricted grid search against
-their full-recompute oracles in tests/oracles.py.
+their full-recompute oracles in tests/oracles.py, and the grid search on
+integers against the same search on Fractions.
 
 The fixpoint re-lifts a pair only when an entry it reads has changed, so
 its iterates must be those of the loop that re-lifts every pair: whole
@@ -12,6 +13,7 @@ state ids.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +23,7 @@ from laxkit import distance, liftings, transport
 from laxkit.axioms import rand_carrier, rand_rel
 from laxkit.functors import base
 from laxkit.liftings import LIFTING_KINDS, grid_kantorovich_value
+from laxkit.moss import moss_modality
 from tests.conftest import (
     CASES,
     DIST,
@@ -28,6 +31,7 @@ from tests.conftest import (
     KANT,
     LABELLED_DIST,
     SET,
+    ZOO,
     count_modality_tables,
     kinds,
     labelled,
@@ -35,6 +39,7 @@ from tests.conftest import (
     systems,
 )
 from tests.oracles import (
+    fraction_grid_value,
     full_recompute_chain,
     full_recompute_distance,
     unrestricted_grid_value,
@@ -105,6 +110,109 @@ def test_grid_equals_unrestricted_search(functor_name, step):
         other = lk.FuzzyRel.from_function(
             a, b, lambda x, y: rel.at(x, y) if (x, y) in block else rng.choice((F(0), F(1))))
         assert grid_kantorovich_value(modalities, step, other.view(), t1, t2) == value
+
+
+def mixed_rel(rng, a, b):
+    """A relation whose entries are drawn over several denominators."""
+    def entry(x, y):
+        den = rng.choice((2, 3, 5, 7, 12))
+        return F(rng.randint(0, den), den)
+    return lk.FuzzyRel.from_function(a, b, entry)
+
+
+# name -> (functor, modality names, elements with an empty base or None)
+INTEGER_GRID = {
+    "pfin": (SET, ("dia", "box"), lk.fset([])),
+    "dfin": (DIST, ("E",), None),
+    "maybe-dfin": (lk.Maybe(DIST), ("dia", "box"), lk.NOTHING),
+    # nullary label readouts next to the set modalities
+    "labelled-pfin": (ZOO[3], ("at-1/2", "dia", "far-0", "box"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_GRID))
+@pytest.mark.parametrize("step", [F(1, 2), F(1, 3), F(1, 4), F(1, 5)])
+def test_integer_grid_equals_the_fraction_search(name, step):
+    functor, names, empty = INTEGER_GRID[name]
+    modalities = [functor.standard_modalities()[n] for n in names]
+    rng = random.Random(f"integer-grid/{name}/{step}")
+    for trial in range(30):
+        a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
+        rel = mixed_rel(rng, a, b)
+        t1, t2 = functor.random_element(rng, a), functor.random_element(rng, b)
+        if empty is not None and trial % 5 == 0:
+            t1 = empty  # an empty left set, then an empty right one
+        if empty is not None and trial % 5 == 1:
+            t2 = empty
+        assert grid_kantorovich_value(modalities, step, rel.view(), t1, t2) == \
+            fraction_grid_value(modalities, step, rel.view(), t1, t2), (trial, t1, t2)
+
+
+@pytest.mark.parametrize("lifting, functor", [(H_SYM, SET), (KANT, DIST)])
+def test_integer_grid_equals_the_fraction_search_on_moss_modalities(lifting, functor):
+    # a Moss modality takes one table per placeholder: up to three of them
+    # here, each combination of tables against its companions
+    rng = random.Random(f"integer-grid/moss/{lifting.kind}")
+    arities = set()
+    for trial in range(12):
+        step = F(1, 2 + trial % 2)
+        a, b = rand_carrier(rng, "a", 2), rand_carrier(rng, "b", 3)
+        rel = mixed_rel(rng, a, b)
+        t1, t2 = functor.random_element(rng, a), functor.random_element(rng, b)
+        modalities = [moss_modality(functor.random_element(rng, b), lifting, functor)
+                      for _ in range(2)] + [SET.standard_modalities()["dia"]] * (functor is SET)
+        arities |= {lam.arity for lam in modalities}
+        assert grid_kantorovich_value(modalities, step, rel.view(), t1, t2) == \
+            fraction_grid_value(modalities, step, rel.view(), t1, t2), trial
+    assert 2 in arities
+
+
+def test_grid_builds_each_companion_once_per_left_table(monkeypatch):
+    # dia and box read one table and one companion; a table is not visited
+    # again per modality
+    visits = []
+    real = liftings._left_tables
+
+    def counting(*args):
+        for table in real(*args):
+            visits.append(table)
+            yield table
+
+    monkeypatch.setattr(liftings, "_left_tables", counting)
+    a, b = lk.Carrier.of("a1", "a2", "a3"), lk.Carrier.of("b1", "b2")
+    rel = mixed_rel(random.Random("companions"), a, b)
+    t1 = lk.fset([lk.IdEl(x) for x in a.elements])
+    t2 = lk.fset([lk.IdEl(y) for y in b.elements])
+    modalities = [SET.standard_modalities()[n] for n in ("dia", "box")]
+    value = grid_kantorovich_value(modalities, F(1, 4), rel.view(), t1, t2)
+    assert value == fraction_grid_value(modalities, F(1, 4), rel.view(), t1, t2)
+    assert len(visits) == 5 ** 3
+    assert len({tuple(table.values()) for table, _ in visits}) == 5 ** 3
+
+
+def grid_peak_bytes() -> int:
+    # crisp entries keep the value at 0, so no table is skipped and every
+    # one of the 101 ** 2 companions is distinct
+    a, b = lk.Carrier.of("a1", "a2"), lk.Carrier.of("b1", "b2")
+    rel = lk.FuzzyRel(a, b, ((F(0), F(1)), (F(1), F(0))))
+    t1 = lk.fset([lk.IdEl("a1"), lk.IdEl("a2")])
+    t2 = lk.fset([lk.IdEl("b1"), lk.IdEl("b2")])
+    modalities = [SET.standard_modalities()[n] for n in ("dia", "box")]
+    tracemalloc.start()
+    try:
+        assert grid_kantorovich_value(modalities, F(1, 100), rel.view(), t1, t2) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_memory_stays_bounded_at_a_fine_step(monkeypatch):
+    bounded = grid_peak_bytes()
+    assert bounded < 2_000_000
+    # the bound is the memo's: unbounded, it keeps every companion (0.28 MB
+    # against 2.2 MB on CPython 3.11)
+    monkeypatch.setattr(liftings, "_GRID_MEMO", 10 ** 9)
+    assert grid_peak_bytes() > 4 * bounded
 
 
 def test_lift_calls_follow_the_dependency_rule(monkeypatch):

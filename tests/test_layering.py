@@ -230,6 +230,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     ("logic.py", "membership"), ("core.py", "RelView.block"), ("core.py", "scaled_entries"),
     ("transport.py", "min_cost_transport"),
     ("transport.py", "_simplex"), ("transport.py", "_hang"), ("transport.py", "_northwest_corner"),
+    ("liftings.py", "grid_kantorovich_value"),
 ])
 def test_integer_kernel_stays_in_exact_arithmetic(module, function):
     assert float_uses(os.path.join(SRC, module), function) == []

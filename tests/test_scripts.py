@@ -91,7 +91,8 @@ def test_benchmark_tracer_reads_a_relation_view():
     dia = set_functor.standard_modalities()["dia"]
     grid = lk.KantorovichGrid(("dia",), F(1, 2))
     t1, t2 = lk.fset([lk.IdEl("x1"), lk.IdEl("x3")]), lk.fset([lk.IdEl("y2")])
-    index_rows = lk.RelView(a, rel.values, {})
+    index_rows = lk.RelView(range(3), {i: dict(enumerate(row)) for i, row in enumerate(rel.values)},
+                            {})
     counts = Counter()
     for view, u, v in ((rel.view(), t1, t2), (index_rows, t1.map(a.index), t2.map(b.index))):
         args = ([dia], F(1, 2), view, u, v)
