@@ -191,8 +191,8 @@ def test_grid_builds_each_companion_once_per_left_table(monkeypatch):
 
 
 def grid_peak_bytes() -> int:
-    # crisp entries keep the value at 0, so no table is skipped and every
-    # one of the 101 ** 2 companions is distinct
+    # crisp entries keep the value at 0, so every table with a positive left
+    # value reads its right-hand side, and the 101 ** 2 companions differ
     a, b = lk.Carrier.of("a1", "a2"), lk.Carrier.of("b1", "b2")
     rel = lk.FuzzyRel(a, b, ((F(0), F(1)), (F(1), F(0))))
     t1 = lk.fset([lk.IdEl("a1"), lk.IdEl("a2")])
