@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark a parent checkout against a change checkout, pair by pair.
 
-    python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --workloads kripke_logic \\
+    python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --workloads kripke_logic[,law_suite] \\
         --seeds 905-914 [--seconds 35] [--out BENCH.json]
 
-For every workload and seed it runs `python3 perfbench/run.py --trace 0`
+--workloads takes a comma-separated list of workload names.  For every
+workload and seed it runs `python3 perfbench/run.py --trace 0`
 once in each checkout, one right after the other; which side goes first
 alternates from pair to pair, starting with the parent.  Each checkout
 runs its own perfbench and its own src.  The output JSON records each

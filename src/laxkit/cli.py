@@ -43,7 +43,7 @@ from .jsonio import (
 )
 from .liftings import LIFTING_KINDS, require_match
 from .logic import evaluate, semantics
-from .moss import logical_distance, synthesize
+from .moss import MAX_TREE_NODES, logical_distance, synthesize, tree_size
 from .systems import disjoint_union, validate
 
 EXIT_OK = 0
@@ -192,6 +192,9 @@ def cmd_dist(args) -> int:
     }
     if result.gap_bound is not None:
         body["gap-bound"] = format_unit(result.gap_bound)
+    if result.slack:
+        # an approximate lifting: the matrix bounds the exact lifting's fixpoint from below
+        body["approximation-slack"] = format_unit(result.slack)
     if args.trace:
         body["trace"] = [encode_rel(step) for step in result.trace]
     _emit(args, _envelope(args, digests, body))
@@ -331,6 +334,12 @@ def cmd_synth(args) -> int:
         args.target = inj2[args.target]
     lifting = _load_lifting(digests, args.lifting, system.functor)
     formula = synthesize(system, args.target, args.rank)
+    # refuse, before encoding, a report too large to write
+    size = tree_size(formula)
+    if size > MAX_TREE_NODES:
+        raise StructureError(
+            f"the rank-{args.rank} formula has {size} nodes written out as a tree, "
+            f"more than the {MAX_TREE_NODES} a report may hold; lower the rank")
     encoded = encode_formula(formula, system.functor)
     if args.out:
         # refuse, before anything is written, a file laxkit could not read
@@ -396,7 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("dist", help="behavioural distance matrix by fixpoint iteration")
+    p = subs.add_parser(
+        "dist", help="behavioural distance matrix by fixpoint iteration",
+        description="Behavioural distance matrix by fixpoint iteration from zero.  Under an "
+        "approximate lifting (kantorovich-grid) the report adds approximation-slack, the "
+        "grid's certified slack s, and the matrix then bounds the exact lifting's fixpoint "
+        "from below; a grid whose modalities are not flagged nonexpansive has no such "
+        "bound and is refused (exit 2).")
     p.add_argument("--system", action="append", required=True)
     p.add_argument("--lifting", required=True)
     p.add_argument("--tol", default="0", help="residual tolerance as p/q (0 = exact)")

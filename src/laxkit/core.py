@@ -274,7 +274,7 @@ def scaled_entries(source, values) -> tuple:
 class RelView:
     """A relation as every lift reads it: values[x][y] at the leaf values x, y
     of the lifted elements, and the transport warm starts of one chain or one
-    check (see KantorovichD.lift).
+    check (see KantorovichD.lift_ratio).
 
     `source` holds the left ids whose rows, dicts keyed by the right ids,
     make up the relation.  The view also carries its entries as integers

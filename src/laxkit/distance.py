@@ -23,10 +23,10 @@ system, which columns read state l of the right one) turn each step's
 changed entries into the next step's pairs to re-lift, so the iterates
 are exactly those of a full recompute.
 Every re-lifted value passes the monotonicity check, which keeps it at or
-above its old entry.  Its upper bound is the lifting's: every `lift`
-returns a Fraction in the unit interval, by construction in each kind but
-PairSum, whose weighted sum passes as_unit itself, so the chain runs no
-second unit check.  The final matrix and every traced iterate are
+above its old entry.  Its upper bound is the lifting's: each kind's
+`lift_ratio` stays within [0, 1] by construction, but for PairSum, which
+range-checks its weighted sum on integers, and `lift` builds one reduced
+Fraction of it, so the chain runs no second unit check.  The final matrix and every traced iterate are
 validated FuzzyRels over the systems' carriers.  The step compares each
 re-lifted value with the old one by one integer cross-product of
 numerators and denominators, which tells unchanged, grown and decreased
@@ -109,6 +109,10 @@ class DistanceResult:
     # bound on the remaining gap below the limit; only available when the
     # lifting contracts (factor < 1), None otherwise
     gap_bound: Fraction | None = None
+    # the lifting's certified slack s: 0 for an exact lifting; under a grid
+    # node, whose value is at most s below the lifting it approximates, the
+    # iteration's fixpoint bounds the exact lifting's from below
+    slack: Fraction = ZERO
 
 
 def check_setup(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra) -> None:
@@ -233,6 +237,13 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     carries gap_bound = residual * c / (1 - c), a bound on how far below
     the limit the matrix can be.  Without a contraction factor only the
     residual is reported.
+
+    Under an approximate lifting (a kantorovich-grid node) the result
+    carries its certified slack s > 0: each lifted value lies at most s
+    below the exact lifting's, so the matrix bounds the exact lifting's
+    fixpoint from below.  A grid over modalities not flagged
+    nonexpansive has no such bound and is refused, as check_certificate
+    refuses it.
     """
     if tol < 0:
         raise StructureError("tolerance must be nonnegative")
@@ -241,6 +252,7 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
     if max_iter > MAX_ITER:
         raise StructureError(f"max_iter must be at most {MAX_ITER}, got {max_iter}")
     check_setup(lifting, sys_a, sys_b)
+    slack = lifting.certified_slack(sys_a.functor)
     factor = lifting.contraction_factor()
     trace = [_zero(sys_a, sys_b)] if keep_trace else None
 
@@ -248,7 +260,7 @@ def behavioural_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebr
         matrix = trace[-1] if trace else _rel(sys_a, sys_b, rows)
         gap = residual * factor / (1 - factor) if factor < 1 else None
         return DistanceResult(matrix, n, residual, converged,
-                              tuple(trace) if trace else None, gap)
+                              tuple(trace) if trace else None, gap, slack)
 
     # zip draws from range first, so no step is computed past max_iter
     for n, (rows, residual) in zip(range(1, max_iter + 1), _chain(lifting, sys_a, sys_b)):

@@ -9,22 +9,24 @@ class here and exporting it.
   * ConstLift reads the label hemimetric,
   * Hausdorff (symmetric or one-sided) handles finite sets; it reads the
     lifts of all pairs of members as one integer block (lift_block) and
-    takes inf and sup on it,
+    takes inf and sup on its rows and columns, over the block's
+    denominator,
   * KantorovichD handles finite distributions through the exact
     transportation program; WassersteinD is the same class under its own
     JSON kind, which is sound because the sup-over-nonexpansive-pairs and
     inf-over-couplings formulations coincide on finite distributions, and
     the solver is cross-checked in the tests against brute-force coupling
-    enumeration.  Its costs are its child's integer block (lift_block).
-    The node keeps each pair of elements' last TransportResult in the
+    enumeration.  Its costs are its child's integer block (lift_block),
+    and its ratio is the solve's integer value over its scale.  The node
+    keeps each pair of elements' last TransportResult in the
     view's `transport_starts` dict, and the next solve of that pair resumes
     from its optimal basis (see RelView),
-  * PairSum / PairMax / Discount / MaybeLift combine and rescale (PairSum
-    forms w_l * x + w_r * y as one integer numerator over the product of
-    the four denominators); no
-    general law status is claimed for weighted or discounted
-    composites, each instance is certified empirically by the law
-    suite in laxkit.axioms,
+  * PairSum / PairMax / Discount / MaybeLift combine and rescale their
+    children's ratios on integers (PairSum forms w_l * x + w_r * y as one
+    integer numerator over the product of the four denominators, PairMax
+    compares by cross-multiplication); no general law status is claimed
+    for weighted or discounted composites, each instance is certified
+    empirically by the law suite in laxkit.axioms,
   * KantorovichGrid is a generic sup-over-modalities oracle on a finite
     value grid; it restricts the right-hand table of each candidate pair
     to the companion of the left-hand one, and the left-hand one to the
@@ -32,11 +34,15 @@ class here and exporting it.
     modalities, and its value is within one grid step below the true
     supremum when all modalities are nonexpansive.
 
-Every `lift` reads its relation through one RelView (laxkit.core) and,
-whatever arithmetic it runs inside, returns a Fraction in the unit interval.
-A node reads a block of its child's lifts through the child's lift_block,
-as integer rows over one denominator: IdLift reads them off the view's
-integers (RelView.block), and every other kind scales its own lifts.
+Every kind evaluates once, in `lift_ratio`, to an exact ratio of two
+integers (num, den) with 0 <= num <= den, not necessarily reduced; the
+base class's `lift` turns it into one reduced Fraction, so composites
+combine their children's ratios on integers and build no Fraction of
+their own.  Each kind reads its relation through one RelView
+(laxkit.core).  A node reads a block of its child's lifts through the
+child's lift_block, as integer rows over one denominator: IdLift reads
+them off the view's integers (RelView.block), and every other kind scales
+its own ratios to their lcm.
 """
 
 from __future__ import annotations
@@ -53,10 +59,8 @@ from .core import (
     RelView,
     StructureError,
     ZERO,
-    as_unit,
     format_unit,
     is_pseudometric,
-    scaled_rows,
     sup,
     unit_over,
 )
@@ -87,7 +91,8 @@ class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
     """Base class of lifting grammar nodes; each subclass is one lifting kind.
 
     Its methods are all the toolkit knows about the kind; each subclass
-    defines `lift`, the evaluation.  A subclass also sets `kind`, the JSON
+    defines `lift_ratio`, the evaluation, and inherits `lift`, which turns
+    its ratio into a Fraction.  A subclass also sets `kind`, the JSON
     tag it registers under in LIFTING_KINDS, and `child_fields`, the
     attributes holding its child liftings (see GrammarNode), each named
     like the functor attribute it lifts along, so a node's children pair
@@ -151,16 +156,28 @@ class LiftingSpec(GrammarNode, kinds=LIFTING_KINDS):
         return self.functor_type(*(child.default_functor(f"{path}.{name}")
                                    for name, child in zip(self.child_fields, self.children())))
 
+    def lift_ratio(self, functor: FunctorSpec, rel: RelView,
+                   t1: FunctorElement, t2: FunctorElement) -> tuple:
+        """The lifted value between t1 and t2 as integers (num, den), with
+        0 <= num <= den and den > 0, not necessarily reduced."""
+        raise NotImplementedError
+
+    def lift(self, functor: FunctorSpec, rel: RelView,
+             t1: FunctorElement, t2: FunctorElement) -> Fraction:
+        """The lifted value between t1 and t2: lift_ratio as a reduced Fraction."""
+        return unit_over(*self.lift_ratio(functor, rel, t1, t2))
+
     def lift_block(self, functor: FunctorSpec, rel: RelView, xs, ys) -> IntBlock:
         """The lifts of every pair of xs x ys, as integer rows over one
         denominator: rows[i][j] / den == lift(functor, rel, xs[i], ys[j]).
 
-        This default lifts each pair and scales the block by the lcm of its
-        denominators; a kind that can read its values off the view's
-        integers overrides it.
+        This default takes each pair's lift_ratio and scales the block by
+        the lcm of their denominators; a kind that can read its values off
+        the view's integers overrides it.
         """
-        den, (rows,) = scaled_rows([[self.lift(functor, rel, a, b) for b in ys] for a in xs])
-        return IntBlock((den, rows))
+        ratios = [[self.lift_ratio(functor, rel, a, b) for b in ys] for a in xs]
+        den = lcm(*{d for row in ratios for _, d in row})
+        return IntBlock((den, [[n * (den // d) for n, d in row] for row in ratios]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +186,9 @@ class IdLift(LiftingSpec):
     functor_type = Id
     mismatch = "IdLift needs the identity functor"
 
-    def lift(self, functor, rel, t1, t2):
-        return rel.values[t1.value][t2.value]
+    def lift_ratio(self, functor, rel, t1, t2):
+        value = rel.values[t1.value][t2.value]
+        return value.numerator, value.denominator
 
     def lift_block(self, functor, rel, xs, ys):
         # the relation's own entries, read off the view (see RelView.block)
@@ -195,8 +213,9 @@ class ConstLift(LiftingSpec):
     def default_functor(self, path="lifting"):
         raise StructureError(f"{path}: a label component has no default label metric")
 
-    def lift(self, functor, rel, t1, t2):
-        return functor.metric.at(t1.label, t2.label)
+    def lift_ratio(self, functor, rel, t1, t2):
+        value = functor.metric.at(t1.label, t2.label)
+        return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -216,19 +235,23 @@ class Hausdorff(LiftingSpec):
     def claims_converse(self, functor):
         return self.variant == "sym" and self.sub.claims_converse(functor.sub)
 
-    def lift(self, functor, rel, t1, t2):
+    def lift_ratio(self, functor, rel, t1, t2):
         if not isinstance(t1, SetEl) or not isinstance(t2, SetEl):
             raise StructureError("Hausdorff lifting expects set elements")
         # every variant reads each (a, b) pair, so lift each pair once, then
         # take inf and sup on the block's integers over its common denominator
-        den, d = self.sub.lift_block(functor.sub, rel, t1.members, t2.members)
-        value = 0  # sup over nothing; an inf over nothing is den
-        if self.variant != "right":
-            value = max((min(row, default=den) for row in d), default=0)
+        xs, ys = t1.members, t2.members
+        den, rows = self.sub.lift_block(functor.sub, rel, xs, ys)
+        if not xs or not ys:
+            # a sup over nothing is 0 and an inf over nothing is 1: a
+            # direction reads 1 exactly when the side of its sup has members
+            left = self.variant != "right" and bool(xs)
+            right = self.variant != "left" and bool(ys)
+            return int(left or right), 1
+        value = max(map(min, rows)) if self.variant != "right" else 0
         if self.variant != "left":
-            columns = zip(*d) if d else [()] * len(t2.members)
-            value = max(value, max((min(col, default=den) for col in columns), default=0))
-        return unit_over(value, den)
+            value = max(value, max(map(min, zip(*rows))))
+        return value, den
 
     def to_json(self):
         return {**super().to_json(), "variant": self.variant}
@@ -251,7 +274,7 @@ class KantorovichD(LiftingSpec):
     def range_bound(self, functor):
         return self.sub.range_bound(functor.sub)
 
-    def lift(self, functor, rel, t1, t2):
+    def lift_ratio(self, functor, rel, t1, t2):
         if not isinstance(t1, DistEl) or not isinstance(t2, DistEl):
             raise StructureError("transport liftings expect distribution elements")
         xs, mu = zip(*t1.pairs) if t1.pairs else ((), ())
@@ -261,7 +284,7 @@ class KantorovichD(LiftingSpec):
         # the ids hold while the view's owner keeps the elements alive
         starts, key = rel.transport_starts, (id(self), id(t1), id(t2))
         result = starts[key] = min_cost_transport(mu, nu, cost, starts.get(key))
-        return result.value
+        return result.total, result.den
 
 
 class WassersteinD(KantorovichD):
@@ -307,15 +330,17 @@ class PairSum(LiftingSpec):
         return (self.w_left * self.left.contraction_factor()
                 + self.w_right * self.right.contraction_factor())
 
-    def lift(self, functor, rel, t1, t2):
+    def lift_ratio(self, functor, rel, t1, t2):
         # w_l * x + w_r * y as one integer numerator over the four denominators
-        x = self.left.lift(functor.left, rel, t1.left, t2.left)
-        y = self.right.lift(functor.right, rel, t1.right, t2.right)
+        xn, xd = self.left.lift_ratio(functor.left, rel, t1.left, t2.left)
+        yn, yd = self.right.lift_ratio(functor.right, rel, t1.right, t2.right)
         wl, wr = self.w_left, self.w_right
-        left_den, right_den = wl.denominator * x.denominator, wr.denominator * y.denominator
-        return as_unit(Fraction(wl.numerator * x.numerator * right_den
-                                + wr.numerator * y.numerator * left_den,
-                                left_den * right_den))
+        left_den, right_den = wl.denominator * xd, wr.denominator * yd
+        num = wl.numerator * xn * right_den + wr.numerator * yn * left_den
+        den = left_den * right_den
+        if num > den:
+            raise StructureError(f"value {Fraction(num, den)} outside the unit interval")
+        return num, den
 
     def to_json(self):
         return {**super().to_json(),
@@ -343,9 +368,10 @@ class PairMax(LiftingSpec):
     def range_bound(self, functor):
         return max(self.left.range_bound(functor.left), self.right.range_bound(functor.right))
 
-    def lift(self, functor, rel, t1, t2):
-        return max(self.left.lift(functor.left, rel, t1.left, t2.left),
-                   self.right.lift(functor.right, rel, t1.right, t2.right))
+    def lift_ratio(self, functor, rel, t1, t2):
+        xn, xd = x = self.left.lift_ratio(functor.left, rel, t1.left, t2.left)
+        yn, yd = y = self.right.lift_ratio(functor.right, rel, t1.right, t2.right)
+        return x if xn * yd >= yn * xd else y
 
 
 @dataclass(frozen=True)
@@ -378,8 +404,9 @@ class Discount(LiftingSpec):
     def default_functor(self, path="lifting"):
         return self.sub.default_functor(f"{path}.sub")
 
-    def lift(self, functor, rel, t1, t2):
-        return self.factor * self.sub.lift(functor, rel, t1, t2)
+    def lift_ratio(self, functor, rel, t1, t2):
+        num, den = self.sub.lift_ratio(functor, rel, t1, t2)
+        return self.factor.numerator * num, self.factor.denominator * den
 
     def to_json(self):
         return {**super().to_json(), "factor": format_unit(self.factor)}
@@ -399,12 +426,12 @@ class MaybeLift(LiftingSpec):
     functor_type = Maybe
     mismatch = "MaybeLift needs an optional component"
 
-    def lift(self, functor, rel, t1, t2):
+    def lift_ratio(self, functor, rel, t1, t2):
         if t1.value is None and t2.value is None:
-            return ZERO
+            return 0, 1
         if t1.value is None or t2.value is None:
-            return ONE
-        return self.sub.lift(functor.sub, rel, t1.value, t2.value)
+            return 1, 1
+        return self.sub.lift_ratio(functor.sub, rel, t1.value, t2.value)
 
 
 @dataclass(frozen=True)
@@ -456,8 +483,9 @@ class KantorovichGrid(LiftingSpec):
     def default_functor(self, path="lifting"):
         raise StructureError(f"{path}: cannot derive the functor under a grid node")
 
-    def lift(self, functor, rel, t1, t2):
-        return grid_kantorovich_value(self._modalities(functor), self.step, rel, t1, t2)
+    def lift_ratio(self, functor, rel, t1, t2):
+        value = grid_kantorovich_value(self._modalities(functor), self.step, rel, t1, t2)
+        return value.numerator, value.denominator
 
     def to_json(self):
         return {**super().to_json(), "modalities": list(self.modality_names),

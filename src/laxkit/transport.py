@@ -33,7 +33,8 @@ from .core import IntBlock, StructureError, scaled_rows
 
 
 class TransportResult(NamedTuple):
-    """One solve: its optimal value, the masses as given, their scale dm,
+    """One solve: its optimal value as integers total / den (den being dm
+    times the costs' scale; not reduced), the masses as given, their scale dm,
     its optimal basis {(i, j): mass * dm}, m+n-1 cells over integers, and
     that basis's tree hung from row 0 as (order, parents): the nodes other
     than row 0, each after its parent, and each node's parent (-1 for row
@@ -44,12 +45,18 @@ class TransportResult(NamedTuple):
     start; the plan is read off the basis when asked for.
     """
 
-    value: Fraction
+    total: int
+    den: int
     mu: list
     nu: list
     dm: int
     basis: dict
     tree: tuple
+
+    @property
+    def value(self) -> Fraction:
+        """The optimal value, total / den."""
+        return Fraction(self.total, self.den)
 
     @property
     def plan(self) -> tuple:
@@ -221,4 +228,4 @@ def min_cost_transport(mu, nu, cost, warm: TransportResult | None = None) -> Tra
     total = 0
     for (i, j), q in flow.items():
         total += q * cost[i][j]
-    return TransportResult(Fraction(total, dm * dc), mu, nu, dm, flow, tree)
+    return TransportResult(total, dm * dc, mu, nu, dm, flow, tree)

@@ -355,19 +355,20 @@ def full_recompute_distance(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalg
     when the lifting contracts with factor c < 1, the result additionally
     carries gap_bound = residual * c / (1 - c), a bound on how far below
     the limit the matrix can be.  Without a contraction factor only the
-    residual is reported.
+    residual is reported.  The result carries the lifting's certified slack.
     """
     if tol < 0:
         raise StructureError("tolerance must be nonnegative")
     if max_iter < 1:
         raise StructureError("max_iter must be at least 1")
     check_setup(lifting, sys_a, sys_b)
+    slack = lifting.certified_slack(sys_a.functor)
     factor = lifting.contraction_factor()
 
     def finish(matrix, n, residual, converged, trace):
         gap = residual * factor / (1 - factor) if factor < 1 else None
         return DistanceResult(matrix, n, residual, converged,
-                              tuple(trace) if trace else None, gap)
+                              tuple(trace) if trace else None, gap, slack)
 
     current = _zero(sys_a, sys_b)
     trace = [current] if keep_trace else None

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import time
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -21,7 +22,7 @@ from laxkit.distance import (
 from laxkit.functors import DFin, FUNCTOR_KINDS
 from laxkit.jsonio import MAX_NESTING
 from laxkit.liftings import LIFTING_KINDS
-from laxkit.moss import MAX_RANK
+from laxkit.moss import MAX_RANK, MAX_TREE_NODES
 from tests.conftest import count_modality_tables, fixture_path, json_values, mutants
 
 
@@ -326,6 +327,37 @@ def test_a_grid_certificate_without_an_error_bound_is_a_usage_error(tmp_path, ca
                    "no error bound for it\n")
 
 
+def item_two_dist(tmp_path, lifting):
+    item_two_files(tmp_path)
+    return ["dist", "--system", str(tmp_path / "a.json"), "--system", str(tmp_path / "b.json"),
+            "--lifting", str(tmp_path / lifting)]
+
+
+def test_a_grid_distance_reports_its_approximation_slack(tmp_path, capsys):
+    # the grid's matrix bounds the exact lifting's fixpoint from below, and
+    # says so; an exact lifting's report has no such key
+    code, out, _ = run_cli(capsys, *item_two_dist(tmp_path, "grid.json"))
+    grid = json.loads(out)
+    assert (code, grid["approximation-slack"], grid["converged"]) == (0, "1/2", True)
+    code, out, _ = run_cli(capsys, *item_two_dist(tmp_path, "kantorovich.json"))
+    exact = json.loads(out)
+    assert code == 0 and "approximation-slack" not in exact
+    assert set(grid) - set(exact) == {"approximation-slack"}
+    for low, high in zip(grid["matrix"]["values"], exact["matrix"]["values"]):
+        assert all(F(g) <= F(e) for g, e in zip(low, high))
+
+
+def test_a_grid_distance_without_an_error_bound_is_a_usage_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    real = DFin._modalities
+    monkeypatch.setattr(DFin, "_modalities", lambda self: {
+        name: dataclasses.replace(lam, nonexpansive=False) for name, lam in real(self).items()})
+    code, out, err = run_cli(capsys, *item_two_dist(tmp_path, "grid.json"))
+    assert (code, out) == (2, "")
+    assert err == ("error: modality E is not flagged nonexpansive; the grid oracle carries "
+                   "no error bound for it\n")
+
+
 def test_systems_outside_their_functor_are_usage_errors(tmp_path, capsys):
     with open(fixture_path("labelled_kripke_a.json")) as handle:
         labelled = json.load(handle)
@@ -584,6 +616,41 @@ def test_rank_bound_on_a_deadlock_loop(tmp_path, capsys, command):
     assert code == 0
     code, out, _ = run_cli(capsys, *command, *args, "--rank", str(MAX_RANK + 1))
     assert (code, out) == (2, "")
+
+
+def branching_pair_args(tmp_path):
+    """s, labelled 0, and t, labelled 1, each step to {s, t}: the rank-n
+    formula for s shares 2n + 1 distinct nodes and, for n >= 1, has
+    3 * 2^(n-1) - 1 as a tree."""
+    labels = {"kind": "const", "labels": ["0", "1"], "metric": [["0", "1"], ["1", "0"]]}
+    functor = {"kind": "pair", "left": labels, "right": {"kind": "pfin", "sub": {"kind": "id"}}}
+    system = tmp_path / "branching.json"
+    system.write_text(json.dumps({"functor": functor, "states": ["s", "t"],
+                                  "alpha": {"s": ["0", ["s", "t"]], "t": ["1", ["s", "t"]]}}))
+    return ["synth", "--system", str(system), "--lifting", fixture_path("half_label_hausdorff.json"),
+            "--target", "s"]
+
+
+def test_synth_refuses_a_tree_too_large_to_write(tmp_path, capsys):
+    args = branching_pair_args(tmp_path)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *args, "--rank", "20")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: the rank-20 formula has {3 * 2 ** 19 - 1} nodes written out as a tree, "
+                   f"more than the {MAX_TREE_NODES} a report may hold; lower the rank\n")
+
+
+def test_synth_writes_a_tree_up_to_the_cap(tmp_path, capsys, monkeypatch):
+    # rank 3 has 11 nodes: a cap of 11 writes the very report of no cap, 10 refuses it
+    args = branching_pair_args(tmp_path) + ["--rank", "3"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.dumps(json.loads(out)["formula"]).count('"kind"') == 11
+    monkeypatch.setattr(cli, "MAX_TREE_NODES", 11)
+    assert run_cli(capsys, *args) == (0, out, "")
+    monkeypatch.setattr(cli, "MAX_TREE_NODES", 10)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "") and "has 11 nodes" in err
 
 
 @pytest.mark.parametrize("depth, ok", [(MAX_NESTING, True), (MAX_NESTING + 1, False), (250, False)])

@@ -199,8 +199,9 @@ class _Antitone(LiftingSpec):
     functor_type = lk.Id
     mismatch = "needs the identity functor"
 
-    def lift(self, functor, rel, t1, t2):
-        return F(2, 3) * (1 - rel.values[t1.value][t2.value])
+    def lift_ratio(self, functor, rel, t1, t2):
+        value = rel.values[t1.value][t2.value]
+        return 2 * (value.denominator - value.numerator), 3 * value.denominator
 
 
 def test_a_decreasing_chain_is_refused():
@@ -558,3 +559,35 @@ def test_a_row_the_grid_accepts_the_exact_lifting_accepts(name, step, seed, kind
             assert t.claimed >= t.lifted, (g, t)
     if grid.ok:
         assert truth.ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(GRID_AND_EXACT)), step=st.sampled_from([F(1, 2), F(1, 3)]),
+       seed=st.integers(0, 2 ** 32))
+def test_a_grid_distance_carries_its_slack_and_stays_below_the_exact_one(name, step, seed):
+    # G <= L on every relation and both are monotone, so every grid iterate
+    # lies below the exact one, and below the exact fixpoint
+    functor, modality, exact = GRID_AND_EXACT[name]
+    rng = random.Random(seed)
+    sys_a, sys_b = (rand_system(rng, functor, prefix, 3) for prefix in "ab")
+    grid = lk.KantorovichGrid((modality,), step)
+    low = behavioural_distance(grid, sys_a, sys_b, max_iter=6)
+    high = behavioural_distance(exact, sys_a, sys_b, max_iter=6)
+    assert (low.slack, high.slack) == (step, 0)
+    for g, e in zip(distance_chain(grid, sys_a, sys_b, 6), distance_chain(exact, sys_a, sys_b, 6)):
+        assert g.entrywise_le(e)
+    if high.converged:
+        assert low.matrix.entrywise_le(high.matrix)
+
+
+def test_a_grid_distance_without_an_error_bound_is_refused(monkeypatch):
+    real = functors.DFin._modalities
+    monkeypatch.setattr(functors.DFin, "_modalities", lambda self: {
+        name: dataclasses.replace(lam, nonexpansive=False) for name, lam in real(self).items()})
+    sys_a, sys_b, _ = item_two_systems()
+    functor = lk.DFin(lk.Id())
+    sys_a, sys_b = (lk.Coalgebra(functor, s.carrier, s.alpha) for s in (sys_a, sys_b))
+    with pytest.raises(StructureError) as err:
+        behavioural_distance(lk.KantorovichGrid(("E",), F(1, 2)), sys_a, sys_b)
+    assert str(err.value) == ("modality E is not flagged nonexpansive; the grid oracle "
+                              "carries no error bound for it")

@@ -221,8 +221,12 @@ def test_transport_kernel_stays_in_exact_arithmetic():
 
 
 @pytest.mark.parametrize("module, function", [
-    ("liftings.py", "Hausdorff.lift"), ("liftings.py", "PairSum.lift"),
-    ("liftings.py", "KantorovichD.lift"), ("core.py", "RelView"),
+    ("liftings.py", "LiftingSpec.lift"), ("liftings.py", "IdLift.lift_ratio"),
+    ("liftings.py", "ConstLift.lift_ratio"), ("liftings.py", "Hausdorff.lift_ratio"),
+    ("liftings.py", "KantorovichD.lift_ratio"), ("liftings.py", "PairSum.lift_ratio"),
+    ("liftings.py", "PairMax.lift_ratio"), ("liftings.py", "Discount.lift_ratio"),
+    ("liftings.py", "MaybeLift.lift_ratio"), ("liftings.py", "KantorovichGrid.lift_ratio"),
+    ("core.py", "RelView"),
     ("distance.py", "_chain"), ("core.py", "scaled_rows"), ("core.py", "unit_over"),
     ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
     ("core.py", "is_pseudometric"), ("liftings.py", "LiftingSpec.lift_block"),
@@ -376,15 +380,16 @@ def test_delegation_guard_sees_each_form(tmp_path):
 
 
 def relation_probes(path: str) -> list:
-    """getattr(rel, ...) and rel.at(...) calls in every `lift` method and in
-    grid_kantorovich_value, rel being the relation parameter (the third,
-    counting self)."""
+    """getattr(rel, ...) and rel.at(...) calls in every `lift` and
+    `lift_ratio` method and in grid_kantorovich_value, rel being the
+    relation parameter (the third, counting self)."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.FunctionDef)
-                and node.name in ("lift", "grid_kantorovich_value") and len(node.args.args) > 2):
+                and node.name in ("lift", "lift_ratio", "grid_kantorovich_value")
+                and len(node.args.args) > 2):
             continue
         rel = node.args.args[2].arg
         for call in ast.walk(node):
@@ -419,10 +424,13 @@ def test_relation_view_guard_sees_each_probe(tmp_path):
         "        return rel.at(t1, t2)\n"
         "def grid_kantorovich_value(modalities, step, rel, t1, t2):\n"
         "    return [rel.at(a, b) for a in t1 for b in t2]\n"
+        "class Ratio:\n"
+        "    def lift_ratio(self, functor, rel, t1, t2):\n"
+        "        return rel.at(t1, t2).numerator, 1\n"
     )
     assert relation_probes(str(probe)) == [
         "line 3: lift calls getattr on rel", "line 4: lift calls rel.at",
-        "line 11: grid_kantorovich_value calls rel.at",
+        "line 11: grid_kantorovich_value calls rel.at", "line 14: lift_ratio calls rel.at",
     ]
 
 

@@ -40,10 +40,12 @@ from laxkit import (
     logical_distance,
 )
 from laxkit.axioms import rand_carrier, rand_hemimetric, rand_rel
+from laxkit.liftings import LIFTING_KINDS
 from laxkit.modalities import PredicateLifting
 from laxkit import core
 from laxkit.logic import membership
 from tests.oracles import (
+    fraction_grid_value,
     fraction_pair_sum,
     min_sup_over_set_couplings,
     rational_transport_simplex,
@@ -111,8 +113,9 @@ def test_hausdorff_lifts_each_pair_once(monkeypatch):
     # block of the relation's integers, with no lift per pair; under a sub-
     # lifting that reads no block (the default lift_block), by one lift each
     calls, blocks = [], []
-    real, real_block = IdLift.lift, IdLift.lift_block
-    monkeypatch.setattr(IdLift, "lift", lambda self, *args: calls.append(args) or real(self, *args))
+    real, real_block = IdLift.lift_ratio, IdLift.lift_block
+    monkeypatch.setattr(IdLift, "lift_ratio",
+                        lambda self, *args: calls.append(args) or real(self, *args))
     monkeypatch.setattr(IdLift, "lift_block", lambda self, functor, rel, xs, ys: (
         blocks.append((xs, ys)) or real_block(self, functor, rel, xs, ys)))
     rng = random.Random("hausdorff-one-pass")
@@ -645,3 +648,105 @@ def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_
             for u, v in ((bad, t2), (t1, bad)):
                 with pytest.raises(StructureError, match="nowhere"):
                     H_SYM.lift(SET_FUNCTOR, view, u, v)
+
+
+# ---------------------------------------------------------------------------
+# Every kind evaluates once, to an integer ratio that lift turns into a Fraction
+
+
+def node_oracle(lifting, functor, rel, t1, t2):
+    """The node's value by its definition on Fractions, over its children's
+    lifts: Hausdorff and pair-sum through the oracles' forms, transport
+    through the rational simplex, the grid through the Fraction search."""
+    if isinstance(lifting, IdLift):
+        return rel.values[t1.value][t2.value]
+    if isinstance(lifting, ConstLift):
+        return functor.metric.at(t1.label, t2.label)
+    if isinstance(lifting, Hausdorff):
+        return two_pass_hausdorff(lifting, functor, rel, t1, t2)
+    if isinstance(lifting, lk.PairSum):
+        return fraction_pair_sum(lifting, functor, rel, t1, t2)
+    if isinstance(lifting, lk.PairMax):
+        return max(lifting.left.lift(functor.left, rel, t1.left, t2.left),
+                   lifting.right.lift(functor.right, rel, t1.right, t2.right))
+    if isinstance(lifting, Discount):
+        return lifting.factor * lifting.sub.lift(functor, rel, t1, t2)
+    if isinstance(lifting, MaybeLift):
+        if t1.value is None or t2.value is None:
+            return F(int((t1.value is None) != (t2.value is None)))
+        return lifting.sub.lift(functor.sub, rel, t1.value, t2.value)
+    if isinstance(lifting, KantorovichD):
+        cost = [[lifting.sub.lift(functor.sub, rel, x, y) for y, _ in t2.pairs]
+                for x, _ in t1.pairs]
+        return rational_transport_simplex([p for _, p in t1.pairs], [q for _, q in t2.pairs],
+                                          cost)[0]
+    assert isinstance(lifting, KantorovichGrid)
+    return fraction_grid_value(lifting._modalities(functor), lifting.step, rel, t1, t2)
+
+
+def sub_pairs(lifting, functor, t1, t2):
+    """(child, child functor, u1, u2): every pair of elements a child of the
+    node lifts while the node lifts t1 and t2."""
+    if isinstance(lifting, (lk.PairSum, lk.PairMax)):
+        yield lifting.left, functor.left, t1.left, t2.left
+        yield lifting.right, functor.right, t1.right, t2.right
+    elif isinstance(lifting, Discount):
+        yield lifting.sub, functor, t1, t2
+    elif isinstance(lifting, MaybeLift):
+        if t1.value is not None and t2.value is not None:
+            yield lifting.sub, functor.sub, t1.value, t2.value
+    elif isinstance(lifting, Hausdorff):
+        for a in t1.members:
+            for b in t2.members:
+                yield lifting.sub, functor.sub, a, b
+    elif isinstance(lifting, KantorovichD):
+        for x, _ in t1.pairs:
+            for y, _ in t2.pairs:
+                yield lifting.sub, functor.sub, x, y
+
+
+def check_ratio_tree(lifting, functor, rel, t1, t2, seen):
+    """lift_ratio's range, lift as its reduced Fraction and the node's
+    oracle, at this node and at every pair of elements below it; seen
+    counts the empty sets and deadlocks met."""
+    num, den = lifting.lift_ratio(functor, rel, t1, t2)
+    assert type(num) is int and type(den) is int and 0 <= num <= den and den > 0
+    value = lifting.lift(functor, rel, t1, t2)
+    assert type(value) is F and value == F(num, den)
+    assert value == node_oracle(lifting, functor, rel, t1, t2), (lifting, t1, t2)
+    if isinstance(lifting, Hausdorff):
+        seen["empty sets"] += not t1.members or not t2.members
+    if isinstance(lifting, MaybeLift):
+        seen["deadlocks"] += t1.value is None or t2.value is None
+    for child, sub, u1, u2 in sub_pairs(lifting, functor, t1, t2):
+        check_ratio_tree(child, sub, rel, u1, u2, seen)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_kind_lifts_through_one_integer_ratio(name):
+    lifting, functor, _, _ = CASES[name]
+    rng = random.Random(f"ratio-kernel/{name}")
+    a, b = Carrier.of("a0", "a1", "a2", "a3"), Carrier.of("b0", "b1", "b2")
+    seen = dict.fromkeys(("empty sets", "deadlocks"), 0)
+    for make in (mixed_rel, coprime_rel):
+        rel = make(rng, a, b)
+        xs = [functor.random_element(rng, a) for _ in range(5)]
+        ys = [functor.random_element(rng, b) for _ in range(4)]
+        for view, _ in integer_views(rng, rel):
+            for t1 in xs:
+                for t2 in ys:
+                    check_ratio_tree(lifting, functor, view, t1, t2, seen)
+            # a block, the node's own or the default one, holds the per-pair lifts
+            for block in (lifting.lift_block, lambda *args: LiftingSpec.lift_block(lifting, *args)):
+                den, rows = block(functor, view, xs, ys)
+                assert [[F(n, den) for n in row] for row in rows] == \
+                    [[lifting.lift(functor, view, t1, t2) for t2 in ys] for t1 in xs]
+    kinds_met = set(kinds(lifting))
+    assert seen["empty sets"] or "hausdorff" not in kinds_met
+    assert seen["deadlocks"] or "maybe" not in kinds_met
+
+
+def test_no_lifting_kind_defines_its_own_lift():
+    # one evaluation per kind: the base class alone turns a ratio into a Fraction
+    for cls in LIFTING_KINDS.values():
+        assert cls.lift is LiftingSpec.lift and cls.lift_ratio is not LiftingSpec.lift_ratio

@@ -27,7 +27,9 @@ from laxkit import (
 )
 from laxkit import logic
 from laxkit.axioms import rand_carrier, rand_rel, rand_unit
-from laxkit.logic import semantics
+from laxkit.jsonio import encode_formula
+from laxkit.logic import FORMULA_KINDS, semantics
+from laxkit.moss import tree_size
 from laxkit.systems import disjoint_union
 from tests.conftest import CASES, number_const, systems
 from tests.oracles import per_target_logical_distance
@@ -208,6 +210,25 @@ def test_synthesis_base_cases(labelled_frames):
     assert all(
         evaluate(phi0, union, x, lifting) == 0 for x in union.carrier.elements
     )
+
+
+def formula_nodes(encoded) -> int:
+    """The formula nodes of a JSON formula, counted as written."""
+    if isinstance(encoded, list):
+        return sum(map(formula_nodes, encoded))
+    if not isinstance(encoded, dict):
+        return 0
+    return (encoded.get("kind") in FORMULA_KINDS) + sum(map(formula_nodes, encoded.values()))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tree_size_counts_the_nodes_the_encoding_writes(name):
+    _, sys_a, sys_b = systems(name, 0)
+    union, _, _ = disjoint_union(sys_a, sys_b)
+    for rank in range(5):
+        for target in union.carrier.elements:
+            formula = synthesize(union, target, rank)
+            assert tree_size(formula) == formula_nodes(encode_formula(formula, union.functor))
 
 
 def test_synthesis_matches_chain(labelled_frames):

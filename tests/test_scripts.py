@@ -113,3 +113,23 @@ def test_benchmark_tracer_reads_a_relation_view():
     finally:
         tracer.uninstall()
     assert tracer.counts["liftings.lift_calls"] > 0 and tracer.counts["liftings.grid_calls"] > 0
+
+
+def test_compare_reports_tells_a_changed_lifting_apart(tmp_path):
+    script = os.path.join(SCRIPTS, "compare_reports.py")
+    args = ("--workloads", "kripke_logic", "--seeds", "7", "--rounds", "1")
+    proc = run_script(script, ROOT, ROOT, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "40 calls: same exit codes, stdout and stderr\n"
+    # a copy whose Hausdorff lifting reads its left-to-right half as an inf
+    mutant = tmp_path / "mutant"
+    for top in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, top), mutant / top,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    liftings_py = mutant / "src" / "laxkit" / "liftings.py"
+    source = liftings_py.read_text()
+    assert source.count("max(map(min, rows))") == 1
+    liftings_py.write_text(source.replace("max(map(min, rows))", "min(map(min, rows))"))
+    proc = run_script(script, ROOT, str(mutant), *args)
+    assert proc.returncode == 1, proc.stderr
+    assert "call differs in" in proc.stdout

@@ -280,18 +280,18 @@ def test_warm_start_equals_cold_solve(monkeypatch):
         assert len(starts) == 2
 
 
-def test_a_solve_builds_one_fraction(monkeypatch):
-    # cold or warm, a solve builds its value and nothing else; the plan
-    # is built only when it is read
+def test_a_solve_builds_no_fraction(monkeypatch):
+    # cold or warm, a solve keeps its value as integers and builds no
+    # Fraction; the value and the plan are built only when they are read
     built = []
     monkeypatch.setattr(transport, "Fraction", lambda *args: built.append(args) or F(*args))
     rng = random.Random("one-fraction")
     for mu, nu, cost in [degenerate_instance(), *diff_instances()]:
         built.clear()
         first = min_cost_transport(mu, nu, cost)
-        assert len(built) == 1
-        min_cost_transport(mu, nu, second_cost(rng, cost), first)
-        assert len(built) == 2
+        warm = min_cost_transport(mu, nu, second_cost(rng, cost), first)
+        assert built == []
+        assert warm.value == F(warm.total, warm.den) and len(built) == 1
 
 
 def count_tree_walks(monkeypatch) -> list:
