@@ -60,8 +60,7 @@ def answers(root: str, argvs: list) -> list:
     """Every call's [exit code, stdout, stderr], run against root's src/."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--serve", os.path.join(root, "src")],
-        input=json.dumps(argvs), capture_output=True, text=True, timeout=3600,
-        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+        input=json.dumps(argvs), capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         raise RuntimeError(f"the calls against {root} did not run:\n{proc.stderr}")
     return json.loads(proc.stdout)

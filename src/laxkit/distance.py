@@ -26,8 +26,9 @@ Every re-lifted value passes the monotonicity check, which keeps it at or
 above its old entry.  Its upper bound is the lifting's: each kind's
 `lift_ratio` stays within [0, 1] by construction, but for PairSum, which
 range-checks its weighted sum on integers, and `lift` builds one reduced
-Fraction of it, so the chain runs no second unit check.  The final matrix and every traced iterate are
-validated FuzzyRels over the systems' carriers.  The step compares each
+Fraction of it, so the chain runs no second unit check.  The final
+matrix and every traced iterate are validated FuzzyRels over the
+systems' carriers.  The step compares each
 re-lifted value with the old one by one integer cross-product of
 numerators and denominators, which tells unchanged, grown and decreased
 apart, and keeps the residual as an integer numerator and denominator

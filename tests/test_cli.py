@@ -627,8 +627,8 @@ def branching_pair_args(tmp_path):
     system = tmp_path / "branching.json"
     system.write_text(json.dumps({"functor": functor, "states": ["s", "t"],
                                   "alpha": {"s": ["0", ["s", "t"]], "t": ["1", ["s", "t"]]}}))
-    return ["synth", "--system", str(system), "--lifting", fixture_path("half_label_hausdorff.json"),
-            "--target", "s"]
+    return ["synth", "--system", str(system),
+            "--lifting", fixture_path("half_label_hausdorff.json"), "--target", "s"]
 
 
 def test_synth_refuses_a_tree_too_large_to_write(tmp_path, capsys):
@@ -637,8 +637,8 @@ def test_synth_refuses_a_tree_too_large_to_write(tmp_path, capsys):
     code, out, err = run_cli(capsys, *args, "--rank", "20")
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "")
-    assert err == (f"error: the rank-20 formula has {3 * 2 ** 19 - 1} nodes written out as a tree, "
-                   f"more than the {MAX_TREE_NODES} a report may hold; lower the rank\n")
+    assert err == (f"error: the rank-20 formula has {3 * 2 ** 19 - 1} nodes written out as a "
+                   f"tree, more than the {MAX_TREE_NODES} a report may hold; lower the rank\n")
 
 
 def test_synth_writes_a_tree_up_to_the_cap(tmp_path, capsys, monkeypatch):

@@ -737,7 +737,8 @@ def test_every_kind_lifts_through_one_integer_ratio(name):
                 for t2 in ys:
                     check_ratio_tree(lifting, functor, view, t1, t2, seen)
             # a block, the node's own or the default one, holds the per-pair lifts
-            for block in (lifting.lift_block, lambda *args: LiftingSpec.lift_block(lifting, *args)):
+            default = lambda *args: LiftingSpec.lift_block(lifting, *args)
+            for block in (lifting.lift_block, default):
                 den, rows = block(functor, view, xs, ys)
                 assert [[F(n, den) for n in row] for row in rows] == \
                     [[lifting.lift(functor, view, t1, t2) for t2 in ys] for t1 in xs]
