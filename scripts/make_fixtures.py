@@ -14,7 +14,9 @@ Two bundles:
     distance chain is an infinite geometric sum, so this bundle exercises
     tolerance-based convergence.
 
-Plus bare Hausdorff liftings (both variants) for the law-suite command,
+Plus bare Hausdorff liftings (both variants), the two transport
+liftings, and the grid oracle over `dia` and over `dia` and `box` with
+the finite-set functor it needs, for the law-suite command,
 a small probabilistic system with a deadlock, and two formulas: one in
 the text syntax and one in JSON that negates a named and a structural
 modality over the labelled frames' functor.
@@ -28,8 +30,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from laxkit import (
     Carrier, Coalgebra, Const, ConstEl, Certificate, DFin, FuzzyRel, Hausdorff,
-    Id, IdEl, KantorovichD, MaybeLift, Maybe, NOTHING, PFin, Pair, PairEl,
-    PairSum, ConstLift, IdLift, fdist, fset, just,
+    Id, IdEl, KantorovichD, KantorovichGrid, MaybeLift, Maybe, NOTHING, PFin, Pair, PairEl,
+    PairSum, ConstLift, IdLift, WassersteinD, fdist, fset, just,
     FormulaConst, Modal, MossDelta, Neg, Or,
 )
 from laxkit.jsonio import (
@@ -102,6 +104,10 @@ def hausdorff_variants():
     dump_json(encode_lifting(Hausdorff("sym", IdLift())), f"{OUT}/hausdorff_sym.json")
     dump_json(encode_lifting(Hausdorff("left", IdLift())), f"{OUT}/hausdorff_left.json")
     dump_json(encode_lifting(KantorovichD(IdLift())), f"{OUT}/kantorovich_discrete.json")
+    dump_json(encode_lifting(WassersteinD(IdLift())), f"{OUT}/wasserstein_discrete.json")
+    for name, modalities in (("grid_dia", ("dia",)), ("grid_dia_box", ("dia", "box"))):
+        dump_json(encode_lifting(KantorovichGrid(modalities, F(1, 4))), f"{OUT}/{name}.json")
+    dump_json(encode_functor(PFin(Id())), f"{OUT}/kripke_functor.json")
 
 
 def probabilistic():

@@ -18,15 +18,21 @@ Random unit values are drawn as integers over _SCALE, the lcm of the
 draw denominators, by indexing tables: per denominator, the tuple of its
 numerators scaled to _SCALE, and one tuple of the _SCALE + 1 Fractions
 k/_SCALE that a drawn integer indexes.  In CPython's random module
-`rng.choice(seq)` is `seq[rng._randbelow(len(seq))]` and
-`rng.randint(a, b)` is `a + rng._randbelow(b - a + 1)`, so a table draw
-consumes the rng exactly as the randint draw it replaces: the stream, and
-so every report, is unchanged.  A random hemimetric is symmetrized and
-triangle-closed (Floyd-Warshall) on those integers, where truncated
-addition never saturates, and L1's smaller relation is max(x - y, 0) on
-them; only the finished matrices index the Fractions.  Random carriers
-are shared, one per prefix and size, and relations built from the tables
-skip FuzzyRel's entry check.
+`rng.choice(seq)` is `seq[rng._randbelow(len(seq))]`,
+`rng.randrange(a, b)` is `a + rng._randbelow(b - a)` and
+`rng.randint(a, b)` is `rng.randrange(a, b + 1)`, so a draw by `choice`
+over a table or a range consumes the rng exactly as the randint or
+randrange draw it replaces: the stream, and so every report, is
+unchanged.  Carriers are drawn that way from one tuple per prefix and
+largest size, shared by every draw, and so are the functors' sizes,
+weights, states and labels (laxkit.functors).  A random hemimetric is
+symmetrized and triangle-closed (Floyd-Warshall) on those integers,
+where truncated addition never saturates, and L1's smaller relation is
+max(x - y, 0) on them; only the finished matrices index the Fractions.
+A relation built from the tables skips FuzzyRel's entry check and keeps
+its integers over _SCALE as its scaled form, so a lift reads its blocks
+off them (FuzzyRel.view), as it reads those of the compositions,
+converses, graphs and diagonals the laws build from it.
 
 Comparisons are exact for exact liftings; if a grid oracle occurs in the
 lifting, inequalities get the documented approximation slack instead of
@@ -54,6 +60,7 @@ from math import lcm
 from .core import (
     Carrier,
     FuzzyRel,
+    IntBlock,
     ONE,
     StructureError,
     ZERO,
@@ -158,13 +165,15 @@ def rand_unit(rng: random.Random) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _carrier(prefix: str, size: int) -> Carrier:
-    """The carrier prefix0, ..., prefix{size-1}, shared by every draw of it."""
-    return Carrier(tuple(f"{prefix}{i}" for i in range(size)))
+def _carriers(prefix: str, max_size: int) -> tuple:
+    """The carriers prefix0, ..., prefix{size-1} for size 1..max_size,
+    shared by every draw of them."""
+    return tuple(Carrier(tuple(f"{prefix}{i}" for i in range(size)))
+                 for size in range(1, max_size + 1))
 
 
 def rand_carrier(rng: random.Random, prefix: str, max_size: int) -> Carrier:
-    return _carrier(prefix, rng.randrange(1, max_size + 1))
+    return rng.choice(_carriers(prefix, max_size))
 
 
 def _rand_scaled_rows(rng: random.Random, source: Carrier, target: Carrier) -> list:
@@ -173,9 +182,12 @@ def _rand_scaled_rows(rng: random.Random, source: Carrier, target: Carrier) -> l
 
 
 def _rel_over_scale(source: Carrier, target: Carrier, rows) -> FuzzyRel:
-    """The relation whose entries are rows' numerators over _SCALE."""
+    """The relation whose entries are rows' numerators over _SCALE,
+    carrying those integers as its scaled form."""
+    ints = tuple(map(tuple, rows))
     units = _UNITS.__getitem__
-    return FuzzyRel._of_units(source, target, tuple(tuple(map(units, row)) for row in rows))
+    return FuzzyRel._of_units(source, target, tuple(tuple(map(units, row)) for row in ints),
+                              IntBlock((_SCALE, ints)))
 
 
 def rand_rel(rng: random.Random, source: Carrier, target: Carrier) -> FuzzyRel:

@@ -182,12 +182,20 @@ class FuzzyRel:
     Builders whose rows are unit Fractions of the right shape by
     construction skip that check (see `_of_units`): `compose`, `converse`,
     `graph` and `diagonal` here, and the law suite's random relations.
-    Every other `FuzzyRel(...)` is checked entry by entry.
+    Every other `FuzzyRel(...)` is checked entry by entry.  A relation
+    built by construction also keeps the integers it was built from:
+    `scaled` is then an IntBlock (den, rows) of tuple rows with
+    values[i][j] == rows[i][j] / den, den being the denominator it was
+    built on (not necessarily the least), and `view` hands that form to
+    every block a lift reads.  `scaled` is not a field, so equality and
+    the checked constructor ignore it; it is None on a checked relation
+    and on the converse of one.
     """
 
     source: Carrier
     target: Carrier
     values: tuple
+    scaled = None  # no annotation: set by _of_units, not a dataclass field
 
     def __post_init__(self):
         if len(self.values) != len(self.source):
@@ -206,13 +214,17 @@ class FuzzyRel:
             object.__setattr__(self, "values", tuple(rows))
 
     @classmethod
-    def _of_units(cls, source: Carrier, target: Carrier, values: tuple) -> "FuzzyRel":
+    def _of_units(cls, source: Carrier, target: Carrier, values: tuple,
+                  scaled: IntBlock | None) -> "FuzzyRel":
         """A relation on rows that are unit Fractions, len(source) rows of
-        len(target) each, by construction: stored as given, with no check."""
+        len(target) each, by construction: stored as given, with no check,
+        and with `scaled`, the same entries as integer rows over one
+        denominator, or None where the builder has no such form."""
         rel = object.__new__(cls)
         object.__setattr__(rel, "source", source)
         object.__setattr__(rel, "target", target)
         object.__setattr__(rel, "values", values)
+        object.__setattr__(rel, "scaled", scaled)
         return rel
 
     @staticmethod
@@ -232,8 +244,14 @@ class FuzzyRel:
         return self.values[self.source.index(a)][self.target.index(b)]
 
     def view(self) -> "RelView":
-        """This relation as lifts read it, by element ids, with no warm starts."""
-        return RelView(self.source, _RowsById(self), {})
+        """This relation as lifts read it, by element ids, with no warm
+        starts: a relation carrying `scaled` hands it to the view, whose
+        blocks then read those integers (see RelView)."""
+        view = RelView(self.source, _RowsById(self, self.values), {})
+        if self.scaled is not None:
+            den, rows = self.scaled
+            view.scaled = den, _RowsById(self, rows)
+        return view
 
     def is_square(self) -> bool:
         return self.source == self.target
@@ -248,16 +266,17 @@ class FuzzyRel:
 
 
 class _RowsById(dict):
-    """FuzzyRel.view's rows by id, each built on its first read: lifts read few."""
+    """FuzzyRel.view's rows by id, of the relation's Fractions or of its
+    scaled integers, each built on its first read: lifts read few."""
 
-    __slots__ = ("rel",)
+    __slots__ = ("rel", "rows")
 
-    def __init__(self, rel: FuzzyRel):
-        self.rel = rel
+    def __init__(self, rel: FuzzyRel, rows: tuple):
+        self.rel, self.rows = rel, rows
 
     def __missing__(self, a):
         rel = self.rel
-        row = self[a] = dict(zip(rel.target.elements, rel.values[rel.source.index(a)]))
+        row = self[a] = dict(zip(rel.target.elements, self.rows[rel.source.index(a)]))
         return row
 
 
@@ -280,11 +299,14 @@ class RelView:
     make up the relation.  The view also carries its entries as integers
     over one common denominator, `scaled` = (den, ints) with ints[x][y] =
     values[x][y] * den, which lifts read in blocks (see
-    LiftingSpec.lift_block).  scaled_entries builds that form off the rows
-    at `source`, once: on the view's second block read, the first being
-    scaled on its own, so a view that a single lift reads, as a law
-    trial's, never pays for the whole relation.  Until then `scaled` is
-    None, or False once the first block was read.
+    LiftingSpec.lift_block).  The view of a relation that carries its
+    integers (FuzzyRel.view of one built by construction, as a law
+    trial's) has that form from the start, its rows by id, and reads every
+    block off it with no lcm and no numerator/denominator pass.  Otherwise
+    scaled_entries builds the form off the rows at `source`, once: on the
+    view's second block read, the first being scaled on its own, so a view
+    that a single lift reads never pays for the whole relation.  Until
+    then `scaled` is None, or False once the first block was read.
     """
 
     source: object
@@ -317,34 +339,41 @@ def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
 
     Runs on integers: with D the lcm of every entry's denominator, each
     entry x becomes x * D, and (r;s)(a,c) * D = min(min_b (r + s), D).
-    An empty middle carrier yields the all-1 relation (inf over nothing).
+    Those integers, over D, are the composite's `scaled` form.  An empty
+    middle carrier yields the all-1 relation (inf over nothing).
     """
     if r.target != s.source:
         raise StructureError("composition: middle carriers disagree")
     den, (left, right) = scaled_rows(r.values, s.values)
     columns = list(zip(*right)) if right else [()] * len(s.target)
-    rows = tuple(
-        tuple(
-            unit_over(min(min(map(add, row, col), default=den), den), den)
-            for col in columns
-        )
+    ints = tuple(
+        tuple(min(min(map(add, row, col), default=den), den) for col in columns)
         for row in left
     )
-    return FuzzyRel._of_units(r.source, s.target, rows)
+    rows = tuple(tuple(unit_over(x, den) for x in row) for row in ints)
+    return FuzzyRel._of_units(r.source, s.target, rows, IntBlock((den, ints)))
+
+
+def _transpose(rows: tuple, width: int) -> tuple:
+    """The columns of rows, each of width entries, as tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * width
 
 
 def converse(r: FuzzyRel) -> FuzzyRel:
-    rows = tuple(
-        tuple(r.values[i][j] for i in range(len(r.source)))
-        for j in range(len(r.target))
-    )
-    return FuzzyRel._of_units(r.target, r.source, rows)
+    """The transposed relation; it carries the transpose of r's `scaled`
+    form, if r has one."""
+    scaled = r.scaled
+    if scaled is not None:
+        den, ints = scaled
+        scaled = IntBlock((den, _transpose(ints, len(r.target))))
+    return FuzzyRel._of_units(r.target, r.source, _transpose(r.values, len(r.target)), scaled)
 
 
 def graph(fn: Mapping, source: Carrier, target: Carrier, eps=ZERO) -> FuzzyRel:
     """The eps-graph of a function: eps where fn(a) = b, 1 elsewhere."""
     e = as_unit(eps)
-    rows = []
+    num, den = e.numerator, e.denominator
+    rows, ints = [], []
     for a in source.elements:
         if a not in fn:
             raise StructureError(f"function undefined on {a!r}")
@@ -352,7 +381,8 @@ def graph(fn: Mapping, source: Carrier, target: Carrier, eps=ZERO) -> FuzzyRel:
         if fa not in target:
             raise StructureError(f"function maps {a!r} outside the target carrier")
         rows.append(tuple(e if fa == b else ONE for b in target.elements))
-    return FuzzyRel._of_units(source, target, tuple(rows))
+        ints.append(tuple(num if fa == b else den for b in target.elements))
+    return FuzzyRel._of_units(source, target, tuple(rows), IntBlock((den, tuple(ints))))
 
 
 def diagonal(carrier: Carrier, eps=ZERO) -> FuzzyRel:

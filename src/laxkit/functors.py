@@ -125,6 +125,16 @@ class FunctorElement(Canonical):
     def shrink_candidates(self):
         return ()
 
+    @classmethod
+    def _of_checked(cls, **fields) -> "FunctorElement":
+        """A node on fields that meet its __post_init__ checks by
+        construction (fset's and fdist's sorted results): stored as given,
+        with no check."""
+        node = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(node, name, value)
+        return node
+
 
 @dataclass(frozen=True)
 class IdEl(FunctorElement):
@@ -191,8 +201,9 @@ class DistEl(FunctorElement):
     """A finitely supported distribution: ((element, probability), ...).
 
     Support elements are distinct and sorted; the mass and positivity
-    invariants are enforced by the fdist() factory, while system validation
-    reports them as diagnostics for ingested files.
+    invariants are enforced by the fdist() factory, and met by
+    construction in DFin's draws, while system validation reports them as
+    diagnostics for ingested files.
     """
 
     pairs: tuple
@@ -257,7 +268,8 @@ class MaybeEl(FunctorElement):
 
 def fset(members: Iterable[FunctorElement]) -> SetEl:
     """Build a set element: sort by canonical key and keep the last of
-    each run of members with equal keys."""
+    each run of members with equal keys.  The result is strictly sorted
+    by construction, so it is built without SetEl's sort check."""
     out, last = [], None
     for key, m in sorted([(m._canonical_key(), m) for m in members], key=itemgetter(0)):
         if key == last:
@@ -265,7 +277,7 @@ def fset(members: Iterable[FunctorElement]) -> SetEl:
         else:
             out.append(m)
         last = key
-    return SetEl(tuple(out))
+    return SetEl._of_checked(members=tuple(out))
 
 
 def fdist(pairs: Iterable[tuple]) -> DistEl:
@@ -274,6 +286,8 @@ def fdist(pairs: Iterable[tuple]) -> DistEl:
     Support is sorted by canonical key and merged in runs, on integers over
     the lcm D of the denominators, as is the mass check; a probability seen
     once is kept as given, and a merged one becomes a Fraction over D.
+    Every check on the pairs stays; like fset, it builds its strictly
+    sorted result without DistEl's sort check.
     """
     entries = []
     for el, p in pairs:
@@ -293,7 +307,8 @@ def fdist(pairs: Iterable[tuple]) -> DistEl:
     total = sum(mass for *_, mass in merged)
     if total != den:
         raise StructureError(f"distribution mass {Fraction(total, den)} is not 1")
-    return DistEl(tuple((el, p or unit_over(mass, den)) for _, el, p, mass in merged))
+    return DistEl._of_checked(
+        pairs=tuple((el, p or unit_over(mass, den)) for _, el, p, mass in merged))
 
 
 def just(el: FunctorElement) -> MaybeEl:
@@ -406,13 +421,22 @@ class Id(FunctorSpec):
         return [("error", path or "<root>", f"state {el.value!r} is not in the carrier")]
 
     def random_element(self, rng, carrier):
-        return rng.choice(_id_elements(carrier))
+        return rng.choice(_interned(IdEl, carrier))
 
 
 @lru_cache(maxsize=256)
-def _id_elements(carrier: Carrier) -> tuple:
-    """One IdEl per carrier element, shared by the draws over that carrier."""
-    return tuple(map(IdEl, carrier.elements))
+def _interned(element_type: type, carrier: Carrier) -> tuple:
+    """One element_type node per carrier element (IdEl at states, ConstEl
+    at labels), shared by the draws over that carrier."""
+    return tuple(map(element_type, carrier.elements))
+
+
+# Draws index ranges with rng.choice, which makes the one _randbelow call
+# that rng.randrange over the same range makes: the rng stream is that of
+# randrange.  At k, the set sizes 0..k and the distribution sizes 1..k.
+_SET_SIZES = tuple(range(k + 1) for k in range(4))
+_DIST_SIZES = tuple(range(1, k + 1) for k in range(4))
+_WEIGHTS = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -460,7 +484,7 @@ class Const(FunctorSpec):
         return [("error", path or "<root>", f"label {el.label!r} is not in the label set")]
 
     def random_element(self, rng, carrier):
-        return ConstEl(rng.choice(self.labels.elements))
+        return rng.choice(_interned(ConstEl, self.labels))
 
     def _modalities(self):
         # "at-l" reads closeness to l.  Its dual, the raw distance readout
@@ -511,7 +535,7 @@ class PFin(FunctorSpec):
         return out
 
     def random_element(self, rng, carrier):
-        size = rng.randrange(min(3, len(carrier)) + 1)
+        size = rng.choice(_SET_SIZES[min(3, len(carrier))])
         return fset(self.sub.random_element(rng, carrier) for _ in range(size))
 
     def _modalities(self):
@@ -578,11 +602,21 @@ class DFin(FunctorSpec):
         return out
 
     def random_element(self, rng, carrier):
-        size = rng.randrange(1, min(3, len(carrier)) + 1)
+        """Up to three members with integer weights 1..6: members of equal
+        canonical key merge their weights, the last of them standing for
+        all, and each share is its weight over the total, as fdist would
+        build it from the weights' Fractions, which it skips."""
+        size = rng.choice(_DIST_SIZES[min(3, len(carrier))])
         members = [self.sub.random_element(rng, carrier) for _ in range(size)]
-        weights = [rng.randrange(1, 7) for _ in members]
+        weights = [rng.choice(_WEIGHTS) for _ in members]
         total = sum(weights)
-        return fdist((m, _share(w, total)) for m, w in zip(members, weights))
+        merged = {}  # canonical key -> (last member with it, summed weight)
+        for m, w in zip(members, weights):
+            key = m._canonical_key()
+            before = merged.get(key)
+            merged[key] = m, w + (before[1] if before else 0)
+        return DistEl._of_checked(pairs=tuple(
+            (m, _share(w, total)) for m, w in map(merged.__getitem__, sorted(merged))))
 
     def _modalities(self):
         if not isinstance(self.sub, Id):

@@ -99,25 +99,36 @@ def witness_value(lifting: LiftingSpec, functor: FunctorSpec, rel: FuzzyRel,
 # Synthesis and logical distance
 
 
-def synthesize_levels(system: Coalgebra, max_rank: int) -> list:
-    """Level-by-level distinguishing formulas for every state.
+def synthesize_levels(system: Coalgebra, max_rank: int, targets=None) -> list:
+    """Level-by-level distinguishing formulas for every state, or for the
+    states the targets' formulas reach.
 
     levels[k][s] is a rank-k formula whose value at any state x equals the
-    k-step distance from x to s; level 0 is the constant 0.
+    k-step distance from x to s; level 0 is the constant 0.  Given
+    targets, level max_rank holds the targets only, and each level below
+    it the successors of the states above it: the formulas are those of
+    every state, built only where the targets' formulas read them.
+    Levels are built bottom-up, one at a time, so no recursion grows with
+    the rank.
     """
     if max_rank < 0:
         raise StructureError("rank must be nonnegative")
     if max_rank > MAX_RANK:
         raise StructureError(f"rank {max_rank} exceeds the limit {MAX_RANK}")
+    if targets is None:
+        states = [system.carrier.elements] * (max_rank + 1)
+    else:
+        states = [tuple(targets)]
+        for _ in range(max_rank):
+            states.append(tuple(dict.fromkeys(
+                succ for s in states[-1] for succ in system.step(s).leaves())))
+        states.reverse()
     zero = Const(ZERO)
-    levels = [{s: zero for s in system.carrier.elements}]
-    for _ in range(max_rank):
+    levels = [dict.fromkeys(states[0], zero)]
+    for level_states in states[1:]:
         prev = levels[-1]
-        level = {
-            s: MossDelta(system.step(s).map(lambda succ: prev[succ]))
-            for s in system.carrier.elements
-        }
-        levels.append(level)
+        levels.append({s: MossDelta(system.step(s).map(lambda succ: prev[succ]))
+                       for s in level_states})
     return levels
 
 
@@ -143,7 +154,7 @@ def synthesize(system: Coalgebra, target, max_rank: int) -> Formula:
     """A rank-n formula separating every state from the target state."""
     if target not in system.carrier:
         raise StructureError(f"state {target!r} is not in the system")
-    return synthesize_levels(system, max_rank)[max_rank][target]
+    return synthesize_levels(system, max_rank, (target,))[max_rank][target]
 
 
 def logical_distance(sys_a: Coalgebra, sys_b: Coalgebra, lifting: LiftingSpec,
@@ -152,14 +163,16 @@ def logical_distance(sys_a: Coalgebra, sys_b: Coalgebra, lifting: LiftingSpec,
 
     Entry (a, b) is the value gap of the synthesized rank-n formula for b
     on the disjoint union of the systems; no formula enumeration happens.
-    All |B| target formulas run through one evaluator, so each distinct
-    subformula (at most |B| per rank) is evaluated once per call, with one
-    lift per union state; synthesized formulas name no modality, so no
-    modality table is built.
+    The formulas are built over the states they reach, the second
+    system's side of the union only.  All |B| of them run through one
+    evaluator, so each distinct subformula (at most |B| per rank) is
+    evaluated once per call, with one lift per union state; synthesized
+    formulas name no modality, so no modality table is built.
     """
     check_setup(lifting, sys_a, sys_b)
     union, inj1, inj2 = disjoint_union(sys_a, sys_b)
-    formulas = synthesize_levels(union, rank_n)[rank_n]
+    targets = [inj2[b] for b in sys_b.carrier.elements]
+    formulas = synthesize_levels(union, rank_n, targets)[rank_n]
     evaluator = _Evaluator(union, lifting)
     tables = {b: evaluator(formulas[inj2[b]]) for b in sys_b.carrier.elements}
     rows = tuple(

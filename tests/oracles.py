@@ -613,7 +613,9 @@ def randint_rel(rng: random.Random, source: Carrier, target: Carrier) -> FuzzyRe
 
 
 def randint_element(rng: random.Random, functor: FunctorSpec, carrier: Carrier):
-    """A random element of functor over carrier, one grammar node at a time."""
+    """A random element of functor over carrier, one grammar node at a time,
+    as the draws were first made: by randint, a fresh IdEl or ConstEl per
+    draw, and each distribution through fdist on its weights' Fractions."""
     if isinstance(functor, Id):
         return IdEl(rng.choice(carrier.elements))
     if isinstance(functor, Const):

@@ -138,6 +138,19 @@ def test_law_suite_builds_few_fractions(lifting, functor, bound, monkeypatch):
     assert len(built) <= 0.6 * bound
 
 
+def test_choice_over_a_range_draws_as_randrange():
+    """rng.choice(range(a, b)) makes the one _randbelow(b - a) call that
+    rng.randrange(a, b) makes: the same value, with the rng left in the
+    same state, so draws that index ranges keep randrange's stream."""
+    bounds = ([(0, k + 1) for k in range(4)] + [(1, k + 1) for k in range(1, 4)]
+              + [(1, 7), (1, 65), (3, 2**40)])
+    for seed in range(500):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for a, b in bounds:
+            assert rng.choice(range(a, b)) == oracle.randrange(a, b), seed
+            assert rng.getstate() == oracle.getstate(), seed
+
+
 @pytest.mark.parametrize("functor", ZOO, ids=["pfin", "dfin", "maybe-dfin", "labelled-pfin"])
 def test_table_draws_match_the_randint_oracle(functor):
     """Every draw from the tables equals the randint oracle's draw and leaves
@@ -172,33 +185,47 @@ SHIPPED_SUITES = [
 
 def test_unchecked_relations_of_a_law_suite_pass_the_check(monkeypatch):
     """Each relation a law suite builds without FuzzyRel's entry check (its
-    draws, compose, converse, graph and diagonal) holds Fractions in [0, 1]
-    and is what the checked constructor builds from the same rows."""
-    real = lk.FuzzyRel._of_units.__func__
-    built = []
+    draws, compose, converse, graph and diagonal) holds Fractions in [0, 1],
+    is what the checked constructor builds from the same rows, and carries
+    tuple rows of integers that are its entries times their denominator;
+    only the converse of a checked relation (a shrink candidate) carries
+    none."""
+    real, real_converse = lk.FuzzyRel._of_units.__func__, axioms.converse
+    built, plain_converses = [], []
 
-    def checked(cls, source, target, values):
-        rel = real(cls, source, target, values)
+    def checked(cls, source, target, values, scaled):
+        rel = real(cls, source, target, values, scaled)
         assert all(type(x) is F for row in values for x in row)
         assert lk.FuzzyRel(source, target, values) == rel
+        if rel.scaled is not None:
+            den, ints = rel.scaled
+            assert type(ints) is tuple and all(type(row) is tuple for row in ints)
+            assert [[F(k, den) for k in row] for row in ints] == [list(row) for row in values]
         built.append(rel)
         return rel
 
+    def converse(r):
+        plain_converses.append(r.scaled is None)
+        return real_converse(r)
+
     monkeypatch.setattr(lk.FuzzyRel, "_of_units", classmethod(checked))
+    monkeypatch.setattr(axioms, "converse", converse)
     for lifting, functor in SHIPPED_SUITES:
         check_axioms(lifting, functor, AxiomConfig(trials=20, max_size=4, seed=2))
     assert len(built) > 1000
+    assert sum(rel.scaled is None for rel in built) == sum(plain_converses)
 
 
 @pytest.mark.parametrize("lifting, functor, fractions", [
     (lk.Hausdorff("sym", lk.IdLift()), lk.PFin(lk.Id()), 212),
-    (lk.KantorovichD(lk.IdLift()), lk.DFin(lk.Id()), 698),
+    (lk.KantorovichD(lk.IdLift()), lk.DFin(lk.Id()), 435),
 ], ids=["hausdorff-sym", "kantorovich"])
 def test_law_suite_draws_build_and_check_no_fractions(lifting, functor, fractions,
                                                       monkeypatch):
     """With the draws indexing tables, one law-suite run builds at most 212
-    (hausdorff-sym) and 698 (kantorovich) Fractions, where a Fraction built
-    per draw made 1263 and 2312, and runs at most 280 unit checks, where
+    (hausdorff-sym) and 435 (kantorovich) Fractions, where a Fraction built
+    per draw made 1263 and 2312, and drawn distributions built through
+    fdist made 447 (kantorovich), and runs at most 280 unit checks, where
     re-checking every drawn relation made 3189."""
     real_new, real_as_unit = F.__new__, core.as_unit
     built, checks = [], []

@@ -42,6 +42,23 @@ CASES = {
                               "--functor", "fixtures/labelled_kripke_functor.json"],
     "axioms-labels-derived": ["axioms", "--trials", "40",
                               "--lifting", "fixtures/half_label_hausdorff.json"],
+    "axioms-sym": ["axioms", "--trials", "40", "--lifting", "fixtures/hausdorff_sym.json"],
+    "axioms-wasserstein": ["axioms", "--trials", "40",
+                           "--lifting", "fixtures/wasserstein_discrete.json"],
+    "axioms-weighted-step": ["axioms", "--trials", "40",
+                             "--lifting", "fixtures/weighted_step_lifting.json",
+                             "--functor", "fixtures/weighted_loop_functor.json"],
+    "axioms-labels-seeded": ["axioms", "--trials", "40", "--max-size", "3", "--seed", "3",
+                             "--lifting", "fixtures/half_label_hausdorff.json",
+                             "--functor", "fixtures/labelled_kripke_functor.json"],
+    "axioms-maybe-kantorovich": ["axioms", "--trials", "40",
+                                 "--lifting", "fixtures/prob_lifting.json"],
+    "axioms-grid-dia": ["axioms", "--trials", "40", "--max-size", "2",
+                        "--lifting", "fixtures/grid_dia.json",
+                        "--functor", "fixtures/kripke_functor.json"],
+    "axioms-grid-dia-box": ["axioms", "--trials", "40", "--max-size", "2",
+                            "--lifting", "fixtures/grid_dia_box.json",
+                            "--functor", "fixtures/kripke_functor.json"],
     "logic-eval": ["logic", "eval", "--formula", "fixtures/dia_shift.txt",
                    "--system", "fixtures/prob_deadlock.json", "--state", "u0"],
     "logic-eval-neg-json": ["logic", "eval", "--formula", "fixtures/neg_modalities.json",
@@ -59,10 +76,17 @@ CASES = {
 
 # name -> (exit code, sha256 of stdout, stderr)
 GOLDEN = {
+    'axioms-grid-dia': (1, '86c930d55eff1c8c877dccbd5b4e1fc1c1a1eed628d58e535a63d36163276b9d', ''),
+    'axioms-grid-dia-box': (0, 'a430c4b0e183d51c02245c7866b153a0c89d549478c55da30a56fc20e72bea46', ''),
     'axioms-kantorovich': (0, '74323ccdba9309475ea48ffd5681f020fd7756208ac00ab2d6f783147a97ef84', ''),
     'axioms-labels-derived': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: lifting.left: a label component has no default label metric; pass --functor\n'),
     'axioms-labels-functor': (0, '9f05cc8260a4497c11d4cc99f4a179364399321cb0ded51a166f769b57a11cc5', ''),
+    'axioms-labels-seeded': (0, 'ee2eef6c17d88fd1d30b548bb2afb399573cd8a054da5f8e76c99488c03f0c7e', ''),
     'axioms-left': (1, '9164ac547f4bd54342c6c9ecb65910de251bc49e43632935b574e70347eab354', ''),
+    'axioms-maybe-kantorovich': (0, 'b9f1110ba25a23fda8723a19202538df40e1ea6fc8a236c97b6b2e41e9a0292d', ''),
+    'axioms-sym': (0, '5b8812bdf4e447a2c831d1f92b271a8cda49ef8b731d0fa8e2dcdaee9664f123', ''),
+    'axioms-wasserstein': (0, '027c0e7824fd22b0fad02c8d1b4326187a7e9b62ed54072d085bac8a3a059d9a', ''),
+    'axioms-weighted-step': (1, 'dd758692b49e8d54705820e60e53f8c73613fbb5b2d9625a98a0e74183cd927d', ''),
     'catalog-functor': (0, '419a5829648b7a0c08aace2a72aea08d4acfbccff78c0cd515e2ffc6ab1e05e8', ''),
     'check-cert': (0, '113faddefc3237d3e72116a2cbcb17f418d5cfda31ece6ba143bc8b643ac6c60', ''),
     'dist-deadlock': (0, '0dc4adb665238c4b5c33257a04736165b07c744732e99235cb406c91ce292199', ''),

@@ -224,6 +224,48 @@ def test_unchecked_builders_yield_what_the_check_admits(data, seed):
         assert FuzzyRel(built.source, built.target, built.values) == built
 
 
+def block_fractions(block) -> list:
+    den, rows = block
+    return [[F(k, den) for k in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_unchecked_builders_carry_their_entries_as_integers(data, seed):
+    """compose, converse, graph, diagonal and the law suite's draws carry
+    tuple rows of integers that are their entries times one denominator
+    (converse only where its relation does), and every block a view of
+    one reads equals the block the checked relation's view scales from
+    its Fractions."""
+    a, c = data.draw(carrier("a", min_size=0)), data.draw(carrier("c", min_size=0))
+    b = data.draw(carrier("b"))
+    r, s = data.draw(rel_any_denominators(a, b)), data.draw(rel_any_denominators(b, c))
+    f = data.draw(function_between(a, b))
+    eps = data.draw(st.one_of(unit_fraction(), st.sampled_from([0, 1])))
+    rng = random.Random(seed)
+    drawn, gr = rand_rel(rng, a, b), graph(f, a, b, eps)
+    assert r.scaled is None and converse(r).scaled is None
+    for built in (compose(r, s), compose(drawn, converse(drawn)), converse(drawn), gr,
+                  converse(gr), diagonal(a, eps), drawn, rand_hemimetric(rng, b, True),
+                  rand_hemimetric(rng, b, False)):
+        den, ints = built.scaled
+        assert type(ints) is tuple and all(type(row) is tuple for row in ints)
+        assert block_fractions(built.scaled) == [list(row) for row in built.values]
+        view, checked = built.view(), FuzzyRel(built.source, built.target, built.values)
+        for _ in range(3):
+            xs = [x for x in built.source.elements if rng.random() < 0.7]
+            ys = [y for y in built.target.elements if rng.random() < 0.7]
+            rng.shuffle(ys)
+            got = view.block(xs, ys)
+            assert block_fractions(got) == block_fractions(checked.view().block(xs, ys))
+            assert got[0] == den
+        if built.source.elements:
+            with pytest.raises(StructureError):
+                view.block(["outside"], list(built.target.elements))
+            with pytest.raises(StructureError):
+                view.block(built.source.elements[:1], ["outside"])
+
+
 def test_compose_carrier_mismatch():
     a, b = Carrier.of("x"), Carrier.of("y")
     r = FuzzyRel(a, b, ((F(0),),))

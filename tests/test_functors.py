@@ -14,6 +14,7 @@ from laxkit import (
     Id,
     IdEl,
     Maybe,
+    MaybeEl,
     NOTHING,
     PFin,
     Pair,
@@ -82,6 +83,41 @@ def test_fdist_matches_the_fraction_oracle(raw):
             return str(exc)
 
     assert outcome(fdist) == outcome(fraction_fdist)
+    if not isinstance(outcome(fdist), str):
+        built = fdist(pairs)
+        assert DistEl(built.pairs) == built  # passes the constructor's own check
+
+
+def rebuilt(el):
+    """el with every set and distribution node rebuilt through its checked
+    constructor, which refuses members out of canonical order."""
+    if isinstance(el, SetEl):
+        return SetEl(tuple(map(rebuilt, el.members)))
+    if isinstance(el, DistEl):
+        return DistEl(tuple((rebuilt(m), p) for m, p in el.pairs))
+    if isinstance(el, PairEl):
+        return PairEl(rebuilt(el.left), rebuilt(el.right))
+    if isinstance(el, MaybeEl) and el.value is not None:
+        return MaybeEl(rebuilt(el.value))
+    return el
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("wxyz"), max_size=6), st.integers(0, 2**32 - 1))
+def test_built_sets_and_distributions_pass_the_constructors_check(labels, seed):
+    """fset, fdist and the random draws build their sorted results without
+    SetEl's and DistEl's sort check; rebuilt through it, each is unchanged."""
+    members = [IdEl(x) for x in labels]
+    nested = fset(fset(members[:i]) for i in range(len(members) + 1))
+    assert rebuilt(nested) == nested
+    assert rebuilt(nested.map(str.upper)) == nested.map(str.upper)
+    rng = random.Random(seed)
+    carrier = Carrier(tuple(f"s{i}" for i in range(1 + seed % 5)))
+    for functor in FUNCTOR_ZOO:
+        el = functor.random_element(rng, carrier)
+        assert rebuilt(el) == el
+        assert rebuilt(el.map(lambda x: carrier.elements[0])) == el.map(
+            lambda x: carrier.elements[0])
 
 
 def test_raw_constructors_demand_canonical_order():

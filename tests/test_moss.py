@@ -243,6 +243,30 @@ def test_synthesis_matches_chain(labelled_frames):
                 assert table[x] == chain[k].at(x, target)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_levels_for_targets_hold_the_full_levels_formulas_where_reached(name):
+    """Given targets, synthesize_levels builds the top level over the
+    targets and each level below over the successors of the one above, and
+    every formula it builds is the one the full levels hold; the second
+    system's states, logical_distance's targets, reach none of the first."""
+    _, sys_a, sys_b = systems(name, 0)
+    union, _, inj2 = disjoint_union(sys_a, sys_b)
+    side_b = [inj2[b] for b in sys_b.carrier.elements]
+    for rank in range(4):
+        full = synthesize_levels(union, rank)
+        for targets in [[t] for t in union.carrier.elements] + [side_b]:
+            levels = synthesize_levels(union, rank, targets)
+            assert len(levels) == rank + 1 and list(levels[rank]) == targets
+            for k in range(rank):
+                assert set(levels[k]) == {
+                    x for s in levels[k + 1] for x in union.step(s).leaves()}
+            for k, level in enumerate(levels):
+                for s, formula in level.items():
+                    assert formula == full[k][s]
+        assert all(s in side_b for level in synthesize_levels(union, rank, side_b)
+                   for s in level)
+
+
 def test_synthesized_gap_is_the_distance(labelled_frames):
     sys_a, sys_b, _, lifting, _ = labelled_frames
     union, inj1, inj2 = disjoint_union(sys_a, sys_b)
