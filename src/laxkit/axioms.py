@@ -30,9 +30,9 @@ symmetrized and triangle-closed (Floyd-Warshall) on those integers,
 where truncated addition never saturates, and L1's smaller relation is
 max(x - y, 0) on them; only the finished matrices index the Fractions.
 A relation built from the tables skips FuzzyRel's entry check and keeps
-its integers over _SCALE as its scaled form, so a lift reads its blocks
-off them (FuzzyRel.view), as it reads those of the compositions,
-converses, graphs and diagonals the laws build from it.
+its integers over _SCALE as its scaled form, as do the compositions,
+converses, graphs and diagonals the laws build from it; every lift reads
+its blocks off the relation's form (FuzzyRel.view).
 
 Comparisons are exact for exact liftings; if a grid oracle occurs in the
 lifting, inequalities get the documented approximation slack instead of
@@ -280,10 +280,9 @@ def check_axioms(lifting: LiftingSpec, functor: FunctorSpec,
     slack = lifting.approximation_slack()
     converse_claimed = lifting.claims_converse(functor)
 
-    # One fresh view per lift.  Reusing one view per relation per trial was
-    # measured slower (median per-call ratio 1.04 on the axioms calls of all
-    # three benchmark workloads): a view scales the whole relation on its
-    # second block read, where each lift reads one small block.
+    # One fresh view per lift: a view shares its relation's integer form,
+    # so making one scales nothing, and each lift's transport solves start
+    # cold, as in a certificate check.
     def value(rel, t1, t2):
         return lift_value(lifting, functor, rel.view(), t1, t2)
 

@@ -14,10 +14,10 @@ are 1 and suprema are 0 (the lattice bounds of the unit interval).
 
 Most values arriving here are Fractions already, so the unit check reads
 their numerator and denominator and builds a Fraction only for other
-input types.  Composition runs on integers over the common denominator of
-both relations and builds one Fraction per output entry; the hemimetric
-and pseudometric checks run on the metric's integers over its common
-denominator and build no relation.
+input types.  Every relation carries one integer form, FuzzyRel.scaled.
+Composition runs on its inputs' forms over the lcm of their denominators
+and builds one Fraction per output entry; the hemimetric and pseudometric
+checks run on the metric's form and build no relation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 from typing import Callable, Hashable, Iterable, Mapping
@@ -99,13 +100,11 @@ def unit_over(numerator: int, den: int) -> Fraction:
     return Fraction(numerator, den) if numerator else ZERO
 
 
-def scaled_rows(*blocks) -> tuple:
-    """(den, ints): den is the lcm of every entry's denominator across the
-    blocks (1 for no entries), and ints holds each block's rows as lists of
-    the integers entry * den."""
-    den = lcm(*{x.denominator for block in blocks for row in block for x in row})
-    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in block]
-                 for block in blocks]
+def scaled_rows(rows) -> tuple:
+    """(den, ints): den is the lcm of every entry's denominator (1 for no
+    entries), and ints holds the rows as lists of the integers entry * den."""
+    den = lcm(*{x.denominator for row in rows for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 class IntBlock(tuple):
@@ -147,6 +146,7 @@ class Carrier:
     elements: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
         if len(set(self.elements)) != len(self.elements):
             raise StructureError("carrier elements must be distinct")
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
@@ -175,57 +175,60 @@ class Carrier:
 class FuzzyRel:
     """A [0,1]-valued relation between two carriers, stored densely.
 
-    values[i][j] relates source.elements[i] to target.elements[j].  Every
-    entry is stored as the Fraction `as_unit` returns for it; a row whose
-    entries all are Fractions already is kept as given.
+    values[i][j] relates source.elements[i] to target.elements[j].  Rows
+    are stored as tuples of the Fractions `as_unit` returns for the
+    entries; a tuple row of Fractions is kept as given.
 
     Builders whose rows are unit Fractions of the right shape by
     construction skip that check (see `_of_units`): `compose`, `converse`,
     `graph` and `diagonal` here, and the law suite's random relations.
-    Every other `FuzzyRel(...)` is checked entry by entry.  A relation
-    built by construction also keeps the integers it was built from:
-    `scaled` is then an IntBlock (den, rows) of tuple rows with
-    values[i][j] == rows[i][j] / den, den being the denominator it was
-    built on (not necessarily the least), and `view` hands that form to
-    every block a lift reads.  `scaled` is not a field, so equality and
-    the checked constructor ignore it; it is None on a checked relation
-    and on the converse of one.
+    Every other `FuzzyRel(...)` is checked entry by entry.  `scaled` is
+    the relation's one integer form, an IntBlock (den, rows) of tuple rows
+    with values[i][j] == rows[i][j] / den: a relation built by construction
+    carries the integers it was built on (den not necessarily the least),
+    and a checked one builds its form off its Fractions when first read.
+    `view` hands it to every block a lift reads.  `scaled` is not a field,
+    so equality and hashing ignore it.
     """
 
     source: Carrier
     target: Carrier
     values: tuple
-    scaled = None  # no annotation: set by _of_units, not a dataclass field
 
     def __post_init__(self):
-        if len(self.values) != len(self.source):
+        values = tuple(self.values)
+        if len(values) != len(self.source):
             raise StructureError("row count does not match source carrier")
         width = len(self.target)
         rows = None
-        for i, row in enumerate(self.values):
+        for i, row in enumerate(values):
             if len(row) != width:
                 raise StructureError("column count does not match target carrier")
-            for v in row:
-                if as_unit(v) is not v:
-                    rows = rows or list(self.values)
-                    rows[i] = tuple(as_unit(x) for x in row)
-                    break
-        if rows is not None:
-            object.__setattr__(self, "values", tuple(rows))
+            if type(row) is not tuple or not all(as_unit(v) is v for v in row):
+                rows = rows or list(values)
+                rows[i] = tuple(map(as_unit, row))
+        object.__setattr__(self, "values", values if rows is None else tuple(rows))
 
     @classmethod
     def _of_units(cls, source: Carrier, target: Carrier, values: tuple,
-                  scaled: IntBlock | None) -> "FuzzyRel":
-        """A relation on rows that are unit Fractions, len(source) rows of
-        len(target) each, by construction: stored as given, with no check,
-        and with `scaled`, the same entries as integer rows over one
-        denominator, or None where the builder has no such form."""
+                  scaled: IntBlock) -> "FuzzyRel":
+        """A relation on tuple rows that are unit Fractions, len(source)
+        rows of len(target) each, by construction: stored as given, with no
+        check, and with `scaled`, the same entries as tuple rows of
+        integers over one denominator."""
         rel = object.__new__(cls)
         object.__setattr__(rel, "source", source)
         object.__setattr__(rel, "target", target)
         object.__setattr__(rel, "values", values)
         object.__setattr__(rel, "scaled", scaled)
         return rel
+
+    @cached_property
+    def scaled(self) -> IntBlock:
+        """A checked relation's integer form, over the lcm of its entries'
+        denominators; `_of_units` sets the form in place of this."""
+        den, rows = scaled_rows(self.values)
+        return IntBlock((den, tuple(map(tuple, rows))))
 
     @staticmethod
     def from_function(source: Carrier, target: Carrier, fn: Callable) -> "FuzzyRel":
@@ -245,12 +248,11 @@ class FuzzyRel:
 
     def view(self) -> "RelView":
         """This relation as lifts read it, by element ids, with no warm
-        starts: a relation carrying `scaled` hands it to the view, whose
-        blocks then read those integers (see RelView)."""
+        starts: the view reads every block off the relation's `scaled`
+        form (see RelView)."""
         view = RelView(self.source, _RowsById(self, self.values), {})
-        if self.scaled is not None:
-            den, rows = self.scaled
-            view.scaled = den, _RowsById(self, rows)
+        den, rows = self.scaled
+        view.scaled = den, _RowsById(self, rows)
         return view
 
     def is_square(self) -> bool:
@@ -299,36 +301,27 @@ class RelView:
     make up the relation.  The view also carries its entries as integers
     over one common denominator, `scaled` = (den, ints) with ints[x][y] =
     values[x][y] * den, which lifts read in blocks (see
-    LiftingSpec.lift_block).  The view of a relation that carries its
-    integers (FuzzyRel.view of one built by construction, as a law
-    trial's) has that form from the start, its rows by id, and reads every
-    block off it with no lcm and no numerator/denominator pass.  Otherwise
-    scaled_entries builds the form off the rows at `source`, once: on the
-    view's second block read, the first being scaled on its own, so a view
-    that a single lift reads never pays for the whole relation.  Until
-    then `scaled` is None, or False once the first block was read.
+    LiftingSpec.lift_block).  FuzzyRel.view hands the relation's own
+    integer form to the view, its rows by id.  A view made of dict rows
+    (a chain step's, logic.membership's) starts with `scaled` None, and
+    scaled_entries builds the form once, off the rows at `source`, on the
+    view's first block read.
     """
 
     source: object
     values: object
     transport_starts: dict
-    scaled: tuple | bool | None = field(default=None, init=False, repr=False)
+    scaled: tuple | None = field(default=None, init=False, repr=False)
 
     def block(self, xs, ys) -> IntBlock:
-        """The entries at xs x ys (ys a list) as integers over one
-        denominator: the view's, or for the first block read, the lcm of the
-        block's own.  An empty block scales nothing.  An id outside the view
-        is refused, whichever form the block is read from."""
+        """The entries at xs x ys (ys a list) as integers over the view's
+        denominator.  An id outside the view is refused, also when the
+        block is empty."""
         scaled = self.scaled
+        if scaled is None:
+            scaled = self.scaled = scaled_entries(self.source, self.values)
+        den, ints = scaled
         try:
-            if not scaled and ys:
-                if scaled is None:
-                    self.scaled = False
-                    den, (rows,) = scaled_rows(
-                        [[row[y] for y in ys] for row in map(self.values.__getitem__, xs)])
-                    return IntBlock((den, rows))
-                scaled = self.scaled = scaled_entries(self.source, self.values)
-            den, ints = scaled or (1, self.values)
             return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
         except KeyError as exc:
             raise StructureError(f"{exc.args[0]!r} is not in the relation") from None
@@ -337,14 +330,17 @@ class RelView:
 def compose(r: FuzzyRel, s: FuzzyRel) -> FuzzyRel:
     """Relation composition r;s with (r;s)(a,c) = inf_b r(a,b) (+) s(b,c).
 
-    Runs on integers: with D the lcm of every entry's denominator, each
-    entry x becomes x * D, and (r;s)(a,c) * D = min(min_b (r + s), D).
+    Runs on integers: with D the lcm of r's and s's `scaled` denominators,
+    each entry x becomes x * D, and (r;s)(a,c) * D = min(min_b (r + s), D).
     Those integers, over D, are the composite's `scaled` form.  An empty
     middle carrier yields the all-1 relation (inf over nothing).
     """
     if r.target != s.source:
         raise StructureError("composition: middle carriers disagree")
-    den, (left, right) = scaled_rows(r.values, s.values)
+    (dr, left), (ds, right) = r.scaled, s.scaled
+    den = lcm(dr, ds)
+    left = left if dr == den else [[x * (den // dr) for x in row] for row in left]
+    right = right if ds == den else [[x * (den // ds) for x in row] for row in right]
     columns = list(zip(*right)) if right else [()] * len(s.target)
     ints = tuple(
         tuple(min(min(map(add, row, col), default=den), den) for col in columns)
@@ -361,12 +357,11 @@ def _transpose(rows: tuple, width: int) -> tuple:
 
 def converse(r: FuzzyRel) -> FuzzyRel:
     """The transposed relation; it carries the transpose of r's `scaled`
-    form, if r has one."""
-    scaled = r.scaled
-    if scaled is not None:
-        den, ints = scaled
-        scaled = IntBlock((den, _transpose(ints, len(r.target))))
-    return FuzzyRel._of_units(r.target, r.source, _transpose(r.values, len(r.target)), scaled)
+    form."""
+    den, ints = r.scaled
+    width = len(r.target)
+    return FuzzyRel._of_units(r.target, r.source, _transpose(r.values, width),
+                              IntBlock((den, _transpose(ints, width))))
 
 
 def graph(fn: Mapping, source: Carrier, target: Carrier, eps=ZERO) -> FuzzyRel:
@@ -390,8 +385,8 @@ def diagonal(carrier: Carrier, eps=ZERO) -> FuzzyRel:
     return graph({x: x for x in carrier.elements}, carrier, carrier, eps)
 
 
-def _hemimetric_ints(d: FuzzyRel) -> list | None:
-    """d's entries times the lcm of their denominators if d is a hemimetric.
+def _hemimetric_ints(d: FuzzyRel) -> tuple | None:
+    """The integer rows of d's `scaled` form if d is a hemimetric.
 
     Reflexivity (d <= diagonal) asks for a zero diagonal; off the diagonal
     it holds for every unit value.  The triangle inequality d <= d;d
@@ -400,7 +395,7 @@ def _hemimetric_ints(d: FuzzyRel) -> list | None:
     """
     if not d.is_square():
         raise StructureError("hemimetric check needs a square relation")
-    _, (ints,) = scaled_rows(d.values)
+    _, ints = d.scaled
     if any(row[i] for i, row in enumerate(ints)):
         return None
     columns = list(zip(*ints))
@@ -417,7 +412,7 @@ def is_hemimetric(d: FuzzyRel) -> bool:
 def is_pseudometric(d: FuzzyRel) -> bool:
     """A symmetric hemimetric."""
     ints = _hemimetric_ints(d)
-    return ints is not None and list(map(list, zip(*ints))) == ints
+    return ints is not None and tuple(zip(*ints)) == ints
 
 
 PredTable = Mapping[Hashable, Fraction]

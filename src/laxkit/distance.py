@@ -37,7 +37,7 @@ until the step ends, so it builds one residual Fraction per step.
 Each step's view also carries the iterate as integers over one common
 denominator, which Hausdorff and transport nodes read their blocks off
 (see RelView and LiftingSpec.lift_block).  A step's view makes that form
-once, on the step's second block read, off the rows of every left state.
+once, on the step's first block read, off the rows of every left state.
 
 Every view carries an explicit dict of transport warm starts, where a
 transport node keeps, per pair of distribution elements, the last solve's
@@ -165,7 +165,7 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
     starts = {}  # transport warm starts, kept across the steps
     while True:
-        # its integer rows are built once, on the step's second block read
+        # its integer rows are built once, on the step's first block read
         view = RelView(sys_a.carrier, rows, starts)
         nxt = dict(rows)
         moved = {}  # row -> bitmask of the columns that changed

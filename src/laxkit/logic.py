@@ -244,7 +244,7 @@ def membership(states: tuple, leaves: tuple, tables, flip: bool = False) -> RelV
     at every state x, of one predicate table f_y per leaf y, in order: a
     Moss modality lifts it between an element over the states and one over
     the leaves.  Its integer form (see RelView) is built once, off the rows
-    of every state, when a second block of it is read."""
+    of every state, on its first block read."""
     pairs = tuple(zip(leaves, tables))
     rows = {x: {y: (ONE - f[x]) if flip else f[x] for y, f in pairs} for x in states}
     return RelView(states, rows, {})

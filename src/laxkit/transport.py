@@ -211,13 +211,13 @@ def min_cost_transport(mu, nu, cost, warm: TransportResult | None = None) -> Tra
     if isinstance(cost, IntBlock):
         dc, cost = cost
     else:
-        dc, (cost,) = scaled_rows(cost)
+        dc, cost = scaled_rows(cost)
     if len(cost) != m or set(map(len, cost)) != {n}:
         raise StructureError(f"transport requires a {m}x{n} cost matrix")
     if warm is not None and warm.mu == mu and warm.nu == nu:
         dm, flow, tree = warm.dm, dict(warm.basis), warm.tree
     else:
-        dm, [[supply, demand]] = scaled_rows([mu, nu])
+        dm, [supply, demand] = scaled_rows([mu, nu])
         if sum(supply) != sum(demand):
             raise StructureError("transport requires equal total mass")
         if min(supply) <= 0 or min(demand) <= 0:

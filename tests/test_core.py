@@ -7,12 +7,21 @@ import hypothesis.strategies as st
 
 from laxkit import (
     Carrier,
+    Certificate,
+    Coalgebra,
     FuzzyRel,
+    Hausdorff,
+    Id,
+    IdEl,
+    IdLift,
+    PFin,
     StructureError,
+    check_certificate,
     companion,
     compose,
     converse,
     diagonal,
+    fset,
     graph,
     is_hemimetric,
     is_pseudometric,
@@ -233,10 +242,10 @@ def block_fractions(block) -> list:
 @given(st.data(), st.integers(0, 2**32 - 1))
 def test_unchecked_builders_carry_their_entries_as_integers(data, seed):
     """compose, converse, graph, diagonal and the law suite's draws carry
-    tuple rows of integers that are their entries times one denominator
-    (converse only where its relation does), and every block a view of
-    one reads equals the block the checked relation's view scales from
-    its Fractions."""
+    tuple rows of integers that are their entries times one denominator,
+    and so do checked relations and their converses; every block a view
+    of one reads is the relation's Fractions at the block, over the
+    relation's denominator."""
     a, c = data.draw(carrier("a", min_size=0)), data.draw(carrier("c", min_size=0))
     b = data.draw(carrier("b"))
     r, s = data.draw(rel_any_denominators(a, b)), data.draw(rel_any_denominators(b, c))
@@ -244,26 +253,44 @@ def test_unchecked_builders_carry_their_entries_as_integers(data, seed):
     eps = data.draw(st.one_of(unit_fraction(), st.sampled_from([0, 1])))
     rng = random.Random(seed)
     drawn, gr = rand_rel(rng, a, b), graph(f, a, b, eps)
-    assert r.scaled is None and converse(r).scaled is None
-    for built in (compose(r, s), compose(drawn, converse(drawn)), converse(drawn), gr,
+    for built in (r, converse(r), s, converse(s), compose(r, s),
+                  compose(drawn, converse(drawn)), converse(drawn), gr,
                   converse(gr), diagonal(a, eps), drawn, rand_hemimetric(rng, b, True),
                   rand_hemimetric(rng, b, False)):
         den, ints = built.scaled
         assert type(ints) is tuple and all(type(row) is tuple for row in ints)
         assert block_fractions(built.scaled) == [list(row) for row in built.values]
-        view, checked = built.view(), FuzzyRel(built.source, built.target, built.values)
+        view = built.view()
         for _ in range(3):
             xs = [x for x in built.source.elements if rng.random() < 0.7]
             ys = [y for y in built.target.elements if rng.random() < 0.7]
             rng.shuffle(ys)
             got = view.block(xs, ys)
-            assert block_fractions(got) == block_fractions(checked.view().block(xs, ys))
+            assert block_fractions(got) == [[built.at(x, y) for y in ys] for x in xs]
             assert got[0] == den
         if built.source.elements:
             with pytest.raises(StructureError):
                 view.block(["outside"], list(built.target.elements))
             with pytest.raises(StructureError):
                 view.block(built.source.elements[:1], ["outside"])
+
+
+def test_checked_constructors_store_tuples_whatever_they_are_given():
+    elements, rows = ["x", "y"], [[F(0), F(1)], [F(1, 2), 0]]
+    listed = Carrier(elements)
+    rel = FuzzyRel(listed, listed, rows)
+    tupled = Carrier(("x", "y"))
+    same = FuzzyRel(tupled, tupled, ((F(0), F(1)), (F(1, 2), F(0))))
+    assert (listed, rel) == (tupled, same)
+    assert hash(listed) == hash(tupled) and hash(rel) == hash(same)
+    elements.append("z")
+    rows[0][0] = F(1)
+    rows.append([F(0), F(0)])
+    assert listed == tupled and rel == same and rel.scaled == same.scaled
+    # a certificate over a list-built carrier checks against a system over a tuple
+    system = Coalgebra.of(PFin(Id()), tupled, {"x": fset([IdEl("y")]), "y": fset([IdEl("x")])})
+    cert = Certificate(FuzzyRel(listed, listed, [[F(0), F(1)], [F(1), F(0)]]), "bisimulation")
+    assert check_certificate(Hausdorff("sym", IdLift()), system, system, cert).ok
 
 
 def test_compose_carrier_mismatch():

@@ -235,7 +235,8 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     ("transport.py", "min_cost_transport"),
     ("transport.py", "_simplex"), ("transport.py", "_hang"), ("transport.py", "_northwest_corner"),
     ("liftings.py", "grid_kantorovich_value"),
-    ("core.py", "FuzzyRel.view"), ("core.py", "converse"), ("core.py", "_transpose"),
+    ("core.py", "FuzzyRel.scaled"), ("core.py", "FuzzyRel.view"),
+    ("core.py", "converse"), ("core.py", "_transpose"),
     ("core.py", "graph"), ("axioms.py", "_rel_over_scale"), ("axioms.py", "rand_hemimetric"),
     ("functors.py", "DFin.random_element"), ("functors.py", "fdist"),
 ])

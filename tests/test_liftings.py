@@ -607,14 +607,15 @@ def test_lifts_on_integer_views_equal_the_fraction_definitions():
                         want, _ = rational_transport_simplex(mu, nu, cost)
                         for lifting in transports:
                             assert lifting.lift(DIST_FUNCTOR, view, d1, d2) == want
-                # every block after the first was read off the view's integers
+                # every block was read off the view's integers
                 built += view.scaled is not None
     assert built == 16 * 3 * 5
 
 
 def test_a_view_builds_its_integer_rows_once(monkeypatch):
-    # the first block read is scaled on its own, the second builds the
-    # view's integer rows, and every later one reads them
+    # a chain step's view and a membership view build their integer rows
+    # on their first block read, and every later read reuses them; a
+    # relation's view reads the relation's own form and builds none
     rng = random.Random("integer-rows-once")
     a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
     rel = coprime_rel(rng, a, b)
@@ -622,13 +623,23 @@ def test_a_view_builds_its_integer_rows_once(monkeypatch):
     real = core.scaled_entries
     monkeypatch.setattr(core, "scaled_entries",
                         lambda source, values: calls.append(values) or real(source, values))
-    view = rel.view()
     t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
-    for reads in range(1, 6):
-        assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == \
-            two_pass_hausdorff(H_SYM, SET_FUNCTOR, rel.view(), t1, t2)
-        assert len(calls) == (reads > 1)
-    den, ints = view.scaled
+    want = two_pass_hausdorff(H_SYM, SET_FUNCTOR, rel.view(), t1, t2)
+    rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
+    chain = RelView(a, rows, {})
+    member = membership(a, b, [dict(zip(a, col)) for col in zip(*rel.values)])
+    own = rel.view()
+    for view, builds in ((chain, True), (member, True), (own, False)):
+        calls.clear()
+        assert (view.scaled is None) == builds
+        assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == want
+        assert len(calls) == builds
+        form = view.scaled
+        for _ in range(4):
+            assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == want
+            assert len(calls) == builds and view.scaled is form
+    assert own.scaled[0] == rel.scaled[0]
+    den, ints = chain.scaled
     assert ints == {x: {y: v * den for y, v in zip(b, row)} for x, row in zip(a, rel.values)}
 
 
@@ -648,6 +659,8 @@ def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_
             for u, v in ((bad, t2), (t1, bad)):
                 with pytest.raises(StructureError, match="nowhere"):
                     H_SYM.lift(SET_FUNCTOR, view, u, v)
+            with pytest.raises(StructureError, match="nowhere"):
+                view.block(["nowhere"], [])
 
 
 # ---------------------------------------------------------------------------
