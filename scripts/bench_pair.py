@@ -14,11 +14,10 @@ files under its src/ and perfbench/ (see tree_digest), and holds every
 pair's two result lines and, per workload and end-to-end metric, each
 side's median and quartiles (statistics.quantiles, n=4), the change of
 the median in percent, how many pairs the change won (ties count for
-neither side) and whether the change's median is worse than the parent's
-by more than the metric's bound in BENCHMARK.json (a share of the
-parent's median), plus the failed and attempted calls summed over each
-side's runs.  The file is rewritten after every pair, so a cut run keeps
-the pairs it finished.  At the end, one line per workload and end-to-end
+neither side) and its verdict against the metric's bound in
+BENCHMARK.json, a share of the parent's median (see verdict), plus the
+failed and attempted calls summed over each side's runs.  The file is
+rewritten after every pair, so a cut run keeps the pairs it finished.  At the end, one line per workload and end-to-end
 metric gives the two medians, the change in percent, the pairs won and
 the verdict against the bound.  Stdlib only.
 """
@@ -92,6 +91,20 @@ def beyond_bound(parent: float, change: float, better: str, bound: float) -> boo
     return worse_by > bound * abs(parent)
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """'unresolved' when the parent's runs spread wider than the bound (an
+    interquartile range above bound * |median|), unless every change run
+    beats every parent run; else 'WORSE beyond' when the change's median is
+    worse than the parent's by more than the bound, and 'within' if not."""
+    clear = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    base = quartiles(parent)
+    if base["q3"] - base["q1"] > bound * abs(base["median"]) and not clear:
+        return "unresolved"
+    if beyond_bound(base["median"], statistics.median(change), better, bound):
+        return "WORSE beyond"
+    return "within"
+
+
 def summarise(pairs: list, end_to_end: dict) -> dict:
     """Per workload and metric, each side's quartiles; end_to_end maps each
     end-to-end metric's name to its BENCHMARK.json entry."""
@@ -115,8 +128,8 @@ def summarise(pairs: list, end_to_end: dict) -> dict:
                 entry["better"], entry["bound"] = spec["better"], spec["bound"]
                 entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in
                                            zip(values["parent"], values["change"]))
-                entry["beyond_bound"] = beyond_bound(base, entry["change"]["median"],
-                                                     spec["better"], spec["bound"])
+                entry["verdict"] = verdict(values["parent"], values["change"],
+                                           spec["better"], spec["bound"])
             metrics[name] = entry
         row["metrics"] = metrics
         out[workload] = row
@@ -125,19 +138,18 @@ def summarise(pairs: list, end_to_end: dict) -> dict:
 
 def summary_lines(summary: dict) -> list:
     """One line per workload and end-to-end metric: parent median -> change
-    median, the change in percent, the pairs the change won, and whether
-    the change is worse than the parent beyond the metric's bound."""
+    median, the change in percent, the pairs the change won, and the
+    verdict against the metric's bound."""
     lines = []
     for workload, row in summary.items():
         for name, entry in row["metrics"].items():
             if "better" not in entry:
                 continue
             pct = "n/a" if entry["change_pct"] is None else f"{entry['change_pct']:+.1f}%"
-            verdict = "WORSE beyond" if entry["beyond_bound"] else "within"
             lines.append(f"{workload} {name}: {entry['parent']['median']:.6g} -> "
                          f"{entry['change']['median']:.6g} ({pct}, {entry['better']} is better),"
                          f" change won {entry['change_wins']}/{row['pairs']} pairs,"
-                         f" {verdict} its {entry['bound']:.0%} bound")
+                         f" {entry['verdict']} (bound {entry['bound']:.0%})")
     return lines
 
 

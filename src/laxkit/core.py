@@ -17,13 +17,16 @@ their numerator and denominator and builds a Fraction only for other
 input types.  Every relation carries one integer form, FuzzyRel.scaled.
 Composition runs on its inputs' forms over the lcm of their denominators
 and builds one Fraction per output entry; the hemimetric and pseudometric
-checks run on the metric's form and build no relation.
+checks run on the metric's form and build no relation.  Lifts read a
+relation as a RelView, which holds only integers over one denominator:
+FuzzyRel.view hands it the relation's form, and RelView.of_rows scales
+dict rows of Fractions once.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -248,12 +251,10 @@ class FuzzyRel:
 
     def view(self) -> "RelView":
         """This relation as lifts read it, by element ids, with no warm
-        starts: the view reads every block off the relation's `scaled`
-        form (see RelView)."""
-        view = RelView(self.source, _RowsById(self, self.values), {})
+        starts: the view's integers are the rows of the relation's own
+        `scaled` form (see RelView), so making one scales nothing."""
         den, rows = self.scaled
-        view.scaled = den, _RowsById(self, rows)
-        return view
+        return RelView(self.source, den, _RowsById(self, rows), {})
 
     def is_square(self) -> bool:
         return self.source == self.target
@@ -268,8 +269,8 @@ class FuzzyRel:
 
 
 class _RowsById(dict):
-    """FuzzyRel.view's rows by id, of the relation's Fractions or of its
-    scaled integers, each built on its first read: lifts read few."""
+    """FuzzyRel.view's integer rows by id, each built on its first read:
+    lifts read few."""
 
     __slots__ = ("rel", "rows")
 
@@ -282,47 +283,45 @@ class _RowsById(dict):
         return row
 
 
-def scaled_entries(source, values) -> tuple:
-    """(den, ints) for the dict rows values[x], x in source: den is the lcm
-    of every entry's denominator, and ints[x][y] = values[x][y] * den."""
-    rows = [(x, values[x]) for x in source]
-    den = lcm(*{v.denominator for _, row in rows for v in row.values()})
-    return den, {x: {y: v.numerator * (den // v.denominator) for y, v in row.items()}
-                 for x, row in rows}
-
-
 @dataclass(eq=False, slots=True)
 class RelView:
-    """A relation as every lift reads it: values[x][y] at the leaf values x, y
-    of the lifted elements, and the transport warm starts of one chain or one
-    check (see KantorovichD.lift_ratio).
+    """A relation as every lift reads it: its entries by element ids, as
+    integers over one common denominator, ints[x][y] / den at the leaf
+    values x, y of the lifted elements, and the transport warm starts of
+    one chain or one check (see KantorovichD.lift_ratio).
 
-    `source` holds the left ids whose rows, dicts keyed by the right ids,
-    make up the relation.  The view also carries its entries as integers
-    over one common denominator, `scaled` = (den, ints) with ints[x][y] =
-    values[x][y] * den, which lifts read in blocks (see
-    LiftingSpec.lift_block).  FuzzyRel.view hands the relation's own
-    integer form to the view, its rows by id.  A view made of dict rows
-    (a chain step's, logic.membership's) starts with `scaled` None, and
-    scaled_entries builds the form once, off the rows at `source`, on the
-    view's first block read.
+    A view is complete when it is made, by one of two makers:
+    FuzzyRel.view, whose rows by id are the relation's own `scaled` form,
+    and RelView.of_rows, which scales dict rows of Fractions (a chain
+    step's, logic.membership's).  Lifts read single entries off `ints` and
+    `den` and blocks through `block` (see LiftingSpec.lift_block).
+    `source` holds the left ids; no lift reads it, but the benchmark's
+    tracer (perfbench/spans.py) counts a grid call's tables by its length.
     """
 
     source: object
-    values: object
+    den: int
+    ints: object
     transport_starts: dict
-    scaled: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def of_rows(cls, source, rows, transport_starts: dict) -> "RelView":
+        """The view of the dict rows rows[x], x in source, of unit
+        Fractions: den is the lcm of every entry's denominator, and
+        ints[x][y] = rows[x][y] * den."""
+        rows = [(x, rows[x]) for x in source]
+        den = lcm(*{v.denominator for _, row in rows for v in row.values()})
+        return cls(source, den,
+                   {x: {y: v.numerator * (den // v.denominator) for y, v in row.items()}
+                    for x, row in rows}, transport_starts)
 
     def block(self, xs, ys) -> IntBlock:
         """The entries at xs x ys (ys a list) as integers over the view's
         denominator.  An id outside the view is refused, also when the
         block is empty."""
-        scaled = self.scaled
-        if scaled is None:
-            scaled = self.scaled = scaled_entries(self.source, self.values)
-        den, ints = scaled
         try:
-            return IntBlock((den, [[row[y] for y in ys] for row in map(ints.__getitem__, xs)]))
+            return IntBlock((self.den, [[row[y] for y in ys]
+                                        for row in map(self.ints.__getitem__, xs)]))
         except KeyError as exc:
             raise StructureError(f"{exc.args[0]!r} is not in the relation") from None
 

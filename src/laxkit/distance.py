@@ -34,10 +34,10 @@ numerators and denominators, which tells unchanged, grown and decreased
 apart, and keeps the residual as an integer numerator and denominator
 until the step ends, so it builds one residual Fraction per step.
 
-Each step's view also carries the iterate as integers over one common
-denominator, which Hausdorff and transport nodes read their blocks off
-(see RelView and LiftingSpec.lift_block).  A step's view makes that form
-once, on the step's first block read, off the rows of every left state.
+Each step's view holds the iterate as integers over one common
+denominator, which every lift reads, Hausdorff and transport nodes in
+blocks (see RelView and LiftingSpec.lift_block).  RelView.of_rows scales
+the rows of every left state once per step, as it makes the view.
 
 Every view carries an explicit dict of transport warm starts, where a
 transport node keeps, per pair of distribution elements, the last solve's
@@ -165,8 +165,7 @@ def _chain(lifting: LiftingSpec, sys_a: Coalgebra, sys_b: Coalgebra):
     dirty = [(1 << n_b) - 1] * n_a  # bitmask of the columns to re-lift, per row
     starts = {}  # transport warm starts, kept across the steps
     while True:
-        # its integer rows are built once, on the step's first block read
-        view = RelView(sys_a.carrier, rows, starts)
+        view = RelView.of_rows(sys_a.carrier, rows, starts)
         nxt = dict(rows)
         moved = {}  # row -> bitmask of the columns that changed
         top, top_den = 0, 1  # the residual so far, as top / top_den

@@ -39,10 +39,11 @@ integers (num, den) with 0 <= num <= den, not necessarily reduced; the
 base class's `lift` turns it into one reduced Fraction, so composites
 combine their children's ratios on integers and build no Fraction of
 their own.  Each kind reads its relation through one RelView
-(laxkit.core).  A node reads a block of its child's lifts through the
-child's lift_block, as integer rows over one denominator: IdLift reads
-them off the view's integers (RelView.block), and every other kind scales
-its own ratios to their lcm.
+(laxkit.core), whose entries are integers over one denominator: IdLift's
+ratio is its entry over that denominator.  A node reads a block of its
+child's lifts through the child's lift_block, as integer rows over one
+denominator: IdLift reads them off the view's integers (RelView.block),
+and every other kind scales its own ratios to their lcm.
 """
 
 from __future__ import annotations
@@ -187,11 +188,9 @@ class IdLift(LiftingSpec):
     mismatch = "IdLift needs the identity functor"
 
     def lift_ratio(self, functor, rel, t1, t2):
-        value = rel.values[t1.value][t2.value]
-        return value.numerator, value.denominator
+        return rel.ints[t1.value][t2.value], rel.den
 
     def lift_block(self, functor, rel, xs, ys):
-        # the relation's own entries, read off the view (see RelView.block)
         return rel.block(map(_value, xs), list(map(_value, ys)))
 
 
@@ -513,9 +512,10 @@ def lift_value(lifting: LiftingSpec, functor: FunctorSpec, rel: RelView,
                t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """Distance between two functor elements across a lifted relation.
 
-    rel.values[x][y] is read at the leaf values x of t1 and y of t2, and
-    rel.transport_starts holds one chain's or one check's warm starts; the
-    lifting must fit the functor shape (see require_match).
+    The relation view rel is read at the leaf values x of t1 and y of t2,
+    as rel.ints[x][y] / rel.den, and rel.transport_starts holds one chain's
+    or one check's warm starts; the lifting must fit the functor shape (see
+    require_match).
     """
     return lifting.lift(functor, rel, t1, t2)
 

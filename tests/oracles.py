@@ -475,6 +475,12 @@ def unrestricted_grid_value(modalities, step: Fraction, rel: FuzzyRel,
     return best
 
 
+def view_entry(rel: RelView, x, y) -> Fraction:
+    """A relation view's entry at the ids x, y, as the Fraction its
+    integers stand for."""
+    return Fraction(rel.ints[x][y], rel.den)
+
+
 def fraction_grid_value(modalities, step: Fraction, rel: RelView,
                         t1: FunctorElement, t2: FunctorElement) -> Fraction:
     """The support-restricted grid search on Fractions, once per modality.
@@ -504,7 +510,7 @@ def fraction_grid_value(modalities, step: Fraction, rel: RelView,
         searches.append((lam, dims))
     # a search over no entries has one empty combination and reads no level
     levels = [k * step for k in range(n_levels)] if any(d for _, d in searches) else []
-    block = [[rel.values[a][b] for b in right] for a in left]
+    block = [[view_entry(rel, a, b) for b in right] for a in left]
     best = ZERO
     for lam, dims in searches:
         for combo in product(levels, repeat=dims):

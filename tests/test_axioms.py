@@ -254,7 +254,7 @@ class SpikeAtZero(lk.LiftingSpec):
     functor_type, mismatch = lk.Id, "needs the identity functor"
 
     def lift_ratio(self, functor, rel, t1, t2):
-        return int(rel.values[t1.value][t2.value] == 0), 1
+        return int(rel.ints[t1.value][t2.value] == 0), 1
 
 
 class Squared(lk.LiftingSpec):
@@ -263,8 +263,7 @@ class Squared(lk.LiftingSpec):
     functor_type, mismatch = lk.Id, "needs the identity functor"
 
     def lift_ratio(self, functor, rel, t1, t2):
-        value = rel.values[t1.value][t2.value]
-        return value.numerator ** 2, value.denominator ** 2
+        return rel.ints[t1.value][t2.value] ** 2, rel.den ** 2
 
 
 class CountMembers(lk.LiftingSpec):

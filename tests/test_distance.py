@@ -200,8 +200,7 @@ class _Antitone(LiftingSpec):
     mismatch = "needs the identity functor"
 
     def lift_ratio(self, functor, rel, t1, t2):
-        value = rel.values[t1.value][t2.value]
-        return 2 * (value.denominator - value.numerator), 3 * value.denominator
+        return 2 * (rel.den - rel.ints[t1.value][t2.value]), 3 * rel.den
 
 
 def test_a_decreasing_chain_is_refused():

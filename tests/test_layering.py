@@ -27,9 +27,11 @@ base class names, and no other class in the grammar modules hooks
 subclass creation.  It keeps one spelling per grammar operation: outside an allowlist,
 no module-level function in src/laxkit only passes its parameters on to a
 method of one of them, so each contract lives on its node method.
-It keeps one relation view for every lift: no `lift` method and
-no grid_kantorovich_value probes its relation with getattr or reads it
-through FuzzyRel.at; each reads the RelView's values and warm-start dict.
+It keeps one relation view for every lift: each `lift`, `lift_ratio` and
+`lift_block` method and grid_kantorovich_value reads its RelView only
+through its integer rows, their denominator, its blocks and its
+warm-start dict, and hands it on only to a child's lift or the grid
+oracle.
 Finally it keeps one JSON writer: reports and formula files are written by
 jsonio.dump_json, and no module calls json.dump or json.dumps outside one
 stated exception.
@@ -231,7 +233,7 @@ def test_transport_kernel_stays_in_exact_arithmetic():
     ("core.py", "compose"), ("core.py", "_hemimetric_ints"), ("core.py", "is_hemimetric"),
     ("core.py", "is_pseudometric"), ("liftings.py", "LiftingSpec.lift_block"),
     ("liftings.py", "IdLift.lift_block"), ("core.py", "_RowsById"),
-    ("logic.py", "membership"), ("core.py", "RelView.block"), ("core.py", "scaled_entries"),
+    ("logic.py", "membership"), ("core.py", "RelView.block"), ("core.py", "RelView.of_rows"),
     ("transport.py", "min_cost_transport"),
     ("transport.py", "_simplex"), ("transport.py", "_hang"), ("transport.py", "_northwest_corner"),
     ("liftings.py", "grid_kantorovich_value"),
@@ -383,29 +385,46 @@ def test_delegation_guard_sees_each_form(tmp_path):
     assert delegations(str(probe)) == ["documented", "second", "keyword"]
 
 
+# What a lift may read of its relation view, and the calls it may hand the
+# view on to: a child's lift, or the grid oracle.
+VIEW_READS = {"block", "ints", "den", "transport_starts"}
+VIEW_PASSES = {"lift", "lift_ratio", "lift_block", "grid_kantorovich_value"}
+
+
 def relation_probes(path: str) -> list:
-    """getattr(rel, ...) and rel.at(...) calls in every `lift` and
-    `lift_ratio` method and in grid_kantorovich_value, rel being the
-    relation parameter (the third, counting self)."""
+    """Each read of the relation parameter (the third, counting self) in
+    every `lift`, `lift_ratio` and `lift_block` method and in
+    grid_kantorovich_value other than through VIEW_READS, or as a bare
+    argument of a VIEW_PASSES call: getattr(rel, ...), rel.at(...),
+    rel.values and any other use of rel."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name in ("lift", "lift_ratio", "grid_kantorovich_value")
+        if not (isinstance(node, ast.FunctionDef) and node.name in VIEW_PASSES
                 and len(node.args.args) > 2):
             continue
         rel = node.args.args[2].arg
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
+        parents = {child: parent for parent in ast.walk(node)
+                   for child in ast.iter_child_nodes(parent)}
+        for use in ast.walk(node):
+            if not (isinstance(use, ast.Name) and use.id == rel
+                    and isinstance(use.ctx, ast.Load)):
                 continue
-            func = call.func
-            if (isinstance(func, ast.Name) and func.id == "getattr" and call.args
-                    and isinstance(call.args[0], ast.Name) and call.args[0].id == rel):
-                found.append((call.lineno, f"{node.name} calls getattr on {rel}"))
-            elif (isinstance(func, ast.Attribute) and func.attr == "at"
-                  and isinstance(func.value, ast.Name) and func.value.id == rel):
-                found.append((call.lineno, f"{node.name} calls {rel}.at"))
+            parent = parents[use]
+            if isinstance(parent, ast.Attribute):
+                if parent.attr in VIEW_READS:
+                    continue
+                call = parents.get(parent)
+                verb = "calls" if isinstance(call, ast.Call) and call.func is parent else "reads"
+                found.append((use.lineno, f"{node.name} {verb} {rel}.{parent.attr}"))
+                continue
+            callee = parent.func if isinstance(parent, ast.Call) and use in parent.args else None
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if name == "getattr":
+                found.append((use.lineno, f"{node.name} calls getattr on {rel}"))
+            elif name not in VIEW_PASSES:
+                found.append((use.lineno, f"{node.name} reads {rel} directly"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -431,10 +450,26 @@ def test_relation_view_guard_sees_each_probe(tmp_path):
         "class Ratio:\n"
         "    def lift_ratio(self, functor, rel, t1, t2):\n"
         "        return rel.at(t1, t2).numerator, 1\n"
+        "class Fractions:\n"
+        "    def lift_ratio(self, functor, rel, t1, t2):\n"
+        "        value = rel.values[t1.value][t2.value]\n"
+        "        return value.numerator, value.denominator\n"
+        "class Allowed:\n"
+        "    def lift_ratio(self, functor, rel, t1, t2):\n"
+        "        starts = rel.transport_starts\n"
+        "        num, den = self.sub.lift_ratio(functor, rel, t1, t2)\n"
+        "        return rel.ints[t1][t2] + num, rel.den + den\n"
+        "    def lift_block(self, functor, rel, xs, ys):\n"
+        "        return rel.block(xs, ys), grid_kantorovich_value((), 1, rel, xs, ys)\n"
+        "class Direct:\n"
+        "    def lift_block(self, functor, rel, xs, ys):\n"
+        "        return len(rel), rel[xs], rel.source\n"
     )
     assert relation_probes(str(probe)) == [
         "line 3: lift calls getattr on rel", "line 4: lift calls rel.at",
         "line 11: grid_kantorovich_value calls rel.at", "line 14: lift_ratio calls rel.at",
+        "line 17: lift_ratio reads rel.values", "line 28: lift_block reads rel directly",
+        "line 28: lift_block reads rel directly", "line 28: lift_block reads rel.source",
     ]
 
 

@@ -30,6 +30,7 @@ from laxkit import (
     behavioural_distance,
     check_axioms,
     check_certificate,
+    distance_chain,
     fdist,
     fset,
     grid_error_bound,
@@ -51,6 +52,7 @@ from tests.oracles import (
     rational_transport_simplex,
     sup_distance,
     two_pass_hausdorff,
+    view_entry,
 )
 from tests.conftest import CASES, kinds, number_const, rand_system, rel_from
 
@@ -488,8 +490,8 @@ def test_index_rows_lift_as_the_named_relation(name):
     rng = random.Random(f"two-addressings/{name}")
     sys_a, sys_b = rand_system(rng, functor, "a", 20), rand_system(rng, functor, "b", 13)
     rel = (rand_rel, mixed_rel)[len(name) % 2](rng, sys_a.carrier, sys_b.carrier)
-    rows = RelView(range(len(rel.values)),
-                   {i: dict(enumerate(row)) for i, row in enumerate(rel.values)}, {})
+    rows = RelView.of_rows(range(len(rel.values)),
+                           {i: dict(enumerate(row)) for i, row in enumerate(rel.values)}, {})
     index_a, index_b = sys_a.carrier.index, sys_b.carrier.index
     reordered = False
     for a in sys_a.carrier.elements:
@@ -560,11 +562,11 @@ def integer_views(rng, rel):
     a, b = rel.source, rel.target
     rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
     starts = {}
-    yield RelView(a, rows, starts), rel
+    yield RelView.of_rows(a, rows, starts), rel
     moved = rand_rel(rng, a, b)
     later = {x: row if rng.random() < 0.5 else dict(zip(b, new))
              for (x, row), new in zip(rows.items(), moved.values)}
-    yield (RelView(a, later, starts),
+    yield (RelView.of_rows(a, later, starts),
            FuzzyRel(a, b, tuple(tuple(row.values()) for row in later.values())))
     yield rel.view(), rel
     columns = list(zip(*rel.values)) or [()] * len(b)
@@ -588,7 +590,7 @@ def test_lifts_on_integer_views_equal_the_fraction_definitions():
             out.append(fdist((IdEl(x), F(w, sum(weights))) for x, w in zip(support, weights)))
         return out
 
-    built = 0
+    checked = 0
     for trial in range(16):
         a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
         sets_a, sets_b, dists_a, dists_b = subsets(a), subsets(b), dists(a), dists(b)
@@ -607,45 +609,53 @@ def test_lifts_on_integer_views_equal_the_fraction_definitions():
                         want, _ = rational_transport_simplex(mu, nu, cost)
                         for lifting in transports:
                             assert lifting.lift(DIST_FUNCTOR, view, d1, d2) == want
-                # every block was read off the view's integers
-                built += view.scaled is not None
-    assert built == 16 * 3 * 5
+                # every block was read off these integers
+                checked += all(view_entry(view, x, y) == rel.at(x, y) for x in a for y in b)
+    assert checked == 16 * 3 * 5
 
 
 def test_a_view_builds_its_integer_rows_once(monkeypatch):
-    # a chain step's view and a membership view build their integer rows
-    # on their first block read, and every later read reuses them; a
-    # relation's view reads the relation's own form and builds none
+    # each maker builds a view's integer rows once, as it makes the view:
+    # a chain once per step and membership once per call, while a
+    # relation's view reads the relation's own form and scales nothing
     rng = random.Random("integer-rows-once")
     a, b = rand_carrier(rng, "a", 4), rand_carrier(rng, "b", 4)
     rel = coprime_rel(rng, a, b)
+    form = rel.scaled
     calls = []
-    real = core.scaled_entries
-    monkeypatch.setattr(core, "scaled_entries",
-                        lambda source, values: calls.append(values) or real(source, values))
+    real_of_rows, real_scaled_rows = RelView.of_rows.__func__, core.scaled_rows
+    monkeypatch.setattr(RelView, "of_rows", classmethod(
+        lambda cls, *args: calls.append("of_rows") or real_of_rows(cls, *args)))
+    monkeypatch.setattr(core, "scaled_rows",
+                        lambda rows: calls.append("scaled_rows") or real_scaled_rows(rows))
     t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
     want = two_pass_hausdorff(H_SYM, SET_FUNCTOR, rel.view(), t1, t2)
+    system = rand_system(rng, SET_FUNCTOR, "s", 4)
+    calls.clear()
+    assert len(distance_chain(H_SYM, system, system, 3)) == 4
+    assert calls == ["of_rows"] * 3
     rows = {x: dict(zip(b, row)) for x, row in zip(a, rel.values)}
-    chain = RelView(a, rows, {})
-    member = membership(a, b, [dict(zip(a, col)) for col in zip(*rel.values)])
-    own = rel.view()
-    for view, builds in ((chain, True), (member, True), (own, False)):
+    for make, builds in ((lambda: RelView.of_rows(a, rows, {}), ["of_rows"]),
+                         (lambda: membership(a, b, [dict(zip(a, col))
+                                                    for col in zip(*rel.values)]), ["of_rows"]),
+                         (rel.view, [])):
         calls.clear()
-        assert (view.scaled is None) == builds
-        assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == want
-        assert len(calls) == builds
-        form = view.scaled
+        view = make()
+        assert calls == builds
         for _ in range(4):
             assert H_SYM.lift(SET_FUNCTOR, view, t1, t2) == want
-            assert len(calls) == builds and view.scaled is form
-    assert own.scaled[0] == rel.scaled[0]
-    den, ints = chain.scaled
-    assert ints == {x: {y: v * den for y, v in zip(b, row)} for x, row in zip(a, rel.values)}
+            assert IdLift().lift(Id(), view, IdEl(a.elements[0]), IdEl(b.elements[1])) == \
+                rel.values[0][1]
+        assert calls == builds
+        den, ints = view.den, view.ints
+        assert {x: ints[x] for x in a} == {x: {y: v * den for y, v in zip(b, row)}
+                                            for x, row in zip(a, rel.values)}
+    assert rel.scaled is form and rel.view().den == form[0]
 
 
 def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_rows():
     # a bad left or right leaf fails alike on every maker's view, fresh and
-    # after two block reads, which built its integer rows
+    # after two block reads, empty blocks included
     rng = random.Random("foreign-leaf")
     a, b = rand_carrier(rng, "a", 3), rand_carrier(rng, "b", 3)
     t1, t2 = fset(IdEl(x) for x in a), fset(IdEl(y) for y in b)
@@ -654,7 +664,6 @@ def test_a_relation_view_refuses_a_foreign_element_before_and_after_its_integer_
         fresh = dataclasses.replace(read)
         for _ in range(2):
             H_SYM.lift(SET_FUNCTOR, read, t1, t2)
-        assert read.scaled and fresh.scaled is None
         for view in (fresh, read):
             for u, v in ((bad, t2), (t1, bad)):
                 with pytest.raises(StructureError, match="nowhere"):
@@ -672,7 +681,7 @@ def node_oracle(lifting, functor, rel, t1, t2):
     lifts: Hausdorff and pair-sum through the oracles' forms, transport
     through the rational simplex, the grid through the Fraction search."""
     if isinstance(lifting, IdLift):
-        return rel.values[t1.value][t2.value]
+        return view_entry(rel, t1.value, t2.value)
     if isinstance(lifting, ConstLift):
         return functor.metric.at(t1.label, t2.label)
     if isinstance(lifting, Hausdorff):

@@ -73,6 +73,31 @@ def test_bench_pair_digests_the_measured_code(tmp_path):
     assert tree_digest(str(two)) != digest
 
 
+def test_bench_pair_reports_a_spread_past_the_bound_as_unresolved():
+    bench_pair = load_bench_pair()
+    tight = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    wide = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]  # IQR 0.5 of the median 1
+    cases = {  # workload: (parent runs, change runs, verdict on "t_s" and on "rate")
+        "within": (tight, [x * 1.1 for x in tight], "within", "within"),
+        "beyond": (tight, [x * 1.4 for x in tight], "WORSE beyond", "WORSE beyond"),
+        "spread": (wide, [x * 1.05 for x in wide], "unresolved", "unresolved"),
+        "clear": (wide, [x * 0.4 for x in wide], "within", "within"),
+    }
+    pairs = [{"workload": workload, "seed": seed, "first": "parent",
+              **{side: {"failed": 0, "attempted": 1,
+                        "metrics": {"t_s": {"value": v}, "rate": {"value": 1 / v}}}
+                 for side, v in (("parent", p), ("change", c))}}
+             for workload, (parent, change, _, _) in cases.items()
+             for seed, (p, c) in enumerate(zip(parent, change))]
+    end_to_end = {"t_s": {"name": "t_s", "better": "lower", "bound": 0.25},
+                  "rate": {"name": "rate", "better": "higher", "bound": 0.25}}
+    summary = bench_pair.summarise(pairs, end_to_end)
+    assert {w: (row["metrics"]["t_s"]["verdict"], row["metrics"]["rate"]["verdict"])
+            for w, row in summary.items()} == {w: c[2:] for w, c in cases.items()}
+    lines = bench_pair.summary_lines(summary)
+    assert len(lines) == 8 and "change won 0/10 pairs, unresolved (bound 25%)" in lines[4]
+
+
 def load_spans():
     spec = importlib.util.spec_from_file_location(
         "spans", os.path.join(ROOT, "perfbench", "spans.py"))
@@ -91,8 +116,8 @@ def test_benchmark_tracer_reads_a_relation_view():
     dia = set_functor.standard_modalities()["dia"]
     grid = lk.KantorovichGrid(("dia",), F(1, 2))
     t1, t2 = lk.fset([lk.IdEl("x1"), lk.IdEl("x3")]), lk.fset([lk.IdEl("y2")])
-    index_rows = lk.RelView(range(3), {i: dict(enumerate(row)) for i, row in enumerate(rel.values)},
-                            {})
+    index_rows = lk.RelView.of_rows(
+        range(3), {i: dict(enumerate(row)) for i, row in enumerate(rel.values)}, {})
     counts = Counter()
     for view, u, v in ((rel.view(), t1, t2), (index_rows, t1.map(a.index), t2.map(b.index))):
         args = ([dia], F(1, 2), view, u, v)
